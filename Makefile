@@ -4,7 +4,7 @@
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: test docs-check bench bench-smoke bench-cache bench-planner bench-procpool bench-sharding obs-check
+.PHONY: test docs-check bench bench-smoke bench-cache bench-planner obs-check
 
 ## Tier-1: the full unit/integration suite (includes docs-check).
 test:
@@ -36,18 +36,6 @@ bench-cache:
 ## planner-off scan, engine R-tree bbox probe >= 5x over the seed scan.
 bench-planner:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest benchmarks/bench_planner_indexes.py -q --benchmark-disable
-
-## The docs/PARALLELISM.md gates: serial-vs-process bitwise identity on
-## the matvec + similarity kernels, the vectorized-similarity >= 2x win,
-## and (on >= 2 CPUs) process pool4 >= 2x over pool1.
-bench-procpool:
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest benchmarks/bench_procpool.py -q --benchmark-disable
-
-## The docs/SHARDING.md gates: sharded-vs-unsharded byte identity on
-## every query shape, process fan-out >= 2x over the serial cell path on
-## >= 2 CPUs, and bounded per-shard staleness lag under the write stream.
-bench-sharding:
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest benchmarks/bench_sharding.py -q --benchmark-disable
 
 ## Observability gate: unit tests + web surfaces + time series/SLOs +
 ## dashboard SVG well-formedness + the overhead budget (which now also

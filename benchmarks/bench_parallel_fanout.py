@@ -1,18 +1,14 @@
-"""E12 — parallel query fan-out and lazy top-k result selection.
+"""E12 — per-generation memos and lazy top-k result selection.
 
-Two gates guard the PR's tentpole (docs/PERFORMANCE.md, "Concurrency
-model"):
+Two gates guard the engine's per-query savings (docs/PERFORMANCE.md):
 
-- **Fan-out + per-generation memos.** Multi-filter relaxed queries on
-  the *new* engine (worker pool of 4, memoized IRI->title map, cached
-  page locations, lazy top-k) must run >= 2x faster than the **seed
-  path** — a faithful replica of the pre-PR pipeline that rebuilds the
-  IRI map for every SPARQL filter, re-parses every page's location on
-  every bbox scan, and full-sorts all candidates, strictly serially.
-  The same-code pool_size=4 vs pool_size=1 time is reported alongside
-  for transparency: on a single-CPU GIL build the thread fan-out itself
-  is roughly neutral, and the architectural wins come from the memos
-  and top-k; on multi-core builds the fan-out adds real overlap.
+- **Per-generation memos.** Multi-filter relaxed queries (the full
+  constraint width of Fig. 1) on the engine (memoized IRI->title map,
+  cached page locations, R-tree bbox probe, lazy top-k) must run >= 2x
+  faster than the **seed path** — a faithful replica of the earlier
+  pipeline that rebuilds the IRI map for every SPARQL filter,
+  re-parses every page's location on every bbox scan, and full-sorts
+  all candidates. Both evaluate constraints serially.
 - **Top-k selection.** With >= 5k candidates and a small ``limit``, the
   heap-based top-k path must beat the build-everything-then-sort path
   by >= 3x, because it materializes ``limit`` SearchResults instead of
@@ -37,7 +33,6 @@ import pytest
 
 from repro.core.engine import AdvancedSearchEngine
 from repro.core.ranking import PageRankRanker
-from repro.perf.pool import WorkerPool
 from repro.smr.repository import SensorMetadataRepository
 from repro.workloads.generator import CorpusSpec, generate_corpus
 
@@ -61,7 +56,7 @@ TOPK_MIN_SPEEDUP = 3.0
 
 # Multi-filter relaxed queries: two unmapped properties (maintainer,
 # team -> SPARQL), mapped properties (SQL), keyword and bbox constraints
-# — the full fan-out width of Fig. 1.
+# — the full constraint width of Fig. 1.
 FANOUT_QUERIES = [
     "maintainer~a team~ops status=online relaxed=true bbox=45,6,48,11",
     "maintainer=alice team=ops elevation_m>=1200 relaxed=true",
@@ -72,7 +67,7 @@ FANOUT_QUERIES = [
 # which is the scenario the gate describes: thousands of candidates, a
 # small page. Shapes whose cost sits in a shared constraint evaluation
 # (keyword BM25, SQL filters) dilute the ratio without exercising the
-# top-k machinery and are covered by the fan-out section instead.
+# top-k machinery and are covered by the memo section instead.
 TOPK_QUERIES = [
     "kind=sensor sort=pagerank limit=10",
     "kind=sensor limit=20",  # relevance blend without keyword
@@ -81,13 +76,13 @@ TOPK_QUERIES = [
 
 
 class SeedPathEngine(AdvancedSearchEngine):
-    """The pre-PR query path, re-created as an honest serial baseline.
+    """The earlier query path, re-created as an honest baseline.
 
-    Undoes this PR's three per-query savings: the IRI->title map is
-    rebuilt for *every* SPARQL filter, page locations are re-parsed on
-    *every* bbox scan, and (constructed with ``topk=False`` and a
-    one-worker pool) every candidate becomes a SearchResult before one
-    full sort. Everything else is the shared engine code.
+    Undoes three per-query savings: the IRI->title map is rebuilt for
+    *every* SPARQL filter, page locations are re-parsed on *every* bbox
+    scan, and (constructed with ``topk=False``) every candidate becomes
+    a SearchResult before one full sort. Everything else is the shared
+    engine code.
     """
 
     def _iri_title_map(self):
@@ -138,53 +133,38 @@ def _time_workload(engine, queries, repeats) -> float:
 
 
 def test_fanout_vs_seed_path(write_result):
-    """New engine (pool=4 + memos + top-k) >= 2x over the seed path."""
+    """Engine (memos + R-tree + top-k) >= 2x over the seed path."""
     smr = _fanout_smr()
     ranker = PageRankRanker(smr)
     ranker.scores()  # one shared solve; ranking cost out of the timing
     seed = SeedPathEngine(
-        smr,
-        ranker=ranker,
-        cache=None,
-        pool=WorkerPool(size=1),
-        topk=False,
-        spatial_index=False,
+        smr, ranker=ranker, cache=None, topk=False, spatial_index=False
     )
-    pool1 = AdvancedSearchEngine(
-        smr, ranker=ranker, cache=None, pool=WorkerPool(size=1), topk=True
-    )
-    pool4 = AdvancedSearchEngine(
-        smr, ranker=ranker, cache=None, pool=WorkerPool(size=4, name="bench4"), topk=True
-    )
+    engine = AdvancedSearchEngine(smr, ranker=ranker, cache=None, topk=True)
     queries = [seed.parse(text) for text in FANOUT_QUERIES]
 
-    # Identity first: all three paths must return byte-identical lists.
+    # Identity first: both paths must return byte-identical lists.
     for query in queries:
-        expected = _fingerprint(seed.search(query))
-        assert _fingerprint(pool1.search(query)) == expected
-        assert _fingerprint(pool4.search(query)) == expected
+        assert _fingerprint(engine.search(query)) == _fingerprint(seed.search(query))
 
     seed_s = _time_workload(seed, queries, FANOUT_REPEATS)
-    pool1_s = _time_workload(pool1, queries, FANOUT_REPEATS)
-    pool4_s = _time_workload(pool4, queries, FANOUT_REPEATS)
-    speedup = seed_s / pool4_s if pool4_s > 0 else float("inf")
+    engine_s = _time_workload(engine, queries, FANOUT_REPEATS)
+    speedup = seed_s / engine_s if engine_s > 0 else float("inf")
 
     write_result(
         "parallel_fanout.txt",
-        "# E12 fan-out: multi-filter relaxed queries "
+        "# E12 memos: multi-filter relaxed queries "
         f"({len(FANOUT_QUERIES)} queries x {FANOUT_REPEATS} repeats, "
         f"{smr.page_count} pages)\n"
-        "# seed = serial pre-PR path (IRI map per SPARQL filter, bbox "
+        "# seed = earlier path (IRI map per SPARQL filter, bbox "
         "re-parse, full sort)\n"
-        f"seed_seconds={seed_s:.4f} pool1_seconds={pool1_s:.4f} "
-        f"pool4_seconds={pool4_s:.4f}\n"
-        f"speedup_pool4_vs_seed={speedup:.1f}x "
-        f"pool4_vs_pool1={pool1_s / pool4_s if pool4_s > 0 else float('inf'):.2f}x\n",
+        f"seed_seconds={seed_s:.4f} engine_seconds={engine_s:.4f}\n"
+        f"speedup_vs_seed={speedup:.1f}x\n",
     )
     if not SMOKE:
         assert speedup >= FANOUT_MIN_SPEEDUP, (
             f"expected >= {FANOUT_MIN_SPEEDUP}x over the seed path, got "
-            f"{speedup:.2f}x (seed {seed_s:.3f}s vs pool4 {pool4_s:.3f}s)"
+            f"{speedup:.2f}x (seed {seed_s:.3f}s vs engine {engine_s:.3f}s)"
         )
 
 
@@ -193,12 +173,8 @@ def test_topk_vs_full_sort(results_dir, write_result):
     smr = SensorMetadataRepository.from_corpus(generate_corpus(TOPK_SPEC))
     ranker = PageRankRanker(smr)
     ranker.scores()
-    full = AdvancedSearchEngine(
-        smr, ranker=ranker, cache=None, pool=WorkerPool(size=1), topk=False
-    )
-    lazy = AdvancedSearchEngine(
-        smr, ranker=ranker, cache=None, pool=WorkerPool(size=1), topk=True
-    )
+    full = AdvancedSearchEngine(smr, ranker=ranker, cache=None, topk=False)
+    lazy = AdvancedSearchEngine(smr, ranker=ranker, cache=None, topk=True)
     queries = [full.parse(text) for text in TOPK_QUERIES]
 
     candidates = full.search(queries[0]).total_candidates

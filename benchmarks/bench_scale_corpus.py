@@ -5,10 +5,9 @@ loading, PageRank ranking, advanced search, autocomplete. Writes the
 scaling table to ``results/scale_corpus.txt``; the latency benchmarks run
 on the largest interactive corpus. Search should stay interactive (well
 under 100 ms here) across the sweep — the property a live demo depends
-on. The ``xlarge`` tier (100k+ pages) exists to give the process-backend
-benches (``bench_procpool.py``) and the ranking kernels enough work to
-amortize parallel overheads; it appears in the scaling table but not in
-the per-query latency benchmarks.
+on. The ``xlarge`` tier (100k+ pages) gives the ranking kernels a
+production-sized graph; it appears in the scaling table but not in the
+per-query latency benchmarks.
 """
 
 import os

@@ -43,7 +43,6 @@ from repro.core.results import SearchResult, SearchResults
 from repro.errors import QueryError, RelationalError
 from repro.geo.point import GeoPoint
 from repro.perf.cache import GenerationalLruCache, result_cache_key
-from repro.perf.pool import WorkerPool, get_pool, parallel_map
 from repro.smr.repository import SensorMetadataRepository
 
 # Weighting of keyword relevance vs. PageRank in the default sort.
@@ -74,7 +73,6 @@ class AdvancedSearchEngine:
         ranker: Optional[PageRankRanker] = None,
         cache: Optional[GenerationalLruCache] = _DEFAULT_CACHE_SENTINEL,
         slow_query_seconds: float = 0.25,
-        pool: Optional[WorkerPool] = None,
         topk: bool = True,
         spatial_index: bool = True,
     ):
@@ -89,10 +87,6 @@ class AdvancedSearchEngine:
         #: ``engine.slow_query`` event (with cache verdict, result count
         #: and privilege set) and count into ``engine_slow_queries_total``.
         self.slow_query_seconds = slow_query_seconds
-        #: Worker pool for the per-query constraint fan-out; ``None``
-        #: resolves to the process-wide default pool at query time.
-        #: Pass ``WorkerPool(size=1)`` to force strictly serial execution.
-        self.pool = pool
         #: When True (default) and the query carries a limit under a
         #: relevance/pagerank sort, result materialization is lazy: only
         #: the top-k survivors get a :class:`SearchResult` built. The
@@ -265,14 +259,11 @@ class AdvancedSearchEngine:
     ) -> Tuple[List[Any], List[float]]:
         """Evaluate the query's independent constraints, in declaration order.
 
-        Fans out the keyword search, each SQL/SPARQL property filter, and
-        the bbox scan — onto the worker pool; the SMR's reader–writer lock
-        keeps the concurrent reads safe under writes. parallel_map
-        preserves input order (and raises the first failure by input
-        position), so reassembly in :meth:`_search` is identical to the
-        serial loop. ``timed=True`` additionally returns per-constraint
-        wall seconds for provenance. The sharded engine overrides this
-        seam to fan out per (constraint, shard) instead.
+        The keyword search, each SQL/SPARQL property filter, then the
+        bbox probe run one after another on the calling thread; each
+        facade call takes the SMR's read lock, so a concurrent writer
+        never tears a read. ``timed=True`` additionally returns
+        per-constraint wall seconds for provenance.
         """
         jobs: List[Callable[[], Any]] = []
         if query.keyword:
@@ -280,14 +271,15 @@ class AdvancedSearchEngine:
         jobs.extend(partial(self._titles_matching_filter, flt) for flt in query.filters)
         if query.bbox is not None:
             jobs.append(partial(self._titles_in_bbox, query.bbox))
-        if timed:
-            jobs = [_timed_job(job) for job in jobs]
-        outputs = parallel_map(
-            lambda job: job(), jobs, pool=self.pool, label="engine.constraint"
-        )
-        if timed:
-            return [value for _, value in outputs], [seconds for seconds, _ in outputs]
-        return list(outputs), []
+        if not timed:
+            return [job() for job in jobs], []
+        outputs: List[Any] = []
+        seconds: List[float] = []
+        for job in jobs:
+            start = time.perf_counter()
+            outputs.append(job())
+            seconds.append(time.perf_counter() - start)
+        return outputs, seconds
 
     def _search(
         self,
@@ -944,22 +936,6 @@ class AdvancedSearchEngine:
 # ----------------------------------------------------------------------
 # Provenance helpers
 # ----------------------------------------------------------------------
-
-
-def _timed_job(job: Callable[[], Any]) -> Callable[[], Tuple[float, Any]]:
-    """Wrap a constraint job to return ``(seconds, value)``.
-
-    Only used when provenance is active; the wrapper is what makes the
-    per-constraint wall times in the waterfall real measurements of the
-    parallel fan-out, not serialized re-runs.
-    """
-
-    def run() -> Tuple[float, Any]:
-        start = time.perf_counter()
-        value = job()
-        return time.perf_counter() - start, value
-
-    return run
 
 
 def _privilege_label(user: User) -> str:

@@ -64,8 +64,7 @@ class PageRankRanker:
         self._property_weights: Optional[Dict[str, float]] = None
         self._built_at_mutation: Optional[int] = None
         self._force_full = False
-        # Serializes recomputes: with the engine fanning constraint
-        # evaluation onto pool workers, several threads can hit a stale
+        # Serializes recomputes: several request threads can hit a stale
         # cache at once — one solve is expensive enough without N copies.
         # Reentrant because property_weights() -> scores() may recompute.
         self._refresh_lock = threading.RLock()
@@ -168,7 +167,7 @@ class PageRankRanker:
             x0 = x0 / k
             mode = "warm"
             if not self._force_full:
-                scores_vec = self._try_incremental(problem, x0, titles)
+                scores_vec = self._try_incremental(problem, x0)
                 if scores_vec is not None:
                     mode = "incremental"
         elif x0 is not None:
@@ -193,19 +192,7 @@ class PageRankRanker:
         self._built_at_mutation = mutation
         self._force_full = False
 
-    def _note_dirty(self, dirty: np.ndarray, titles: List[str]) -> None:
-        """Hook: observe which rows the incremental refresh marked dirty.
-
-        ``dirty`` holds dense row indices into ``titles`` (the snapshot
-        the current problem was built from). The base ranker does nothing
-        extra — the aggregate ``ranking_dirty_pages`` gauge is already
-        set — but the sharded ranker overrides this to attribute dirty
-        pages to their owning shard.
-        """
-
-    def _try_incremental(
-        self, problem, y0: np.ndarray, titles: Optional[List[str]] = None
-    ) -> Optional[np.ndarray]:
+    def _try_incremental(self, problem, y0: np.ndarray) -> Optional[np.ndarray]:
         """Localized dirty-set recompute; None when a full solve is due.
 
         Declines when the initial residual marks more than
@@ -238,8 +225,6 @@ class PageRankRanker:
             "ranking_dirty_pages",
             "Rows marked dirty by the most recent incremental refresh attempt.",
         ).set(float(dirty.size))
-        if titles is not None:
-            self._note_dirty(dirty, titles)
         if dirty.size > self.incremental_threshold * problem.n:
             return None
         result = refine_incremental(

@@ -242,32 +242,6 @@ class CsrMatrix:
             out[nonempty] = np.add.reduceat(products, starts[nonempty])
         return out
 
-    def matvec_rows(self, x, start: int, stop: int) -> np.ndarray:
-        """Return ``(A @ x)[start:stop]`` touching only those rows' entries.
-
-        The row-partitioned kernel behind
-        :func:`repro.perf.pool.parallel_matvec`: each worker computes one
-        contiguous row block, and concatenating the blocks reproduces
-        :meth:`matvec` exactly — same reduceat segments, same
-        left-to-right summation order within each row, so the result is
-        bitwise identical to the serial product.
-        """
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.ncols,):
-            raise LinalgError(f"matvec expects length {self.ncols}, got {x.shape}")
-        if not (0 <= start <= stop <= self.nrows):
-            raise LinalgError(
-                f"row range [{start}, {stop}) invalid for {self.nrows} rows"
-            )
-        out = np.zeros(stop - start)
-        lo, hi = self.indptr[start], self.indptr[stop]
-        if hi > lo:
-            products = self.data[lo:hi] * x[self.indices[lo:hi]]
-            starts = self.indptr[start:stop]
-            nonempty = self.indptr[start + 1 : stop + 1] > starts
-            out[nonempty] = np.add.reduceat(products, (starts - lo)[nonempty])
-        return out
-
     def rmatvec(self, x) -> np.ndarray:
         """Return ``A.T @ x`` without forming the transpose."""
         x = np.asarray(x, dtype=float)

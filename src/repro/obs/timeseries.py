@@ -394,8 +394,8 @@ class TimeSeriesStore:
         """Per-timestamp sum across every child series of ``name``.
 
         Samples taken in the same tick share a timestamp, so merging by
-        timestamp reconstructs the family-level series (e.g. total pool
-        queue depth across pools).
+        timestamp reconstructs the family-level series (e.g. total
+        staleness lag across label sets).
         """
         merged: Dict[float, float] = {}
         for _, series in self.series(name):

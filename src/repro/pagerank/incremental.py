@@ -58,10 +58,6 @@ class IncrementalResult:
     #: path's analogue of a solver's per-iteration residual series, fed
     #: to the shared convergence recorder for ``/debug/convergence``.
     residual_history: List[float] = field(default_factory=list)
-    #: Dense row indices that were dirty at the start of the refinement —
-    #: the initial work queue. ``repro.shard`` attributes these back to
-    #: their owning shard for the per-shard dirty-page gauges.
-    dirty_indices: List[int] = field(default_factory=list)
 
     def sweep_equivalents(self, n: int) -> int:
         """Relaxation work in full-sweep units: ``ceil(relaxations / n)``."""
@@ -129,7 +125,6 @@ def refine_incremental(
     r = initial_residual(problem, y) if residual is None else residual
     queue = deque(int(i) for i in np.flatnonzero(np.abs(r) > threshold))
     dirty = len(queue)
-    dirty_indices = list(queue)
     in_queue = np.zeros(n, dtype=bool)
     in_queue[list(queue)] = True
     relaxations = 0
@@ -170,5 +165,4 @@ def refine_incremental(
         converged=final < tol * rhs_norm,
         final_residual=final,
         residual_history=history,
-        dirty_indices=dirty_indices,
     )

@@ -25,17 +25,13 @@ Stopping follows the PageRank convention for stationary methods:
 ``||x_new - x_old||_1 / ||b||_1 < tol`` — for Jacobi this quantity equals
 the (diagonally scaled) residual, so iteration counts are comparable.
 
-Why this solver takes no ``chunks``/``pool`` arguments while power and
-Jacobi do: a Gauss–Seidel sweep is a loop-carried dependency — row ``i``
-consumes the *same-sweep* updates of every row ``j < i`` it references —
-so the sweep cannot be row-partitioned into independent chunks the way a
-Jacobi product can. Splitting it anyway would silently compute a
-different iteration (block-Jacobi with GS blocks), changing the
-convergence behavior the paper's Fig. 3 comparison rests on. The level
-scheduling above already extracts all the *safe* intra-sweep
-parallelism, and does so with vectorized numpy gathers rather than
-threads — the per-level work is far too fine-grained to win anything
-from pool dispatch under the GIL.
+A Gauss–Seidel sweep is a loop-carried dependency — row ``i`` consumes
+the *same-sweep* updates of every row ``j < i`` it references — so it
+cannot be row-partitioned into independent chunks. Splitting it anyway
+would silently compute a different iteration (block-Jacobi with GS
+blocks), changing the convergence behavior the paper's Fig. 3
+comparison rests on. The level scheduling above extracts the *safe*
+intra-sweep work with vectorized numpy gathers.
 """
 
 from __future__ import annotations

@@ -27,19 +27,8 @@ def solve_jacobi(
     tol: float = 1e-8,
     max_iter: int = 1000,
     x0: Optional[np.ndarray] = None,
-    chunks: Optional[int] = None,
-    pool=None,
 ) -> SolverResult:
-    """Run Jacobi sweeps until the relative residual drops below ``tol``.
-
-    Jacobi updates every row from the *previous* sweep's vector, so the
-    sparse product row-partitions freely: ``chunks`` > 1 fans it across
-    the worker ``pool`` via :func:`repro.perf.pool.parallel_matvec` —
-    worker processes over shared-memory CSR slabs when available,
-    threads otherwise — with bitwise-identical results on every backend
-    (unlike Gauss–Seidel, whose in-sweep dependency keeps it serial —
-    see :mod:`repro.pagerank.solvers.gauss_seidel`).
-    """
+    """Run Jacobi sweeps until the relative residual drops below ``tol``."""
     check_problem(problem)
     system, rhs = build_linear_system(problem)
     diag = system.diagonal()
@@ -51,15 +40,8 @@ def solve_jacobi(
     tracker = ResidualTracker(tol)
     converged = False
     iterations = 0
-    use_chunks = chunks is not None and chunks > 1
-    if use_chunks:
-        from repro.perf.pool import parallel_matvec
     for iterations in range(1, max_iter + 1):
-        if use_chunks:
-            product = parallel_matvec(system, x, chunks=chunks, pool=pool)
-        else:
-            product = system.matvec(x)
-        residual_vec = rhs - product
+        residual_vec = rhs - system.matvec(x)
         x = x + residual_vec * inv_diag
         if tracker.record(norm1(residual_vec) / rhs_norm):
             converged = True

@@ -23,18 +23,8 @@ def solve_power(
     tol: float = 1e-8,
     max_iter: int = 1000,
     x0: Optional[np.ndarray] = None,
-    chunks: Optional[int] = None,
-    pool=None,
 ) -> SolverResult:
-    """Run power iterations until ``||x(k+1) - x(k)||₁ < tol``.
-
-    ``chunks`` > 1 row-partitions each step's sparse product across the
-    worker ``pool`` (:func:`repro.perf.pool.parallel_matvec` — worker
-    *processes* over shared-memory CSR slabs when the platform allows,
-    threads otherwise); the chunk kernel is bitwise identical to the
-    serial one, so the iterate sequence — and therefore the residual
-    history — does not change on any backend.
-    """
+    """Run power iterations until ``||x(k+1) - x(k)||₁ < tol``."""
     check_problem(problem)
     x = problem.personalization.copy() if x0 is None else np.asarray(x0, dtype=float).copy()
     total = norm1(x)
@@ -44,7 +34,7 @@ def solve_power(
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        x_next = problem.apply_google_matrix(x, pool=pool, chunks=chunks)
+        x_next = problem.apply_google_matrix(x)
         residual = norm1(x_next - x)
         x = x_next
         if tracker.record(residual):

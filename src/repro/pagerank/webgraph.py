@@ -165,9 +165,7 @@ class PageRankProblem:
         """Build a problem straight from a :class:`LinkGraph`."""
         return cls(graph.transition_matrix(), teleport, personalization)
 
-    def apply_google_matrix(
-        self, x: np.ndarray, pool=None, chunks: Optional[int] = None
-    ) -> np.ndarray:
+    def apply_google_matrix(self, x: np.ndarray) -> np.ndarray:
         """Return ``(P'')ᵀ x`` — one power-iteration step (Eq. 3).
 
         Expanding Eq. 2,
@@ -176,23 +174,9 @@ class PageRankProblem:
 
         so the dangling and teleport corrections are rank-1 updates and the
         sparse structure of ``P`` is preserved.
-
-        With ``chunks`` > 1 the sparse product is row-partitioned across
-        the worker ``pool`` via :func:`repro.perf.pool.parallel_matvec` —
-        worker processes over the matrix's shared-memory CSR slabs when
-        the platform allows, the thread pool otherwise; each chunk runs
-        the exact reduceat kernel of
-        :meth:`~repro.linalg.sparse.CsrMatrix.matvec_rows`, so the result
-        is bitwise identical to the serial product on every backend.
         """
         x = np.asarray(x, dtype=float)
-        if chunks is not None and chunks > 1:
-            from repro.perf.pool import parallel_matvec
-
-            product = parallel_matvec(self._transition_t, x, chunks=chunks, pool=pool)
-        else:
-            product = self._transition_t.matvec(x)
-        result = self.teleport * product
+        result = self.teleport * self._transition_t.matvec(x)
         dangling_mass = float(x[self._dangling_idx].sum())
         total_mass = float(x.sum())
         result += (self.teleport * dangling_mass + (1.0 - self.teleport) * total_mass) * self.personalization

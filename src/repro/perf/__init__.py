@@ -1,12 +1,12 @@
-"""Query-path performance layer: result caching and bounded parallelism.
+"""Query-path performance layer: generation-stamped result caching.
 
 The paper chooses Gauss–Seidel for production precisely because ranking
 must keep up with a wiki whose double-link structure evolves continuously
-(Section III, Fig. 3), and the ROADMAP's north star asks the engine to
-serve heavy repeated traffic "as fast as the hardware allows". This
-package supplies the caching and fan-out halves of that story; the
-incremental re-ranking half lives in :mod:`repro.pagerank.incremental`
-and :class:`repro.core.ranking.PageRankRanker`.
+(Section III, Fig. 3), and repeated advanced searches over that wiki
+should not re-run the Fig. 1 pipeline. This package supplies the caching
+half of that story; the incremental re-ranking half lives in
+:mod:`repro.pagerank.incremental` and
+:class:`repro.core.ranking.PageRankRanker`.
 
 - :mod:`repro.perf.cache` — :class:`GenerationalLruCache`, an LRU result
   cache whose entries are stamped with the repository *generation* (the
@@ -15,24 +15,12 @@ and :class:`repro.core.ranking.PageRankRanker`.
   flush; :func:`result_cache_key` canonicalizes a
   :class:`~repro.core.query.SearchQuery` + privilege pair into the cache
   key the engine uses.
-- :mod:`repro.perf.pool` — :class:`WorkerPool`, the process-wide,
-  size-bounded, trace-propagating thread pool the engine fans one
-  query's SQL/SPARQL/keyword/bbox evaluations onto, the iterative
-  PageRank solvers chunk their matvecs over, and the bulk loader
-  parses batches on; :func:`parallel_map` degrades to plain serial
-  execution for small inputs, one-worker pools, or nested fan-out.
-- :mod:`repro.perf.procpool` — the *process* backend behind
-  ``kind="cpu"`` fan-outs: worker processes operating on shared-memory
-  CSR slabs and dense vectors, which is what actually escapes the GIL
-  for the Section III matvec kernels, the Section IV similarity tiles
-  and bulk-parse batches. :func:`~repro.perf.pool.pool_for` selects
-  thread vs process vs serial per task kind and degrades gracefully
-  (process → thread → serial) with byte-identical results at every
-  level (docs/PARALLELISM.md).
 
-Everything reports through :mod:`repro.obs`: cache verdicts under
-``perf_cache_*_total{cache=...}``, pool health under
-``perf_pool_*{pool=...}``, both visible in ``GET /metrics`` and
+Searches, ranking solves, similarity matrices and bulk loads all run
+serially on the calling thread; :mod:`repro.perf.pool` and
+:mod:`repro.perf.procpool` keep only no-op ``shutdown`` hooks. Cache
+verdicts report through :mod:`repro.obs` under
+``perf_cache_*_total{cache=...}``, visible in ``GET /metrics`` and
 ``GET /api/stats`` (see docs/PERFORMANCE.md for invalidation and
 concurrency semantics).
 """
@@ -42,47 +30,9 @@ from repro.perf.cache import (
     GenerationalLruCache,
     result_cache_key,
 )
-from repro.perf.pool import (
-    TASK_KINDS,
-    WorkerPool,
-    backend_for,
-    chunk_ranges,
-    default_pool_size,
-    get_pool,
-    get_serial_pool,
-    in_worker,
-    parallel_map,
-    parallel_matvec,
-    pool_for,
-    set_pool,
-)
-from repro.perf.procpool import (
-    PoolTaskError,
-    ProcessWorkerPool,
-    SharedSlab,
-    get_process_pool,
-    shutdown_process_pool,
-)
 
 __all__ = [
     "CacheStats",
     "GenerationalLruCache",
-    "PoolTaskError",
-    "ProcessWorkerPool",
-    "SharedSlab",
-    "TASK_KINDS",
-    "WorkerPool",
-    "backend_for",
-    "chunk_ranges",
-    "default_pool_size",
-    "get_pool",
-    "get_process_pool",
-    "get_serial_pool",
-    "in_worker",
-    "parallel_map",
-    "parallel_matvec",
-    "pool_for",
     "result_cache_key",
-    "set_pool",
-    "shutdown_process_pool",
 ]

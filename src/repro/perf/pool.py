@@ -1,396 +1,8 @@
-"""A process-wide, size-bounded, observable worker pool.
+"""No worker threads: searches and kernels run serially in the caller."""
 
-The paper's Query Management module evaluates one advanced search as a
-*combination of SQL and SPARQL* constraint sets plus keyword and spatial
-predicates (Section II, Fig. 1) — independent sub-evaluations that the
-engine fans out onto this pool, and Section III's ranking solve is a
-row-partitionable matvec the iterative solvers chunk over it. One shared
-:class:`WorkerPool` serves the whole process so concurrency stays
-bounded by configuration, not by request volume.
+from types import SimpleNamespace
 
-Observability (all families labelled ``{pool=<name>}``):
 
-- ``perf_pool_size`` — configured worker count;
-- ``perf_pool_queue_depth`` — tasks submitted but not yet running
-  (waiting for a free worker);
-- ``perf_pool_tasks_total`` / ``perf_pool_task_seconds`` — completed
-  tasks and their execution latency;
-- ``perf_pool_saturation_total`` — submissions that found every worker
-  busy and had to queue.
-
-Every task inherits the submitting thread's trace id: the wrapper binds
-it in the worker and opens a ``pool.task`` span, so ``/debug/trace``
-still reconstructs a parallel request as one trace tree.
-
-Backend selection (:func:`pool_for`): callers describe their work with a
-*task kind* and the pool picks the backend —
-
-- ``kind="io"`` — GIL-releasing or I/O-ish work (constraint fan-out,
-  anything that blocks): the shared **thread** pool;
-- ``kind="cpu"`` — CPU-bound kernels (PageRank matvec chunks, tagging
-  similarity tiles, bulk-parse batches): the **process** pool of
-  :mod:`repro.perf.procpool`, whose shared-memory slabs escape the GIL;
-- ``kind="serial"`` — explicitly serial (a one-worker pool).
-
-Degradation rules, each one level weaker and each preserving results
-exactly: the process backend falls back to the thread pool when the
-platform probe fails (sandboxed CI), a worker dies mid-run, or the
-payload does not pickle; the thread pool falls back to plain serial
-execution (:func:`parallel_map`) when the input is smaller than
-``min_chunk``, when the pool has one worker, or when the caller already
-*is* a pool worker — the last rule makes nested fan-out (an engine task
-that bulk-loads, a solver inside a filter) deadlock-free by construction
-instead of by discipline. Every fan-out therefore has the same
-observable behavior at every degradation level — only the wall clock
-changes (``tests/test_procpool.py`` pins the whole chain).
-"""
-
-from __future__ import annotations
-
-import os
-import threading
-import time
-from concurrent.futures import Future, ThreadPoolExecutor
-from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple, TypeVar
-
-from repro import obs
-from repro.errors import ReproError
-
-T = TypeVar("T")
-R = TypeVar("R")
-
-#: Environment variable overriding the default pool size.
-POOL_SIZE_ENV = "REPRO_POOL_SIZE"
-
-# Set while a pool worker runs a task; parallel_map consults it so work
-# submitted from inside a worker degrades to serial instead of waiting
-# on workers that may all be blocked the same way (deadlock).
-_worker_context = threading.local()
-
-
-def in_worker() -> bool:
-    """True when the calling thread is currently executing a pool task."""
-    return getattr(_worker_context, "active", False)
-
-
-def default_pool_size() -> int:
-    """The default worker count: ``REPRO_POOL_SIZE`` or min(4, cpus)."""
-    override = os.environ.get(POOL_SIZE_ENV)
-    if override:
-        try:
-            size = int(override)
-        except ValueError:
-            raise ReproError(
-                f"{POOL_SIZE_ENV} must be an integer, got {override!r}"
-            ) from None
-        if size < 1:
-            raise ReproError(f"{POOL_SIZE_ENV} must be >= 1, got {size}")
-        return size
-    return max(1, min(4, os.cpu_count() or 1))
-
-
-class WorkerPool:
-    """A bounded :class:`ThreadPoolExecutor` with metrics and tracing.
-
-    Parameters
-    ----------
-    size:
-        Worker-thread count; defaults to :func:`default_pool_size`.
-        A size-1 pool is valid and makes every :func:`parallel_map`
-        over it run serially on the calling thread.
-    name:
-        Label under which the pool reports to the metrics registry
-        (``perf_pool_*{pool=<name>}``).
-
-    Threads are started lazily on first submit, so constructing a pool
-    (including the process-wide default) costs nothing until used.
-    """
-
-    backend = "thread"
-
-    def __init__(self, size: Optional[int] = None, name: str = "default"):
-        if size is None:
-            size = default_pool_size()
-        if size < 1:
-            raise ReproError(f"pool size must be >= 1, got {size}")
-        self.size = int(size)
-        self.name = name
-        self._executor: Optional[ThreadPoolExecutor] = None
-        self._lock = threading.Lock()
-        self._inflight = 0  # submitted, not yet finished
-        obs.get_registry().gauge(
-            "perf_pool_size", "Configured worker count per pool.", labels=("pool",)
-        ).labels(self.name).set(float(self.size))
-
-    def __repr__(self) -> str:
-        return f"WorkerPool(name={self.name!r}, size={self.size})"
-
-    def _ensure_executor(self) -> ThreadPoolExecutor:
-        with self._lock:
-            if self._executor is None:
-                self._executor = ThreadPoolExecutor(
-                    max_workers=self.size,
-                    thread_name_prefix=f"repro-pool-{self.name}",
-                )
-            return self._executor
-
-    def submit(self, fn: Callable[..., R], *args: Any, label: str = "task", **kwargs: Any) -> "Future[R]":
-        """Schedule ``fn(*args, **kwargs)``; returns its future.
-
-        The task runs with the submitter's trace id bound and inside a
-        ``pool.task`` span, so its span tree lands in ``/debug/trace``
-        under the same trace as the request that fanned it out.
-        """
-        trace_id = obs.current_trace_id()
-        registry = obs.get_registry()
-        with self._lock:
-            self._inflight += 1
-            waiting = max(0, self._inflight - self.size)
-            saturated = self._inflight > self.size
-        if registry.enabled:
-            registry.gauge(
-                "perf_pool_queue_depth",
-                "Tasks submitted but still waiting for a free worker.",
-                labels=("pool",),
-            ).labels(self.name).set(float(waiting))
-            if saturated:
-                registry.counter(
-                    "perf_pool_saturation_total",
-                    "Submissions that found every worker busy.",
-                    labels=("pool",),
-                ).labels(self.name).inc()
-
-        def run() -> R:
-            start = time.perf_counter()
-            _worker_context.active = True
-            if trace_id is not None:
-                obs.bind_trace_id(trace_id)
-            try:
-                with obs.get_tracer().span("pool.task", pool=self.name, task=label):
-                    return fn(*args, **kwargs)
-            finally:
-                if trace_id is not None:
-                    obs.unbind_trace_id()
-                _worker_context.active = False
-                self._finish(time.perf_counter() - start)
-
-        return self._ensure_executor().submit(run)
-
-    def _finish(self, elapsed: float) -> None:
-        with self._lock:
-            self._inflight -= 1
-            waiting = max(0, self._inflight - self.size)
-        registry = obs.get_registry()
-        if not registry.enabled:
-            return
-        registry.gauge(
-            "perf_pool_queue_depth",
-            "Tasks submitted but still waiting for a free worker.",
-            labels=("pool",),
-        ).labels(self.name).set(float(waiting))
-        registry.counter(
-            "perf_pool_tasks_total", "Tasks completed per pool.", labels=("pool",)
-        ).labels(self.name).inc()
-        registry.histogram(
-            "perf_pool_task_seconds",
-            "Execution seconds per pool task.",
-            labels=("pool",),
-        ).labels(self.name).observe(elapsed)
-
-    @property
-    def inflight(self) -> int:
-        """Tasks submitted and not yet finished (diagnostic)."""
-        with self._lock:
-            return self._inflight
-
-    def shutdown(self, wait: bool = True) -> None:
-        """Stop the worker threads; the pool restarts lazily if reused."""
-        with self._lock:
-            executor, self._executor = self._executor, None
-        if executor is not None:
-            executor.shutdown(wait=wait)
-
-
-def parallel_map(
-    fn: Callable[[T], R],
-    items: Iterable[T],
-    *,
-    min_chunk: int = 2,
-    pool: Optional[WorkerPool] = None,
-    label: str = "map",
-    kind: str = "io",
-) -> List[R]:
-    """``[fn(item) for item in items]``, fanned out when it pays off.
-
-    Order-preserving, and exception-deterministic: the first failing
-    *input position* raises, exactly as the serial loop would (later
-    tasks may still run to completion in the background).
-
-    ``kind`` selects the backend when no explicit ``pool`` is given
-    (an explicit pool always wins): ``"cpu"`` routes to the process
-    backend when the platform supports it *and* ``fn`` plus the items
-    pickle, batching items per worker; anything else — including every
-    degradation — uses the thread pool. Degrades to the plain serial
-    loop when ``items`` has fewer than ``min_chunk`` elements, when the
-    pool has a single worker, or when the caller is itself a pool worker
-    (nested fan-out would otherwise deadlock a fully busy pool).
-    """
-    work = list(items)
-    if pool is None and kind == "cpu" and len(work) >= max(min_chunk, 2) and not in_worker():
-        from repro.perf import procpool
-
-        proc = procpool.get_process_pool()
-        if proc is not None and procpool.picklable(fn, work[:1]):
-            try:
-                return proc.map_batched(fn, work, label=label)
-            except procpool.ProcpoolUnavailable:
-                pass  # marked down; fall through to the thread pool
-    if pool is None:
-        pool = get_pool()
-    if len(work) < max(min_chunk, 2) or pool.size <= 1 or in_worker():
-        return [fn(item) for item in work]
-    futures = [pool.submit(fn, item, label=label) for item in work]
-    return [future.result() for future in futures]
-
-
-def chunk_ranges(n: int, chunks: int) -> List[Tuple[int, int]]:
-    """Split ``range(n)`` into up to ``chunks`` contiguous ``(start, stop)``.
-
-    Sizes differ by at most one; empty ranges are never produced.
-    """
-    if n <= 0 or chunks <= 0:
-        return []
-    chunks = min(chunks, n)
-    base, extra = divmod(n, chunks)
-    bounds = []
-    start = 0
-    for i in range(chunks):
-        stop = start + base + (1 if i < extra else 0)
-        bounds.append((start, stop))
-        start = stop
-    return bounds
-
-
-def parallel_matvec(matrix, x, *, chunks: int, pool=None):
-    """Row-partitioned ``matrix @ x`` over the selected backend.
-
-    Each chunk computes rows ``[start, stop)`` independently and lands
-    directly in its disjoint slice of one preallocated output vector —
-    there is no serial concatenate step in the parent; the process
-    backend likewise streams chunks in completion order
-    (:meth:`~repro.perf.procpool.ProcessWorkerPool.run_kernel_into`).
-    When ``pool`` is a
-    :class:`~repro.perf.procpool.ProcessWorkerPool` (or ``None`` and the
-    process backend is up), chunks run in worker processes over the
-    matrix's cached shared-memory CSR slabs
-    (:func:`repro.perf.procpool.shared_matvec`); otherwise each chunk is
-    :meth:`repro.linalg.CsrMatrix.matvec_rows` on the thread pool. Both
-    kernels are the same reduceat code, so every backend returns bitwise
-    identical results. Falls back to the fused serial
-    :meth:`~repro.linalg.CsrMatrix.matvec` for one chunk or tiny
-    matrices, where partitioning costs more than it saves.
-    """
-    import numpy as np
-
-    if chunks <= 1 or matrix.nrows < 2 * chunks:
-        return matrix.matvec(x)
-    from repro.perf import procpool
-
-    proc = pool if isinstance(pool, procpool.ProcessWorkerPool) else None
-    if proc is None and pool is None:
-        proc = procpool.get_process_pool()
-    if proc is not None and proc.size > 1 and not in_worker():
-        try:
-            return procpool.shared_matvec(matrix, x, chunks, proc)
-        except procpool.ProcpoolUnavailable:
-            pass  # marked down; recompute on the thread/serial path
-    thread_pool = pool if isinstance(pool, WorkerPool) else None
-    bounds = chunk_ranges(matrix.nrows, chunks)
-    out = np.empty(matrix.nrows, dtype=float)
-
-    def _fill(bound: Tuple[int, int]) -> None:
-        # Disjoint slices: each worker writes only its own rows, so the
-        # concurrent assignments need no lock and the filled vector is
-        # bitwise identical to concatenating the parts in bound order.
-        out[bound[0] : bound[1]] = matrix.matvec_rows(x, bound[0], bound[1])
-
-    parallel_map(_fill, bounds, min_chunk=2, pool=thread_pool, label="matvec")
-    return out
-
-
-# ----------------------------------------------------------------------
-# Module-level default pool with injection hooks (mirrors repro.obs)
-# ----------------------------------------------------------------------
-
-_default_pool: Optional[WorkerPool] = None
-_default_pool_lock = threading.Lock()
-
-
-def get_pool() -> WorkerPool:
-    """The process-wide default pool (created lazily on first use)."""
-    global _default_pool
-    if _default_pool is None:
-        with _default_pool_lock:
-            if _default_pool is None:
-                _default_pool = WorkerPool(name="default")
-    return _default_pool
-
-
-def set_pool(pool: WorkerPool) -> Optional[WorkerPool]:
-    """Swap the default pool (tests/benchmarks); returns the previous one."""
-    global _default_pool
-    with _default_pool_lock:
-        previous, _default_pool = _default_pool, pool
-    return previous
-
-
-_serial_pool: Optional[WorkerPool] = None
-
-
-def get_serial_pool() -> WorkerPool:
-    """A shared one-worker pool: every fan-out over it runs serially."""
-    global _serial_pool
-    if _serial_pool is None:
-        _serial_pool = WorkerPool(size=1, name="serial")
-    return _serial_pool
-
-
-#: The task kinds :func:`pool_for` understands, and their ideal backend.
-TASK_KINDS = {"io": "thread", "cpu": "process", "serial": "serial"}
-
-
-def backend_for(kind: str) -> str:
-    """The backend :func:`pool_for` would *actually* use for ``kind``.
-
-    ``"cpu"`` resolves to ``"process"`` only when the platform probe
-    passed and more than one process worker is configured; otherwise it
-    degrades to ``"thread"`` (and, inside :func:`parallel_map`, further
-    to serial for small inputs or one-worker pools).
-    """
-    if kind not in TASK_KINDS:
-        raise ReproError(f"unknown task kind {kind!r}; known: {sorted(TASK_KINDS)}")
-    if kind == "serial":
-        return "serial"
-    if kind == "cpu":
-        from repro.perf import procpool
-
-        if procpool.get_process_pool() is not None:
-            return "process"
-    return "thread"
-
-
-def pool_for(kind: str = "io"):
-    """The pool serving ``kind`` after degradation (never ``None``).
-
-    Selection matrix (docs/PARALLELISM.md): ``io`` → the shared thread
-    pool; ``cpu`` → the shared process pool, degrading to the thread
-    pool when unavailable; ``serial`` → a one-worker pool.
-    """
-    backend = backend_for(kind)
-    if backend == "serial":
-        return get_serial_pool()
-    if backend == "process":
-        from repro.perf import procpool
-
-        return procpool.get_process_pool()
-    return get_pool()
+def get_pool() -> SimpleNamespace:
+    """A pool whose ``shutdown()`` does nothing; ``perfbench.workloads.release_pools()`` calls it."""
+    return SimpleNamespace(shutdown=lambda: None)

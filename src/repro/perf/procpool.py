@@ -1,800 +1,5 @@
-"""Process-based workers over shared-memory slabs: the GIL escape hatch.
-
-The paper's Section III ranking solve and Section IV similarity matrix
-are CPU-bound kernels; the PR-4 measurements showed the thread pool
-cannot speed those up on a GIL build (``pool4_vs_pool1=0.93x`` in
-``benchmarks/results/parallel_fanout.txt``). This module supplies the
-*process* backend :mod:`repro.perf.pool` selects for ``kind="cpu"``
-work: PageRank matvec chunks, tagging cosine-similarity tiles and
-bulk-parse batches run in worker processes, while I/O-ish constraint
-fan-out stays on the thread pool.
-
-Design invariants (documented in docs/PARALLELISM.md):
-
-- **Shared-memory slabs, not pickled arrays.** Large operands — CSR
-  ``indptr``/``indices``/``data`` and dense vectors — travel through
-  ``multiprocessing.shared_memory`` segments (:class:`SharedSlab`).
-  A :class:`CsrMatrix`'s slabs are created once per matrix and cached in
-  a :class:`weakref.WeakKeyDictionary`, so an iterative solver pays the
-  copy once, not per iteration; per-call operands (the iterate ``x``)
-  are shared for the duration of one fan-out and unlinked immediately
-  after. Workers attach by name and cache attachments in a bounded LRU.
-- **Byte-identical results.** Worker kernels are the *same* numpy
-  kernels the serial path runs (:func:`_matvec_kernel` mirrors
-  :meth:`repro.linalg.CsrMatrix.matvec_rows` exactly), so a process
-  fan-out returns bitwise-identical arrays — asserted in
-  ``tests/test_procpool.py`` and ``benchmarks/bench_procpool.py``.
-- **Graceful degradation.** :func:`available` probes the platform once
-  (sandboxed CI may forbid fork/spawn or ``/dev/shm``); every entry
-  point falls back to the thread pool — and through it to serial — when
-  the probe fails, a worker dies mid-run, or the payload does not
-  pickle. ``REPRO_PROCPOOL=0`` forces the degraded path.
-- **Trace and metrics propagation.** The submitting thread's trace id
-  crosses the process boundary with the task and is bound in the worker
-  (worker-side event-log records correlate); task wall time is measured
-  on the worker's own clock and recorded by the *parent* into the
-  shared ``perf_pool_*{pool=...}`` families, since a child process's
-  registry is invisible to ``/metrics``. Task failures return the
-  worker's formatted traceback and re-raise as :class:`PoolTaskError`
-  in the parent, counting into ``errors_total{component="procpool"}``.
-"""
-
-from __future__ import annotations
-
-import os
-import pickle
-import threading
-import time
-import traceback
-import weakref
-from collections import OrderedDict
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
-
-from repro import obs
-from repro.errors import ReproError
-
-#: Force the backend off (``0``) regardless of the platform probe.
-PROCPOOL_ENV = "REPRO_PROCPOOL"
-#: Override the default process-worker count.
-PROCPOOL_SIZE_ENV = "REPRO_PROCPOOL_SIZE"
-#: Override the start method (``fork`` or ``spawn``).
-PROCPOOL_START_ENV = "REPRO_PROCPOOL_START"
-
-#: Worker-side attachment cache bound (segments, not bytes).
-_ATTACH_CACHE_LIMIT = 64
-
-
-class PoolTaskError(ReproError):
-    """A pool-backend task failed in a worker process.
-
-    Carries the worker's formatted traceback so the original failure
-    site is visible to the caller, not just a bare exception repr.
-    """
-
-    def __init__(self, message: str, remote_traceback: str = ""):
-        super().__init__(message)
-        self.remote_traceback = remote_traceback
-
-    def __str__(self) -> str:  # surface the worker traceback in test output
-        base = super().__str__()
-        if self.remote_traceback:
-            return f"{base}\n--- worker traceback ---\n{self.remote_traceback}"
-        return base
-
-
-class ProcpoolUnavailable(ReproError):
-    """Raised internally when the process backend cannot run; callers degrade."""
-
-
-# ----------------------------------------------------------------------
-# Shared-memory slabs
-# ----------------------------------------------------------------------
-
-
-class SharedSlab:
-    """One numpy array stored in a ``multiprocessing.shared_memory`` segment.
-
-    The creating process owns the segment: :meth:`release` (also run by a
-    GC finalizer) closes *and unlinks* it. Workers attach read-only views
-    by :func:`attach_view`; an attached copy stays valid after the owner
-    unlinks, until the worker closes it — the lifetime rule that lets the
-    parent drop per-call slabs eagerly.
-    """
-
-    def __init__(self, shm, dtype: str, shape: Tuple[int, ...]):
-        self._shm = shm
-        self.dtype = dtype
-        self.shape = tuple(shape)
-        self.name = shm.name
-        self.owner_pid = os.getpid()
-        self._finalizer = weakref.finalize(self, _release_segment, shm)
-
-    @classmethod
-    def create(cls, array: np.ndarray) -> "SharedSlab":
-        from multiprocessing import shared_memory
-
-        array = np.ascontiguousarray(array)
-        shm = shared_memory.SharedMemory(create=True, size=max(1, array.nbytes))
-        view = np.ndarray(array.shape, dtype=array.dtype, buffer=shm.buf)
-        view[...] = array
-        return cls(shm, array.dtype.str, array.shape)
-
-    @property
-    def meta(self) -> Tuple[str, str, Tuple[int, ...], int]:
-        """Picklable ``(name, dtype, shape, owner_pid)`` attach handle."""
-        return (self.name, self.dtype, self.shape, self.owner_pid)
-
-    def view(self) -> np.ndarray:
-        """The owner's own ndarray view of the segment."""
-        return np.ndarray(self.shape, dtype=np.dtype(self.dtype), buffer=self._shm.buf)
-
-    def release(self) -> None:
-        """Close and unlink the segment (idempotent)."""
-        self._finalizer()
-
-
-def _release_segment(shm) -> None:
-    try:
-        shm.close()
-    except (OSError, ValueError):  # buffer already gone
-        pass
-    try:
-        shm.unlink()
-    except (FileNotFoundError, OSError):
-        pass
-
-
-# Worker-side attachment cache: segment name -> (shm, ndarray view).
-_attached: "OrderedDict[str, Tuple[Any, np.ndarray]]" = OrderedDict()
-
-
-def attach_view(meta: Tuple[str, str, Tuple[int, ...], int]) -> np.ndarray:
-    """Attach (or reuse) a shared segment and return its ndarray view.
-
-    Attachments are cached per worker process in a bounded LRU; on
-    eviction the segment is closed. Python 3.11's resource tracker
-    registers *attachments* as if they were owned, which would make a
-    **spawned** worker's (private) tracker unlink live segments when the
-    worker exits — the standard workaround is to unregister the
-    attachment immediately. Fork children share the owner's tracker, so
-    there the registration is a no-op and unregistering would instead
-    corrupt the owner's bookkeeping — hence the pid + start-method
-    guard.
-    """
-    name, dtype, shape, owner_pid = meta
-    cached = _attached.get(name)
-    if cached is not None:
-        _attached.move_to_end(name)
-        return cached[1]
-    from multiprocessing import shared_memory
-
-    shm = shared_memory.SharedMemory(name=name)
-    if os.getpid() != owner_pid and _start_method() != "fork":
-        try:  # see docstring: spawn-worker attachments must not be tracked
-            from multiprocessing import resource_tracker
-
-            resource_tracker.unregister(shm._name, "shared_memory")
-        except Exception:
-            pass
-    view = np.ndarray(tuple(shape), dtype=np.dtype(dtype), buffer=shm.buf)
-    _attached[name] = (shm, view)
-    while len(_attached) > _ATTACH_CACHE_LIMIT:
-        _, (old_shm, _) = _attached.popitem(last=False)
-        try:
-            old_shm.close()
-        except OSError:
-            pass
-    return view
-
-
-# ----------------------------------------------------------------------
-# Cached shared CSR slabs
-# ----------------------------------------------------------------------
-
-_csr_slabs: "weakref.WeakKeyDictionary[Any, Dict[str, SharedSlab]]" = (
-    weakref.WeakKeyDictionary()
-)
-_csr_slabs_lock = threading.Lock()
-
-
-def shared_csr_slabs(matrix) -> Dict[str, SharedSlab]:
-    """The (cached) shared slabs of an immutable CSR matrix.
-
-    Built once per :class:`~repro.linalg.CsrMatrix` instance — the
-    matrix never mutates, so the copy is paid on the first parallel call
-    and the slabs die with the matrix (weak-keyed finalizers unlink).
-    """
-    with _csr_slabs_lock:
-        slabs = _csr_slabs.get(matrix)
-        if slabs is None:
-            slabs = {
-                "indptr": SharedSlab.create(matrix.indptr),
-                "indices": SharedSlab.create(matrix.indices),
-                "data": SharedSlab.create(matrix.data),
-            }
-            _csr_slabs[matrix] = slabs
-        return slabs
-
-
-# ----------------------------------------------------------------------
-# Worker-side task wrappers (module-level: must import under spawn)
-# ----------------------------------------------------------------------
-
-
-def _probe_task() -> int:
-    return os.getpid()
-
-
-def _failure_payload(exc: BaseException) -> tuple:
-    """``(exception_or_None, repr, formatted_traceback)`` for the parent.
-
-    The exception object rides along when it pickles, so the parent can
-    re-raise the *original type* (the serial contract); the formatted
-    traceback always survives, chained in as the raising cause.
-    """
-    try:
-        pickle.dumps(exc)
-        carried: Optional[BaseException] = exc
-    except Exception:
-        carried = None
-    return (carried, repr(exc), traceback.format_exc())
-
-
-def _run_in_worker(fn: Callable, args: tuple, kwargs: dict, trace_id: Optional[str]):
-    """Execute one task in the worker; never raises across the boundary."""
-    start = time.perf_counter()
-    bound = False
-    try:
-        if trace_id is not None:
-            obs.bind_trace_id(trace_id)
-            bound = True
-        result = fn(*args, **kwargs)
-        return ("ok", result, time.perf_counter() - start)
-    except BaseException as exc:  # noqa: BLE001 — must cross the boundary intact
-        return ("err", _failure_payload(exc), time.perf_counter() - start)
-    finally:
-        if bound:
-            obs.unbind_trace_id()
-
-
-def _invoke_kernel(kernel, metas: Dict[str, tuple], args: tuple, trace_id):
-    """Attach the named slabs and run an array kernel over them."""
-
-    def call():
-        arrays = {key: attach_view(meta) for key, meta in metas.items()}
-        return kernel(arrays, *args)
-
-    return _run_in_worker(call, (), {}, trace_id)
-
-
-def _invoke_map_batch(fn, batch: Sequence[Any], trace_id):
-    """Run ``fn`` per item, reporting each item's outcome independently."""
-
-    def call():
-        out = []
-        for item in batch:
-            try:
-                out.append(("ok", fn(item)))
-            except BaseException as exc:  # noqa: BLE001
-                out.append(("err", _failure_payload(exc)))
-        return out
-
-    return _run_in_worker(call, (), {}, trace_id)
-
-
-def _matvec_kernel(arrays: Dict[str, np.ndarray], start: int, stop: int) -> np.ndarray:
-    """``(A @ x)[start:stop]`` over shared CSR slabs.
-
-    Line-for-line the kernel of :meth:`repro.linalg.CsrMatrix.matvec_rows`
-    — same reduceat segments, same summation order — so concatenated
-    chunks are bitwise identical to the serial product
-    (``tests/test_procpool.py`` pins this against ``matvec_rows``).
-    """
-    indptr = arrays["indptr"]
-    indices = arrays["indices"]
-    data = arrays["data"]
-    x = arrays["x"]
-    out = np.zeros(stop - start)
-    lo, hi = indptr[start], indptr[stop]
-    if hi > lo:
-        products = data[lo:hi] * x[indices[lo:hi]]
-        starts = indptr[start:stop]
-        nonempty = indptr[start + 1 : stop + 1] > starts
-        out[nonempty] = np.add.reduceat(products, (starts - lo)[nonempty])
-    return out
-
-
-# ----------------------------------------------------------------------
-# Availability probe
-# ----------------------------------------------------------------------
-
-_available: Optional[bool] = None
-_unavailable_reason: Optional[str] = None
-_avail_lock = threading.Lock()
-
-
-def _start_method() -> str:
-    import multiprocessing
-
-    override = os.environ.get(PROCPOOL_START_ENV)
-    methods = multiprocessing.get_all_start_methods()
-    if override:
-        if override not in methods:
-            raise ReproError(
-                f"{PROCPOOL_START_ENV}={override!r} not in {methods}"
-            )
-        return override
-    # fork is cheapest and inherits nothing we rely on (slabs travel by
-    # name); spawn is the portable fallback. See docs/PARALLELISM.md for
-    # the fork-with-threads caveat and why worker kernels stay pure.
-    return "fork" if "fork" in methods else "spawn"
-
-
-def default_process_pool_size() -> int:
-    """``REPRO_PROCPOOL_SIZE`` or min(4, cpus visible to this process)."""
-    override = os.environ.get(PROCPOOL_SIZE_ENV)
-    if override:
-        try:
-            size = int(override)
-        except ValueError:
-            raise ReproError(
-                f"{PROCPOOL_SIZE_ENV} must be an integer, got {override!r}"
-            ) from None
-        if size < 1:
-            raise ReproError(f"{PROCPOOL_SIZE_ENV} must be >= 1, got {size}")
-        return size
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # non-Linux
-        cpus = os.cpu_count() or 1
-    return max(1, min(4, cpus))
-
-
-def available() -> bool:
-    """True when this platform can run the process backend (cached probe).
-
-    The probe creates a tiny shared segment and round-trips one task
-    through a single worker; sandboxes that forbid process creation or
-    ``/dev/shm`` fail it cleanly and every caller degrades to threads.
-    ``REPRO_PROCPOOL=0`` short-circuits to False.
-    """
-    global _available, _unavailable_reason
-    if os.environ.get(PROCPOOL_ENV) == "0":
-        return False
-    with _avail_lock:
-        if _available is None:
-            try:
-                slab = SharedSlab.create(np.arange(4, dtype=np.int64))
-                try:
-                    assert attach_view(slab.meta)[2] == 2
-                finally:
-                    # drop our own attachment before unlinking
-                    cached = _attached.pop(slab.name, None)
-                    if cached is not None:
-                        cached[0].close()
-                    slab.release()
-                import multiprocessing
-                from concurrent.futures import ProcessPoolExecutor
-
-                ctx = multiprocessing.get_context(_start_method())
-                with ProcessPoolExecutor(max_workers=1, mp_context=ctx) as ex:
-                    ex.submit(_probe_task).result(timeout=60)
-                _available = True
-            except BaseException as exc:  # noqa: BLE001 — any failure means "no"
-                _available = False
-                _unavailable_reason = repr(exc)
-                obs.get_event_log().warning(
-                    "procpool.unavailable", reason=_unavailable_reason
-                )
-        return _available
-
-
-def unavailable_reason() -> Optional[str]:
-    """Why the probe failed, for ``/healthz``-style diagnostics."""
-    return _unavailable_reason
-
-
-def _mark_unavailable(reason: str) -> None:
-    """Record a mid-run backend failure; future callers degrade."""
-    global _available, _unavailable_reason
-    with _avail_lock:
-        _available = False
-        _unavailable_reason = reason
-    obs.get_event_log().warning("procpool.degraded", reason=reason)
-    registry = obs.get_registry()
-    if registry.enabled:
-        registry.counter(
-            "perf_pool_degraded_total",
-            "Fan-outs that fell back to a weaker backend.",
-            labels=("wanted", "got"),
-        ).labels("process", "thread").inc()
-
-
-def reset_probe() -> None:
-    """Forget the cached probe verdict (tests)."""
-    global _available, _unavailable_reason
-    with _avail_lock:
-        _available = None
-        _unavailable_reason = None
-
-
-# ----------------------------------------------------------------------
-# The process pool
-# ----------------------------------------------------------------------
-
-
-class _ProxyFuture:
-    """Unwraps a worker's ``(status, payload, elapsed)`` envelope."""
-
-    def __init__(self, inner, pool: "ProcessWorkerPool", label: str):
-        self._inner = inner
-        self._pool = pool
-        self._label = label
-
-    def envelope(self, timeout: Optional[float] = None) -> tuple:
-        """The raw ``(status, payload)`` pair, metrics recorded."""
-        status, payload, elapsed = self._inner.result(timeout)
-        self._pool._record_task(elapsed)
-        return status, payload
-
-    def result(self, timeout: Optional[float] = None):
-        status, payload = self.envelope(timeout)
-        if status == "err":
-            self._pool._raise_remote(payload, self._label)
-        return payload
-
-
-class ProcessWorkerPool:
-    """A bounded ``ProcessPoolExecutor`` behind the instrumented pool API.
-
-    Mirrors :class:`repro.perf.pool.WorkerPool`'s surface (``size``,
-    ``name``, ``submit().result()``, ``shutdown``) so
-    :func:`repro.perf.pool.parallel_map` and
-    :func:`~repro.perf.pool.parallel_matvec` treat both backends
-    uniformly. Workers are started lazily on first submit.
-    """
-
-    backend = "process"
-
-    def __init__(self, size: Optional[int] = None, name: str = "proc"):
-        if size is None:
-            size = default_process_pool_size()
-        if size < 1:
-            raise ReproError(f"pool size must be >= 1, got {size}")
-        self.size = int(size)
-        self.name = name
-        self._executor = None
-        self._lock = threading.Lock()
-        registry = obs.get_registry()
-        if registry.enabled:
-            registry.gauge(
-                "perf_pool_size", "Configured worker count per pool.", labels=("pool",)
-            ).labels(self.name).set(float(self.size))
-            registry.gauge(
-                "perf_pool_backend",
-                "Backend per pool (1 = active): thread or process.",
-                labels=("pool", "backend"),
-            ).labels(self.name, self.backend).set(1.0)
-
-    def __repr__(self) -> str:
-        return f"ProcessWorkerPool(name={self.name!r}, size={self.size})"
-
-    def _ensure_executor(self):
-        with self._lock:
-            if self._executor is None:
-                import multiprocessing
-                from concurrent.futures import ProcessPoolExecutor
-
-                ctx = multiprocessing.get_context(_start_method())
-                self._executor = ProcessPoolExecutor(
-                    max_workers=self.size, mp_context=ctx
-                )
-            return self._executor
-
-    def submit(self, fn: Callable, *args, label: str = "task", **kwargs) -> _ProxyFuture:
-        """Schedule picklable ``fn(*args, **kwargs)`` in a worker process.
-
-        The current trace id travels with the task and is bound in the
-        worker; failures surface as :class:`PoolTaskError` with the
-        worker's traceback attached.
-        """
-        trace_id = obs.current_trace_id()
-        try:
-            inner = self._ensure_executor().submit(
-                _run_in_worker, fn, args, kwargs, trace_id
-            )
-        except BaseException as exc:  # executor refused to start
-            _mark_unavailable(repr(exc))
-            raise ProcpoolUnavailable(f"cannot start process pool: {exc!r}") from exc
-        return _ProxyFuture(inner, self, label)
-
-    def run_kernel(
-        self,
-        kernel: Callable,
-        arrays: Dict[str, Any],
-        tasks: Sequence[tuple],
-        label: str = "kernel",
-    ) -> List[Any]:
-        """Fan ``kernel(arrays, *task)`` over the workers, slabs shared once.
-
-        ``arrays`` values may be ndarrays (shared for this call, then
-        released) or pre-built :class:`SharedSlab`\\ s (reused, kept
-        alive by their owner — the cached CSR slabs). Results come back
-        in task order. *Infrastructure* failures (cannot share, cannot
-        start, a worker process died) mark the backend down and raise
-        :class:`ProcpoolUnavailable` so callers degrade; *task*
-        failures re-raise the worker's own exception and leave the
-        backend up — a bug in one kernel is not a platform problem.
-        """
-        ephemeral: List[SharedSlab] = []
-        metas: Dict[str, tuple] = {}
-        envelopes: List[tuple] = []
-        try:
-            for key, value in arrays.items():
-                if isinstance(value, SharedSlab):
-                    metas[key] = value.meta
-                else:
-                    slab = SharedSlab.create(np.asarray(value))
-                    ephemeral.append(slab)
-                    metas[key] = slab.meta
-            trace_id = obs.current_trace_id()
-            with obs.get_tracer().span(
-                "pool.task", pool=self.name, task=label, backend=self.backend,
-                tasks=len(tasks),
-            ):
-                executor = self._ensure_executor()
-                futures = [
-                    executor.submit(_invoke_kernel, kernel, metas, tuple(task), trace_id)
-                    for task in tasks
-                ]
-                for index, future in enumerate(futures):
-                    proxy = _ProxyFuture(future, self, f"{label}[{index}]")
-                    envelopes.append(proxy.envelope())
-        except BaseException as exc:  # broken pool / cannot share / cannot start
-            _mark_unavailable(repr(exc))
-            raise ProcpoolUnavailable(repr(exc)) from exc
-        finally:
-            for slab in ephemeral:
-                slab.release()
-        results = []
-        for index, (status, payload) in enumerate(envelopes):
-            if status == "err":
-                self._raise_remote(payload, f"{label}[{index}]")
-            results.append(payload)
-        return results
-
-    def run_kernel_into(
-        self,
-        kernel: Callable,
-        arrays: Dict[str, Any],
-        tasks: Sequence[tuple],
-        out: np.ndarray,
-        label: str = "kernel",
-    ) -> np.ndarray:
-        """:meth:`run_kernel` with *streamed* reduction into ``out``.
-
-        Every task must be a ``(start, stop, ...)`` tuple whose kernel
-        result is exactly ``out[start:stop]``; each chunk is written into
-        its disjoint slice **in completion order** (``as_completed``), so
-        the parent overlaps the reduction with still-running workers
-        instead of concatenating serially after the slowest one. Slices
-        are disjoint by construction (``chunk_ranges``), so completion
-        order cannot change the filled vector — results stay bitwise
-        identical to :meth:`run_kernel` + ``np.concatenate``. The error
-        contract is unchanged: task failures re-raise the first failure
-        *in task order* (after all tasks settle), infrastructure
-        failures mark the backend down and raise
-        :class:`ProcpoolUnavailable`.
-        """
-        from concurrent.futures import as_completed
-
-        ephemeral: List[SharedSlab] = []
-        metas: Dict[str, tuple] = {}
-        errors: Dict[int, tuple] = {}
-        try:
-            for key, value in arrays.items():
-                if isinstance(value, SharedSlab):
-                    metas[key] = value.meta
-                else:
-                    slab = SharedSlab.create(np.asarray(value))
-                    ephemeral.append(slab)
-                    metas[key] = slab.meta
-            trace_id = obs.current_trace_id()
-            with obs.get_tracer().span(
-                "pool.task", pool=self.name, task=label, backend=self.backend,
-                tasks=len(tasks),
-            ):
-                executor = self._ensure_executor()
-                index_of = {
-                    executor.submit(
-                        _invoke_kernel, kernel, metas, tuple(task), trace_id
-                    ): index
-                    for index, task in enumerate(tasks)
-                }
-                for future in as_completed(index_of):
-                    index = index_of[future]
-                    proxy = _ProxyFuture(future, self, f"{label}[{index}]")
-                    status, payload = proxy.envelope()
-                    if status == "err":
-                        errors[index] = payload
-                        continue
-                    start, stop = tasks[index][0], tasks[index][1]
-                    out[start:stop] = payload
-        except BaseException as exc:  # broken pool / cannot share / cannot start
-            _mark_unavailable(repr(exc))
-            raise ProcpoolUnavailable(repr(exc)) from exc
-        finally:
-            for slab in ephemeral:
-                slab.release()
-        if errors:
-            first = min(errors)
-            self._raise_remote(errors[first], f"{label}[{first}]")
-        return out
-
-    def map_batched(
-        self, fn: Callable, items: Sequence[Any], label: str = "map"
-    ) -> List[Any]:
-        """``[fn(item) for item in items]`` chunked into per-worker batches.
-
-        Preserves order and the serial error contract: the first failing
-        *input position* re-raises the worker's original exception (a
-        :class:`PoolTaskError` with the worker traceback chained as its
-        cause), exactly where the serial loop would raise — and does
-        *not* mark the backend down. Only infrastructure failures
-        (broken pool, cannot start) degrade, as
-        :class:`ProcpoolUnavailable`. ``fn`` and the items must pickle;
-        callers pre-check and degrade.
-        """
-        from repro.perf.pool import chunk_ranges
-
-        trace_id = obs.current_trace_id()
-        bounds = chunk_ranges(len(items), self.size * 4)
-        batches: List[List[tuple]] = []
-        try:
-            with obs.get_tracer().span(
-                "pool.task", pool=self.name, task=label, backend=self.backend,
-                tasks=len(bounds),
-            ):
-                executor = self._ensure_executor()
-                futures = [
-                    executor.submit(
-                        _invoke_map_batch, fn, list(items[start:stop]), trace_id
-                    )
-                    for start, stop in bounds
-                ]
-                for index, future in enumerate(futures):
-                    proxy = _ProxyFuture(future, self, f"{label}[{index}]")
-                    batches.append(proxy.result())
-        except PoolTaskError:
-            raise  # the batch wrapper itself failed remotely: a task error
-        except BaseException as exc:
-            if isinstance(exc.__cause__, PoolTaskError):
-                raise  # a re-raised original worker exception: a task error
-            _mark_unavailable(repr(exc))
-            raise ProcpoolUnavailable(repr(exc)) from exc
-        flattened: List[Any] = []
-        for batch in batches:
-            for status, payload in batch:
-                if status == "err":
-                    self._raise_remote(payload, label)
-                flattened.append(payload)
-        return flattened
-
-    def _record_task(self, elapsed: float) -> None:
-        registry = obs.get_registry()
-        if not registry.enabled:
-            return
-        registry.counter(
-            "perf_pool_tasks_total", "Tasks completed per pool.", labels=("pool",)
-        ).labels(self.name).inc()
-        registry.histogram(
-            "perf_pool_task_seconds",
-            "Execution seconds per pool task.",
-            labels=("pool",),
-        ).labels(self.name).observe(elapsed)
-
-    def _raise_remote(self, payload: tuple, label: str):
-        """Re-raise a worker failure: original type when it pickled.
-
-        The :class:`PoolTaskError` carrying the worker's formatted
-        traceback is chained as ``__cause__``, so the real failure site
-        is always visible, while ``except ValueError`` style handling —
-        and the serial loop's contract — keeps working.
-        """
-        carried, message, remote_tb = payload
-        self._record_failure()
-        wrapper = PoolTaskError(
-            f"process-pool task {label!r} failed: {message}", remote_tb
-        )
-        if carried is not None:
-            raise carried from wrapper
-        raise wrapper
-
-    def _record_failure(self) -> None:
-        registry = obs.get_registry()
-        if registry.enabled:
-            registry.counter(
-                "errors_total",
-                "Errored spans per component (failures are countable, not just traceable).",
-                labels=("component",),
-            ).labels("procpool").inc()
-
-    def shutdown(self, wait: bool = True) -> None:
-        """Stop the worker processes; the pool restarts lazily if reused."""
-        with self._lock:
-            executor, self._executor = self._executor, None
-        if executor is not None:
-            executor.shutdown(wait=wait)
-
-
-# ----------------------------------------------------------------------
-# Module-level default process pool
-# ----------------------------------------------------------------------
-
-_default_proc_pool: Optional[ProcessWorkerPool] = None
-_default_proc_lock = threading.Lock()
-
-
-def get_process_pool() -> Optional[ProcessWorkerPool]:
-    """The shared process pool, or ``None`` when the backend cannot help.
-
-    ``None`` means: the platform probe failed, ``REPRO_PROCPOOL=0``, or
-    only one worker would be configured (a one-process pool is pure
-    overhead — the caller's thread/serial path is strictly better).
-    """
-    if not available():
-        return None
-    if default_process_pool_size() <= 1:
-        return None
-    global _default_proc_pool
-    with _default_proc_lock:
-        if _default_proc_pool is None:
-            _default_proc_pool = ProcessWorkerPool(name="cpu")
-        return _default_proc_pool
+"""No worker processes: searches and kernels run serially in the caller."""
 
 
 def shutdown_process_pool() -> None:
-    """Tear down the shared process pool (tests, interpreter exit)."""
-    global _default_proc_pool
-    with _default_proc_lock:
-        pool, _default_proc_pool = _default_proc_pool, None
-    if pool is not None:
-        pool.shutdown()
-
-
-# ----------------------------------------------------------------------
-# Shared-memory matvec (the solver-facing entry point)
-# ----------------------------------------------------------------------
-
-
-def shared_matvec(matrix, x, chunks: int, pool: ProcessWorkerPool) -> np.ndarray:
-    """Row-partitioned ``matrix @ x`` across worker processes.
-
-    The CSR slabs are shared once per matrix (cached); ``x`` is shared
-    for this call only. Each chunk runs :func:`_matvec_kernel` — the
-    exact ``matvec_rows`` kernel — and streams into its disjoint slice
-    of one preallocated output as workers finish
-    (:meth:`ProcessWorkerPool.run_kernel_into`), so the result is
-    bitwise identical to ``matrix.matvec(x)`` with no serial
-    concatenate in the parent.
-    """
-    from repro.perf.pool import chunk_ranges
-
-    x = np.asarray(x, dtype=float)
-    arrays: Dict[str, Any] = dict(shared_csr_slabs(matrix))
-    arrays["x"] = x
-    bounds = chunk_ranges(matrix.nrows, chunks)
-    out = np.empty(matrix.nrows, dtype=float)
-    return pool.run_kernel_into(_matvec_kernel, arrays, bounds, out, label="matvec")
-
-
-def picklable(*objects: Any) -> bool:
-    """Cheap pre-flight: can these objects cross a process boundary?"""
-    try:
-        for obj in objects:
-            pickle.dumps(obj)
-        return True
-    except Exception:
-        return False
+    """Do nothing; kept because ``perfbench.workloads.release_pools()`` calls it."""

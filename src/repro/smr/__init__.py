@@ -8,9 +8,8 @@ the three in sync; :mod:`repro.smr.bulkload` is the Bulk-loading
 Interface of Fig. 6; :mod:`repro.smr.model` gives typed record classes;
 :mod:`repro.smr.validation` is the record validator the loader runs.
 :mod:`repro.smr.rwlock` supplies the reentrant reader–writer lock the
-facade holds so the engine's parallel SQL/SPARQL constraint fan-out can
-read all three stores concurrently while authors and the bulk loader
-write.
+facade holds so concurrent searches can read all three stores while
+authors and the bulk loader write.
 """
 
 from repro.smr.model import (

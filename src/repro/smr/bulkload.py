@@ -11,7 +11,6 @@ fail-fast.
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import json
 import time
@@ -20,7 +19,6 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro import obs
 from repro.errors import BulkLoadError, ReproError
-from repro.perf.pool import parallel_map
 from repro.smr.model import KIND_ORDER, record_class_for
 from repro.smr.repository import SensorMetadataRepository
 from repro.smr.validation import validate_record
@@ -50,11 +48,7 @@ class BulkLoadReport:
 def _prepare_record(
     kind: str, record: Dict[str, Any]
 ) -> Tuple[Optional[Any], Optional[str]]:
-    """Validate and type one record: ``(typed, None)`` or ``(None, error)``.
-
-    Module-level (not a closure) so the CPU fan-out can pickle it into
-    worker processes; pure per-record work with no SMR access.
-    """
+    """Validate and type one record: ``(typed, None)`` or ``(None, error)``."""
     issues = validate_record(kind, record)
     if issues:
         return None, "; ".join(issues)
@@ -67,21 +61,13 @@ def _prepare_record(
 class BulkLoader:
     """Feeds batches of records into a repository.
 
-    Validation and typing of each record are pure functions of the input,
-    so :meth:`load_records` fans them out as ``kind="cpu"`` work — worker
-    processes when the platform allows, the thread pool otherwise, or an
-    explicitly passed ``pool``; registration itself stays a serial loop
-    in row order, because ``register`` takes the SMR write lock anyway
-    and strict mode must raise at the *first* failing row exactly as the
-    serial loader did.
+    :meth:`load_records` validates, types and registers each record in
+    row order, so strict mode raises at the *first* failing row.
     """
 
-    def __init__(
-        self, smr: SensorMetadataRepository, strict: bool = False, pool=None
-    ):
+    def __init__(self, smr: SensorMetadataRepository, strict: bool = False):
         self.smr = smr
         self.strict = strict
-        self.pool = pool
 
     # ------------------------------------------------------------------
     # Formats
@@ -133,20 +119,9 @@ class BulkLoader:
             raise BulkLoadError(f"unknown kind {kind!r}; known: {KIND_ORDER}")
         report = BulkLoadReport()
         start = time.perf_counter()
-        prepare = functools.partial(_prepare_record, kind)
         with obs.get_tracer().span("bulkload.batch", kind=kind) as span:
-            prepared = parallel_map(
-                prepare,
-                records,
-                min_chunk=16,
-                pool=self.pool,
-                label="bulkload.prepare",
-                kind="cpu",
-            )
-            # parallel_map preserves input order, so the commit loop sees
-            # rows — and strict mode sees the first error — exactly as the
-            # all-serial loader did.
-            for row_number, (typed, error) in enumerate(prepared, start=1):
+            for row_number, record in enumerate(records, start=1):
+                typed, error = _prepare_record(kind, record)
                 if error is not None:
                     self._fail(report, row_number, error)
                     continue

@@ -87,9 +87,9 @@ class SensorMetadataRepository:
 
     All facade methods are guarded by :attr:`lock`, a reentrant
     reader–writer lock (:class:`repro.smr.rwlock.ReadWriteLock`): the
-    query surfaces take the shared read side — so the engine's parallel
-    constraint fan-out can evaluate SQL, SPARQL, keyword and spatial
-    predicates concurrently — while :meth:`register` takes the exclusive
+    query surfaces take the shared read side — so concurrent searches
+    can evaluate SQL, SPARQL, keyword and spatial predicates side by
+    side — while :meth:`register` takes the exclusive
     write side, keeping the three stores' updates atomic with respect to
     every reader. Code that bypasses the facade (e.g. reading
     ``self.wiki`` directly from another thread) must take

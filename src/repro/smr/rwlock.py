@@ -2,22 +2,19 @@
 
 The paper's repository serves continuous reads (search, ranking, RDF
 export) while pages stream in through the authoring and bulk-loading
-interfaces (Section II, Fig. 6). With the engine fanning one query's
-SQL/SPARQL/keyword/bbox evaluations onto pool workers, several threads
-now read the repository concurrently, so the facade serializes writers
+interfaces (Section II, Fig. 6). Each request evaluates its constraints
+serially, but several request threads may read the repository while an
+author or the bulk loader writes, so the facade serializes writers
 against readers with this lock.
 
 Semantics, chosen deliberately (see docs/PERFORMANCE.md, "Concurrency
 model"):
 
-- **Reader-preferring.** A waiting writer does not block new readers.
-  The engine holds overlapping read sections across the worker threads
-  of one request; a writer-preferring lock would deadlock any request
-  whose remaining tasks start after a writer begins waiting (workers
-  blocked behind the writer, the writer blocked behind the request's
-  already-running readers). Writers can therefore be starved by a
-  saturated read side — acceptable here because every read section is
-  short (one facade call), never a whole request.
+- **Reader-preferring.** A waiting writer does not block new readers;
+  a read section waits only for an *active* writer. Writers can
+  therefore be starved by a saturated read side — acceptable here
+  because every read section is short (one facade call), never a whole
+  request.
 - **Reentrant for readers**, so ``sparql()`` may call ``rdf_graph()``
   without self-deadlock, and a thread holding *write* may freely enter
   read sections (a writer is exclusive already).

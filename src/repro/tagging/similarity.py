@@ -15,15 +15,13 @@ incidence CSR (:func:`_similarity_tile`): for binary vectors the legacy
 per-pair ``cosine_similarity`` reduces to ``overlap / (sqrt(|a|) *
 sqrt(|b|))``, and the kernel performs those exact float operations, so
 the result is bitwise identical to the historical dict-based loop
-(pinned in ``tests/test_tagging.py``). Row tiles fan out to the
-``kind="cpu"`` process backend (:mod:`repro.perf.procpool`) for large
-tag sets and degrade process → thread → serial with identical results.
+(pinned in ``tests/test_tagging.py``). One call computes every row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List
 
 import numpy as np
 
@@ -31,9 +29,6 @@ from repro.errors import TaggingError
 from repro.tagging.store import TagStore
 
 DEFAULT_THRESHOLD = 0.5  # the paper's "above 50%"
-
-#: Below this many tags the tile fan-out costs more than it saves.
-_PARALLEL_MIN_TAGS = 128
 
 
 @dataclass
@@ -137,58 +132,20 @@ def _similarity_tile(
     return out
 
 
-def _similarity_rows(
-    arrays: Dict[str, np.ndarray], n: int, pool: Optional[object]
-) -> np.ndarray:
-    """The full cosine matrix, fanned out process → thread → serial."""
-    from repro.perf import pool as perf_pool
-    from repro.perf import procpool
-
-    proc = pool if isinstance(pool, procpool.ProcessWorkerPool) else None
-    if proc is None and pool is None and n >= _PARALLEL_MIN_TAGS:
-        proc = procpool.get_process_pool()
-    if proc is not None:
-        bounds = perf_pool.chunk_ranges(n, proc.size)
-        try:
-            tiles = proc.run_kernel(
-                _similarity_tile, dict(arrays), bounds, label="tagging.similarity"
-            )
-            return np.vstack(tiles)
-        except procpool.ProcpoolUnavailable:
-            pass  # marked down; fall through to the thread pool
-    if n >= _PARALLEL_MIN_TAGS:
-        thread_pool = pool if isinstance(pool, perf_pool.WorkerPool) else None
-        bounds = perf_pool.chunk_ranges(n, (thread_pool or perf_pool.get_pool()).size)
-        tiles = perf_pool.parallel_map(
-            lambda b: _similarity_tile(arrays, *b),
-            bounds,
-            pool=thread_pool,
-            label="tagging.similarity",
-        )
-        return np.vstack(tiles)
-    return _similarity_tile(arrays, 0, n)
-
-
 def build_similarity(
-    store: TagStore,
-    threshold: float = DEFAULT_THRESHOLD,
-    pool: Optional[object] = None,
+    store: TagStore, threshold: float = DEFAULT_THRESHOLD
 ) -> SimilarityMatrix:
     """Compute the tag similarity matrix from a tag store.
 
     ``threshold`` is exclusive, per the paper's "above 50 %": a cosine of
-    exactly 0.5 does *not* link two tags. ``pool`` pins a backend (a
-    :class:`~repro.perf.procpool.ProcessWorkerPool` or
-    :class:`~repro.perf.pool.WorkerPool`); by default large tag sets use
-    the shared process pool and degrade to threads, then serial, with
-    bitwise-identical matrices at every level.
+    exactly 0.5 does *not* link two tags.
     """
     if not 0.0 <= threshold <= 1.0:
         raise TaggingError(f"threshold must lie in [0, 1], got {threshold}")
     tags = store.tags()
     n = len(tags)
     arrays = _incidence_arrays(store, tags)
-    similarities = _similarity_rows(arrays, n, pool)
+    similarities = _similarity_tile(arrays, 0, n)
     if n:
         np.fill_diagonal(similarities, 1.0)
     adjacency = (similarities > threshold).astype(float)

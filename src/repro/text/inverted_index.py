@@ -27,18 +27,19 @@ Invariants the rest of the system leans on:
 - **Deterministic ranking.** Ties in score break on ``doc_id``, so equal
   corpora return identical hit orderings across runs and backends — the
   property the engine's result cache and the differential tests rely on.
-- **Segment-mergeable scoring.** All corpus-level statistics BM25 and
-  TF-IDF consume (document frequency, document count, total token count)
-  are integers, so :func:`merged_search` over disjoint index segments
-  sums them exactly and reproduces single-index scores *bitwise* — the
-  property ``repro.shard`` leans on for byte-identical sharded search.
+- **Linear scoring.** The total token count is kept write-through by
+  ``add`` and ``remove``, and a query computes the average document
+  length and each term's idf once, so scoring costs O(hits × query
+  terms), independent of corpus size. Every corpus statistic (document
+  count, document frequency, token total) is an integer, so the scores
+  equal a from-scratch recount bitwise.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import Dict, List, Optional
 
 from repro.errors import ReproError
 from repro.text.stemmer import porter_stem
@@ -62,16 +63,10 @@ def analyze(text: str) -> List[str]:
     return [porter_stem(token) for token in tokenize(text) if not is_stopword(token)]
 
 
-# Backwards-compatible private alias (pre-sharding callers import this name).
-_analyze = analyze
-
-
 def bm25_idf(df: int, n: int) -> float:
     """BM25 idf for a term with document frequency ``df`` in ``n`` docs.
 
-    BM25+ style floor keeps idf positive even for very common terms. Both
-    inputs are exact integers, so per-segment sums feed this identically
-    to a single global index.
+    BM25+ style floor keeps idf positive even for very common terms.
     """
     return math.log(1.0 + (n - df + 0.5) / (df + 0.5)) if df else 0.0
 
@@ -94,6 +89,7 @@ class InvertedIndex:
         # term -> doc_id -> term frequency
         self._postings: Dict[str, Dict[str, int]] = {}
         self._doc_lengths: Dict[str, int] = {}
+        self._total_tokens = 0
 
     # ------------------------------------------------------------------
     # Maintenance
@@ -105,6 +101,7 @@ class InvertedIndex:
             self.remove(doc_id)
         terms = analyze(text)
         self._doc_lengths[doc_id] = len(terms)
+        self._total_tokens += len(terms)
         for term in terms:
             self._postings.setdefault(term, {})
             self._postings[term][doc_id] = self._postings[term].get(doc_id, 0) + 1
@@ -113,7 +110,7 @@ class InvertedIndex:
         """Drop a document from the index (no-op if absent)."""
         if doc_id not in self._doc_lengths:
             return
-        del self._doc_lengths[doc_id]
+        self._total_tokens -= self._doc_lengths.pop(doc_id)
         empty_terms = []
         for term, postings in self._postings.items():
             postings.pop(doc_id, None)
@@ -133,7 +130,7 @@ class InvertedIndex:
     @property
     def total_token_count(self) -> int:
         """Sum of indexed document lengths (the BM25 average's numerator)."""
-        return sum(self._doc_lengths.values())
+        return self._total_tokens
 
     def document_frequency(self, term: str) -> int:
         """Documents containing ``term`` (after analysis of the term)."""
@@ -141,25 +138,6 @@ class InvertedIndex:
         if not analyzed:
             return 0
         return len(self._postings.get(analyzed[0], {}))
-
-    # ------------------------------------------------------------------
-    # Segment accessors (used by merged_search / repro.shard)
-    # ------------------------------------------------------------------
-
-    def term_documents(self, term: str) -> Dict[str, int]:
-        """Postings of an *already analyzed* term: doc_id -> tf.
-
-        Returns the live mapping for speed; callers must treat it as
-        read-only and hold whatever lock guards this segment.
-        """
-        return self._postings.get(term, {})
-
-    def doc_length(self, doc_id: str) -> int:
-        """Token count of ``doc_id`` (0 when the document is absent)."""
-        return self._doc_lengths.get(doc_id, 0)
-
-    def __contains__(self, doc_id: str) -> bool:
-        return doc_id in self._doc_lengths
 
     # ------------------------------------------------------------------
     # Search
@@ -182,120 +160,29 @@ class InvertedIndex:
         terms = analyze(query)
         if not terms:
             return []
-        candidates: Set[str] = set()
-        per_term_docs = [set(self._postings.get(term, {})) for term in terms]
+        postings = [self._postings.get(term, {}) for term in terms]
         if require_all:
-            candidates = set.intersection(*per_term_docs) if per_term_docs else set()
+            candidates = set(postings[0]).intersection(*postings[1:])
         else:
-            for docs in per_term_docs:
-                candidates |= docs
+            candidates = set().union(*postings)
         if not candidates:
             return []
-        scorer = self._bm25 if scoring == "bm25" else self._tfidf_score
-        hits = [SearchHit(doc_id, scorer(terms, doc_id)) for doc_id in candidates]
+        n = len(self._doc_lengths)
+        avg_len = self._total_tokens / max(1, n)
+        idfs = [bm25_idf(len(docs), n) for docs in postings]
+        bm25 = scoring == "bm25"
+        hits = []
+        for doc_id in candidates:
+            length = self._doc_lengths[doc_id]
+            score = 0.0
+            for docs, idf in zip(postings, idfs):
+                tf = docs.get(doc_id, 0)
+                if tf == 0:
+                    continue
+                if bm25:
+                    score += bm25_term_score(tf, idf, length, avg_len)
+                else:
+                    score += tfidf_term_score(tf, idf, length)
+            hits.append(SearchHit(doc_id, score))
         hits.sort(key=lambda hit: (-hit.score, hit.doc_id))
         return hits[:limit] if limit is not None else hits
-
-    def _idf(self, term: str) -> float:
-        return bm25_idf(len(self._postings.get(term, {})), self.document_count)
-
-    def _bm25(self, terms: List[str], doc_id: str) -> float:
-        avg_len = self.total_token_count / max(1, self.document_count)
-        length = self._doc_lengths[doc_id]
-        score = 0.0
-        for term in terms:
-            tf = self._postings.get(term, {}).get(doc_id, 0)
-            if tf == 0:
-                continue
-            score += bm25_term_score(tf, self._idf(term), length, avg_len)
-        return score
-
-    def _tfidf_score(self, terms: List[str], doc_id: str) -> float:
-        length = self._doc_lengths[doc_id]
-        score = 0.0
-        for term in terms:
-            tf = self._postings.get(term, {}).get(doc_id, 0)
-            if tf == 0:
-                continue
-            score += tfidf_term_score(tf, self._idf(term), length)
-        return score
-
-
-def merged_search(
-    indexes: Sequence[InvertedIndex],
-    query: str,
-    limit: Optional[int] = None,
-    scoring: str = "bm25",
-    require_all: bool = False,
-) -> List[SearchHit]:
-    """Search several disjoint index segments as one logical index.
-
-    Documents must be partitioned across ``indexes`` (no ``doc_id`` lives
-    in two segments — the ``repro.shard`` routing guarantees this). Global
-    statistics are recovered by *integer* summation — document frequency
-    is the size of the unioned postings, document count and total token
-    count are per-segment sums — and per-term scores reuse the exact
-    expressions of :meth:`InvertedIndex.search`, so the merged hit list is
-    byte-identical to indexing the union in one segment.
-    """
-    if scoring not in ("bm25", "tfidf"):
-        raise ReproError(f"unknown scoring {scoring!r}; use 'bm25' or 'tfidf'")
-    terms = analyze(query)
-    if not terms:
-        return []
-    n = sum(index.document_count for index in indexes)
-    total_tokens = sum(index.total_token_count for index in indexes)
-    avg_len = total_tokens / max(1, n)
-    merged: Dict[str, Dict[str, int]] = {}
-    for term in terms:
-        if term in merged:
-            continue
-        postings: Dict[str, int] = {}
-        for index in indexes:
-            postings.update(index.term_documents(term))
-        merged[term] = postings
-    per_term_docs = [set(merged[term]) for term in terms]
-    if require_all:
-        candidates = set.intersection(*per_term_docs) if per_term_docs else set()
-    else:
-        candidates = set()
-        for docs in per_term_docs:
-            candidates |= docs
-    if not candidates:
-        return []
-    lengths: Dict[str, int] = {}
-    for doc_id in candidates:
-        for index in indexes:
-            if doc_id in index:
-                lengths[doc_id] = index.doc_length(doc_id)
-                break
-    idf_of = {term: bm25_idf(len(postings), n) for term, postings in merged.items()}
-    hits = []
-    for doc_id in candidates:
-        length = lengths.get(doc_id, 0)
-        score = 0.0
-        for term in terms:
-            tf = merged[term].get(doc_id, 0)
-            if tf == 0:
-                continue
-            if scoring == "bm25":
-                score += bm25_term_score(tf, idf_of[term], length, avg_len)
-            else:
-                score += tfidf_term_score(tf, idf_of[term], length)
-        hits.append(SearchHit(doc_id, score))
-    hits.sort(key=lambda hit: (-hit.score, hit.doc_id))
-    return hits[:limit] if limit is not None else hits
-
-
-def merge_hits(
-    hit_lists: Iterable[List[SearchHit]], limit: Optional[int] = None
-) -> List[SearchHit]:
-    """Merge pre-scored per-segment hit lists into one ranked list.
-
-    Only valid when every segment scored with *global* statistics (e.g.
-    lists produced by :func:`merged_search` on sub-federations); scores
-    are taken as-is and re-sorted with the standard tie-break.
-    """
-    hits = [hit for hits in hit_lists for hit in hits]
-    hits.sort(key=lambda hit: (-hit.score, hit.doc_id))
-    return hits[:limit] if limit is not None else hits

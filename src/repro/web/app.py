@@ -48,7 +48,7 @@ Observability (outside ``/api``):
     GET  /debug/dashboard                     live operations dashboard
          (HTML: firing alerts, SLO burn rates, and the sparkline grid
           served by /debug/dashboard.svg — QPS, latency percentiles,
-          cache hit ratio, pool queue depth, solver iterations,
+          cache hit ratio, solver iterations,
           ingestion staleness lag, process RSS)
     GET  /healthz                             component health probes
          (including an ``slo`` probe: a firing fast-burn alert reports
@@ -261,12 +261,6 @@ def _dashboard_panels(sampler, window: float, now=None) -> list:
     )
     panels.append(
         SparklinePanel(
-            "pool queue depth",
-            store.summed_points("perf_pool_queue_depth", window, now),
-        )
-    )
-    panels.append(
-        SparklinePanel(
             "solver iterations",
             store.summed_points("pagerank_convergence_last_iterations", window, now),
         )
@@ -276,12 +270,6 @@ def _dashboard_panels(sampler, window: float, now=None) -> list:
             "ranker staleness lag",
             store.summed_points("ranking_staleness_generations", window, now),
             alerting="ranker_freshness" in firing,
-        )
-    )
-    panels.append(
-        SparklinePanel(
-            "shard staleness lag (sum)",
-            store.summed_points("ranking_shard_staleness_generations", window, now),
         )
     )
     panels.append(
@@ -615,18 +603,6 @@ def create_app(
         query_latency["mean_seconds"] = (
             latency.sum / latency.count if latency.count else 0.0
         )
-        shards = None
-        shard_stats = getattr(engine.smr, "shard_stats", None)
-        if callable(shard_stats):
-            shards = shard_stats()
-            shard_staleness = getattr(engine.ranker, "shard_staleness", None)
-            if callable(shard_staleness):
-                staleness = {s["shard"]: s for s in shard_staleness()}
-                for entry in shards:
-                    lag = staleness.get(entry["shard"])
-                    if lag is not None:
-                        entry["ranking_lag"] = lag["lag"]
-                        entry["ranking_built_at"] = lag["built_at_mutation"]
         return JsonResponse(
             {
                 "page_count": report.page_count,
@@ -643,7 +619,6 @@ def create_app(
                 "query_cache": engine.cache_info(),
                 "catalog": engine.smr.db.catalog_stats(),
                 "spatial_index": engine.spatial_index_info(),
-                "shards": shards,
                 "slow_queries": [
                     {"query": q, "seconds": s}
                     for q, s in engine.query_log.slow_queries(5)
@@ -1192,27 +1167,6 @@ def create_app(
                 "sampler_running": sampler.running,
             }
 
-        def shards_probe() -> Dict[str, Any]:
-            stats = engine.smr.shard_stats()
-            staleness: Dict[int, Dict[str, Any]] = {}
-            shard_staleness = getattr(engine.ranker, "shard_staleness", None)
-            if callable(shard_staleness):
-                staleness = {s["shard"]: s for s in shard_staleness()}
-            shards = []
-            for entry in stats:
-                lag = staleness.get(entry["shard"])
-                shards.append(
-                    {
-                        "shard": entry["shard"],
-                        "pages": entry["pages"],
-                        "generation": entry["mutations"],
-                        "ranking_lag": lag["lag"] if lag else None,
-                    }
-                )
-            # Staleness is self-healing (the next scoring call refreshes),
-            # so a lagging shard reads as lag > 0 here, never as an error.
-            return {"status": "ok", "count": len(shards), "shards": shards}
-
         probe("smr", smr_probe)
         probe("relational", relational_probe)
         probe("rdf", rdf_probe)
@@ -1220,8 +1174,6 @@ def create_app(
         probe("cache", cache_probe)
         probe("indexes", indexes_probe)
         probe("slo", slo_probe)
-        if callable(getattr(engine.smr, "shard_stats", None)):
-            probe("shards", shards_probe)
         statuses = {check["status"] for check in checks.values()}
         overall = (
             "error" if "error" in statuses

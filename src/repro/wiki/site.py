@@ -186,28 +186,21 @@ class WikiSite:
             values.extend(self.parsed(title).annotation_values(wanted))
         return values
 
-    def export_rdf(self, resolver: Any = None) -> Graph:
+    def export_rdf(self) -> Graph:
         """Export the wiki's semantics as an RDF graph.
 
         Every page becomes an IRI, typed by its namespace; annotations
         become property triples whose objects are page IRIs (when the
         value names an existing page) or typed literals; categories map
         to ``rdf:type`` triples on a Category IRI.
-
-        ``resolver`` (any object with ``has(title)`` / ``get(title)``)
-        decides whether an annotation value or link target "names an
-        existing page". It defaults to this site; a federation of wikis
-        (``repro.shard``) passes its federated view so cross-shard
-        references become IRIs, exactly as in a single global wiki.
         """
         graph = Graph()
         for title in self.titles():
-            self.export_page_rdf(graph, title, resolver=resolver)
+            self.export_page_rdf(graph, title)
         return graph
 
-    def export_page_rdf(self, graph: Graph, title: str, resolver: Any = None) -> None:
+    def export_page_rdf(self, graph: Graph, title: str) -> None:
         """Append one page's triples to ``graph`` (see :meth:`export_rdf`)."""
-        site = self if resolver is None else resolver
         subject = title_to_iri(title)
         page = self._pages[self._key(title)]
         graph.add(subject, RDF.type, WIKI.term(page.namespace))
@@ -215,15 +208,15 @@ class WikiSite:
         parsed = self.parsed(title)
         for prop, value in parsed.annotations:
             predicate = property_to_iri(prop)
-            if isinstance(value, str) and site.has(value):
-                graph.add(subject, predicate, title_to_iri(site.get(value).title))
+            if isinstance(value, str) and self.has(value):
+                graph.add(subject, predicate, title_to_iri(self.get(value).title))
             else:
                 graph.add(subject, predicate, Literal(value))
         for category in parsed.categories:
             graph.add(subject, RDF.type, WIKI.term(f"Category_{category.replace(' ', '_')}"))
         for target in parsed.links:
-            if site.has(target):
-                graph.add(subject, PROP.links_to, title_to_iri(site.get(target).title))
+            if self.has(target):
+                graph.add(subject, PROP.links_to, title_to_iri(self.get(target).title))
 
     def __repr__(self) -> str:
         return f"WikiSite(pages={self.page_count})"

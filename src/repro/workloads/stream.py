@@ -4,14 +4,11 @@ The paper's platform is not a static corpus: sensors report, pages get
 edited, deployments grow. This module turns the synthetic corpus into
 that write stream — a deterministic sequence of
 :class:`MutationEvent`\\ s (sensor observations, page edits, new-sensor
-registrations) that applies identically to a
-:class:`~repro.smr.repository.SensorMetadataRepository` and a
-:class:`~repro.shard.repository.ShardedRepository`, because both speak
-the same ``register`` facade. :class:`StreamDriver` races the stream
-against the incremental ranker's Gauss–Southwell warm start and samples
-the staleness lag while writes land — the live counterpart of the
-Fig. 3 convergence study, and the series the per-shard
-staleness-lag gauges and ``bench_sharding`` gate on.
+registrations) applied through the
+:class:`~repro.smr.repository.SensorMetadataRepository` ``register``
+facade. :class:`StreamDriver` races the stream against the incremental
+ranker's Gauss–Southwell warm start and samples the staleness lag while
+writes land — the live counterpart of the Fig. 3 convergence study.
 """
 
 from __future__ import annotations
@@ -177,7 +174,6 @@ class StreamReport:
     seconds: float
     lags: List[int] = field(default_factory=list)
     final_lag: int = 0
-    shard_lags: List[List[int]] = field(default_factory=list)
 
     @property
     def events_per_second(self) -> float:
@@ -191,18 +187,13 @@ class StreamReport:
     def mean_lag(self) -> float:
         return sum(self.lags) / len(self.lags) if self.lags else 0.0
 
-    @property
-    def max_shard_lag(self) -> int:
-        return max((max(row) for row in self.shard_lags if row), default=0)
-
 
 class StreamDriver:
     """Applies a mutation stream while the ranker chases freshness.
 
     Every ``refresh_every`` events the driver asks the ranker to refresh
     (the incremental Gauss–Southwell path when the dirty set is small)
-    and samples the staleness lag — per shard too, when the ranker
-    exposes ``shard_staleness``. After the stream drains it quiesces
+    and samples the staleness lag. After the stream drains it quiesces
     with one final refresh, so ``final_lag`` is 0 whenever the ranker
     can keep up at all.
     """
@@ -253,7 +244,4 @@ class StreamDriver:
         # ranker accrued while the stream raced ahead, and it is what the
         # staleness gauges should show. The refresh then catches up.
         report.lags.append(ranker.record_staleness())
-        shard_staleness = getattr(ranker, "shard_staleness", None)
-        if callable(shard_staleness):
-            report.shard_lags.append([entry["lag"] for entry in shard_staleness()])
         ranker.scores()

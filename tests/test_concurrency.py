@@ -1,20 +1,23 @@
-"""Concurrency and equivalence tests for the parallel query fan-out.
+"""Concurrency and equivalence tests for the search engine and the SMR lock.
 
-Two properties carry the PR: (1) the pooled engine returns *identical*
-results to the serial engine — same titles, same floats, same order —
-for every query shape, with and without the lazy top-k path; (2) the
-engine stays correct under a live writer: no torn reads across the three
-stores, and no post-edit search may serve pre-edit state from any cache
-or memo (result cache, IRI->title map, location map, ranker scores).
+Three properties: (1) the lazy top-k path returns *identical* results to
+the full sort — same titles, same floats, same order — for every query
+shape; (2) the engine stays correct while reader threads race a live
+writer: no torn reads across the three stores, and no post-edit search
+may serve pre-edit state from any cache or memo (result cache, IRI->title
+map, location map, ranker scores); (3) the reader–writer lock under
+those threads keeps its documented semantics.
 """
 
 import threading
+import time
 
 import pytest
 
 from repro.core import AdvancedSearchEngine, PageRankRanker
-from repro.perf.pool import WorkerPool
+from repro.errors import ReproError
 from repro.smr import SensorMetadataRepository
+from repro.smr.rwlock import ReadWriteLock
 from repro.workloads import CorpusSpec, generate_corpus
 
 
@@ -71,25 +74,16 @@ def _fingerprint(results):
     ], results.total_candidates
 
 
-class TestParallelSerialIdentity:
-    """pool_size=4 vs 1, top-k vs full sort: byte-identical results."""
+class TestTopkIdentity:
+    """Top-k vs full sort: byte-identical results."""
 
     @pytest.mark.parametrize("text", QUERY_SHAPES)
-    def test_pool_and_topk_paths_identical(self, smr, text):
+    def test_topk_matches_full_sort(self, smr, text):
         ranker = PageRankRanker(smr)  # shared so scores are one solve
-        serial = AdvancedSearchEngine(
-            smr, ranker=ranker, cache=None, pool=WorkerPool(size=1), topk=False
-        )
-        pooled = AdvancedSearchEngine(
-            smr, ranker=ranker, cache=None, pool=WorkerPool(size=4, name="id4"), topk=False
-        )
-        lazy = AdvancedSearchEngine(
-            smr, ranker=ranker, cache=None, pool=WorkerPool(size=4, name="id4k"), topk=True
-        )
-        query = serial.parse(text)
-        expected = _fingerprint(serial.search(query))
-        assert _fingerprint(pooled.search(query)) == expected
-        assert _fingerprint(lazy.search(query)) == expected
+        full = AdvancedSearchEngine(smr, ranker=ranker, cache=None, topk=False)
+        lazy = AdvancedSearchEngine(smr, ranker=ranker, cache=None, topk=True)
+        query = full.parse(text)
+        assert _fingerprint(lazy.search(query)) == _fingerprint(full.search(query))
 
     def test_topk_with_offset_past_end(self, smr):
         ranker = PageRankRanker(smr)
@@ -100,7 +94,7 @@ class TestParallelSerialIdentity:
 
 
 class TestConcurrentReadersWithWriter:
-    """Stress: 4 pooled readers vs a writer editing pages in a loop."""
+    """Stress: 4 reader threads vs a writer editing pages in a loop."""
 
     EDIT_TITLE = "Station:EDIT-TARGET"
     WRITES = 8
@@ -117,7 +111,7 @@ class TestConcurrentReadersWithWriter:
     def test_no_torn_reads_and_no_stale_results(self):
         smr = _corpus_smr()
         smr.register("station", self.EDIT_TITLE, self._version(0))
-        engine = AdvancedSearchEngine(smr, pool=WorkerPool(size=4, name="stress"))
+        engine = AdvancedSearchEngine(smr)
         valid_pairs = {(1000 + v, f"v{v}") for v in range(self.WRITES + 1)}
         errors = []
         observed = []
@@ -161,6 +155,7 @@ class TestConcurrentReadersWithWriter:
         for t in threads:
             t.join(30.0)
 
+        assert not any(t.is_alive() for t in [w, *threads]), "a reader or the writer hung"
         assert not errors, errors
         # Torn read = an (elevation, status) pair that never existed
         # together in any registered version of the page.
@@ -177,7 +172,7 @@ class TestConcurrentReadersWithWriter:
 
     def test_memos_invalidate_on_write(self):
         smr = _corpus_smr()
-        engine = AdvancedSearchEngine(smr, pool=WorkerPool(size=4, name="memo"))
+        engine = AdvancedSearchEngine(smr)
         # Warm the IRI->title memo (SPARQL filter) and the location memo
         # (bbox scan), then register pages that must appear immediately.
         before_sparql = engine.search(engine.parse("maintainer=carol")).total_candidates
@@ -201,44 +196,75 @@ class TestConcurrentReadersWithWriter:
         assert [r.title for r in after_bbox.results] == ["Station:NEW-SPOT"]
 
 
-class TestBulkLoaderParallelPrepare:
-    def test_pooled_load_matches_serial_and_keeps_row_order(self):
-        records = [
-            {"title": f"Station:BULK-{i:03d}", "name": f"BULK-{i:03d}",
-             "latitude": 46.0 + i * 0.001, "longitude": 9.0, "status": "online"}
-            for i in range(40)
-        ]
-        records[7] = {"name": "missing title"}  # invalid: no title
-        records[23] = {"title": "Station:BAD", "name": "BAD", "latitude": "north"}
+class TestReadWriteLock:
+    def test_read_is_reentrant(self):
+        lock = ReadWriteLock()
+        with lock.read():
+            with lock.read():
+                assert lock.active_readers == 1  # counted per thread
+        assert lock.active_readers == 0
 
-        from repro.smr import BulkLoader
+    def test_write_is_reentrant_and_allows_reads(self):
+        lock = ReadWriteLock()
+        with lock.write():
+            with lock.write():
+                with lock.read():
+                    assert lock.write_held
+        assert not lock.write_held
 
-        serial_smr = SensorMetadataRepository()
-        serial_report = BulkLoader(serial_smr, pool=WorkerPool(size=1)).load_records(
-            "station", records
-        )
-        pooled_smr = SensorMetadataRepository()
-        pooled_report = BulkLoader(pooled_smr, pool=WorkerPool(size=4, name="bulk")).load_records(
-            "station", records
-        )
-        assert pooled_report.loaded == serial_report.loaded == 38
-        assert pooled_report.errors == serial_report.errors
-        assert [row for row, _ in pooled_report.errors] == [8, 24]
-        assert pooled_smr.titles() == serial_smr.titles()
+    def test_upgrade_attempt_raises(self):
+        lock = ReadWriteLock()
+        with lock.read():
+            with pytest.raises(ReproError):
+                lock.acquire_write()
 
-    def test_strict_mode_raises_at_first_failing_row(self):
-        from repro.errors import BulkLoadError
-        from repro.smr import BulkLoader
+    def test_unbalanced_release_raises(self):
+        lock = ReadWriteLock()
+        with pytest.raises(ReproError):
+            lock.release_read()
+        with pytest.raises(ReproError):
+            lock.release_write()
 
-        records = [
-            {"title": "Station:OK-1", "name": "OK-1"},
-            {"name": "no title"},
-            {"title": "Station:OK-2", "name": "OK-2"},
-            {"name": "also no title"},
-        ]
-        loader = BulkLoader(
-            SensorMetadataRepository(), strict=True, pool=WorkerPool(size=4, name="strict")
-        )
-        with pytest.raises(BulkLoadError) as excinfo:
-            loader.load_records("station", records)
-        assert excinfo.value.row == 2  # first failure, exactly like serial
+    def test_writer_excludes_readers(self):
+        lock = ReadWriteLock()
+        order = []
+        entered_write = threading.Event()
+        release_write = threading.Event()
+
+        def writer():
+            with lock.write():
+                entered_write.set()
+                order.append("write-start")
+                release_write.wait(5.0)
+                order.append("write-end")
+
+        def reader():
+            entered_write.wait(5.0)
+            with lock.read():
+                order.append("read")
+
+        w = threading.Thread(target=writer)
+        r = threading.Thread(target=reader)
+        w.start()
+        r.start()
+        entered_write.wait(5.0)
+        time.sleep(0.05)  # give the reader a chance to (wrongly) slip in
+        release_write.set()
+        w.join(5.0)
+        r.join(5.0)
+        assert order == ["write-start", "write-end", "read"]
+
+    def test_concurrent_readers_overlap(self):
+        lock = ReadWriteLock()
+        inside = threading.Barrier(3, timeout=5.0)
+
+        def reader():
+            with lock.read():
+                inside.wait()  # all three must be inside simultaneously
+
+        threads = [threading.Thread(target=reader) for _ in range(3)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(5.0)
+        assert lock.active_readers == 0

@@ -30,8 +30,6 @@ REQUIRED_DOCS = [
     "docs/PERFORMANCE.md",
     "docs/OBSERVABILITY.md",
     "docs/QUERY_PLANNING.md",
-    "docs/PARALLELISM.md",
-    "docs/SHARDING.md",
 ]
 
 #: Sections a document promises (heading text, verbatim). A doc that
@@ -44,10 +42,26 @@ REQUIRED_SECTIONS = {
 #: phrase each docstring must contain (evidence the invariant is written
 #: down, not just that a docstring exists).
 INVARIANT_DOCSTRINGS = {
-    "repro.perf.pool": ["Degradation rules", "kind"],
     "repro.text.inverted_index": ["Write-through", "Re-add replaces"],
     "repro.relational.planner": ["NULL", "Superset"],
 }
+
+
+def _markdown_files():
+    files = [os.path.join(REPO_ROOT, "README.md")]
+    docs_dir = os.path.join(REPO_ROOT, "docs")
+    if os.path.isdir(docs_dir):
+        for name in sorted(os.listdir(docs_dir)):
+            if name.endswith(".md"):
+                files.append(os.path.join(docs_dir, name))
+    return files
+
+
+#: Names of the deleted worker pools and sharded engine: searches and
+#: kernels run serially, so no document may still describe them.
+DELETED_PARALLELISM = re.compile(
+    r'ProcessWorkerPool|parallel_map|kind="cpu"|REPRO_POOL_SIZE|REPRO_PROCPOOL|ShardedSearchEngine'
+)
 
 #: Claims that once were true and must never reappear: (file, regex,
 #: what replaced them). Docs drift is a build failure, not a shrug.
@@ -57,11 +71,13 @@ STALE_CLAIMS = [
         re.compile(r"keyword constraints currently walk pages", re.IGNORECASE),
         "keyword constraints run InvertedIndexScan now",
     ),
+] + [
     (
-        "docs/PERFORMANCE.md",
-        re.compile(r"thread-only|only a thread pool", re.IGNORECASE),
-        "the pool selects thread/process/serial backends per task kind",
-    ),
+        os.path.relpath(path, REPO_ROOT),
+        DELETED_PARALLELISM,
+        "serial is the only execution path; the worker pools and repro.shard are gone",
+    )
+    for path in _markdown_files()
 ]
 
 
@@ -94,16 +110,6 @@ def _relative_links(path):
         if "://" in target or target.startswith("mailto:"):
             continue
         yield target
-
-
-def _markdown_files():
-    files = [os.path.join(REPO_ROOT, "README.md")]
-    docs_dir = os.path.join(REPO_ROOT, "docs")
-    if os.path.isdir(docs_dir):
-        for name in sorted(os.listdir(docs_dir)):
-            if name.endswith(".md"):
-                files.append(os.path.join(docs_dir, name))
-    return files
 
 
 @pytest.mark.parametrize(
@@ -149,8 +155,7 @@ def test_module_docstring_states_invariants(name):
     ]
     assert not missing, (
         f"{name}'s module docstring must state its invariants; "
-        f"missing the phrase(s) {missing} — see docs/PARALLELISM.md for "
-        f"what each module promises"
+        f"missing the phrase(s) {missing}"
     )
 
 

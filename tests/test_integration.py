@@ -5,8 +5,13 @@ consistency -> combined SQL+SPARQL search -> ranking -> recommendation ->
 visualization -> tagging, all on one shared corpus.
 """
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro import build_demo_engine
 from repro.core import AdvancedSearchEngine, parse_query
 from repro.pagerank import combine_link_structures, solve_pagerank
@@ -21,6 +26,8 @@ from repro.viz import (
 )
 from repro.wiki.site import PROP, title_to_iri
 from repro.workloads import CorpusSpec, generate_corpus, generate_tag_workload
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
 
 @pytest.fixture(scope="module")
@@ -189,3 +196,58 @@ class TestDemoBuilder:
             left = via_loader.sql(f"SELECT COUNT(*) FROM {kind}").scalar()
             right = via_corpus.sql(f"SELECT COUNT(*) FROM {kind}").scalar()
             assert left == right
+
+
+#: Bulk load, a >= 128-tag similarity and one multi-constraint search in
+#: a fresh interpreter, then report which workers are still alive.
+_HYGIENE_SCRIPT = """
+import io
+import multiprocessing
+import threading
+
+from repro.core import AdvancedSearchEngine
+from repro.smr import BulkLoader, SensorMetadataRepository
+from repro.tagging import TagStore, build_similarity
+from repro.web import create_app
+from repro.workloads import CorpusSpec, generate_corpus
+
+smr = SensorMetadataRepository()
+report = BulkLoader(smr).load_corpus_dump(generate_corpus(CorpusSpec(seed=5)).records)
+assert report.ok and report.loaded > 100, report.summary()
+
+store = TagStore()
+for tag in range(130):
+    for page in range(tag % 7, 200, 9):
+        store.create(f"Page:{page:03d}", f"tag{tag:03d}")
+assert len(build_similarity(store).tags) == 130
+
+app = create_app(AdvancedSearchEngine(smr))
+environ = {
+    "REQUEST_METHOD": "GET",
+    "PATH_INFO": "/api/search",
+    "QUERY_STRING": "q=keyword%3Dwind%20kind%3Dstation%20elevation_m%3E%3D1000%20bbox%3D45%2C5%2C48%2C11",
+    "SERVER_NAME": "test",
+    "SERVER_PORT": "80",
+    "wsgi.url_scheme": "http",
+    "wsgi.input": io.BytesIO(b""),
+}
+statuses = []
+b"".join(app(environ, lambda status, headers, exc_info=None: statuses.append(status)))
+assert statuses == ["200 OK"], statuses
+
+assert multiprocessing.active_children() == [], multiprocessing.active_children()
+assert threading.active_count() == 1, threading.enumerate()
+"""
+
+
+class TestProcessHygiene:
+    def test_program_leaves_no_workers_behind(self):
+        completed = subprocess.run(
+            [sys.executable, "-c", _HYGIENE_SCRIPT],
+            env={**os.environ, "PYTHONPATH": SRC},
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stderr == ""

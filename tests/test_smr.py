@@ -184,6 +184,34 @@ class TestBulkLoader:
             loader.load_records("station", [{"name": "no title"}])
         assert exc_info.value.row == 1
 
+    def test_load_keeps_row_order_and_reports_failing_rows(self):
+        records = [
+            {"title": f"Station:BULK-{i:03d}", "name": f"BULK-{i:03d}",
+             "latitude": 46.0 + i * 0.001, "longitude": 9.0, "status": "online"}
+            for i in range(40)
+        ]
+        records[7] = {"name": "missing title"}  # invalid: no title
+        records[23] = {"title": "Station:BAD", "name": "BAD", "latitude": "north"}
+        smr = SensorMetadataRepository()
+        report = BulkLoader(smr).load_records("station", records)
+        assert report.loaded == 38
+        assert [row for row, _ in report.errors] == [8, 24]
+        assert smr.titles() == [
+            record["title"] for i, record in enumerate(records) if i not in (7, 23)
+        ]
+
+    def test_strict_mode_raises_at_first_failing_row(self):
+        records = [
+            {"title": "Station:OK-1", "name": "OK-1"},
+            {"name": "no title"},
+            {"title": "Station:OK-2", "name": "OK-2"},
+            {"name": "also no title"},
+        ]
+        loader = BulkLoader(SensorMetadataRepository(), strict=True)
+        with pytest.raises(BulkLoadError) as excinfo:
+            loader.load_records("station", records)
+        assert excinfo.value.row == 2
+
     def test_unknown_kind(self, smr):
         with pytest.raises(BulkLoadError):
             BulkLoader(smr).load_records("satellite", [])

@@ -1,5 +1,7 @@
 """Tests for the text/IR substrate."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,7 +16,46 @@ from repro.text import (
     porter_stem,
     tokenize,
 )
+from repro.text.inverted_index import analyze
 from repro.text.tokenize import ngrams
+
+#: Index words: stems that collide ("measurement"/"measurements"), a
+#: stopword, and plain terms, so analysis runs on both sides of a query.
+ORACLE_WORDS = ["wind", "snow", "davos", "measurement", "measurements", "station", "the"]
+
+
+def _oracle_search(docs, query, scoring, require_all):
+    """Rank ``docs`` (doc_id -> analyzed terms) for ``query`` from the definition.
+
+    N, every document frequency and the average length are recounted
+    from scratch. Scores are Okapi BM25 (k1 = 1.5, b = 0.75, idf
+    ``log(1 + (N - df + 0.5) / (df + 0.5))``) or length-normalized TF-IDF
+    over the same idf; ties break on the document id.
+    """
+    terms = analyze(query)
+    n = len(docs)
+    avg_len = sum(len(tokens) for tokens in docs.values()) / max(1, n)
+    match = all if require_all else any
+    hits = []
+    for doc_id, tokens in docs.items():
+        if not terms or not match(term in tokens for term in terms):
+            continue
+        score = 0.0
+        for term in terms:
+            tf = tokens.count(term)
+            if tf == 0:
+                continue
+            df = sum(1 for other in docs.values() if term in other)
+            idf = math.log(1.0 + (n - df + 0.5) / (df + 0.5))
+            if scoring == "bm25":
+                score += idf * tf * (1.5 + 1) / (
+                    tf + 1.5 * (1 - 0.75 + 0.75 * len(tokens) / max(avg_len, 1e-9))
+                )
+            else:
+                score += (tf / max(1, len(tokens))) * idf
+        hits.append((doc_id, score))
+    hits.sort(key=lambda hit: (-hit[1], hit[0]))
+    return hits
 
 
 class TestTokenize:
@@ -253,6 +294,39 @@ class TestInvertedIndex:
         idx.add("a", "alpha")
         hits = idx.search("alpha")
         assert [h.doc_id for h in hits] == ["a", "b"]
+
+    @given(
+        ops=st.lists(
+            st.tuples(
+                st.sampled_from(["d0", "d1", "d2", "d3", "d4"]),
+                # None removes the document; a word list (re-)adds it.
+                st.none() | st.lists(st.sampled_from(ORACLE_WORDS), max_size=8),
+            ),
+            max_size=30,
+        ),
+        query=st.lists(st.sampled_from(ORACLE_WORDS), min_size=1, max_size=4),
+        scoring=st.sampled_from(["bm25", "tfidf"]),
+        require_all=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_search_matches_from_definition_oracle(self, ops, query, scoring, require_all):
+        idx = InvertedIndex()
+        docs = {}
+        for doc_id, words in ops:
+            if words is None:
+                idx.remove(doc_id)
+                docs.pop(doc_id, None)
+            else:
+                text = " ".join(words)
+                idx.add(doc_id, text)
+                docs[doc_id] = analyze(text)
+        assert idx.document_count == len(docs)
+        assert idx.total_token_count == sum(len(tokens) for tokens in docs.values())
+        text = " ".join(query)
+        hits = idx.search(text, scoring=scoring, require_all=require_all)
+        assert [(h.doc_id, h.score) for h in hits] == _oracle_search(
+            docs, text, scoring, require_all
+        )
 
 
 class TestTrie:
