@@ -86,6 +86,19 @@ class Table:
         if self._undo is not None:
             self._undo.append(("delete", rowid, row))
 
+    def delete_by_key(self, key: Any) -> int:
+        """Tombstone the row whose primary key equals ``key``.
+
+        One probe of the primary-key hash index instead of a scan of
+        every slot; returns the number of rows deleted (0 or 1).
+        """
+        if self._pk_index is None:
+            raise CatalogError(f"table {self.schema.name!r} has no primary key")
+        rowids = self._pk_index.lookup(key)
+        for rowid in rowids:
+            self.delete(rowid)
+        return len(rowids)
+
     def update(self, rowid: int, changes: Dict[str, Any]) -> None:
         """Apply ``changes`` (column -> new value) to one row."""
         row = self._fetch(rowid)

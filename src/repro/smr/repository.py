@@ -2,13 +2,35 @@
 
 One ``register()`` call writes a metadata record to all three stores the
 paper describes — the semantic wiki (authoring + link structures), the
-relational database (SQL) and, lazily, the RDF graph (SPARQL) — plus the
-keyword index that backs basic search. The advanced search engine in
+relational database (SQL) and the RDF graph (SPARQL) — plus the keyword
+index that backs basic search. The advanced search engine in
 :mod:`repro.core` is built entirely on this facade.
+
+Invariants:
+
+- **One canonical title.** A page is keyed case-insensitively; its
+  canonical title is the spelling it was first registered under
+  (``wiki.get(title).title``). Its SQL row, the row's replacement, its
+  keyword-index document and its RDF subject all use that title, so
+  re-registering ``"station:a"`` over ``"Station:A"`` updates the one
+  page in every store.
+- **Write-through RDF.** The first :meth:`SensorMetadataRepository.
+  rdf_graph` call builds the graph with ``WikiSite.export_rdf()``; a
+  repository that never runs SPARQL never builds it. From then on every
+  ``register()`` updates the graph in place, under the write lock it
+  already holds, through ``WikiSite.refresh_page_rdf``. The graph equals
+  a fresh ``export_rdf()`` whenever no write is in progress, so a read
+  after a write never re-exports the wiki and its cost does not grow
+  with the corpus. A page the export cannot name is refused by
+  ``WikiSite.save``, the first step of the write, so a refused
+  ``register()`` leaves every store as it was.
+- **Row replacement by primary key.** The old row is dropped through the
+  table's primary-key hash index, not by a scanning ``DELETE``.
 """
 
 from __future__ import annotations
 
+import threading
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import SmrError
@@ -103,7 +125,8 @@ class SensorMetadataRepository:
         self.text_index = InvertedIndex()
         self.lock = ReadWriteLock()
         self._kind_of: Dict[str, str] = {}  # title-key -> kind
-        self._rdf_cache: Optional[Graph] = None
+        self._rdf: Optional[Graph] = None  # built by the first rdf_graph() call
+        self._rdf_build_lock = threading.Lock()
         self._mutations = 0
         for kind in self.mapping.kinds:
             self.db.create_table(self.mapping.table_schema(kind))
@@ -133,22 +156,20 @@ class SensorMetadataRepository:
         row = self.mapping.row_from_annotations(kind, title, list(annotations))
         key = title.strip().lower()
         with self.lock.write():
-            replacing = key in self._kind_of
-            self.wiki.save(title, text, author=author)
-            table = self.db.table(kind)
-            if replacing:
-                # Drop the old row (and old-kind row if the kind changed).
-                old_kind = self._kind_of[key]
-                self.db.execute(
-                    f"DELETE FROM {old_kind} WHERE title = '{_sql_quote(title)}'"
-                )
-            table.insert(row)
+            title = self.wiki.save(title, text, author=author).title
+            row["title"] = title
+            old_kind = self._kind_of.get(key)
+            if old_kind is not None:
+                # Drop the old row (from the old kind's table if it changed).
+                self.db.table(old_kind).delete_by_key(title)
+            self.db.table(kind).insert(row)
             self._kind_of[key] = kind
             searchable = " ".join(
                 [title, description] + [str(value) for _, value in annotations]
             )
             self.text_index.add(title, searchable)
-            self._rdf_cache = None
+            if self._rdf is not None:
+                self.wiki.refresh_page_rdf(self._rdf, title)
             self._mutations += 1
 
     def register_record(self, kind: str, record: Dict[str, Any], links: Sequence[str] = ()) -> None:
@@ -239,13 +260,24 @@ class SensorMetadataRepository:
             return self.db.execute(query)
 
     def rdf_graph(self) -> Graph:
-        """The (cached) RDF export of the wiki."""
+        """The RDF graph of the wiki, kept current by every :meth:`register`.
+
+        The first call builds it with ``WikiSite.export_rdf()``; after
+        that each write updates it in place (write-through), so it always
+        equals a fresh export. The returned graph is live, not a copy: a
+        caller that iterates it outside :meth:`sparql` must hold
+        ``smr.lock.read()`` while it does, or a concurrent write may
+        change it mid-iteration.
+        """
         with self.lock.read():
-            if self._rdf_cache is None:
-                # Concurrent readers may export twice; the last assignment
-                # wins and both graphs are equivalent (export is pure).
-                self._rdf_cache = self.wiki.export_rdf()
-            return self._rdf_cache
+            if self._rdf is None:
+                # Readers share the read side, so two may race to build;
+                # the first one wins, and every caller gets the graph
+                # that writes will keep current.
+                with self._rdf_build_lock:
+                    if self._rdf is None:
+                        self._rdf = self.wiki.export_rdf()
+            return self._rdf
 
     def sparql(self, query: str) -> SparqlResult:
         """Run SPARQL against the RDF half."""
@@ -259,7 +291,3 @@ class SensorMetadataRepository:
 
     def __repr__(self) -> str:
         return f"SensorMetadataRepository(pages={self.page_count})"
-
-
-def _sql_quote(value: str) -> str:
-    return value.replace("'", "''")

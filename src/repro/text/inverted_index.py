@@ -20,6 +20,11 @@ Invariants the rest of the system leans on:
   postings first; re-registering a page never double-counts terms, and
   ``remove`` drops emptied postings lists so ``term_count`` reflects
   live terms only.
+- **Removal costs the document, not the vocabulary.** Each document
+  keeps its distinct terms, so ``remove`` (and with it every re-add)
+  touches only those postings lists. The stored terms are the interned
+  posting keys themselves, so the map holds tuples of references, not
+  copies of the strings.
 - **Symmetric analysis.** Queries pass through the exact tokenize →
   stopword → Porter-stem pipeline documents were indexed under
   (:func:`analyze` both ways); a term that indexes differently than it
@@ -38,8 +43,10 @@ Invariants the rest of the system leans on:
 from __future__ import annotations
 
 import math
+import sys
+from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ReproError
 from repro.text.stemmer import porter_stem
@@ -89,6 +96,8 @@ class InvertedIndex:
         # term -> doc_id -> term frequency
         self._postings: Dict[str, Dict[str, int]] = {}
         self._doc_lengths: Dict[str, int] = {}
+        # doc_id -> its distinct terms, the interned posting keys themselves
+        self._doc_terms: Dict[str, Tuple[str, ...]] = {}
         self._total_tokens = 0
 
     # ------------------------------------------------------------------
@@ -102,22 +111,22 @@ class InvertedIndex:
         terms = analyze(text)
         self._doc_lengths[doc_id] = len(terms)
         self._total_tokens += len(terms)
-        for term in terms:
-            self._postings.setdefault(term, {})
-            self._postings[term][doc_id] = self._postings[term].get(doc_id, 0) + 1
+        counts = Counter(terms)
+        distinct = tuple(sys.intern(term) for term in counts)
+        for term, tf in zip(distinct, counts.values()):
+            self._postings.setdefault(term, {})[doc_id] = tf
+        self._doc_terms[doc_id] = distinct
 
     def remove(self, doc_id: str) -> None:
         """Drop a document from the index (no-op if absent)."""
         if doc_id not in self._doc_lengths:
             return
         self._total_tokens -= self._doc_lengths.pop(doc_id)
-        empty_terms = []
-        for term, postings in self._postings.items():
-            postings.pop(doc_id, None)
+        for term in self._doc_terms.pop(doc_id):
+            postings = self._postings[term]
+            del postings[doc_id]
             if not postings:
-                empty_terms.append(term)
-        for term in empty_terms:
-            del self._postings[term]
+                del self._postings[term]
 
     @property
     def document_count(self) -> int:

@@ -10,6 +10,7 @@ same page ordering, ready for
 
 from __future__ import annotations
 
+import re
 from typing import Any, Dict, Iterator, List, Tuple
 
 from repro.errors import WikiError
@@ -23,6 +24,11 @@ from repro.wiki.wikitext import ParsedWikitext, parse_wikitext
 # The vocabulary used when exporting pages to RDF.
 WIKI = Namespace("http://repro.example.org/wiki/")
 PROP = Namespace("http://repro.example.org/property/")
+
+# The export mints IRI local names from titles, namespaces, property and
+# category names by turning each space into "_"; any other whitespace
+# would make an invalid IRI.
+_UNEXPORTABLE_WHITESPACE = re.compile(r"[^\S ]")
 
 
 def title_to_iri(title: str) -> IRI:
@@ -51,15 +57,30 @@ class WikiSite:
         return title.strip().lower()
 
     def save(self, title: str, text: str, author: str = "", comment: str = "") -> Page:
-        """Create the page or append a revision to it."""
+        """Create the page or append a revision to it.
+
+        A page whose title, property or category names hold whitespace
+        other than spaces has no RDF export; it is refused with
+        :class:`WikiError` before anything is stored, so
+        :meth:`export_rdf` never fails on a saved page.
+        """
         key = self._key(title)
         page = self._pages.get(key)
+        parsed = parse_wikitext(text)
+        names = [prop for prop, _ in parsed.annotations] + parsed.categories
+        if page is None:
+            names.append(title)
+        for name in names:
+            if _UNEXPORTABLE_WHITESPACE.search(name):
+                raise WikiError(
+                    f"cannot save {title!r}: {name!r} holds whitespace other than spaces"
+                )
         if page is None:
             page = Page(title, text, author=author, comment=comment)
             self._pages[key] = page
         else:
             page.edit(text, author=author, comment=comment)
-        self._parsed[key] = parse_wikitext(text)
+        self._parsed[key] = parsed
         return page
 
     def get(self, title: str) -> Page:
@@ -189,10 +210,11 @@ class WikiSite:
     def export_rdf(self) -> Graph:
         """Export the wiki's semantics as an RDF graph.
 
-        Every page becomes an IRI, typed by its namespace; annotations
-        become property triples whose objects are page IRIs (when the
-        value names an existing page) or typed literals; categories map
-        to ``rdf:type`` triples on a Category IRI.
+        Every page becomes an IRI, typed by its namespace (a space in any
+        name becomes ``_`` in its IRI); annotations become property
+        triples whose objects are page IRIs (when the value names an
+        existing page) or typed literals; categories map to ``rdf:type``
+        triples on a Category IRI.
         """
         graph = Graph()
         for title in self.titles():
@@ -203,7 +225,7 @@ class WikiSite:
         """Append one page's triples to ``graph`` (see :meth:`export_rdf`)."""
         subject = title_to_iri(title)
         page = self._pages[self._key(title)]
-        graph.add(subject, RDF.type, WIKI.term(page.namespace))
+        graph.add(subject, RDF.type, WIKI.term(page.namespace.replace(" ", "_")))
         graph.add(subject, PROP.title, Literal(title))
         parsed = self.parsed(title)
         for prop, value in parsed.annotations:
@@ -217,6 +239,48 @@ class WikiSite:
         for target in parsed.links:
             if self.has(target):
                 graph.add(subject, PROP.links_to, title_to_iri(self.get(target).title))
+
+    def refresh_page_rdf(self, graph: Graph, title: str) -> None:
+        """Update ``graph`` in place for one save of ``title``.
+
+        ``graph`` must equal :meth:`export_rdf` of the wiki as it was
+        before the save; afterwards it equals :meth:`export_rdf` of the
+        wiki now. The saved page is exported again, and so is every page
+        whose triples the save changed:
+
+        - A page that did not exist before (its ``prop:title`` is not in
+          ``graph``) turns every annotation value or link naming it from
+          a literal into its IRI, with a ``links_to`` triple. Those pages
+          are found in one pass over the parsed link lists, which hold
+          string annotation values too. An edit changes no other page:
+          titles, and with them IRIs and namespaces, never change.
+        - Titles that differ only by space versus underscore share one
+          subject IRI, so dropping a subject drops every page under it;
+          each page whose ``prop:title`` sits under a dropped subject is
+          exported again.
+
+        The new triples are built in a scratch graph before ``graph``
+        changes, so an exception leaves ``graph`` as it was.
+        """
+        title = self.get(title).title
+        stale = {title}
+        if (title_to_iri(title), PROP.title, Literal(title)) not in graph:
+            key = self._key(title)
+            stale.update(
+                self._pages[other].title
+                for other, parsed in self._parsed.items()
+                for target in parsed.links
+                if self._key(target) == key
+            )
+        subjects = {title_to_iri(stale_title) for stale_title in stale}
+        for subject in subjects:
+            stale.update(o.value for _, _, o in graph.triples(subject, PROP.title, None))
+        fresh = Graph()
+        for stale_title in stale:
+            self.export_page_rdf(fresh, stale_title)
+        for subject in subjects:
+            graph.remove(subject, None, None)
+        graph.merge(fresh)
 
     def __repr__(self) -> str:
         return f"WikiSite(pages={self.page_count})"

@@ -106,32 +106,46 @@ class TestConcurrentReadersWithWriter:
             ("longitude", 9.5),
             ("elevation_m", 1000 + v),
             ("status", f"v{v}"),
+            ("firmware", f"fw{v}"),  # unmapped: lives in the RDF graph only
         ]
 
     def test_no_torn_reads_and_no_stale_results(self):
         smr = _corpus_smr()
         smr.register("station", self.EDIT_TITLE, self._version(0))
         engine = AdvancedSearchEngine(smr)
-        valid_pairs = {(1000 + v, f"v{v}") for v in range(self.WRITES + 1)}
+        valid = {(1000 + v, f"v{v}", f"fw{v}") for v in range(self.WRITES + 1)}
         errors = []
         observed = []
+        sparql_misses = []
         stop = threading.Event()
 
+        firmware_query = engine.parse("firmware~fw")  # a SPARQL filter
         reader_queries = [
             engine.parse("kind=station name=EDIT-TARGET"),
             engine.parse("kind=station elevation_m>=1000 status~v relaxed=true"),
             engine.parse("maintainer=alice elevation_m>=1500 relaxed=true"),
             engine.parse("kind=station bbox=46,8,47,10"),
+            firmware_query,
         ]
 
         def reader(q):
             try:
                 while not stop.is_set():
                     results = engine.search(q)
+                    titles = [r.title for r in results.results]
+                    if q is firmware_query and titles != [self.EDIT_TITLE]:
+                        # Every version has a firmware value, so only a
+                        # graph caught between dropping the page's triples
+                        # and adding them back could miss the page.
+                        sparql_misses.append(titles)
                     for r in results.results:
                         if r.title == self.EDIT_TITLE:
                             observed.append(
-                                (r.annotations.get("elevation_m"), r.annotations.get("status"))
+                                (
+                                    r.annotations.get("elevation_m"),
+                                    r.annotations.get("status"),
+                                    r.annotations.get("firmware"),
+                                )
                             )
             except Exception as exc:  # pragma: no cover - the assertion target
                 errors.append(exc)
@@ -157,10 +171,11 @@ class TestConcurrentReadersWithWriter:
 
         assert not any(t.is_alive() for t in [w, *threads]), "a reader or the writer hung"
         assert not errors, errors
-        # Torn read = an (elevation, status) pair that never existed
-        # together in any registered version of the page.
-        torn = [pair for pair in observed if pair not in valid_pairs]
+        # Torn read = an (elevation, status, firmware) triple that never
+        # existed together in any registered version of the page.
+        torn = [values for values in observed if values not in valid]
         assert not torn, f"torn reads: {torn[:5]}"
+        assert not sparql_misses, f"SPARQL reads of a half-written graph: {sparql_misses[:5]}"
 
         # Post-edit freshness: with the writer done, every cache and memo
         # must have rolled over to the final version.
@@ -169,6 +184,8 @@ class TestConcurrentReadersWithWriter:
         annotations = final.results[0].annotations
         assert annotations["elevation_m"] == 1000 + self.WRITES
         assert annotations["status"] == f"v{self.WRITES}"
+        latest = engine.search(engine.parse(f"firmware=fw{self.WRITES}"))
+        assert [r.title for r in latest.results] == [self.EDIT_TITLE]
 
     def test_memos_invalidate_on_write(self):
         smr = _corpus_smr()

@@ -43,6 +43,7 @@ REQUIRED_SECTIONS = {
 #: down, not just that a docstring exists).
 INVARIANT_DOCSTRINGS = {
     "repro.text.inverted_index": ["Write-through", "Re-add replaces"],
+    "repro.smr.repository": ["Write-through", "export_rdf", "canonical title"],
     "repro.relational.planner": ["NULL", "Superset"],
 }
 

@@ -418,6 +418,17 @@ class TestIndexes:
         assert index is not None
         assert index.lookup(2) != set()
 
+    def test_delete_by_key_drops_one_row_through_the_pk_index(self, db):
+        db.execute("CREATE INDEX idx_site ON stations(site)")
+        table = db.table("stations")
+        assert table.delete_by_key(1) == 1
+        assert table.delete_by_key(1) == 0
+        assert table.index_on("id").lookup(1) == set()
+        assert db.execute("SELECT id FROM stations WHERE site = 'Wannengrat'").rows == [(4,)]
+        db.execute("CREATE TABLE notes (body TEXT)")
+        with pytest.raises(CatalogError):
+            db.table("notes").delete_by_key("x")
+
 
 class TestSyntaxErrors:
     @pytest.mark.parametrize(

@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import BulkLoadError, SmrError
 from repro.smr import (
@@ -122,10 +124,58 @@ class TestRepository:
         assert len(smr.titles()) == 2
 
     def test_rdf_cache_invalidation(self, smr):
+        from repro.rdf.term import Literal
+        from repro.wiki.site import PROP, title_to_iri
+
         first = smr.rdf_graph()
         assert smr.rdf_graph() is first  # cached
         smr.register("station", "Station:NEW", [("name", "new")])
-        assert smr.rdf_graph() is not first
+        assert smr.rdf_graph() is first  # updated in place, not rebuilt
+        subject = title_to_iri("Station:NEW")
+        assert (subject, PROP.title, Literal("Station:NEW")) in first
+        assert (subject, PROP.name, Literal("new")) in first
+        assert set(first.triples()) == set(smr.wiki.export_rdf().triples())
+
+    @pytest.mark.parametrize(
+        "title, annotations, description",
+        [
+            ("Station:Tab\tName", [("name", "x")], ""),
+            ("Station:WAN-001", [("wind\nspeed", 3)], ""),  # an edit
+            ("Station:Fine", [("name", "x")], "[[Category:Alpine\tsites]]"),
+        ],
+    )
+    def test_unexportable_page_leaves_every_store_as_it_was(
+        self, smr, title, annotations, description
+    ):
+        from repro.errors import WikiError
+
+        graph = smr.rdf_graph()
+        before = set(graph.triples())
+        generation = smr.mutation_count
+        with pytest.raises(WikiError):
+            smr.register("station", title, annotations, description=description)
+        assert smr.rdf_graph() is graph
+        assert set(graph.triples()) == before == set(smr.wiki.export_rdf().triples())
+        assert smr.mutation_count == generation
+        assert smr.wiki.get("Station:WAN-001").revision_count == 1
+        assert smr.sql("SELECT title, elevation_m FROM station").rows == [("Station:WAN-001", 2400)]
+        assert smr.text_index.document_count == smr.page_count == 2
+
+    def test_reregister_in_other_case_keeps_one_page_in_every_store(self, smr):
+        from repro.core import AdvancedSearchEngine
+
+        smr.register("station", "Station:Alpha", [("name", "Alpha"), ("elevation_m", 5)])
+        smr.register("station", "station:alpha", [("name", "Alpha"), ("elevation_m", 7)])
+        assert smr.page_count == 3
+        assert smr.sql("SELECT title, elevation_m FROM station WHERE elevation_m < 100").rows == [
+            ("Station:Alpha", 7)
+        ]
+        assert smr.text_index.document_count == 3
+        assert [hit.doc_id for hit in smr.keyword_search("alpha")] == ["Station:Alpha"]
+        engine = AdvancedSearchEngine(smr)
+        for query in ("elevation_m>=1", "kind=station"):
+            titles = [r.title for r in engine.search(engine.parse(query)).results]
+            assert sorted(titles) == ["Station:Alpha", "Station:WAN-001"], query
 
     def test_semantic_link_in_rdf(self, smr):
         from repro.wiki.site import PROP, title_to_iri
@@ -148,6 +198,65 @@ class TestRepository:
         smr.register("station", "Station:O'Brien", [("name", "O'Brien site")])
         smr.register("station", "Station:O'Brien", [("name", "updated")])
         assert smr.sql("SELECT COUNT(*) FROM station WHERE name = 'updated'").scalar() == 1
+
+
+#: Titles for the write-through sequences: each underscore title collides
+#: with its spaced twin on one RDF subject IRI.
+_TITLES = [
+    "Station:Alp One",
+    "Station:Alp_One",
+    "Sensor:S 1",
+    "Sensor:S_1",
+    "Field Site:F",
+    "Field_Site:F",
+    "Deployment:D",
+]
+_SPELLINGS = (str, str.lower, str.upper)
+
+_named = st.tuples(st.sampled_from(_TITLES), st.integers(0, len(_SPELLINGS) - 1))
+_step = st.tuples(
+    st.sampled_from(["station", "sensor", "deployment"]),
+    _named,  # the page written, in one of its spellings
+    st.lists(_named, max_size=3),  # pages its annotation values name
+    st.lists(_named, max_size=2),  # pages it links to
+    st.integers(0, 3),
+)
+
+
+def _spell(named):
+    title, spelling = named
+    return _SPELLINGS[spelling](title)
+
+
+class TestRdfWriteThrough:
+    """Once built, the RDF graph equals a fresh export after every write."""
+
+    @given(steps=st.lists(_step, min_size=1, max_size=12))
+    @settings(max_examples=150, deadline=None)
+    @example(
+        steps=[
+            # Names two pages before they exist, in other spellings.
+            ("sensor", ("Sensor:S 1", 0), [("Station:Alp One", 1)], [("Deployment:D", 2)], 0),
+            ("station", ("Station:Alp One", 0), [], [], 1),  # created: S 1 now points at it
+            ("station", ("Station:Alp_One", 0), [("Sensor:S_1", 0)], [], 2),  # shares its IRI
+            ("deployment", ("Station:Alp One", 2), [], [("Sensor:S 1", 1)], 3),  # kind change
+            ("deployment", ("Deployment:D", 1), [("Station:Alp_One", 0)], [], 0),
+            ("station", ("Field Site:F", 0), [("Deployment:D", 0)], [], 1),  # spaced namespace
+            ("sensor", ("Field_Site:F", 1), [], [("Field Site:F", 2)], 2),
+        ]
+    )
+    def test_graph_matches_fresh_export_after_every_write(self, steps):
+        smr = SensorMetadataRepository()
+        smr.register("station", "Station:Seed", [("name", "seed")], links=["Sensor:S 1"])
+        graph = smr.rdf_graph()  # build first: every later write goes through in place
+        for kind, page, values, links, n in steps:
+            annotations = [("name", f"n{n}"), ("elevation_m", n)]
+            annotations += [("refers", _spell(named)) for named in values]
+            smr.register(kind, _spell(page), annotations, links=[_spell(named) for named in links])
+            assert smr.rdf_graph() is graph
+            assert set(graph.triples()) == set(smr.wiki.export_rdf().triples())
+            rows = sum(len(smr.db.table(name)) for name in smr.mapping.kinds)
+            assert rows == smr.text_index.document_count == smr.page_count
 
 
 class TestBulkLoader:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import SmrError, WikiError
+from repro.errors import RdfError, SmrError, WikiError
 from repro.rdf.namespace import RDF
 from repro.rdf.term import IRI, Literal
 from repro.relational.types import DataType
@@ -172,6 +172,26 @@ class TestWikiSite:
         assert (b, RDF.type, WIKI.term("Category_Stations")) in graph
         # Plain links are exported too.
         assert (d, PROP.links_to, a) in graph
+
+    def test_spaced_namespace_exports_with_underscores(self, site):
+        site.save("Field Site:Davos", "[[Station:A]]")
+        graph = site.export_rdf()
+        assert (title_to_iri("Field Site:Davos"), RDF.type, WIKI.term("Field_Site")) in graph
+
+    def test_refresh_page_rdf_leaves_the_graph_as_it_was_when_export_fails(
+        self, site, monkeypatch
+    ):
+        graph = site.export_rdf()
+        before = set(graph.triples())
+        site.save("Station:A", "[[elev::200]]")
+
+        def failing(self, into, title):
+            raise RdfError("export failed")
+
+        monkeypatch.setattr(WikiSite, "export_page_rdf", failing)
+        with pytest.raises(RdfError):
+            site.refresh_page_rdf(graph, "Station:A")
+        assert set(graph.triples()) == before
 
 
 class TestSchemaMapping:
