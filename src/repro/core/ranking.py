@@ -8,6 +8,21 @@ Gauss–Seidel (the paper's production choice), and caches per-title
 scores. It also exposes *property importance* — the PageRank mass carried
 by pages using each semantic property — which feeds the recommendation
 mechanism ("properties that are scored high by the PageRank algorithm").
+
+Invariants:
+
+- **Inputs keyed on the link structure.** The sorted titles and the
+  blended :class:`~repro.pagerank.webgraph.PageRankProblem` are one memo
+  per ranker, stamped ``(link_generation, alpha, teleport)`` from
+  ``WikiSite.link_generation`` and built under ``smr.lock.read()``. A
+  write that changes no link (an observation, a description edit)
+  reuses them; the score cache stays stamped with ``mutation_count``,
+  so the refresh still runs, on the same matrix. Scores, explanations
+  and personalized scores are bit for bit those of a ranker that
+  rebuilds every input on every call.
+- **Non-negative k.** ``top``, ``related_pages`` and ``top_properties``
+  raise :class:`~repro.errors.QueryError` for ``k < 0``; ``k = 0`` is an
+  empty list.
 """
 
 from __future__ import annotations
@@ -25,7 +40,19 @@ from repro.pagerank.doublelink import DoubleLinkGraph
 from repro.pagerank.incremental import dirty_rows, initial_residual, refine_incremental
 from repro.pagerank.linear_system import normalize_solution
 from repro.pagerank.solvers import solve_pagerank
+from repro.pagerank.webgraph import PageRankProblem
 from repro.smr.repository import SensorMetadataRepository
+
+#: The sorted titles and the blended problem (``None`` when the wiki has
+#: no page).
+LinkStructure = Tuple[List[str], Optional[PageRankProblem]]
+
+
+def _top_k(pairs: Iterable[Tuple[str, float]], k: int) -> List[Tuple[str, float]]:
+    """The ``k`` highest-scored ``(name, score)`` pairs, ties by name."""
+    if k < 0:
+        raise QueryError(f"k must be non-negative, got {k}")
+    return sorted(pairs, key=lambda item: (-item[1], item[0]))[:k]
 
 
 class PageRankRanker:
@@ -68,10 +95,13 @@ class PageRankRanker:
         # cache at once — one solve is expensive enough without N copies.
         # Reentrant because property_weights() -> scores() may recompute.
         self._refresh_lock = threading.RLock()
-        # Per-generation snapshot backing explain(): (titles, index map,
-        # the combined problem, the score vector, both link graphs).
-        # Stamped with (mutation_count, epoch) so writes and forced
-        # refreshes both invalidate it; built lazily on first explain.
+        # The link-structure memo (see _link_structure), stamped
+        # (link_generation, alpha, teleport).
+        self._structure_memo: Optional[Tuple[Tuple[int, float, float], LinkStructure]] = None
+        # Per-generation snapshot backing explain(): the titles, an index
+        # map, the problem and the score vector. Stamped with
+        # (mutation_count, epoch) so writes and forced refreshes both
+        # invalidate it; built lazily on first explain.
         self._explain_memo: Optional[Tuple[Tuple[Any, int], Dict[str, Any]]] = None
         #: Bumped by :meth:`refresh`. Result caches that embed PageRank
         #: scores fold this into their generation stamp, so forcing a
@@ -136,23 +166,39 @@ class PageRankRanker:
                     self._recompute()
         return self._scores
 
-    def _recompute(self) -> None:
-        mutation = getattr(self.smr, "mutation_count", None)
-        # Reading self.smr.wiki bypasses the facade, so take the SMR read
-        # lock ourselves: titles and both link graphs must come from one
-        # consistent snapshot (mutation read first — a racing write can
-        # then only stamp fresh graphs stale, never the reverse).
+    def _link_structure(self) -> LinkStructure:
+        """The sorted titles and the blended double-link problem.
+
+        Built again only when ``WikiSite.link_generation``, ``alpha`` or
+        ``teleport`` moved. Reading ``self.smr.wiki`` bypasses the
+        facade, so the SMR read lock is taken here: the stamp and the data
+        it stamps come from one consistent snapshot.
+        """
         with self.smr.lock.read():
-            titles = self.smr.wiki.titles()
-            if not titles:
-                self._scores = {}
-                self._built_at_mutation = mutation
-                self._force_full = False
-                return
-            double = DoubleLinkGraph(
-                self.smr.wiki.link_graph(), self.smr.wiki.semantic_graph()
+            wiki = self.smr.wiki
+            stamp = (wiki.link_generation, self.alpha, self.teleport)
+            memo = self._structure_memo
+            if memo is not None and memo[0] == stamp:
+                return memo[1]
+            titles = wiki.titles()
+            double = (
+                DoubleLinkGraph(wiki.link_graph(), wiki.semantic_graph()) if titles else None
             )
-        problem = double.to_problem(alpha=self.alpha, teleport=self.teleport)
+        problem = double.to_problem(alpha=stamp[1], teleport=stamp[2]) if double else None
+        structure = (titles, problem)
+        self._structure_memo = (stamp, structure)
+        return structure
+
+    def _recompute(self) -> None:
+        # Mutation read first: a racing write can then only stamp fresh
+        # inputs stale, never the reverse.
+        mutation = getattr(self.smr, "mutation_count", None)
+        titles, problem = self._link_structure()
+        if not titles:
+            self._scores = {}
+            self._built_at_mutation = mutation
+            self._force_full = False
+            return
         x0 = self._warm_start(titles, problem.n)
         mode = "cold"
         scores_vec: Optional[np.ndarray] = None
@@ -328,8 +374,7 @@ class PageRankRanker:
 
     def top(self, k: int = 10) -> List[Tuple[str, float]]:
         """The ``k`` highest-ranked pages as (title, score) pairs."""
-        ranked = sorted(self.scores().items(), key=lambda item: (-item[1], item[0]))
-        return ranked[:k]
+        return _top_k(self.scores().items(), k)
 
     # ------------------------------------------------------------------
     # Score provenance ("why is this page ranked here")
@@ -339,13 +384,11 @@ class PageRankRanker:
         """The per-generation state :meth:`explain` decomposes against.
 
         Same generation-before-data, double-checked-lock shape as the
-        score cache: the (mutation, epoch) stamp is read before the
-        graphs, so a racing write can at worst stamp fresh state stale
+        score cache: the (mutation, epoch) stamp is read before the link
+        structure, so a racing write can at worst stamp fresh state stale
         (rebuilt next call), never stale state fresh. The snapshot holds
-        the combined double-link problem — whose cached transpose is the
-        in-link index the decomposition reads — plus both component
-        graphs, so each contribution can be classified as arriving via
-        the web link, the semantic link, or both (Section III).
+        the ranker's titles and combined double-link problem, whose cached
+        transpose is the in-link index the decomposition reads.
         """
         stamp = (getattr(self.smr, "mutation_count", None), self.epoch)
         memo = self._explain_memo
@@ -357,19 +400,12 @@ class PageRankRanker:
             if memo is not None and memo[0] == stamp:
                 return memo[1]
             scores = self.scores()
-            with self.smr.lock.read():
-                titles = list(self.smr.wiki.titles())
-                web = self.smr.wiki.link_graph()
-                semantic = self.smr.wiki.semantic_graph()
-            double = DoubleLinkGraph(web, semantic)
-            problem = double.to_problem(alpha=self.alpha, teleport=self.teleport)
+            titles, problem = self._link_structure()
             state: Dict[str, Any] = {
                 "titles": titles,
                 "index": {title.strip().lower(): i for i, title in enumerate(titles)},
                 "problem": problem,
                 "x": np.array([scores.get(title, 0.0) for title in titles]),
-                "web": web,
-                "semantic": semantic,
             }
             self._explain_memo = (stamp, state)
             return state
@@ -394,17 +430,18 @@ class PageRankRanker:
             state["problem"], state["x"], position, top_k=top_k
         )
         titles = state["titles"]
-        web, semantic = state["web"], state["semantic"]
+        key = titles[position].strip().lower()
         contributions = []
-        for source, value in decomposition.contributions:
-            via_web = position in web.out_links(source)
-            via_semantic = position in semantic.out_links(source)
-            via = "both" if via_web and via_semantic else (
-                "web" if via_web else "semantic"
-            )
-            contributions.append(
-                {"source": titles[source], "value": value, "via": via}
-            )
+        with self.smr.lock.read():  # direct wiki access, same as _link_structure
+            for source, value in decomposition.contributions:
+                web, semantic = self.smr.wiki.link_targets(titles[source])
+                via_web, via_semantic = key in web, key in semantic
+                via = "both" if via_web and via_semantic else (
+                    "web" if via_web else "semantic"
+                )
+                contributions.append(
+                    {"source": titles[source], "value": value, "via": via}
+                )
         out = decomposition.to_dict()
         out["title"] = titles[position]
         out["contributions"] = contributions
@@ -421,11 +458,7 @@ class PageRankRanker:
         pages' neighborhoods — the classic "related pages" primitive.
         Unknown seed titles raise :class:`QueryError`.
         """
-        with self.smr.lock.read():  # direct wiki access, same as _recompute
-            titles = self.smr.wiki.titles()
-            double = DoubleLinkGraph(
-                self.smr.wiki.link_graph(), self.smr.wiki.semantic_graph()
-            )
+        titles, problem = self._link_structure()
         index = {title.strip().lower(): i for i, title in enumerate(titles)}
         seeds = []
         for title in seed_titles:
@@ -437,9 +470,7 @@ class PageRankRanker:
             raise QueryError("personalized PageRank needs at least one seed page")
         personalization = np.zeros(len(titles))
         personalization[seeds] = 1.0 / len(seeds)
-        problem = double.to_problem(
-            alpha=self.alpha, teleport=self.teleport, personalization=personalization
-        )
+        problem = PageRankProblem(problem.transition, problem.teleport, personalization)
         result = solve_pagerank(
             problem, method=self.method, tol=self.tol, max_iter=self.max_iter
         )
@@ -449,15 +480,14 @@ class PageRankRanker:
         """The ``k`` pages most related to ``title`` (seed excluded)."""
         scores = self.personalized([title])
         key = title.strip().lower()
-        ranked = sorted(
+        return _top_k(
             (
                 (candidate, score)
                 for candidate, score in scores.items()
                 if candidate.strip().lower() != key
             ),
-            key=lambda item: (-item[1], item[0]),
+            k,
         )
-        return ranked[:k]
 
     # ------------------------------------------------------------------
     # Property importance (feeds recommendations)
@@ -478,5 +508,4 @@ class PageRankRanker:
 
     def top_properties(self, k: int = 5) -> List[Tuple[str, float]]:
         """The ``k`` highest-weighted properties as (name, weight) pairs."""
-        ranked = sorted(self.property_weights().items(), key=lambda item: (-item[1], item[0]))
-        return ranked[:k]
+        return _top_k(self.property_weights().items(), k)

@@ -25,6 +25,13 @@ paid only on the dirty set.
 :class:`repro.core.ranking.PageRankRanker` uses :func:`refine_incremental`
 for small deltas and falls back to a full warm-started Gauss–Seidel solve
 past a dirty-fraction threshold or when the relaxation budget runs out.
+
+The push loop runs on plain floats: a relaxation touches a few entries,
+where numpy's per-call cost would dwarf the arithmetic. It does the same
+IEEE operations in the same order as the per-row numpy form (each
+off-diagonal entry gets ``(c·v)·δ``; woken rows join the queue in CSR
+column order), and residual norms are still summed by numpy, so ``y``
+and every reported number are bit for bit those of the numpy form.
 """
 
 from __future__ import annotations
@@ -120,42 +127,54 @@ def refine_incremental(
     rhs = problem.personalization
     rhs_norm = float(np.abs(rhs).sum()) or 1.0
     threshold = tol * rhs_norm / max(n, 1)
-    # Diagonal of A = I - c Pᵀ: unit except where P has self-links.
-    diag = 1.0 - problem.teleport * transition.diagonal()
     r = initial_residual(problem, y) if residual is None else residual
     queue = deque(int(i) for i in np.flatnonzero(np.abs(r) > threshold))
     dirty = len(queue)
-    in_queue = np.zeros(n, dtype=bool)
-    in_queue[list(queue)] = True
     relaxations = 0
-    # Sampling the norm every n relaxations keeps the bookkeeping O(1)
-    # amortized per relaxation while still yielding one history point per
-    # sweep-equivalent of work.
     history: List[float] = [float(np.abs(r).sum())]
-    next_sample = n
-    while queue and relaxations < max_relaxations:
-        i = queue.popleft()
-        in_queue[i] = False
-        r_i = float(r[i])
-        if abs(r_i) <= threshold:
-            continue
-        delta = r_i / diag[i]
-        y[i] += delta
-        r[i] = 0.0
-        relaxations += 1
-        if relaxations >= next_sample:
-            history.append(float(np.abs(r).sum()))
-            next_sample += n
-        cols, vals = transition.row(i)
-        if cols.size:
-            off_diag = cols != i  # self-link effect already in diag[i]
-            cols = cols[off_diag]
-            if cols.size:
-                r[cols] += problem.teleport * vals[off_diag] * delta
-                woken = cols[(np.abs(r[cols]) > threshold) & ~in_queue[cols]]
-                if woken.size:
-                    in_queue[woken] = True
-                    queue.extend(int(k) for k in woken)
+    if queue:
+        c = problem.teleport
+        # Diagonal of A = I - c Pᵀ: unit except where P has self-links.
+        diag = (1.0 - c * transition.diagonal()).tolist()
+        indptr = transition.indptr.tolist()
+        indices = transition.indices.tolist()
+        data = transition.data.tolist()
+        r_list = r.tolist()
+        y_list = y.tolist()
+        in_queue = [False] * n
+        for i in queue:
+            in_queue[i] = True
+        # Sampling the norm every n relaxations keeps the bookkeeping O(1)
+        # amortized per relaxation while still yielding one history point
+        # per sweep-equivalent of work.
+        next_sample = n
+        while queue and relaxations < max_relaxations:
+            i = queue.popleft()
+            in_queue[i] = False
+            r_i = r_list[i]
+            if abs(r_i) <= threshold:
+                continue
+            delta = r_i / diag[i]
+            y_list[i] += delta
+            r_list[i] = 0.0
+            relaxations += 1
+            if relaxations >= next_sample:
+                history.append(float(np.abs(np.array(r_list)).sum()))
+                next_sample += n
+            # A CSR row holds each column once, so waking row k as soon
+            # as its entry is added equals the numpy form's mask taken
+            # after the whole row.
+            for p in range(indptr[i], indptr[i + 1]):
+                k = indices[p]
+                if k == i:  # self-link effect already in diag[i]
+                    continue
+                r_k = r_list[k] + c * data[p] * delta
+                r_list[k] = r_k
+                if abs(r_k) > threshold and not in_queue[k]:
+                    in_queue[k] = True
+                    queue.append(k)
+        y[:] = y_list
+        r[:] = r_list
     final = float(np.abs(r).sum())
     if not history or history[-1] != final:
         history.append(final)

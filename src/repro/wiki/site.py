@@ -11,7 +11,7 @@ same page ordering, ready for
 from __future__ import annotations
 
 import re
-from typing import Any, Dict, Iterator, List, Tuple
+from typing import Any, Dict, Iterator, List, Set, Tuple
 
 from repro.errors import WikiError
 from repro.pagerank.webgraph import LinkGraph
@@ -47,6 +47,7 @@ class WikiSite:
     def __init__(self):
         self._pages: Dict[str, Page] = {}  # canonical (lower) title -> Page
         self._parsed: Dict[str, ParsedWikitext] = {}
+        self._link_generation = 0
 
     # ------------------------------------------------------------------
     # Page management
@@ -63,6 +64,9 @@ class WikiSite:
         other than spaces has no RDF export; it is refused with
         :class:`WikiError` before anything is stored, so
         :meth:`export_rdf` never fails on a saved page.
+
+        A creation bumps :attr:`link_generation`, and so does an edit
+        that changes the page's :meth:`link_targets`.
         """
         key = self._key(title)
         page = self._pages.get(key)
@@ -78,10 +82,35 @@ class WikiSite:
         if page is None:
             page = Page(title, text, author=author, comment=comment)
             self._pages[key] = page
+            self._link_generation += 1
         else:
+            if self._resolved_targets(key, self._parsed[key]) != self._resolved_targets(key, parsed):
+                self._link_generation += 1
             page.edit(text, author=author, comment=comment)
         self._parsed[key] = parsed
         return page
+
+    def link_targets(self, title: str) -> Tuple[Set[str], Set[str]]:
+        """Keys of the other existing pages ``title`` links to, and annotates with.
+
+        These are the page's rows of :meth:`link_graph` and
+        :meth:`semantic_graph`, by title key: a self-link, or a link or
+        value naming a missing page, is in neither.
+        """
+        return self._resolved_targets(self._key(title), self.parsed(title))
+
+    def _resolved_targets(self, key: str, parsed: ParsedWikitext) -> Tuple[Set[str], Set[str]]:
+        """:meth:`link_targets` of the page keyed ``key``, were ``parsed`` its text."""
+        pages = self._pages
+        web = {target for target in map(self._key, parsed.links) if target in pages}
+        semantic = {
+            target
+            for target in (self._key(v) for _, v in parsed.annotations if isinstance(v, str))
+            if target in pages
+        }
+        web.discard(key)
+        semantic.discard(key)
+        return web, semantic
 
     def get(self, title: str) -> Page:
         """The page titled ``title`` (case-insensitive); raises if missing."""
@@ -101,6 +130,7 @@ class WikiSite:
             raise WikiError(f"no page titled {title!r}")
         del self._pages[key]
         del self._parsed[key]
+        self._link_generation += 1
 
     def parsed(self, title: str) -> ParsedWikitext:
         """The parsed current revision of ``title``."""
@@ -112,6 +142,20 @@ class WikiSite:
     @property
     def page_count(self) -> int:
         return len(self._pages)
+
+    @property
+    def link_generation(self) -> int:
+        """A counter that moves whenever the titles or a link graph may change.
+
+        It covers :meth:`titles`, :meth:`link_graph` and
+        :meth:`semantic_graph`. :meth:`save` bumps it on a creation and on an edit that changes
+        which existing pages the page links to or annotates with;
+        :meth:`delete` bumps it. An edit of literals or prose, or of a
+        link to a missing page, leaves it, so a cache stamped with it
+        outlives such writes. A title never changes after creation, and
+        the graphs index pages by title order.
+        """
+        return self._link_generation
 
     def titles(self) -> List[str]:
         """All page titles, sorted case-insensitively (stable ordering)."""

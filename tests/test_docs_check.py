@@ -45,6 +45,8 @@ INVARIANT_DOCSTRINGS = {
     "repro.text.inverted_index": ["Write-through", "Re-add replaces"],
     "repro.smr.repository": ["Write-through", "export_rdf", "canonical title"],
     "repro.relational.planner": ["NULL", "Superset"],
+    "repro.core.ranking": ["link_generation", "mutation_count", "bit for bit"],
+    "repro.pagerank.incremental": ["plain floats", "bit for bit"],
 }
 
 
@@ -79,7 +81,23 @@ STALE_CLAIMS = [
         "serial is the only execution path; the worker pools and repro.shard are gone",
     )
     for path in _markdown_files()
+] + [
+    (
+        "docs/PERFORMANCE.md",
+        re.compile(r"of which about 3\.7\s+ms\s+rebuilds\s+both\s+link\s+graphs"),
+        "the ranker rebuilds its link graphs only when WikiSite.link_generation moves",
+    ),
 ]
+
+
+def _claim_ids(claims):
+    """Each claim's file, with ``#2``, ``#3``... on later claims about one file."""
+    seen = {}
+    ids = []
+    for path, _, _ in claims:
+        seen[path] = seen.get(path, 0) + 1
+        ids.append(path if seen[path] == 1 else f"{path}#{seen[path]}")
+    return ids
 
 
 def _packages():
@@ -160,9 +178,7 @@ def test_module_docstring_states_invariants(name):
     )
 
 
-@pytest.mark.parametrize(
-    "rel_path,pattern,fix", STALE_CLAIMS, ids=[c[0] for c in STALE_CLAIMS]
-)
+@pytest.mark.parametrize("rel_path,pattern,fix", STALE_CLAIMS, ids=_claim_ids(STALE_CLAIMS))
 def test_docs_carry_no_stale_claims(rel_path, pattern, fix):
     path = os.path.join(REPO_ROOT, rel_path)
     with open(path, encoding="utf-8") as handle:

@@ -1,11 +1,15 @@
 """Smoke tests: every example script must run to completion.
 
 Examples are documentation; a bit-rotted example is worse than none.
-Each runs in a subprocess with a time limit; output artifacts land in a
-temp directory via a patched working directory where needed.
+Each runs in a subprocess with a time limit, from a copy in a temp
+directory: the scripts write their artifacts to ``out/`` next to
+themselves, so a copy leaves the tracked ``examples/out/`` untouched.
+The working directory stays as it is, so a relative ``PYTHONPATH=src``
+still resolves.
 """
 
 import os
+import shutil
 import subprocess
 import sys
 
@@ -24,15 +28,36 @@ CASES = [
     ("realtime_dashboard.py", "Artifacts written", 180),
 ]
 
+#: The files a script writes to ``out/`` next to itself.
+ARTIFACTS = {
+    "swiss_experiment.py": (
+        "stations_map.svg",
+        "sensor_types_bar.svg",
+        "station_status_pie.svg",
+        "relations.dot",
+        "relations.svg",
+    ),
+    "tag_cloud_demo.py": ("tag_cloud.html", "tag_cloud.svg"),
+    "realtime_dashboard.py": (
+        "realtime_bar.svg",
+        "realtime_pie.svg",
+        "realtime_line.svg",
+        "realtime_map.svg",
+    ),
+}
+
 
 @pytest.mark.parametrize("script,expected,timeout", CASES)
-def test_example_runs(script, expected, timeout):
-    path = os.path.join(EXAMPLES_DIR, script)
+def test_example_runs(script, expected, timeout, tmp_path):
+    path = tmp_path / script
+    shutil.copyfile(os.path.join(EXAMPLES_DIR, script), path)
     completed = subprocess.run(
-        [sys.executable, path],
+        [sys.executable, str(path)],
         capture_output=True,
         text=True,
         timeout=timeout,
     )
     assert completed.returncode == 0, completed.stderr[-2000:]
     assert expected in completed.stdout
+    for name in ARTIFACTS.get(script, ()):
+        assert (tmp_path / "out" / name).is_file(), name

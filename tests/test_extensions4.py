@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.errors import RelationalError, SqlSyntaxError
+from repro.errors import QueryError, RelationalError, SqlSyntaxError
 from repro.relational import Database
 
 
@@ -219,6 +219,9 @@ class TestApiGapFills:
         assert len(top) == 3
         weights = [weight for _, weight in top]
         assert weights == sorted(weights, reverse=True)
+        assert engine.ranker.top_properties(0) == []
+        with pytest.raises(QueryError):
+            engine.ranker.top_properties(-1)
 
     def test_privileges_direct(self):
         from repro.core import AccessPolicy, User

@@ -114,11 +114,28 @@ class TestScoreDecomposition:
         assert all(v >= 0 for v in values)
 
     def test_contribution_sources_name_linking_pages(self, engine, smr):
-        explanation = engine.ranker.explain("Institution:EPFL")
-        titles = set(smr.titles())
-        for contribution in explanation["contributions"]:
-            assert contribution["source"] in titles
-            assert contribution["via"] in ("web", "semantic", "both")
+        web, semantic = smr.wiki.link_graph(), smr.wiki.semantic_graph()
+        index = smr.wiki.page_index()
+        for title in smr.titles():
+            target = index[title.lower()]
+            for contribution in engine.ranker.explain(title, top_k=64)["contributions"]:
+                source = index[contribution["source"].lower()]
+                via_web = target in web.out_links(source)
+                via_semantic = target in semantic.out_links(source)
+                assert via_web or via_semantic, (title, contribution)
+                expected = "both" if via_web and via_semantic else (
+                    "web" if via_web else "semantic"
+                )
+                assert contribution["via"] == expected, (title, contribution)
+
+    def test_via_tells_plain_links_from_annotations(self):
+        repo = SensorMetadataRepository()
+        repo.register("station", "Station:Hub", [("name", "hub")])
+        repo.register("station", "Station:Plain", [("name", "plain")], links=["Station:Hub"])
+        repo.register("sensor", "Sensor:Annotated", [("name", "a"), ("station", "Station:Hub")])
+        explanation = AdvancedSearchEngine(repo).ranker.explain("Station:Hub")
+        via = {c["source"]: c["via"] for c in explanation["contributions"]}
+        assert via == {"Station:Plain": "web", "Sensor:Annotated": "both"}
 
     def test_remainder_folds_truncated_mass(self, engine):
         full = engine.ranker.explain("Station:WAN-001", top_k=64)

@@ -8,12 +8,16 @@ approximation. The ranker-level tests pin down when each path runs.
 """
 
 import random
+from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.ranking import PageRankRanker
 from repro.pagerank import combine_link_structures, solve_pagerank
+from repro.pagerank.doublelink import DoubleLinkGraph
 from repro.pagerank.incremental import (
     IncrementalResult,
     dirty_rows,
@@ -22,6 +26,7 @@ from repro.pagerank.incremental import (
 )
 from repro.pagerank.linear_system import normalize_solution
 from repro.smr import SensorMetadataRepository
+from repro.wiki.site import WikiSite
 from repro.workloads.webgraphs import paired_link_structures
 
 TOL = 1e-10
@@ -33,6 +38,81 @@ def _warm_gauge(problem, scores: np.ndarray) -> np.ndarray:
         scores[problem.dangling].sum()
     )
     return scores / k
+
+
+def _reference_refine(problem, y, tol=TOL, max_relaxations=None):
+    """The per-row numpy form of :func:`refine_incremental`'s push loop.
+
+    The reference the plain-float loop must match bit for bit: same
+    relaxation order, same ``(c·v)·δ`` products, woken rows queued in
+    CSR column order.
+    """
+    n = problem.n
+    if max_relaxations is None:
+        max_relaxations = 20 * n
+    transition = problem.transition
+    rhs_norm = float(np.abs(problem.personalization).sum()) or 1.0
+    threshold = tol * rhs_norm / max(n, 1)
+    diag = 1.0 - problem.teleport * transition.diagonal()
+    r = initial_residual(problem, y)
+    queue = deque(int(i) for i in np.flatnonzero(np.abs(r) > threshold))
+    dirty = len(queue)
+    in_queue = np.zeros(n, dtype=bool)
+    in_queue[list(queue)] = True
+    relaxations = 0
+    history = [float(np.abs(r).sum())]
+    next_sample = n
+    while queue and relaxations < max_relaxations:
+        i = queue.popleft()
+        in_queue[i] = False
+        r_i = float(r[i])
+        if abs(r_i) <= threshold:
+            continue
+        delta = r_i / diag[i]
+        y[i] += delta
+        r[i] = 0.0
+        relaxations += 1
+        if relaxations >= next_sample:
+            history.append(float(np.abs(r).sum()))
+            next_sample += n
+        cols, vals = transition.row(i)
+        if cols.size:
+            off_diag = cols != i
+            cols = cols[off_diag]
+            if cols.size:
+                r[cols] += problem.teleport * vals[off_diag] * delta
+                woken = cols[(np.abs(r[cols]) > threshold) & ~in_queue[cols]]
+                if woken.size:
+                    in_queue[woken] = True
+                    queue.extend(int(k) for k in woken)
+    final = float(np.abs(r).sum())
+    if not history or history[-1] != final:
+        history.append(final)
+    return IncrementalResult(
+        relaxations=relaxations,
+        dirty=dirty,
+        converged=final < tol * rhs_norm,
+        final_residual=final,
+        residual_history=history,
+    )
+
+
+def _refine_like_reference(problem, y, **kwargs):
+    """Run :func:`refine_incremental` on ``y`` in place; assert it is bit
+    for bit the reference loop run on a copy."""
+    expected_y = y.copy()
+    expected = _reference_refine(problem, expected_y, **kwargs)
+    result = refine_incremental(problem, y, **kwargs)
+    assert y.tobytes() == expected_y.tobytes()
+    assert (result.relaxations, result.dirty, result.converged) == (
+        expected.relaxations,
+        expected.dirty,
+        expected.converged,
+    )
+    assert np.array(
+        [result.final_residual, *result.residual_history]
+    ).tobytes() == np.array([expected.final_residual, *expected.residual_history]).tobytes()
+    return result
 
 
 # ----------------------------------------------------------------------
@@ -55,7 +135,7 @@ def test_incremental_matches_full_recompute_on_random_delta(seed):
     after = combine_link_structures(web, semantic)
 
     y = _warm_gauge(after, old.scores.copy())
-    result = refine_incremental(after, y, tol=TOL)
+    result = _refine_like_reference(after, y, tol=TOL)
     assert result.converged
     assert result.relaxations > 0
 
@@ -89,7 +169,7 @@ def test_noop_delta_needs_no_relaxations():
     y = _warm_gauge(problem, solved.scores.copy())
     # Refining a solution that already converged at TOL, against a looser
     # target, finds nothing to do: every row is below its dirty slice.
-    result = refine_incremental(problem, y, tol=100 * TOL)
+    result = _refine_like_reference(problem, y, tol=100 * TOL)
     assert result.converged
     assert result.dirty == 0
     assert result.relaxations == 0
@@ -100,7 +180,7 @@ def test_relaxation_budget_reports_non_convergence():
     web, semantic = paired_link_structures(300, seed=5)
     problem = combine_link_structures(web, semantic)
     y = np.zeros(problem.n)  # everything dirty, nothing pre-solved
-    result = refine_incremental(problem, y, tol=TOL, max_relaxations=10)
+    result = _refine_like_reference(problem, y, tol=TOL, max_relaxations=10)
     assert not result.converged
     assert result.relaxations == 10
 
@@ -220,3 +300,118 @@ class TestRankerRefreshModes:
         ranker = PageRankRanker(_make_smr())
         first = ranker.scores()
         assert ranker.scores() is first  # cached dict, no recompute
+
+
+# ----------------------------------------------------------------------
+# The link-structure memo under arbitrary write sequences
+# ----------------------------------------------------------------------
+
+#: Page titles the sequences write; the first four exist at the start.
+#: Indices past the list name pages that never exist.
+_PAGES = [f"Station:SEQ-{i}" for i in range(7)]
+_START = 4
+_target = st.integers(0, len(_PAGES) + 1)
+_page = st.integers(0, len(_PAGES) - 1)
+_seq_step = st.one_of(
+    st.tuples(st.just("observe"), _page, st.integers(0, 99)),
+    st.tuples(st.just("edit"), _page, st.integers(0, 3)),
+    st.tuples(st.just("kind"), _page, st.sampled_from(["station", "sensor", "deployment"])),
+    # New links and page-valued annotations; on a missing page, a creation.
+    st.tuples(st.just("links"), _page, st.lists(_target, max_size=3), st.lists(_target, max_size=2)),
+)
+
+
+def _title(index):
+    return _PAGES[index] if index < len(_PAGES) else f"Missing:M{index}"
+
+
+def _register(smr, title, page):
+    annotations = [("name", title), ("elevation_m", page["n"])]
+    annotations += [("refers", _title(index)) for index in page["refers"]]
+    smr.register(
+        page["kind"],
+        title,
+        annotations,
+        links=[_title(index) for index in page["links"]],
+        description=page["description"],
+    )
+
+
+class TestLinkStructureMemo:
+    """The ranker rebuilds its inputs exactly when a link changed."""
+
+    @given(steps=st.lists(_seq_step, min_size=1, max_size=10))
+    @settings(max_examples=60, deadline=None)
+    @example(
+        steps=[
+            ("observe", 0, 7),  # a literal only
+            ("edit", 1, 2),  # prose only
+            ("kind", 2, "sensor"),  # another table, the same links
+            ("links", 3, [8], []),  # a link to a page that never exists
+            ("links", 5, [0, 1], [2]),  # a creation
+            ("links", 0, [1], [1]),  # a plain link becomes an annotation too
+            ("links", 0, [1], [5]),  # the annotation moves to another page
+        ]
+    )
+    def test_inputs_and_scores_match_a_fresh_ranker_after_every_write(self, steps):
+        link_graph = WikiSite.link_graph
+        calls = []
+
+        def counted(wiki):
+            calls.append(wiki)
+            return link_graph(wiki)
+
+        def structure(wiki):
+            edges = list(link_graph(wiki).edges()), list(wiki.semantic_graph().edges())
+            return wiki.titles(), edges
+
+        smr = SensorMetadataRepository()
+        pages = {}
+        for index in range(_START):
+            pages[index] = {
+                "kind": "station",
+                "n": index,
+                "description": "",
+                "links": [(index + 1) % _START],
+                "refers": [],
+            }
+            _register(smr, _PAGES[index], pages[index])
+        ranker = PageRankRanker(smr)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(WikiSite, "link_graph", counted)
+            ranker.scores()
+            for step in steps:
+                before = structure(smr.wiki)
+                action, index = step[0], step[1]
+                page = pages.setdefault(
+                    index,
+                    {"kind": "station", "n": 0, "description": "", "links": [], "refers": []},
+                )
+                if action == "observe":
+                    page["n"] = step[2]
+                elif action == "edit":
+                    page["description"] = f"revised note {step[2]}"
+                elif action == "kind":
+                    page["kind"] = step[2]
+                else:
+                    page["links"], page["refers"] = step[2], step[3]
+                _register(smr, _PAGES[index], page)
+                changed = structure(smr.wiki) != before
+
+                del calls[:]
+                scores = ranker.scores()
+                titles, problem = ranker._link_structure()
+                assert len(calls) == (1 if changed else 0), step
+
+                wiki = smr.wiki
+                fresh = DoubleLinkGraph(link_graph(wiki), wiki.semantic_graph()).to_problem()
+                assert titles == wiki.titles()
+                for name in ("indptr", "indices", "data"):
+                    ours = getattr(problem.transition, name)
+                    theirs = getattr(fresh.transition, name)
+                    assert ours.tobytes() == theirs.tobytes(), (step, name)
+
+                reference = PageRankRanker(smr).scores()
+                assert set(scores) == set(reference)
+                drift = sum(abs(scores[title] - reference[title]) for title in reference)
+                assert drift < 100 * ranker.tol

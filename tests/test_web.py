@@ -147,6 +147,13 @@ class TestAnalysisEndpoints:
         assert len(body["pages"]) == 2
         assert body["pages"][0]["score"] >= body["pages"][1]["score"]
 
+    def test_pagerank_top_rejects_negative_k(self, app):
+        status, _, body = call(app, "GET", "/api/pagerank/top", "k=-3")
+        assert status == "400 Bad Request"
+        assert body["type"] == "QueryError"
+        _, _, body = call(app, "GET", "/api/pagerank/top", "k=0")
+        assert body["pages"] == []
+
 
 class TestTagEndpoints:
     def test_cloud_json(self, app):
@@ -212,6 +219,13 @@ class TestHtmlAndInfoEndpoints:
         assert status == "200 OK"
         titles = [entry["title"] for entry in body["related"]]
         assert "Station:WAN-001" in titles
+
+    def test_related_rejects_negative_k(self, app):
+        status, _, body = call(app, "GET", "/api/related/Sensor:W1", "k=-3")
+        assert status == "400 Bad Request"
+        assert body["type"] == "QueryError"
+        _, _, body = call(app, "GET", "/api/related/Sensor:W1", "k=0")
+        assert body["related"] == []
 
     def test_snippet_endpoint(self, app):
         _, _, body = call(app, "GET", "/api/snippet/Sensor:W1", "q=wind")

@@ -194,6 +194,73 @@ class TestWikiSite:
         assert set(graph.triples()) == before
 
 
+def _structure(site):
+    return (
+        site.titles(),
+        list(site.link_graph().edges()),
+        list(site.semantic_graph().edges()),
+    )
+
+
+class TestLinkGeneration:
+    """``link_generation`` moves exactly when the titles or a link graph may."""
+
+    @pytest.mark.parametrize(
+        "title,text",
+        [
+            # A literal-only edit.
+            ("Station:A", "[[deployment::Deployment:D]] [[elev::250]] [[Station:B]]"),
+            # A description edit.
+            ("Station:A", "Moved. [[deployment::Deployment:D]] [[elev::100]] [[Station:B]]"),
+            # A change of a link, and of a value, naming a missing page.
+            ("Deployment:D", "[[institution::ETH]] [[Station:A]] [[Station:B]] [[Nowhere]]"),
+            # A self-link.
+            ("Station:B", "[[deployment::Deployment:D]] [[Category:Stations]] [[Station:B]]"),
+            # Re-registering a title in another letter case.
+            ("station:a", "[[deployment::Deployment:D]] [[elev::100]] [[Station:B]]"),
+        ],
+        ids=["literal", "description", "missing-target", "self-link", "letter-case"],
+    )
+    def test_stays_put(self, site, title, text):
+        before, structure = site.link_generation, _structure(site)
+        site.save(title, text)
+        assert site.link_generation == before
+        assert _structure(site) == structure
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda site: site.save("Station:C", "[[elev::1]]"),
+            lambda site: site.delete("Station:B"),
+            # Adding, then removing, a link to an existing page.
+            lambda site: site.save("Station:B", "[[deployment::Deployment:D]] [[Station:A]]"),
+            lambda site: site.save("Station:A", "[[deployment::Deployment:D]] [[elev::100]]"),
+            # Moving a page-valued annotation to another page.
+            lambda site: site.save("Station:B", "[[deployment::Station:A]]"),
+            # A plain link turned into an annotation: same web row, new semantic row.
+            lambda site: site.save(
+                "Station:A", "[[deployment::Deployment:D]] [[elev::100]] [[peer::Station:B]]"
+            ),
+        ],
+        ids=["create", "delete", "add-link", "remove-link", "move-annotation", "link-to-annotation"],
+    )
+    def test_moves(self, site, change):
+        before, structure = site.link_generation, _structure(site)
+        change(site)
+        assert site.link_generation > before
+        assert _structure(site) != structure
+
+    def test_link_targets_are_the_graph_rows(self, site):
+        site.save("Station:B", "[[deployment::Deployment:D]] [[Station:B]] [[Nowhere]] [[station:a]]")
+        index = site.page_index()
+        web, semantic = site.link_graph(), site.semantic_graph()
+        for title in site.titles():
+            links, annotations = site.link_targets(title)
+            row = index[title.lower()]
+            assert {index[key] for key in links} == web.out_links(row)
+            assert {index[key] for key in annotations} == semantic.out_links(row)
+
+
 class TestSchemaMapping:
     @pytest.fixture
     def mapping(self):
