@@ -308,7 +308,7 @@ class AdvancedSearchEngine:
 
         outputs, job_seconds = self._evaluate_constraints(query, timed=prov is not None)
         if prov is not None:
-            corpus = len(self.smr.titles())
+            corpus = self.smr.page_count  # O(1); titles() would sort every title
         set_names: List[str] = []
 
         cursor = 0

@@ -3,8 +3,10 @@
 The paper's metadata lives "in both a relational database and RDF graphs"
 and queries are "processed using a combination of SQL and SPARQL". This
 package is the relational half: typed tables, hash and sorted indexes, an
-expression evaluator, a recursive-descent SQL parser and an iterator-style
-executor with sequential/index scans, hash joins, grouping, ordering and
+expression compiler (each expression becomes a closure over a flat row
+tuple once per statement, column names resolved to positions up front), a
+recursive-descent SQL parser and an executor that streams row tuples
+through sequential/index scans, hash joins, grouping, ordering and
 limits.
 
 Entry point::

@@ -6,7 +6,7 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import CatalogError, RelationalError
 from repro.relational.executor import Executor
-from repro.relational.expr import RowContext, evaluate, truthy
+from repro.relational.expr import Compiled, Expr, Layout, compile_expr
 from repro.relational.planner import Catalog, Planner
 from repro.relational.schema import TableSchema
 from repro.relational.sql_parser import (
@@ -239,11 +239,10 @@ class Database:
 
     def _insert(self, stmt: InsertStmt) -> ResultSet:
         table = self.table(stmt.table)
-        empty_ctx = RowContext()
         count = 0
         for row_exprs in stmt.rows:
             values = {
-                column: evaluate(expr, empty_ctx)
+                column: compile_expr(expr, [])(())
                 for column, expr in zip(stmt.columns, row_exprs)
             }
             table.insert(values)
@@ -252,33 +251,31 @@ class Database:
 
     def _update(self, stmt: UpdateStmt) -> ResultSet:
         table = self.table(stmt.table)
-        columns = table.schema.column_names
-        where = (
-            self._executor.resolve_subqueries(stmt.where) if stmt.where is not None else None
-        )
+        layout = [(stmt.table, table.schema.column_names)]
+        where = self._compile_where(stmt.where, layout)
+        assignments = [
+            (column, compile_expr(expr, layout)) for column, expr in stmt.assignments
+        ]
         targets = []
         for rowid, row in table.scan():
-            ctx = RowContext().bind(stmt.table, columns, row)
-            if where is None or truthy(evaluate(where, ctx)):
-                changes = {
-                    column: evaluate(expr, ctx) for column, expr in stmt.assignments
-                }
-                targets.append((rowid, changes))
+            if where is None or where(row) is True:
+                targets.append((rowid, {column: fn(row) for column, fn in assignments}))
         for rowid, changes in targets:
             table.update(rowid, changes)
         return ResultSet([], [], rowcount=len(targets))
 
     def _delete(self, stmt: DeleteStmt) -> ResultSet:
         table = self.table(stmt.table)
-        columns = table.schema.column_names
-        where = (
-            self._executor.resolve_subqueries(stmt.where) if stmt.where is not None else None
-        )
-        targets = []
-        for rowid, row in table.scan():
-            ctx = RowContext().bind(stmt.table, columns, row)
-            if where is None or truthy(evaluate(where, ctx)):
-                targets.append(rowid)
+        where = self._compile_where(stmt.where, [(stmt.table, table.schema.column_names)])
+        targets = [
+            rowid for rowid, row in table.scan() if where is None or where(row) is True
+        ]
         for rowid in targets:
             table.delete(rowid)
         return ResultSet([], [], rowcount=len(targets))
+
+    def _compile_where(self, where: Optional[Expr], layout: Layout) -> Optional[Compiled]:
+        """A mutation's WHERE, subqueries materialized, compiled once."""
+        if where is None:
+            return None
+        return compile_expr(self._executor.resolve_subqueries(where), layout)

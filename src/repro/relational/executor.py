@@ -12,8 +12,19 @@ SELECT pipelines are built left-deep in statement order:
     -> ORDER BY (stable multi-key, NULLs last ascending)
     -> OFFSET/LIMIT
 
-Rows flow as :class:`~repro.relational.expr.RowContext` objects so that
-qualified names keep working across joins.
+Rows are flat tuples: a joined row is its tables' rows concatenated in
+FROM/JOIN order. Each expression (WHERE, ON, projection, GROUP BY keys,
+aggregate arguments, HAVING, ORDER BY keys) is compiled
+once per statement by :func:`~repro.relational.expr.compile_expr`, with
+column names resolved to tuple positions before the first row is read.
+A single-table SELECT without grouping runs scan, WHERE and projection
+in one loop, so a scan allocates nothing per row except the output tuple
+of a kept row. ORDER BY keys read each output row's source row, which
+travels beside it through the sort.
+
+No per-statement state lives on the ``Executor``: readers sharing one
+(as ``smr.sql()`` readers do under the read lock) cannot see each
+other's rows.
 
 Access-path selection lives in :mod:`repro.relational.planner`; this
 module re-exports :class:`AccessPath` for compatibility. Every index
@@ -24,23 +35,25 @@ results — only on cost.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from operator import itemgetter
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import CatalogError, RelationalError
 from repro.relational.expr import (
     Aggregate,
     BinaryOp,
     ColumnRef,
+    Compiled,
     Expr,
     InList,
     InSubquery,
+    Layout,
     Literal,
-    RowContext,
     Star,
     collect_aggregates,
-    evaluate,
+    compile_expr,
+    compile_row,
     rewrite,
-    truthy,
 )
 from repro.relational.planner import (
     AccessPath,
@@ -92,23 +105,42 @@ class Executor:
         stmt = self._materialize_subqueries(stmt)
         if stmt.table is None:
             return self._select_without_from(stmt)
-        contexts = self._scan_base(stmt)
-        for join in stmt.joins:
-            contexts = self._apply_join(contexts, join)
-        if stmt.where is not None:
-            contexts = [ctx for ctx in contexts if truthy(evaluate(stmt.where, ctx))]
+        layout = self._layout(stmt)
+        named = self._expand_items(stmt, layout)
+        columns = [name for name, _ in named]
+        rows = self._scan_base(stmt)
+        for depth, join in enumerate(stmt.joins, start=1):
+            rows = self._apply_join(rows, layout[:depth], join)
+        where = compile_expr(stmt.where, layout) if stmt.where is not None else None
         aggregates = self._all_aggregates(stmt)
         if stmt.group_by or aggregates:
-            columns, rows = self._grouped_projection(stmt, contexts, aggregates)
+            rows = [row for row in rows if where is None or where(row) is True]
+            output, sources, source_layout = self._grouped_projection(
+                stmt, layout, named, rows, aggregates
+            )
         else:
-            columns, rows = self._plain_projection(stmt, contexts)
+            project = compile_row([expr for _, expr in named], layout)
+            source_layout = (layout, ())
+            if stmt.order_by:
+                # ORDER BY may read columns the projection drops, so each
+                # kept row stays beside its output row.
+                sources = [row for row in rows if where is None or where(row) is True]
+                output = [project(row) for row in sources]
+            elif where is None:
+                sources, output = None, [project(row) for row in rows]
+            else:
+                sources, output = None, [project(row) for row in rows if where(row) is True]
         if stmt.distinct:
-            rows = _distinct(rows)
-        rows = self._order(stmt, columns, rows)
-        rows = rows[stmt.offset :]
+            unique = _distinct(output)
+            if len(unique) != len(output):
+                sources = None  # merged rows have no single source row
+            output = unique
+        if stmt.order_by:
+            output = self._order(stmt, columns, output, sources, source_layout)
+        output = output[stmt.offset :]
         if stmt.limit is not None:
-            rows = rows[: stmt.limit]
-        return columns, rows
+            output = output[: stmt.limit]
+        return columns, output
 
     # ------------------------------------------------------------------
     # Subqueries
@@ -151,21 +183,22 @@ class Executor:
             raise CatalogError(f"unknown table {name!r}")
         return table
 
-    def _scan_base(self, stmt: SelectStmt) -> List[RowContext]:
+    def _layout(self, stmt: SelectStmt) -> List[Tuple[str, List[str]]]:
+        """The statement's ``(alias, columns)`` bindings in FROM/JOIN order."""
+        refs = [stmt.table, *(join.table for join in stmt.joins)]
+        return [(ref.alias, self._table(ref.name).schema.column_names) for ref in refs]
+
+    def _scan_base(self, stmt: SelectStmt) -> Iterable[tuple]:
+        """The base table's rows through the chosen access path, in
+        ascending row-id order whichever path it is."""
         ref = stmt.table
         table = self._table(ref.name)
-        columns = table.schema.column_names
         plan = self.plan_access(table, ref.alias, stmt.where)
         _count_plan(plan.path.kind)
         rowids = self._execute_access_path(table, plan.path)
-        contexts = []
         if rowids is None:
-            iterator = table.scan()
-        else:
-            iterator = ((rowid, table.get(rowid)) for rowid in sorted(rowids))
-        for _, row in iterator:
-            contexts.append(RowContext().bind(ref.alias, columns, row))
-        return contexts
+            return table.rows()
+        return [table.get(rowid) for rowid in sorted(rowids)]
 
     def plan_access(self, table: Table, alias: str, where: Optional[Expr]) -> AccessPlan:
         """The costed access path for one base-table scan.
@@ -278,89 +311,58 @@ class Executor:
     # Joins
     # ------------------------------------------------------------------
 
-    def _apply_join(self, contexts: List[RowContext], join: Join) -> List[RowContext]:
+    def _apply_join(self, rows: Iterable[tuple], outer: Layout, join: Join) -> List[tuple]:
         table = self._table(join.table.name)
         alias = join.table.alias
         columns = table.schema.column_names
-        rows = [row for _, row in table.scan()]
+        inner_rows = list(table.rows())
+        null_row = (None,) * len(columns)
+        left = join.kind == "left"
+        joined: List[tuple] = []
         equi = _equi_join_columns(join.on, alias)
-        if equi is not None:
-            return self._hash_join(contexts, join, columns, rows, equi)
-        return self._nested_loop_join(contexts, join, columns, rows)
-
-    def _hash_join(
-        self,
-        contexts: List[RowContext],
-        join: Join,
-        columns: List[str],
-        rows: List[tuple],
-        equi: Tuple[ColumnRef, ColumnRef],
-    ) -> List[RowContext]:
-        outer_ref, inner_ref = equi
-        inner_pos = columns.index(inner_ref.name)
-        buckets: Dict[Any, List[tuple]] = {}
-        for row in rows:
-            key = row[inner_pos]
-            if key is not None:
-                buckets.setdefault(key, []).append(row)
-        joined: List[RowContext] = []
-        null_row = tuple([None] * len(columns))
-        # All outer contexts share one binding shape: resolve the probe
-        # column to its (alias, position) slot once, not per row.
-        outer_slot = (
-            contexts[0].locate(outer_ref.name, outer_ref.table) if contexts else None
-        )
-        for ctx in contexts:
-            key = ctx.at(*outer_slot)
-            matches = buckets.get(key, []) if key is not None else []
-            if matches:
-                for row in matches:
-                    joined.append(ctx.copy().bind(join.table.alias, columns, row))
-            elif join.kind == "left":
-                joined.append(ctx.copy().bind(join.table.alias, columns, null_row))
-        return joined
-
-    def _nested_loop_join(
-        self,
-        contexts: List[RowContext],
-        join: Join,
-        columns: List[str],
-        rows: List[tuple],
-    ) -> List[RowContext]:
-        joined: List[RowContext] = []
-        null_row = tuple([None] * len(columns))
-        for ctx in contexts:
-            matched = False
+        # An inner column the table lacks takes the nested loop, whose
+        # compiled ON raises the resolver's error once a row reaches it.
+        if equi is not None and equi[1].name.lower() in columns:
+            outer_ref, inner_ref = equi
+            inner_pos = columns.index(inner_ref.name.lower())
+            buckets: Dict[Any, List[tuple]] = {}
+            for row in inner_rows:
+                key = row[inner_pos]
+                if key is not None:
+                    buckets.setdefault(key, []).append(row)
+            probe = compile_expr(outer_ref, outer)
             for row in rows:
-                candidate = ctx.copy().bind(join.table.alias, columns, row)
-                if truthy(evaluate(join.on, candidate)):
+                key = probe(row)
+                matches = buckets.get(key, ()) if key is not None else ()
+                for match in matches:
+                    joined.append(row + match)
+                if left and not matches:
+                    joined.append(row + null_row)
+            return joined
+        on = compile_expr(join.on, [*outer, (alias, columns)])
+        for row in rows:
+            matched = False
+            for inner in inner_rows:
+                candidate = row + inner
+                if on(candidate) is True:
                     joined.append(candidate)
                     matched = True
-            if not matched and join.kind == "left":
-                joined.append(ctx.copy().bind(join.table.alias, columns, null_row))
+            if left and not matched:
+                joined.append(row + null_row)
         return joined
 
     # ------------------------------------------------------------------
     # Projection
     # ------------------------------------------------------------------
 
-    def _expand_items(
-        self, stmt: SelectStmt
-    ) -> List[Tuple[str, Expr]]:
+    def _expand_items(self, stmt: SelectStmt, layout: Layout) -> List[Tuple[str, Expr]]:
         """Expand ``*`` and name every output column."""
-        aliases: List[Tuple[str, List[str]]] = []
-        if stmt.table is not None:
-            aliases.append((stmt.table.alias, self._table(stmt.table.name).schema.column_names))
-            for join in stmt.joins:
-                aliases.append(
-                    (join.table.alias, self._table(join.table.name).schema.column_names)
-                )
         expanded: List[Tuple[str, Expr]] = []
         for item in stmt.items:
             if isinstance(item.expr, Star):
                 wanted = item.expr.table
                 matched = False
-                for alias, columns in aliases:
+                for alias, columns in layout:
                     if wanted is not None and alias != wanted.lower():
                         continue
                     matched = True
@@ -373,96 +375,92 @@ class Executor:
                 expanded.append((name, item.expr))
         return expanded
 
-    def _plain_projection(
-        self, stmt: SelectStmt, contexts: List[RowContext]
-    ) -> Tuple[List[str], List[tuple]]:
-        named = self._expand_items(stmt)
-        columns = [name for name, _ in named]
-        rows = []
-        for ctx in contexts:
-            rows.append(tuple(evaluate(expr, ctx) for _, expr in named))
-        self._attach_order_contexts(stmt, rows, contexts)
-        return columns, rows
-
     def _grouped_projection(
         self,
         stmt: SelectStmt,
-        contexts: List[RowContext],
+        layout: Layout,
+        named: List[Tuple[str, Expr]],
+        rows: List[tuple],
         aggregates: List[Aggregate],
-    ) -> Tuple[List[str], List[tuple]]:
-        named = self._expand_items(stmt)
-        columns = [name for name, _ in named]
-        groups: Dict[tuple, List[RowContext]] = {}
+    ) -> Tuple[List[tuple], List[tuple], Tuple[Layout, List[str]]]:
+        """Group, aggregate, filter by HAVING and project.
+
+        Returns the output rows, each group's representative row (its
+        first member with the aggregate values appended) and the layout
+        those representatives follow. The empty global group (no rows, no
+        GROUP BY) has no member, so its representative is the aggregate
+        values alone, under a layout with no table.
+        """
+        groups: Dict[tuple, List[tuple]] = {}
         if stmt.group_by:
-            for ctx in contexts:
-                key = tuple(_hashable(evaluate(expr, ctx)) for expr in stmt.group_by)
-                groups.setdefault(key, []).append(ctx)
+            keys = [compile_expr(expr, layout) for expr in stmt.group_by]
+            for row in rows:
+                key = tuple([_hashable(fn(row)) for fn in keys])
+                groups.setdefault(key, []).append(row)
         else:
-            groups[()] = list(contexts)  # one global group, even when empty
-        rows = []
-        representative_contexts = []
+            groups[()] = rows  # one global group, even when empty
+        agg_keys = [agg.key() for agg in aggregates]
+        arguments = [
+            None if isinstance(agg.arg, Star) else compile_expr(agg.arg, layout)
+            for agg in aggregates
+        ]
+        source_layout = (layout if rows else [], agg_keys)
+        having = (
+            compile_expr(stmt.having, *source_layout) if stmt.having is not None else None
+        )
+        project = compile_row([expr for _, expr in named], *source_layout)
+        output: List[tuple] = []
+        sources: List[tuple] = []
         for key in sorted(groups, key=_group_sort_key):
             members = groups[key]
-            agg_values = {agg.key(): _compute_aggregate(agg, members) for agg in aggregates}
-            if members:
-                ctx = members[0].copy()
-            else:
-                ctx = RowContext()
-            ctx.aggregates = agg_values
-            if stmt.having is not None and not truthy(evaluate(stmt.having, ctx)):
+            values = tuple(
+                _compute_aggregate(agg, argument, members)
+                for agg, argument in zip(aggregates, arguments)
+            )
+            representative = members[0] + values if members else values
+            if having is not None and having(representative) is not True:
                 continue
-            rows.append(tuple(evaluate(expr, ctx) for _, expr in named))
-            representative_contexts.append(ctx)
-        self._attach_order_contexts(stmt, rows, representative_contexts)
-        return columns, rows
+            output.append(project(representative))
+            sources.append(representative)
+        return output, sources, source_layout
 
     # ------------------------------------------------------------------
     # Ordering
     # ------------------------------------------------------------------
 
-    def _attach_order_contexts(
-        self, stmt: SelectStmt, rows: List[tuple], contexts: List[RowContext]
-    ) -> None:
-        # ORDER BY may reference non-projected columns; stash each row's
-        # context so _order can evaluate arbitrary expressions.
-        if stmt.order_by:
-            self._order_contexts = list(contexts)
-        else:
-            self._order_contexts = []
-
     def _order(
-        self, stmt: SelectStmt, columns: List[str], rows: List[tuple]
+        self,
+        stmt: SelectStmt,
+        columns: List[str],
+        rows: List[tuple],
+        sources: Optional[List[tuple]],
+        source_layout: Tuple[Layout, Sequence[str]],
     ) -> List[tuple]:
-        if not stmt.order_by:
-            return rows
-        contexts = self._order_contexts
-        decorated = list(zip(rows, contexts)) if len(contexts) == len(rows) else [
-            (row, None) for row in rows
-        ]
-        # Resolve output-column positions once per statement — the sort
-        # key runs per row per sort key, so an O(columns) list.index
-        # there is O(rows * columns) wasted work.
+        """Sort ``rows`` by ORDER BY; each row's source row rides beside it.
+
+        A key naming an output column reads the output row; any other key
+        is compiled against ``source_layout`` and reads the source row.
+        ``sources`` is None when no source row is left to read (DISTINCT
+        merged rows), and then such a key raises if there is a row to sort.
+        """
+        # First occurrence of each output name, like list.index.
         positions: Dict[str, int] = {}
         for i, name in enumerate(columns):
-            positions.setdefault(name, i)  # first occurrence, like list.index
-
-        def key_for(expr: Expr, row: tuple, ctx: Optional[RowContext]):
+            positions.setdefault(name, i)
+        decorated = list(zip(rows, sources if sources is not None else [None] * len(rows)))
+        # Stable multi-key sort: apply keys right-to-left.
+        for expr, descending in reversed(stmt.order_by):
             if isinstance(expr, ColumnRef) and expr.table is None and expr.name in positions:
-                value = row[positions[expr.name]]
-            elif ctx is not None:
-                value = evaluate(expr, ctx)
-            else:
+                read, side = itemgetter(positions[expr.name]), 0
+            elif sources is not None:
+                read, side = compile_expr(expr, *source_layout), 1
+            elif decorated:
                 raise RelationalError(
                     f"ORDER BY expression {expr.key()} does not name an output column"
                 )
-            return value
-
-        # Stable multi-key sort: apply keys right-to-left.
-        for expr, descending in reversed(stmt.order_by):
-            decorated.sort(
-                key=lambda pair: _null_safe_key(key_for(expr, pair[0], pair[1]), descending),
-                reverse=descending,
-            )
+            else:
+                continue
+            decorated.sort(key=lambda pair: _null_safe_key(read(pair[side])), reverse=descending)
         return [row for row, _ in decorated]
 
     # ------------------------------------------------------------------
@@ -475,8 +473,7 @@ class Executor:
             if isinstance(item.expr, Star):
                 raise RelationalError("SELECT * requires a FROM clause")
             named.append((item.alias or _default_name(item.expr), item.expr))
-        ctx = RowContext()
-        row = tuple(evaluate(expr, ctx) for _, expr in named)
+        row = compile_row([expr for _, expr in named], [])(())
         return [name for name, _ in named], [row]
 
     @staticmethod
@@ -543,10 +540,9 @@ def _comparable(value: Any) -> Any:
     return (type(value).__name__, repr(value))
 
 
-def _null_safe_key(value: Any, descending: bool):
+def _null_safe_key(value: Any):
     # NULL compares as the largest value: last under ASC, first under DESC
     # (the sort passes reverse=descending, flipping the order for DESC).
-    del descending  # same key works for both directions
     if value is None:
         return (1, (0, 0.0))
     return (0, _typed(value))
@@ -561,10 +557,12 @@ def _typed(value: Any) -> tuple:
     return (2, str(value))
 
 
-def _compute_aggregate(agg: Aggregate, members: Sequence[RowContext]) -> Any:
-    if isinstance(agg.arg, Star):
+def _compute_aggregate(
+    agg: Aggregate, argument: Optional[Compiled], members: Sequence[tuple]
+) -> Any:
+    if argument is None:  # COUNT(*)
         return len(members)
-    values = [evaluate(agg.arg, ctx) for ctx in members]
+    values = [argument(row) for row in members]
     values = [value for value in values if value is not None]
     if agg.distinct:
         seen = []

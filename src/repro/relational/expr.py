@@ -1,17 +1,21 @@
-"""Expression AST and evaluator shared by the SQL engine.
+"""Expression AST and its compiler, shared by the SQL engine.
 
-Evaluation follows SQL semantics: three-valued logic (comparisons against
-NULL yield NULL; AND/OR use Kleene truth tables), NULL-propagating
-arithmetic, and ``LIKE`` with ``%``/``_`` wildcards. Aggregates are AST
-nodes too but are *not* evaluated here — the executor computes them per
-group and supplies the results through the evaluation context.
+:func:`compile_expr` turns an expression into a closure over a flat row
+tuple once per statement, with every column name resolved to a tuple
+position at compile time. Evaluation follows SQL semantics: three-valued
+logic (comparisons against NULL yield NULL; AND/OR use Kleene truth
+tables), NULL-propagating arithmetic, and ``LIKE`` with ``%``/``_``
+wildcards. Aggregates are AST nodes too but are *not* computed here — the
+executor computes them per group and appends the values to the group's
+row, where the compiled aggregate reads its slot.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import RelationalError
 
@@ -127,8 +131,7 @@ class InSubquery(Expr):
 
     Carries the parsed subquery statement; the executor materializes the
     subquery's first column once (uncorrelated) and rewrites this node to
-    an :class:`InList` before row evaluation — the scalar evaluator never
-    sees it.
+    an :class:`InList` before compiling — the compiler never sees it.
     """
 
     operand: Expr
@@ -173,96 +176,33 @@ class Between(Expr):
 
 
 # ----------------------------------------------------------------------
-# Evaluation context
+# Compiler
 # ----------------------------------------------------------------------
 
+#: A statement's ``(alias, column names)`` bindings in FROM/JOIN order. A
+#: row of the layout is the bindings' row tuples concatenated.
+Layout = Sequence[Tuple[str, Sequence[str]]]
 
-class RowContext:
-    """Resolves column references during evaluation.
+#: A compiled expression: row tuple in, SQL value out (NULL is ``None``).
+Compiled = Callable[[tuple], Any]
 
-    Holds one or more ``alias -> (schema_columns, row_tuple)`` bindings so
-    joined rows resolve qualified (``t.col``) and unqualified (``col``)
-    names. Ambiguous unqualified names raise.
-    """
+_COMPARATORS = {
+    "=": operator.eq,
+    "!=": operator.ne,
+    "<>": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
 
-    def __init__(self):
-        self._bindings: Dict[str, Tuple[List[str], Tuple[Any, ...]]] = {}
-        self.aggregates: Dict[str, Any] = {}
-
-    def bind(self, alias: str, columns: List[str], row: Tuple[Any, ...]) -> "RowContext":
-        """Attach ``alias``'s columns and row; returns self for chaining."""
-        self._bindings[alias.lower()] = (columns, row)
-        return self
-
-    def resolve(self, name: str, table: Optional[str]) -> Any:
-        """The value of (possibly qualified) column ``name``."""
-        name = name.lower()
-        if table is not None:
-            table = table.lower()
-            if table not in self._bindings:
-                raise RelationalError(f"unknown table alias {table!r}")
-            columns, row = self._bindings[table]
-            if name not in columns:
-                raise RelationalError(f"table {table!r} has no column {name!r}")
-            return row[columns.index(name)]
-        matches = [
-            (alias, columns, row)
-            for alias, (columns, row) in self._bindings.items()
-            if name in columns
-        ]
-        if not matches:
-            raise RelationalError(f"unknown column {name!r}")
-        if len(matches) > 1:
-            aliases = sorted(alias for alias, _, _ in matches)
-            raise RelationalError(f"column {name!r} is ambiguous across {aliases}")
-        _, columns, row = matches[0]
-        return row[columns.index(name)]
-
-    def locate(self, name: str, table: Optional[str]) -> Tuple[str, int]:
-        """Resolve ``name`` to its ``(alias, position)`` slot.
-
-        Same resolution rules (and errors) as :meth:`resolve`, but the
-        result can be reused across every row of a scan via :meth:`at` —
-        executors resolve a column once per statement instead of paying
-        the O(columns) ``list.index`` per row.
-        """
-        name = name.lower()
-        if table is not None:
-            table = table.lower()
-            if table not in self._bindings:
-                raise RelationalError(f"unknown table alias {table!r}")
-            columns, _ = self._bindings[table]
-            if name not in columns:
-                raise RelationalError(f"table {table!r} has no column {name!r}")
-            return table, columns.index(name)
-        matches = [
-            (alias, columns)
-            for alias, (columns, _) in self._bindings.items()
-            if name in columns
-        ]
-        if not matches:
-            raise RelationalError(f"unknown column {name!r}")
-        if len(matches) > 1:
-            aliases = sorted(alias for alias, _ in matches)
-            raise RelationalError(f"column {name!r} is ambiguous across {aliases}")
-        alias, columns = matches[0]
-        return alias, columns.index(name)
-
-    def at(self, alias: str, position: int) -> Any:
-        """The value in ``alias``'s row at ``position`` (from :meth:`locate`)."""
-        return self._bindings[alias][1][position]
-
-    def copy(self) -> "RowContext":
-        """An independent copy sharing no mutable state."""
-        clone = RowContext()
-        clone._bindings = dict(self._bindings)
-        clone.aggregates = dict(self.aggregates)
-        return clone
-
-
-# ----------------------------------------------------------------------
-# Evaluator
-# ----------------------------------------------------------------------
+_ARITHMETIC = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": operator.truediv,
+    "%": operator.mod,
+}
 
 _SCALAR_FUNCS = {
     "lower": lambda s: s.lower() if isinstance(s, str) else _bad_arg("LOWER", s),
@@ -290,219 +230,408 @@ def like_to_regex(pattern: str) -> "re.Pattern[str]":
     return re.compile("^" + "".join(parts) + "$", re.IGNORECASE | re.DOTALL)
 
 
-def _compare(op: str, left: Any, right: Any) -> Optional[bool]:
+def compile_expr(expr: Expr, layout: Layout, aggregates: Sequence[str] = ()) -> Compiled:
+    """Compile ``expr`` once into a closure over one row of ``layout``.
+
+    Every column reference resolves to a tuple position here, not per
+    row. A name that cannot resolve (unknown column or alias, or a column
+    ambiguous across aliases) compiles to a closure that raises the same
+    :class:`RelationalError` when a row reaches it, so a statement over
+    no rows raises nothing. ``aggregates`` lists the keys of aggregate
+    values appended, in order, after the layout's columns; any other
+    aggregate raises when evaluated.
+
+    Semantics are SQL's: comparisons against NULL yield NULL, AND/OR use
+    Kleene truth tables and short-circuit, arithmetic propagates NULL and
+    division by zero yields NULL.
+    """
+    return _Compiler(layout, aggregates).compile(expr)
+
+
+def compile_row(
+    exprs: Sequence[Expr], layout: Layout, aggregates: Sequence[str] = ()
+) -> Compiled:
+    """One closure building the tuple of ``exprs``' values from a row.
+
+    A projection of plain columns slices the row directly, with no
+    closure call per value.
+    """
+    compiler = _Compiler(layout, aggregates)
+    positions = [compiler.position(expr) for expr in exprs]
+    if len(positions) == 1 and positions[0] is not None:
+        (position,) = positions
+        return lambda row: (row[position],)
+    if len(positions) > 1 and None not in positions:
+        return operator.itemgetter(*positions)
+    fns = [compiler.compile(expr) for expr in exprs]
+    return lambda row: tuple([fn(row) for fn in fns])
+
+
+def _raising(message: str, operands: Sequence[Compiled] = ()) -> Compiled:
+    """A closure that evaluates ``operands`` (their errors come first),
+    then raises ``message``."""
+
+    def fail(row):
+        for operand in operands:
+            operand(row)
+        raise RelationalError(message)
+
+    return fail
+
+
+def _compare_error(left: Any, op: str, right: Any) -> RelationalError:
+    return RelationalError(f"cannot compare {left!r} {op} {right!r}")
+
+
+def _bool_error(op: str, value: Any) -> RelationalError:
+    return RelationalError(f"{op} needs boolean operands, got {value!r}")
+
+
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+class _Compiler:
+    """Resolves names against one layout and builds the closures."""
+
+    def __init__(self, layout: Layout, aggregates: Sequence[str]):
+        # A later binding of the same alias replaces an earlier one, as a
+        # self-join without aliases rebinds the table's name.
+        self._bindings: Dict[str, Tuple[List[str], int]] = {}
+        width = 0
+        for alias, columns in layout:
+            self._bindings[alias.lower()] = (list(columns), width)
+            width += len(columns)
+        self._aggregates = {key: width + i for i, key in enumerate(aggregates)}
+
+    def locate(self, name: str, table: Optional[str]) -> int:
+        """The row position of (possibly qualified) column ``name``."""
+        name = name.lower()
+        if table is not None:
+            table = table.lower()
+            if table not in self._bindings:
+                raise RelationalError(f"unknown table alias {table!r}")
+            columns, offset = self._bindings[table]
+            if name not in columns:
+                raise RelationalError(f"table {table!r} has no column {name!r}")
+            return offset + columns.index(name)
+        matches = [
+            (alias, columns, offset)
+            for alias, (columns, offset) in self._bindings.items()
+            if name in columns
+        ]
+        if not matches:
+            raise RelationalError(f"unknown column {name!r}")
+        if len(matches) > 1:
+            aliases = sorted(alias for alias, _, _ in matches)
+            raise RelationalError(f"column {name!r} is ambiguous across {aliases}")
+        _, columns, offset = matches[0]
+        return offset + columns.index(name)
+
+    def position(self, node: Expr) -> Optional[int]:
+        """The slot a resolvable column reference reads, else None."""
+        if isinstance(node, ColumnRef):
+            try:
+                return self.locate(node.name, node.table)
+            except RelationalError:
+                return None
+        return None
+
+    def compile(self, node: Expr) -> Compiled:
+        if isinstance(node, Literal):
+            value = node.value
+            return lambda row: value
+        if isinstance(node, ColumnRef):
+            try:
+                return operator.itemgetter(self.locate(node.name, node.table))
+            except RelationalError as exc:
+                return _raising(str(exc))
+        if isinstance(node, Star):
+            return _raising("'*' is only valid in COUNT(*) or the SELECT list")
+        if isinstance(node, Aggregate):
+            key = node.key()
+            if key in self._aggregates:
+                return operator.itemgetter(self._aggregates[key])
+            return _raising(f"aggregate {key} used outside GROUP BY evaluation (or in WHERE)")
+        if isinstance(node, BinaryOp):
+            return self._binary(node)
+        if isinstance(node, UnaryOp):
+            return self._unary(node)
+        if isinstance(node, FuncCall):
+            return self._function(node)
+        if isinstance(node, CaseExpr):
+            return self._case(node)
+        if isinstance(node, InSubquery):
+            return _raising(
+                "IN (SELECT ...) reached the row evaluator unresolved; "
+                "subqueries are only supported in WHERE/HAVING of executed statements"
+            )
+        if isinstance(node, InList):
+            return self._in_list(node)
+        if isinstance(node, Like):
+            return self._like(node)
+        if isinstance(node, IsNull):
+            operand = self.compile(node.operand)
+            negated = node.negated
+            return lambda row: (operand(row) is None) != negated
+        if isinstance(node, Between):
+            return self._between(node)
+        return _raising(f"cannot evaluate expression node {type(node).__name__}")
+
+    # -- operators ------------------------------------------------------
+
+    def _binary(self, node: BinaryOp) -> Compiled:
+        op = node.op
+        if op in ("AND", "OR"):
+            return _logical(op, self.compile(node.left), self.compile(node.right))
+        if op in _COMPARATORS:
+            position = self.position(node.left)
+            if (
+                position is not None
+                and isinstance(node.right, Literal)
+                and node.right.value is not None
+            ):
+                return _column_vs_literal(op, position, node.right.value)
+            return _comparison(op, self.compile(node.left), self.compile(node.right))
+        left, right = self.compile(node.left), self.compile(node.right)
+        if op in _ARITHMETIC:
+            return _arithmetic(op, left, right)
+        if op == "||":
+            return _concat(left, right)
+        return _raising(f"unknown binary operator {op!r}", (left, right))
+
+    def _unary(self, node: UnaryOp) -> Compiled:
+        operand = self.compile(node.operand)
+        op = node.op
+        if op == "NOT":
+
+            def negate(row):
+                value = operand(row)
+                if value is None:
+                    return None
+                if value is True or value is False:
+                    return not value
+                raise RelationalError(f"NOT needs a boolean, got {value!r}")
+
+            return negate
+        if op == "-":
+
+            def minus(row):
+                value = operand(row)
+                if value is None:
+                    return None
+                if not _is_number(value):
+                    raise RelationalError(f"unary minus needs a number, got {value!r}")
+                return -value
+
+            return minus
+        return _raising(f"unknown unary operator {op!r}", (operand,))
+
+    def _function(self, node: FuncCall) -> Compiled:
+        name = node.name.lower()
+        if name == "coalesce":
+            if not node.args:
+                return _raising("COALESCE() needs at least one argument")
+            args = [self.compile(arg) for arg in node.args]
+
+            def coalesce(row):
+                for arg in args:
+                    value = arg(row)
+                    if value is not None:
+                        return value
+                return None
+
+            return coalesce
+        if name == "nullif":
+            if len(node.args) != 2:
+                return _raising("NULLIF() takes exactly two arguments")
+            first, second = (self.compile(arg) for arg in node.args)
+
+            def nullif(row):
+                value = first(row)
+                return None if value == second(row) else value
+
+            return nullif
+        func = _SCALAR_FUNCS.get(name)
+        if func is None:
+            return _raising(f"unknown function {node.name!r}")
+        args = [self.compile(arg) for arg in node.args]
+        if len(args) != 1:
+            return _raising(f"{node.name}() takes exactly one argument", args)
+        (arg,) = args
+
+        def scalar(row):
+            value = arg(row)
+            return None if value is None else func(value)
+
+        return scalar
+
+    def _case(self, node: CaseExpr) -> Compiled:
+        branches = [(self.compile(cond), self.compile(result)) for cond, result in node.branches]
+        default = self.compile(node.default or Literal(None))
+
+        def case(row):
+            for condition, result in branches:
+                if condition(row) is True:
+                    return result(row)
+            return default(row)
+
+        return case
+
+    def _in_list(self, node: InList) -> Compiled:
+        operand = self.compile(node.operand)
+        items = [self.compile(item) for item in node.items]
+        negated = node.negated
+
+        def in_list(row):
+            value = operand(row)
+            if value is None:
+                return None
+            saw_null = False
+            for item in items:
+                candidate = item(row)
+                if candidate is None:
+                    saw_null = True
+                elif candidate == value:
+                    return not negated
+            return None if saw_null else negated
+
+        return in_list
+
+    def _like(self, node: Like) -> Compiled:
+        operand = self.compile(node.operand)
+        negated = node.negated
+        if isinstance(node.pattern, Literal) and isinstance(node.pattern.value, str):
+            match = like_to_regex(node.pattern.value).match
+
+            def like_literal(row):
+                value = operand(row)
+                if value is None:
+                    return None
+                if not isinstance(value, str):
+                    raise RelationalError("LIKE needs string operands")
+                return (match(value) is not None) != negated
+
+            return like_literal
+        pattern = self.compile(node.pattern)
+
+        def like(row):
+            value, text = operand(row), pattern(row)
+            if value is None or text is None:
+                return None
+            if not isinstance(value, str) or not isinstance(text, str):
+                raise RelationalError("LIKE needs string operands")
+            return (like_to_regex(text).match(value) is not None) != negated
+
+        return like
+
+    def _between(self, node: Between) -> Compiled:
+        operand, low, high = (self.compile(part) for part in (node.operand, node.low, node.high))
+        negated = node.negated
+
+        def between(row):
+            value, lower, upper = operand(row), low(row), high(row)
+            if value is None:
+                return None
+            above = _compare(operator.ge, ">=", value, lower)
+            below = _compare(operator.le, "<=", value, upper)
+            if above is False or below is False:
+                return negated
+            if above is None or below is None:
+                return None
+            return not negated
+
+        return between
+
+
+def _compare(cmp, op: str, left: Any, right: Any) -> Optional[bool]:
     if left is None or right is None:
         return None
     try:
-        if op == "=":
-            return left == right
-        if op in ("!=", "<>"):
-            return left != right
-        if op == "<":
-            return left < right
-        if op == "<=":
-            return left <= right
-        if op == ">":
-            return left > right
-        if op == ">=":
-            return left >= right
+        return cmp(left, right)
     except TypeError:
-        raise RelationalError(f"cannot compare {left!r} {op} {right!r}") from None
-    raise RelationalError(f"unknown comparison operator {op!r}")
+        raise _compare_error(left, op, right) from None
 
 
-def _arith(op: str, left: Any, right: Any) -> Any:
-    if left is None or right is None:
-        return None
-    if not isinstance(left, (int, float)) or isinstance(left, bool):
-        raise RelationalError(f"arithmetic needs numbers, got {left!r}")
-    if not isinstance(right, (int, float)) or isinstance(right, bool):
-        raise RelationalError(f"arithmetic needs numbers, got {right!r}")
-    if op == "+":
-        return left + right
-    if op == "-":
-        return left - right
-    if op == "*":
-        return left * right
-    if op == "/":
-        if right == 0:
+def _column_vs_literal(op: str, position: int, value: Any) -> Compiled:
+    """``column op literal``: read the slot, check NULL, compare — the
+    shape of every property filter the search engine sends."""
+    cmp = _COMPARATORS[op]
+
+    def compare(row):
+        current = row[position]
+        if current is None:
+            return None
+        try:
+            return cmp(current, value)
+        except TypeError:
+            raise _compare_error(current, op, value) from None
+
+    return compare
+
+
+def _comparison(op: str, left: Compiled, right: Compiled) -> Compiled:
+    cmp = _COMPARATORS[op]
+
+    def compare(row):
+        return _compare(cmp, op, left(row), right(row))
+
+    return compare
+
+
+def _logical(op: str, left: Compiled, right: Compiled) -> Compiled:
+    """Kleene AND/OR. ``decisive`` (FALSE for AND, TRUE for OR) settles the
+    result alone, so the right side runs only when the left is not it."""
+    decisive = op == "OR"
+    neutral = not decisive
+
+    def combine(row):
+        first = left(row)
+        if first is decisive:
+            return decisive  # short-circuit
+        if first is not neutral and first is not None:
+            raise _bool_error(op, first)
+        second = right(row)
+        if second is decisive:
+            return decisive
+        if second is neutral:
+            return first
+        if second is None:
+            return None
+        raise _bool_error(op, second)
+
+    return combine
+
+
+def _arithmetic(op: str, left: Compiled, right: Compiled) -> Compiled:
+    apply = _ARITHMETIC[op]
+    divides = op in ("/", "%")
+
+    def arithmetic(row):
+        a, b = left(row), right(row)
+        if a is None or b is None:
+            return None
+        if not _is_number(a):
+            raise RelationalError(f"arithmetic needs numbers, got {a!r}")
+        if not _is_number(b):
+            raise RelationalError(f"arithmetic needs numbers, got {b!r}")
+        if divides and b == 0:
             return None  # SQL engines return NULL on division by zero
-        return left / right
-    if op == "%":
-        if right == 0:
+        return apply(a, b)
+
+    return arithmetic
+
+
+def _concat(left: Compiled, right: Compiled) -> Compiled:
+    def concat(row):
+        a, b = left(row), right(row)
+        if a is None or b is None:
             return None
-        return left % right
-    raise RelationalError(f"unknown arithmetic operator {op!r}")
+        if not isinstance(a, str) or not isinstance(b, str):
+            raise RelationalError(f"|| needs strings, got {a!r} and {b!r}")
+        return a + b
 
-
-def _concat(left: Any, right: Any) -> Any:
-    if left is None or right is None:
-        return None
-    if not isinstance(left, str) or not isinstance(right, str):
-        raise RelationalError(f"|| needs strings, got {left!r} and {right!r}")
-    return left + right
-
-
-def evaluate(expr: Expr, ctx: RowContext) -> Any:
-    """Evaluate ``expr`` against ``ctx``; NULL is Python ``None``."""
-    if isinstance(expr, Literal):
-        return expr.value
-    if isinstance(expr, ColumnRef):
-        return ctx.resolve(expr.name, expr.table)
-    if isinstance(expr, Star):
-        raise RelationalError("'*' is only valid in COUNT(*) or the SELECT list")
-    if isinstance(expr, Aggregate):
-        key = expr.key()
-        if key not in ctx.aggregates:
-            raise RelationalError(
-                f"aggregate {key} used outside GROUP BY evaluation (or in WHERE)"
-            )
-        return ctx.aggregates[key]
-    if isinstance(expr, BinaryOp):
-        return _evaluate_binary(expr, ctx)
-    if isinstance(expr, UnaryOp):
-        value = evaluate(expr.operand, ctx)
-        if expr.op == "NOT":
-            if value is None:
-                return None
-            if not isinstance(value, bool):
-                raise RelationalError(f"NOT needs a boolean, got {value!r}")
-            return not value
-        if expr.op == "-":
-            if value is None:
-                return None
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise RelationalError(f"unary minus needs a number, got {value!r}")
-            return -value
-        raise RelationalError(f"unknown unary operator {expr.op!r}")
-    if isinstance(expr, FuncCall):
-        name = expr.name.lower()
-        if name == "coalesce":
-            if not expr.args:
-                raise RelationalError("COALESCE() needs at least one argument")
-            for arg in expr.args:
-                value = evaluate(arg, ctx)
-                if value is not None:
-                    return value
-            return None
-        if name == "nullif":
-            if len(expr.args) != 2:
-                raise RelationalError("NULLIF() takes exactly two arguments")
-            first = evaluate(expr.args[0], ctx)
-            second = evaluate(expr.args[1], ctx)
-            return None if first == second else first
-        func = _SCALAR_FUNCS.get(name)
-        if func is None:
-            raise RelationalError(f"unknown function {expr.name!r}")
-        args = [evaluate(arg, ctx) for arg in expr.args]
-        if len(args) != 1:
-            raise RelationalError(f"{expr.name}() takes exactly one argument")
-        if args[0] is None:
-            return None
-        return func(args[0])
-    if isinstance(expr, CaseExpr):
-        for condition, result in expr.branches:
-            if truthy(evaluate(condition, ctx)):
-                return evaluate(result, ctx)
-        if expr.default is not None:
-            return evaluate(expr.default, ctx)
-        return None
-    if isinstance(expr, InSubquery):
-        raise RelationalError(
-            "IN (SELECT ...) reached the row evaluator unresolved; "
-            "subqueries are only supported in WHERE/HAVING of executed statements"
-        )
-    if isinstance(expr, InList):
-        value = evaluate(expr.operand, ctx)
-        if value is None:
-            return None
-        found = False
-        saw_null = False
-        for item in expr.items:
-            candidate = evaluate(item, ctx)
-            if candidate is None:
-                saw_null = True
-            elif candidate == value:
-                found = True
-                break
-        if found:
-            return not expr.negated
-        if saw_null:
-            return None
-        return expr.negated
-    if isinstance(expr, Like):
-        value = evaluate(expr.operand, ctx)
-        pattern = evaluate(expr.pattern, ctx)
-        if value is None or pattern is None:
-            return None
-        if not isinstance(value, str) or not isinstance(pattern, str):
-            raise RelationalError("LIKE needs string operands")
-        matched = bool(like_to_regex(pattern).match(value))
-        return matched != expr.negated
-    if isinstance(expr, IsNull):
-        value = evaluate(expr.operand, ctx)
-        return (value is None) != expr.negated
-    if isinstance(expr, Between):
-        value = evaluate(expr.operand, ctx)
-        low = evaluate(expr.low, ctx)
-        high = evaluate(expr.high, ctx)
-        lower_ok = _compare(">=", value, low)
-        upper_ok = _compare("<=", value, high)
-        result = _kleene_and(lower_ok, upper_ok)
-        if result is None:
-            return None
-        return result != expr.negated
-    raise RelationalError(f"cannot evaluate expression node {type(expr).__name__}")
-
-
-def _kleene_and(left: Optional[bool], right: Optional[bool]) -> Optional[bool]:
-    if left is False or right is False:
-        return False
-    if left is None or right is None:
-        return None
-    return True
-
-
-def _kleene_or(left: Optional[bool], right: Optional[bool]) -> Optional[bool]:
-    if left is True or right is True:
-        return True
-    if left is None or right is None:
-        return None
-    return False
-
-
-def _as_bool(value: Any, op: str) -> Optional[bool]:
-    if value is None or isinstance(value, bool):
-        return value
-    raise RelationalError(f"{op} needs boolean operands, got {value!r}")
-
-
-def _evaluate_binary(expr: BinaryOp, ctx: RowContext) -> Any:
-    op = expr.op
-    if op == "AND":
-        left = _as_bool(evaluate(expr.left, ctx), "AND")
-        if left is False:
-            return False  # short-circuit
-        return _kleene_and(left, _as_bool(evaluate(expr.right, ctx), "AND"))
-    if op == "OR":
-        left = _as_bool(evaluate(expr.left, ctx), "OR")
-        if left is True:
-            return True
-        return _kleene_or(left, _as_bool(evaluate(expr.right, ctx), "OR"))
-    left = evaluate(expr.left, ctx)
-    right = evaluate(expr.right, ctx)
-    if op in ("=", "!=", "<>", "<", "<=", ">", ">="):
-        return _compare(op, left, right)
-    if op in ("+", "-", "*", "/", "%"):
-        return _arith(op, left, right)
-    if op == "||":
-        return _concat(left, right)
-    raise RelationalError(f"unknown binary operator {op!r}")
-
-
-def truthy(value: Any) -> bool:
-    """WHERE/HAVING acceptance: only a strict True keeps the row."""
-    return value is True
+    return concat
 
 
 # ----------------------------------------------------------------------

@@ -146,6 +146,15 @@ class Table:
             if row is not None:
                 yield rowid, row
 
+    def rows(self) -> Iterator[Tuple[Any, ...]]:
+        """Every live row tuple in row-id order, without the row ids.
+
+        Skips tombstones in C (a live row has at least one column, so it
+        is never an empty, falsy tuple), which is what lets a SELECT's
+        scan loop touch nothing per row but the row itself.
+        """
+        return filter(None, self._rows)
+
     def __len__(self) -> int:
         return self._live
 

@@ -1,14 +1,17 @@
 """Concurrency and equivalence tests for the search engine and the SMR lock.
 
-Three properties: (1) the lazy top-k path returns *identical* results to
+Four properties: (1) the lazy top-k path returns *identical* results to
 the full sort — same titles, same floats, same order — for every query
 shape; (2) the engine stays correct while reader threads race a live
 writer: no torn reads across the three stores, and no post-edit search
 may serve pre-edit state from any cache or memo (result cache, IRI->title
-map, location map, ranker scores); (3) the reader–writer lock under
-those threads keeps its documented semantics.
+map, location map, ranker scores); (3) SQL readers sharing one executor,
+as ``smr.sql()`` readers do under the read lock, each get their own
+statement's answer; (4) the reader–writer lock under those threads keeps
+its documented semantics.
 """
 
+import sys
 import threading
 import time
 
@@ -16,6 +19,7 @@ import pytest
 
 from repro.core import AdvancedSearchEngine, PageRankRanker
 from repro.errors import ReproError
+from repro.relational import Database
 from repro.smr import SensorMetadataRepository
 from repro.smr.rwlock import ReadWriteLock
 from repro.workloads import CorpusSpec, generate_corpus
@@ -211,6 +215,53 @@ class TestConcurrentReadersWithWriter:
         assert [r.title for r in after_sparql.results] == ["Station:NEW-SPOT"]
         after_bbox = engine.search(engine.parse("kind=station bbox=10,10,11,11"))
         assert [r.title for r in after_bbox.results] == ["Station:NEW-SPOT"]
+
+
+class TestConcurrentSqlReaders:
+    """Reader threads share one ``Executor``; each sorts its own rows."""
+
+    READS = 1000
+
+    def test_order_by_reads_sort_their_own_rows(self):
+        db = Database()
+        db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, a INTEGER, b INTEGER, name TEXT)")
+        db.insert_many(
+            "t",
+            ({"id": i, "a": i, "b": (i * 7919) % 301, "name": f"n{i}"} for i in range(300)),
+        )
+        queries = [
+            "SELECT name FROM t WHERE a < 150 ORDER BY b",
+            "SELECT name FROM t WHERE a >= 150 ORDER BY a DESC",
+        ]
+        # DISTINCT (merging nothing: names are unique) runs between the
+        # projection and the sort, the widest gap a per-statement stash
+        # on the shared executor would leave open.
+        queries += [query.replace("SELECT", "SELECT DISTINCT") for query in queries]
+        expected = {query: db.execute(query).rows for query in queries}
+        wrong = []
+        errors = []
+
+        def reader(query):
+            try:
+                for _ in range(self.READS // len(queries)):
+                    if db.execute(query).rows != expected[query]:
+                        wrong.append(query)
+            except Exception as exc:  # pragma: no cover - the assertion target
+                errors.append(exc)
+
+        threads = [threading.Thread(target=reader, args=(query,)) for query in queries]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # hand the GIL over as often as possible
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads), "a reader hung"
+        assert not errors, errors
+        assert not wrong, f"{len(wrong)} of {self.READS} reads sorted another statement's rows"
 
 
 class TestReadWriteLock:

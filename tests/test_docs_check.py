@@ -45,6 +45,7 @@ INVARIANT_DOCSTRINGS = {
     "repro.text.inverted_index": ["Write-through", "Re-add replaces"],
     "repro.smr.repository": ["Write-through", "export_rdf", "canonical title"],
     "repro.relational.planner": ["NULL", "Superset"],
+    "repro.relational.executor": ["flat tuples", "once per statement", "No per-statement state"],
     "repro.core.ranking": ["link_generation", "mutation_count", "bit for bit"],
     "repro.pagerank.incremental": ["plain floats", "bit for bit"],
 }

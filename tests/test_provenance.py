@@ -315,6 +315,29 @@ class TestEngineProvenance:
         # Relaxed filters evaluate individually but intersect as a union.
         assert len(prov.stages) == 3  # kind + two filters
 
+    def test_stage_corpus_is_the_page_count(self, engine, smr, fresh_obs):
+        query = parse_query("wind kind=station status=online bbox=46,9,47,10")
+        _, prov = engine.search_explained(query)
+        assert len(prov.stages) == 4
+        assert {stage.corpus for stage in prov.stages} == {smr.page_count}
+
+    def test_bbox_search_sorts_no_titles_after_warm_up(
+        self, engine, fresh_obs, monkeypatch
+    ):
+        from repro.wiki.site import WikiSite
+
+        engine.search_explained(parse_query("bbox=46,9,47,10"))  # builds the R-tree
+        calls = []
+        titles = WikiSite.titles
+
+        def counting(site):
+            calls.append(site)
+            return titles(site)
+
+        monkeypatch.setattr(WikiSite, "titles", counting)
+        _, prov = engine.search_explained(parse_query("bbox=46.5,9.5,47,10"))
+        assert prov.stages and calls == []
+
     def test_search_feeds_slow_query_log(self, engine, fresh_obs):
         _, slowlog = fresh_obs
         engine.search(SearchQuery(kind="sensor", keyword="wind"))
