@@ -40,7 +40,7 @@ from repro.core.query import (
 from repro.core.ranking import PageRankRanker
 from repro.core.recommend import Recommendation, Recommender
 from repro.core.results import SearchResult, SearchResults
-from repro.errors import QueryError, RelationalError
+from repro.errors import QueryError, RelationalError, ReproError
 from repro.geo.point import GeoPoint
 from repro.perf.cache import GenerationalLruCache, result_cache_key
 from repro.smr.repository import SensorMetadataRepository
@@ -72,7 +72,6 @@ class AdvancedSearchEngine:
         smr: SensorMetadataRepository,
         ranker: Optional[PageRankRanker] = None,
         cache: Optional[GenerationalLruCache] = _DEFAULT_CACHE_SENTINEL,
-        slow_query_seconds: float = 0.25,
         topk: bool = True,
         spatial_index: bool = True,
     ):
@@ -83,10 +82,6 @@ class AdvancedSearchEngine:
         if cache is _DEFAULT_CACHE_SENTINEL:
             cache = GenerationalLruCache(capacity=256, name="query_results")
         self.cache = cache
-        #: Queries at or above this wall-clock threshold emit a WARNING
-        #: ``engine.slow_query`` event (with cache verdict, result count
-        #: and privilege set) and count into ``engine_slow_queries_total``.
-        self.slow_query_seconds = slow_query_seconds
         #: When True (default) and the query carries a limit under a
         #: relevance/pagerank sort, result materialization is lazy: only
         #: the top-k survivors get a :class:`SearchResult` built. The
@@ -128,142 +123,111 @@ class AdvancedSearchEngine:
         pipeline runs, so a write that lands mid-search stamps the entry
         as already stale — the conservative direction.
         """
+        return self._run(query, user, probe_cache=True)[0]
+
+    def search_explained(
+        self, query: SearchQuery, user: User = ANONYMOUS
+    ) -> Tuple[SearchResults, obs.QueryProvenance]:
+        """Run ``query`` bypassing the result cache; return its record too.
+
+        The cache bypass is deliberate: a cached hit would yield an empty
+        waterfall, and the point of ``explain=full`` / ``/explore`` is to
+        watch the real pipeline run. Otherwise this is :meth:`search`:
+        the record is published to the same views.
+        """
+        return self._run(query, user, probe_cache=False)
+
+    def _run(
+        self, query: SearchQuery, user: User, probe_cache: bool
+    ) -> Tuple[SearchResults, obs.QueryProvenance]:
+        """The one search path: cache probe or pipeline, then one record.
+
+        Cache hits are still served queries, so they get a record, a
+        span (tagged with the ``cache`` verdict) and a latency
+        observation like any other — percentiles reflect what callers see.
+        """
         description = query.describe()
-        key = generation = None
-        if self.cache is not None:
+        prov = obs.QueryProvenance(description, privileges=_privilege_label(user))
+        generation = self._generation()
+        key = None
+        if not probe_cache:
+            prov.cache = "bypass"
+        elif self.cache is not None:
             key = result_cache_key(query, user)
-            generation = self._generation()
-        registry = obs.get_registry()
-        tracer = obs.get_tracer()
-        event_log = obs.get_event_log()
-        slowlog = obs.get_slow_query_log()
-        prov_recorder = obs.get_provenance_recorder()
-        if (
-            not registry.enabled
-            and not tracer.enabled
-            and not event_log.enabled
-            and not slowlog.enabled
-            and not prov_recorder.enabled
-        ):
-            # Observability off: skip the timers and span entirely so the
-            # hot path costs only this branch (the <1% disabled target).
-            if key is not None:
-                cached = self.cache.get(key, generation)
-                if cached is not None:
-                    self.query_log.record(description, cached.total_candidates)
-                    return cached
-            results = self._search(query, user, description)
-            if key is not None:
-                self.cache.put(key, generation, results)
-            self.query_log.record(description, results.total_candidates)
-            return results
-        # Observability on: cache hits are still served queries, so they
-        # flow through the same span and latency histogram (tagged with a
-        # ``cache`` attribute) — percentiles reflect what callers see.
-        prov = None
-        if prov_recorder.enabled:
-            prov = obs.QueryProvenance(
-                description, privileges=_privilege_label(user)
-            )
         start = time.perf_counter()
-        verdict = "uncached"
         try:
-            with tracer.span("engine.search", query=description) as span:
+            with obs.get_tracer().span("engine.search", query=description) as span:
+                cached = None
                 if key is not None:
-                    cached, verdict = self.cache.lookup(key, generation)
-                else:
-                    cached = None
-                if cached is not None:
-                    results = cached
-                else:
-                    results = self._search(query, user, description, prov=prov)
-                if key is not None:
-                    span.set_attribute("cache", verdict)
+                    cached, prov.cache = self.cache.lookup(key, generation)
+                    span.set_attribute("cache", prov.cache)
+                results = cached if cached is not None else self._search(query, user, prov)
         except Exception:
-            registry.counter(
+            obs.get_registry().counter(
                 "engine_query_errors_total", "Searches that raised an error."
             ).inc()
-            event_log.error("engine.search_error", query=description)
+            obs.get_event_log().error("engine.search_error", query=description)
             raise
-        elapsed = time.perf_counter() - start
-        if prov is not None:
-            prov.seconds = elapsed
-            prov.trace_id = obs.current_trace_id()
-            prov.generation = list(generation) if generation is not None else None
-            prov.cache = verdict
-            prov_recorder.record(prov)
-        if slowlog.enabled:
-            # Hand the slow log the waterfall snapshot already in hand
-            # (no planner round-trip); the log deep-copies only entries
-            # it actually retains.
-            plan = None
-            if prov is not None and prov.stages:
-                plan = {
-                    "stages": [stage.to_dict() for stage in prov.stages],
-                    "waterfall": [dict(step) for step in prov.waterfall],
-                }
-            slowlog.record(
-                description,
-                elapsed,
-                trace_id=obs.current_trace_id(),
-                cache=verdict,
-                results=results.total_candidates,
-                plan=plan,
-            )
-        if key is not None and verdict != "hit":
+        prov.seconds = time.perf_counter() - start
+        prov.trace_id = obs.current_trace_id()
+        prov.generation = list(generation)
+        prov.result_count = results.total_candidates
+        if key is not None and cached is None:
             self.cache.put(key, generation, results)
-        registry.counter(
-            "engine_queries_total", "Advanced searches executed."
-        ).inc()
+        self._publish(prov)
+        return results, prov
+
+    def _publish(self, prov: obs.QueryProvenance) -> None:
+        """Hand one finished record to every per-query view, once.
+
+        The ring goes first: it stamps the record as it admits it, and
+        nothing writes to the record after that.
+        """
+        obs.get_provenance_recorder().record(prov)
+        obs.get_slow_query_log().record(prov)
+        registry = obs.get_registry()
+        registry.counter("engine_queries_total", "Advanced searches executed.").inc()
         registry.histogram(
             "engine_query_seconds", "Advanced-search latency in seconds."
-        ).observe(elapsed)
+        ).observe(prov.seconds)
         registry.histogram(
             "engine_result_count",
             "Distribution of per-query candidate counts.",
             buckets=obs.DEFAULT_COUNT_BUCKETS,
-        ).observe(results.total_candidates)
-        if results.total_candidates == 0:
+        ).observe(prov.result_count)
+        if prov.result_count == 0:
             registry.counter(
                 "engine_zero_result_queries_total", "Searches that matched nothing."
             ).inc()
-        if event_log.enabled:
-            privileges = _privilege_label(user)
-            event_log.info(
-                "engine.search",
-                query=description,
-                seconds=elapsed,
-                cache=verdict,
-                results=results.total_candidates,
-                privileges=privileges,
+        fields = {
+            "query": prov.query,
+            "seconds": prov.seconds,
+            "cache": prov.cache,
+            "results": prov.result_count,
+            "privileges": prov.privileges,
+        }
+        event_log = obs.get_event_log()
+        event_log.info("engine.search", **fields)
+        if prov.seconds >= obs.SEARCH_SLO_SECONDS:
+            event_log.warning(
+                "engine.slow_query", threshold=obs.SEARCH_SLO_SECONDS, **fields
             )
-            if elapsed >= self.slow_query_seconds:
-                event_log.warning(
-                    "engine.slow_query",
-                    query=description,
-                    seconds=elapsed,
-                    threshold=self.slow_query_seconds,
-                    cache=verdict,
-                    results=results.total_candidates,
-                    privileges=privileges,
-                )
-                registry.counter(
-                    "engine_slow_queries_total",
-                    "Searches at or above the slow-query threshold.",
-                ).inc()
-        self.query_log.record(description, results.total_candidates, latency=elapsed)
-        return results
+            registry.counter(
+                "engine_slow_queries_total",
+                "Searches at or above the slow-query threshold.",
+            ).inc()
+        self.query_log.record(prov.query, prov.result_count)
 
     def _evaluate_constraints(
-        self, query: SearchQuery, timed: bool
+        self, query: SearchQuery
     ) -> Tuple[List[Any], List[float]]:
         """Evaluate the query's independent constraints, in declaration order.
 
         The keyword search, each SQL/SPARQL property filter, then the
         bbox probe run one after another on the calling thread; each
         facade call takes the SMR's read lock, so a concurrent writer
-        never tears a read. ``timed=True`` additionally returns
-        per-constraint wall seconds for provenance.
+        never tears a read. Returns each constraint's output and wall
+        seconds.
         """
         jobs: List[Callable[[], Any]] = []
         if query.keyword:
@@ -271,8 +235,6 @@ class AdvancedSearchEngine:
         jobs.extend(partial(self._titles_matching_filter, flt) for flt in query.filters)
         if query.bbox is not None:
             jobs.append(partial(self._titles_in_bbox, query.bbox))
-        if not timed:
-            return [job() for job in jobs], []
         outputs: List[Any] = []
         seconds: List[float] = []
         for job in jobs:
@@ -282,77 +244,61 @@ class AdvancedSearchEngine:
         return outputs, seconds
 
     def _search(
-        self,
-        query: SearchQuery,
-        user: User,
-        description: Optional[str] = None,
-        prov: Optional[obs.QueryProvenance] = None,
+        self, query: SearchQuery, user: User, prov: obs.QueryProvenance
     ) -> SearchResults:
-        """Execute the Fig. 1 pipeline for one parsed query.
+        """Execute the Fig. 1 pipeline for one parsed query, filling ``prov``.
 
-        With ``prov=None`` (the default, and the only mode the disabled
-        fast path uses) this is the bare pipeline: no timers, no
-        per-stage bookkeeping, nothing allocated beyond the result sets
-        themselves. With a :class:`~repro.obs.provenance.QueryProvenance`
-        the same pipeline additionally records each constraint's wall
-        time, match count and selectivity, the intersection waterfall,
-        the privilege filter and the ranking path — the candidate *sets*
-        and result lists are identical either way (intersection is
-        order-independent and the waterfall intersects in declaration
-        order).
+        Each constraint's wall time, match count and selectivity, the
+        intersection waterfall, the privilege filter and the ranking path
+        land in the record as the pipeline runs. The waterfall intersects
+        in declaration order, so its final set is the intersection of
+        every constraint set.
         """
         if query.kind is not None:
             user.check_kind(query.kind)
         relevance: Dict[str, float] = {}
         constraint_sets: List[Set[str]] = []
-
-        outputs, job_seconds = self._evaluate_constraints(query, timed=prov is not None)
-        if prov is not None:
-            corpus = self.smr.page_count  # O(1); titles() would sort every title
         set_names: List[str] = []
+        outputs, job_seconds = self._evaluate_constraints(query)
+        corpus = self.smr.page_count  # O(1); titles() would sort every title
 
         cursor = 0
         if query.keyword:
             hits = outputs[cursor]
             relevance = {hit.doc_id: hit.score for hit in hits}
             constraint_sets.append(set(relevance))
-            if prov is not None:
-                name = f"keyword={query.keyword!r}"
-                prov.add_stage(
-                    name, "InvertedIndexScan", job_seconds[cursor], len(hits), corpus
-                )
-                set_names.append(name)
+            name = f"keyword={query.keyword!r}"
+            prov.add_stage(
+                name, "InvertedIndexScan", job_seconds[cursor], len(hits), corpus
+            )
+            set_names.append(name)
             cursor += 1
 
         if query.kind is not None:
-            if prov is not None:
-                kind_start = time.perf_counter()
-                kind_titles = set(self.smr.titles(query.kind))
-                name = f"kind={query.kind}"
-                prov.add_stage(
-                    name,
-                    "KindTitleLookup",
-                    time.perf_counter() - kind_start,
-                    len(kind_titles),
-                    corpus,
-                )
-                set_names.append(name)
-                constraint_sets.append(kind_titles)
-            else:
-                constraint_sets.append(set(self.smr.titles(query.kind)))
+            kind_start = time.perf_counter()
+            kind_titles = set(self.smr.titles(query.kind))
+            name = f"kind={query.kind}"
+            prov.add_stage(
+                name,
+                "KindTitleLookup",
+                time.perf_counter() - kind_start,
+                len(kind_titles),
+                corpus,
+            )
+            set_names.append(name)
+            constraint_sets.append(kind_titles)
 
         filter_matches = list(
             zip(query.filters, outputs[cursor : cursor + len(query.filters)])
         )
-        if prov is not None:
-            for offset, (flt, titles) in enumerate(filter_matches):
-                prov.add_stage(
-                    flt.describe(),
-                    self._filter_strategy(flt),
-                    job_seconds[cursor + offset],
-                    len(titles),
-                    corpus,
-                )
+        for offset, (flt, titles) in enumerate(filter_matches):
+            prov.add_stage(
+                flt.describe(),
+                self._filter_strategy(flt),
+                job_seconds[cursor + offset],
+                len(titles),
+                corpus,
+            )
         cursor += len(query.filters)
         if filter_matches:
             if query.relaxed:
@@ -360,50 +306,42 @@ class AdvancedSearchEngine:
                 for _, titles in filter_matches:
                     union |= titles
                 constraint_sets.append(union)
-                if prov is not None:
-                    set_names.append(
-                        "any-of(" + ", ".join(f.describe() for f, _ in filter_matches) + ")"
-                    )
+                set_names.append(
+                    "any-of(" + ", ".join(f.describe() for f, _ in filter_matches) + ")"
+                )
             else:
                 for flt, titles in filter_matches:
                     constraint_sets.append(titles)
-                    if prov is not None:
-                        set_names.append(flt.describe())
+                    set_names.append(flt.describe())
 
         if query.bbox is not None:
             constraint_sets.append(outputs[cursor])
-            if prov is not None:
-                bbox = query.bbox
-                name = (
-                    f"bbox(lat in [{bbox.south}, {bbox.north}], "
-                    f"lon in [{bbox.west}, {bbox.east}])"
-                )
-                prov.add_stage(
-                    name,
-                    "RTreeProbe" if self.spatial_index else "BBoxScan",
-                    job_seconds[cursor],
-                    len(outputs[cursor]),
-                    corpus,
-                )
-                set_names.append(name)
+            bbox = query.bbox
+            name = (
+                f"bbox(lat in [{bbox.south}, {bbox.north}], "
+                f"lon in [{bbox.west}, {bbox.east}])"
+            )
+            prov.add_stage(
+                name,
+                "RTreeProbe" if self.spatial_index else "BBoxScan",
+                job_seconds[cursor],
+                len(outputs[cursor]),
+                corpus,
+            )
+            set_names.append(name)
 
         if constraint_sets:
-            if prov is not None:
-                # Intersect sequentially in declaration order so each
-                # step's before/after counts land in the waterfall; the
-                # final set equals set.intersection(*constraint_sets).
-                candidates = set(constraint_sets[0])
-                prov.add_waterfall_step(set_names[0], None, len(candidates))
-                for name, cset in zip(set_names[1:], constraint_sets[1:]):
-                    before = len(candidates)
-                    candidates &= cset
-                    prov.add_waterfall_step(name, before, len(candidates))
-            else:
-                candidates = set.intersection(*constraint_sets)
+            # Intersect sequentially in declaration order so each step's
+            # before/after counts land in the waterfall.
+            candidates = set(constraint_sets[0])
+            prov.add_waterfall_step(set_names[0], None, len(candidates))
+            for name, cset in zip(set_names[1:], constraint_sets[1:]):
+                before = len(candidates)
+                candidates &= cset
+                prov.add_waterfall_step(name, before, len(candidates))
         else:
             candidates = set(self.smr.titles())
-            if prov is not None:
-                prov.add_waterfall_step("(no constraints)", None, len(candidates))
+            prov.add_waterfall_step("(no constraints)", None, len(candidates))
 
         # One locked snapshot instead of a kind_of() lock round-trip per
         # candidate; every candidate came from the repository, so the
@@ -415,8 +353,7 @@ class AdvancedSearchEngine:
             if user.policy.can_read(kind):
                 allowed.append((title, kind))
         total = len(allowed)
-        if prov is not None:
-            prov.set_privilege_filter(len(candidates), total)
+        prov.set_privilege_filter(len(candidates), total)
 
         if self._use_topk(query):
             results = self._select_topk(query, allowed, relevance, filter_matches)
@@ -431,36 +368,8 @@ class AdvancedSearchEngine:
             if query.limit is not None:
                 results = results[: query.limit]
             ranking_path = "full-sort"
-        if prov is not None:
-            prov.set_ranking(query.sort, ranking_path, len(results))
-        if description is None:
-            description = query.describe()
-        return SearchResults(results, total, description)
-
-    def search_explained(
-        self, query: SearchQuery, user: User = ANONYMOUS
-    ) -> Tuple[SearchResults, obs.QueryProvenance]:
-        """Run ``query`` with full provenance, bypassing the result cache.
-
-        The cache bypass is deliberate: a cached hit would yield an empty
-        waterfall, and the point of ``explain=full`` / ``/explore`` is to
-        watch the real pipeline run. The record is also pushed into the
-        provenance recorder (when enabled) so ``/debug`` surfaces can
-        find it again by trace id.
-        """
-        description = query.describe()
-        prov = obs.QueryProvenance(description, privileges=_privilege_label(user))
-        prov.cache = "bypass"
-        start = time.perf_counter()
-        results = self._search(query, user, description, prov=prov)
-        prov.seconds = time.perf_counter() - start
-        prov.trace_id = obs.current_trace_id()
-        prov.generation = list(self._generation())
-        recorder = obs.get_provenance_recorder()
-        if recorder.enabled:
-            recorder.record(prov)
-        self.query_log.record(description, results.total_candidates, latency=prov.seconds)
-        return results, prov
+        prov.set_ranking(query.sort, ranking_path, len(results))
+        return SearchResults(results, total, prov.query)
 
     def _filter_strategy(self, flt: PropertyFilter) -> str:
         """The access path a property filter resolves to (for provenance)."""
@@ -801,7 +710,9 @@ class AdvancedSearchEngine:
         if isinstance(lat, (int, float)) and isinstance(lon, (int, float)):
             try:
                 return GeoPoint(float(lat), float(lon))
-            except Exception:
+            except ReproError:
+                # register() does not validate coordinates; a page whose
+                # latitude or longitude is out of range is unlocated.
                 return None
         return None
 

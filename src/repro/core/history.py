@@ -3,11 +3,14 @@
 The demo's interface surfaces popular queries back to users (the same
 "trends" idea the tag clouds serve, applied to search behaviour). The log
 is in-memory, bounded, and ordered by a logical sequence counter — no
-wall clock, so tests are deterministic.
+wall clock, so tests are deterministic. Query threads share one log, so
+every method holds its lock: the window and the popularity counts move
+together.
 """
 
 from __future__ import annotations
 
+import threading
 from collections import Counter, deque
 from typing import Deque, List, Tuple
 
@@ -29,23 +32,25 @@ class QueryLog:
         if capacity <= 0:
             raise QueryError(f"log capacity must be positive, got {capacity}")
         self.capacity = capacity
-        self._recent: Deque[Tuple[int, str, int, float]] = deque(maxlen=capacity)
+        self._recent: Deque[Tuple[int, str, int]] = deque(maxlen=capacity)
         self._counts: Counter = Counter()
         self._sequence = 0
+        self._lock = threading.Lock()
 
-    def record(self, query_text: str, result_count: int, latency: float = 0.0) -> None:
-        """Log one executed search, its result count and latency (seconds)."""
+    def record(self, query_text: str, result_count: int) -> None:
+        """Log one executed search and its result count."""
         canonical = normalize_query_text(query_text)
-        self._sequence += 1
-        if len(self._recent) == self.capacity:
-            # The evicted entry leaves the popularity counts too, so
-            # "popular" reflects the retained window, not all time.
-            evicted = self._recent[0][1]
-            self._counts[evicted] -= 1
-            if self._counts[evicted] <= 0:
-                del self._counts[evicted]
-        self._recent.append((self._sequence, canonical, result_count, float(latency)))
-        self._counts[canonical] += 1
+        with self._lock:
+            self._sequence += 1
+            if len(self._recent) == self.capacity:
+                # The evicted entry leaves the popularity counts too, so
+                # "popular" reflects the retained window, not all time.
+                evicted = self._recent[0][1]
+                self._counts[evicted] -= 1
+                if self._counts[evicted] <= 0:
+                    del self._counts[evicted]
+            self._recent.append((self._sequence, canonical, result_count))
+            self._counts[canonical] += 1
 
     @property
     def total_logged(self) -> int:
@@ -55,42 +60,27 @@ class QueryLog:
     def recent(self, k: int = 10) -> List[str]:
         """The last ``k`` distinct queries, most recent first."""
         seen = []
-        for _, query, _, _ in reversed(self._recent):
-            if query not in seen:
-                seen.append(query)
-            if len(seen) == k:
-                break
+        with self._lock:
+            for _, query, _ in reversed(self._recent):
+                if query not in seen:
+                    seen.append(query)
+                if len(seen) == k:
+                    break
         return seen
 
     def popular(self, k: int = 10) -> List[Tuple[str, int]]:
         """The ``k`` most-run queries in the window, with counts."""
-        return sorted(self._counts.items(), key=lambda item: (-item[1], item[0]))[:k]
+        with self._lock:
+            counts = list(self._counts.items())
+        return sorted(counts, key=lambda item: (-item[1], item[0]))[:k]
 
     def zero_result_queries(self, k: int = 10) -> List[str]:
         """Recent queries that returned nothing (content-gap signal)."""
         seen = []
-        for _, query, count, _ in reversed(self._recent):
-            if count == 0 and query not in seen:
-                seen.append(query)
-            if len(seen) == k:
-                break
+        with self._lock:
+            for _, query, count in reversed(self._recent):
+                if count == 0 and query not in seen:
+                    seen.append(query)
+                if len(seen) == k:
+                    break
         return seen
-
-    def slow_queries(self, k: int = 10) -> List[Tuple[str, float]]:
-        """The ``k`` slowest queries in the window, worst first.
-
-        Each distinct query reports its worst observed latency, so popular
-        and zero-result queries can be correlated with slow ones.
-        """
-        worst: dict = {}
-        for _, query, _, latency in self._recent:
-            if latency > worst.get(query, -1.0):
-                worst[query] = latency
-        ranked = sorted(worst.items(), key=lambda item: (-item[1], item[0]))
-        return ranked[:k]
-
-    def average_latency(self) -> float:
-        """Mean latency (seconds) over the retained window; 0.0 when empty."""
-        if not self._recent:
-            return 0.0
-        return sum(entry[3] for entry in self._recent) / len(self._recent)

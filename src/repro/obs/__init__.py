@@ -18,11 +18,11 @@ single substrate they flow through:
   aggregation of finished span trees (``/debug/profile``);
 - :mod:`repro.obs.convergence` — bounded per-solver residual-series
   history, the live counterpart of Fig. 3(a) (``/debug/convergence``);
-- :mod:`repro.obs.provenance` — per-query constraint-waterfall records:
+- :mod:`repro.obs.provenance` — the one record every search leaves:
   which constraint matched what, at what cost, and who killed the
-  candidate set (``/explore``, ``explain=full``);
-- :mod:`repro.obs.slowlog` — bounded reservoir of the slowest queries
-  with their plans and trace ids (``/debug/slow``);
+  candidate set (``/explore``, ``explain=full``, ``/debug/provenance``);
+- :mod:`repro.obs.slowlog` — bounded reservoir of the slowest of those
+  records, kept by reference (``/debug/slow``);
 - :mod:`repro.obs.exposition` — Prometheus and OpenMetrics text formats
   (the latter with trace-id exemplars on histogram buckets) and JSON
   snapshots (served by ``GET /metrics`` and ``/api/stats``);
@@ -33,8 +33,6 @@ single substrate they flow through:
 - :mod:`repro.obs.slo` — declarative service-level objectives with
   rolling error budgets and multi-window burn-rate alerting
   (``/api/alerts``, the ``slo`` health probe);
-- :mod:`repro.obs.notify` — bounded log-sink / webhook-stub fan-out of
-  SLO alert transitions, with per-sink delivery counters;
 - :mod:`repro.obs.process` — pull-style process self-metrics gauges
   (uptime, RSS, CPU seconds, threads, GC), refreshed as a sampler
   probe.
@@ -44,7 +42,7 @@ Instrumented modules call :func:`get_registry` / :func:`get_tracer` /
 :func:`get_provenance_recorder` / :func:`get_slow_query_log` /
 :func:`get_sampler` at the point of use, so tests inject fresh
 instances with the matching ``set_*`` hooks and production code can
-disable any of them for near-zero overhead.
+disable any of them.
 
 Metric naming conventions (documented in README "Observability"):
 ``<subsystem>_<quantity>_<unit|total>`` with snake_case names, e.g.
@@ -117,6 +115,7 @@ from repro.obs.timeseries import (
     set_sampler,
 )
 from repro.obs.slo import (
+    SEARCH_SLO_SECONDS,
     Alert,
     AvailabilitySlo,
     BurnWindow,
@@ -125,11 +124,6 @@ from repro.obs.slo import (
     SloDefinition,
     SloEvaluator,
     default_slos,
-)
-from repro.obs.notify import (
-    LogSinkNotifier,
-    NotificationHub,
-    WebhookStubNotifier,
 )
 from repro.obs.process import process_metrics_probe, update_process_metrics
 from repro.obs.exposition import (
@@ -161,9 +155,6 @@ __all__ = [
     "INFO",
     "LatencySlo",
     "LogRecord",
-    "LogSinkNotifier",
-    "NotificationHub",
-    "WebhookStubNotifier",
     "MetricFamily",
     "MetricsRegistry",
     "MetricsSampler",
@@ -173,6 +164,7 @@ __all__ = [
     "PROMETHEUS_CONTENT_TYPE",
     "ProvenanceRecorder",
     "QueryProvenance",
+    "SEARCH_SLO_SECONDS",
     "SloDefinition",
     "SloEvaluator",
     "SlowQueryLog",

@@ -1,9 +1,9 @@
-"""Per-query provenance: the constraint waterfall behind one search.
+"""Per-query provenance: the one record every search leaves behind.
 
 Aggregate metrics say *that* queries are slow; the span tree says *where*
-time went; this module says *why the result set is what it is*. One
-:class:`QueryProvenance` record per executed search captures the paper's
-Fig. 1 pipeline as data:
+time went; this module says *why the result set is what it is*. The
+engine builds one :class:`QueryProvenance` record per search, cache hits
+included, capturing the paper's Fig. 1 pipeline as data:
 
 - one :class:`ConstraintStage` per evaluated constraint — keyword, each
   SQL/SPARQL property filter, kind listing, bounding box — with its
@@ -12,16 +12,22 @@ Fig. 1 pipeline as data:
 - the **waterfall**: candidates remaining after each intersection step,
   so "which constraint killed my results" is a table lookup;
 - the privilege filter (candidates in → readable out), the ranking step
-  (sort key, top-k vs. full-sort path), the cache verdict and the
-  repository generation the query ran against.
+  (sort key, top-k vs. full-sort path), the cache verdict, the result
+  count and the repository generation the query ran against.
 
-Records land in a bounded :class:`ProvenanceRecorder` ring (filterable
-by trace id, like ``/debug/logs``). The recorder follows the package's
-standard contract: a process-wide default swappable via
-:func:`set_provenance_recorder`, an ``enabled`` flag the engine checks
-*once* per query — when off, the hot loop allocates nothing — and
-``explain=full`` on ``/api/search`` forcing a record for one request
-regardless of the flag.
+Every per-query view reads this record: the :class:`ProvenanceRecorder`
+ring (``/debug/provenance``, filterable by trace id), the slow-query log
+(``/debug/slow``, ``/api/stats``), the ``engine.search`` event, the
+engine's metric families and its query log. The engine fills a record
+while the pipeline runs, then publishes it once, ring first; the ring
+stamps ``timestamp`` and ``seq`` as it admits the record. From there on
+it is frozen: a record is never mutated once published, which is what
+lets the slow log keep records by reference instead of copying them.
+
+The recorder follows the package's standard contract: a process-wide
+default swappable via :func:`set_provenance_recorder` and an ``enabled``
+flag; ``explain=full`` on ``/api/search`` returns the record whether or
+not the ring keeps it.
 """
 
 from __future__ import annotations
@@ -72,7 +78,7 @@ class QueryProvenance:
     __slots__ = (
         "query", "trace_id", "privileges", "generation", "cache",
         "seconds", "stages", "waterfall", "candidates", "allowed",
-        "ranking", "results", "timestamp", "seq",
+        "ranking", "result_count", "timestamp", "seq",
     )
 
     def __init__(self, query: str, privileges: str = "*"):
@@ -87,7 +93,9 @@ class QueryProvenance:
         self.candidates: Optional[int] = None
         self.allowed: Optional[int] = None
         self.ranking: Optional[Dict[str, Any]] = None
-        self.results: Optional[List[Dict[str, Any]]] = None
+        #: Readable matches the caller got (``total_candidates``), set
+        #: on cache hits too; read by the slow log, event and metrics.
+        self.result_count: int = 0
         self.timestamp: float = 0.0
         self.seq: int = 0
 
@@ -116,7 +124,7 @@ class QueryProvenance:
 
     def to_dict(self) -> Dict[str, Any]:
         """The full record as JSON-friendly nested dicts."""
-        out: Dict[str, Any] = {
+        return {
             "query": self.query,
             "trace_id": self.trace_id,
             "privileges": self.privileges,
@@ -131,9 +139,6 @@ class QueryProvenance:
             "timestamp": self.timestamp,
             "seq": self.seq,
         }
-        if self.results is not None:
-            out["results"] = [dict(result) for result in self.results]
-        return out
 
 
 class ProvenanceRecorder:
@@ -144,8 +149,8 @@ class ProvenanceRecorder:
     capacity:
         How many records to retain; the oldest are dropped first.
     enabled:
-        When False the engine skips provenance collection entirely — the
-        disabled check is one attribute read, and nothing is allocated.
+        When False, :meth:`record` keeps nothing; the engine still builds
+        every record for the other views.
     clock:
         Injectable wall-clock source for deterministic tests.
     """
@@ -167,7 +172,12 @@ class ProvenanceRecorder:
         self._seq = 0
 
     def record(self, provenance: QueryProvenance) -> None:
-        """Retain one finished record (stamps its timestamp and seq)."""
+        """Retain one finished record (stamps its timestamp and seq).
+
+        A no-op while disabled.
+        """
+        if not self.enabled:
+            return
         provenance.timestamp = self._clock()
         with self._lock:
             self._seq += 1
@@ -201,7 +211,7 @@ class ProvenanceRecorder:
         self.enabled = True
 
     def disable(self) -> None:
-        """Turn provenance collection off (the engine allocates nothing)."""
+        """Stop retaining records."""
         self.enabled = False
 
 

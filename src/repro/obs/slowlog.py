@@ -2,112 +2,97 @@
 
 Percentiles in ``/metrics`` say the p99 is bad; this module keeps the
 actual p99 *queries*. A :class:`SlowQueryLog` retains the ``capacity``
-slowest searches seen so far — query text, wall time, trace id, cache
-verdict, result count and the planner's access-path explanation — as a
-min-heap keyed on duration: a new observation only displaces the current
-fastest retained entry, so steady-state cost per query is one comparison
-against the heap root (O(1) when the query is not slow enough to keep,
-the overwhelmingly common case).
+slowest :class:`~repro.obs.provenance.QueryProvenance` records seen so
+far as a min-heap keyed on duration: a new record only displaces the
+current fastest retained one, so steady-state cost per query is one
+comparison against the heap root (O(1) when the query is not slow enough
+to keep, the overwhelmingly common case).
 
-Snapshot isolation matters here: the ``plan`` a caller hands in may be a
-live dict the engine keeps mutating. :meth:`record` deep-copies it at
-record time and :meth:`snapshot` re-copies on the way out, so readers of
-``/debug/slow`` can never observe in-flight mutation — mirroring how the
-demo's debug surfaces stay consistent while queries run (paper,
-Section V).
+The log keeps records by reference and copies nothing. That is safe
+because a record is never mutated once published (see
+:mod:`repro.obs.provenance`); :meth:`snapshot` renders fresh entry dicts
+— query, wall time, trace id, cache verdict, result count and the
+constraint-waterfall plan — so readers of ``/debug/slow`` and
+``/api/stats`` may mutate what they get.
 
 The module follows the package contract: process-wide default behind
-:func:`get_slow_query_log` / :func:`set_slow_query_log`, ``enabled``
-flag checked once per query on the engine hot path.
+:func:`get_slow_query_log` / :func:`set_slow_query_log`, and an
+``enabled`` flag :meth:`SlowQueryLog.record` checks first.
 """
 
 from __future__ import annotations
 
-import copy
 import heapq
 import threading
 import time
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro.errors import ObservabilityError
+from repro.obs.provenance import QueryProvenance
+
+
+def _entry(record: QueryProvenance, seq: int, timestamp: float) -> Dict[str, Any]:
+    """One retained record as the ``/debug/slow`` entry dict."""
+    plan = None
+    if record.stages:
+        plan = {
+            "stages": [stage.to_dict() for stage in record.stages],
+            "waterfall": [dict(step) for step in record.waterfall],
+        }
+    return {
+        "query": record.query,
+        "seconds": record.seconds,
+        "trace_id": record.trace_id,
+        "cache": record.cache,
+        "results": record.result_count,
+        "plan": plan,
+        "timestamp": timestamp,
+        "seq": seq,
+    }
 
 
 class SlowQueryLog:
-    """Thread-safe reservoir of the ``capacity`` slowest queries.
+    """Thread-safe reservoir of the ``capacity`` slowest query records.
 
     Parameters
     ----------
     capacity:
-        Maximum entries retained; when full, a new query evicts the
-        fastest retained entry only if it is slower.
-    threshold_seconds:
-        Queries faster than this are never retained (0.0 keeps all).
+        Maximum records retained; when full, a new record evicts the
+        fastest retained one only if it is slower.
     enabled:
         When False, :meth:`record` is a no-op after one flag check.
     clock:
         Injectable wall-clock for deterministic tests.
     """
 
-    def __init__(
-        self,
-        capacity: int = 32,
-        threshold_seconds: float = 0.0,
-        enabled: bool = True,
-        clock=time.time,
-    ):
+    def __init__(self, capacity: int = 32, enabled: bool = True, clock=time.time):
         if capacity <= 0:
             raise ObservabilityError(
                 f"slow-query log capacity must be positive, got {capacity}"
             )
-        if threshold_seconds < 0:
-            raise ObservabilityError(
-                f"slow-query threshold must be non-negative, got {threshold_seconds}"
-            )
         self.capacity = capacity
-        self.threshold_seconds = threshold_seconds
         self.enabled = enabled
         self._clock = clock
-        # Min-heap of (seconds, seq, entry): the root is the *fastest*
-        # retained query, i.e. the first to be evicted.
+        # Min-heap of (seconds, seq, timestamp, record): the root is the
+        # *fastest* retained query, i.e. the first to be evicted. The
+        # unique seq keeps comparisons off the record.
         self._heap: List[tuple] = []
         self._lock = threading.Lock()
         self._seq = 0
         self._recorded = 0
 
-    def record(
-        self,
-        query: str,
-        seconds: float,
-        trace_id: Optional[str] = None,
-        cache: Optional[str] = None,
-        results: Optional[int] = None,
-        plan: Optional[Dict[str, Any]] = None,
-    ) -> bool:
-        """Offer one finished query; returns True if it was retained.
-
-        ``plan`` is deep-copied immediately so later mutation by the
-        caller cannot leak into retained entries.
-        """
-        if not self.enabled or seconds < self.threshold_seconds:
+    def record(self, provenance: QueryProvenance) -> bool:
+        """Offer one published record; returns True if it was retained."""
+        if not self.enabled:
             return False
+        seconds = provenance.seconds
         with self._lock:
             if len(self._heap) >= self.capacity and seconds <= self._heap[0][0]:
-                # Not slower than the fastest retained entry: drop before
-                # allocating the entry dict or copying the plan.
+                # Not slower than the fastest retained record.
                 return False
             self._seq += 1
             self._recorded += 1
-            entry = {
-                "query": query,
-                "seconds": seconds,
-                "trace_id": trace_id,
-                "cache": cache,
-                "results": results,
-                "plan": copy.deepcopy(plan) if plan is not None else None,
-                "timestamp": self._clock(),
-                "seq": self._seq,
-            }
-            item = (seconds, self._seq, entry)
+            item = (seconds, self._seq, self._clock(), provenance)
             if len(self._heap) >= self.capacity:
                 heapq.heapreplace(self._heap, item)
             else:
@@ -115,16 +100,14 @@ class SlowQueryLog:
             return True
 
     def snapshot(self) -> List[Dict[str, Any]]:
-        """Retained entries, slowest first, isolated from future mutation.
+        """Retained records as fresh entry dicts, slowest first.
 
         Ties on duration order by sequence (earlier recording first).
-        Every entry — including its nested plan — is copied, so callers
-        may mutate the result freely.
         """
         with self._lock:
             items = list(self._heap)
         items.sort(key=lambda item: (-item[0], item[1]))
-        return [copy.deepcopy(entry) for _, _, entry in items]
+        return [_entry(record, seq, stamp) for _, seq, stamp, record in items]
 
     @property
     def recorded(self) -> int:

@@ -574,13 +574,10 @@ _default_lock = threading.Lock()
 
 
 def _build_default_sampler() -> MetricsSampler:
-    from repro.obs.notify import NotificationHub
     from repro.obs.process import process_metrics_probe
     from repro.obs.slo import SloEvaluator, default_slos
 
-    sampler = MetricsSampler(
-        evaluator=SloEvaluator(default_slos(), notifier=NotificationHub())
-    )
+    sampler = MetricsSampler(evaluator=SloEvaluator(default_slos()))
     sampler.set_probe("process", process_metrics_probe())
     return sampler
 

@@ -318,6 +318,14 @@ def _result_payload(result) -> Dict[str, Any]:
     }
 
 
+def _slowest_distinct(slowlog, k: int) -> list:
+    """The ``k`` slowest distinct queries the slow log holds, worst first."""
+    slowest: Dict[str, float] = {}
+    for entry in slowlog.snapshot():
+        slowest.setdefault(entry["query"], entry["seconds"])
+    return [{"query": q, "seconds": s} for q, s in list(slowest.items())[:k]]
+
+
 def create_app(
     engine: AdvancedSearchEngine,
     tagging: Optional[TaggingSystem] = None,
@@ -619,10 +627,7 @@ def create_app(
                 "query_cache": engine.cache_info(),
                 "catalog": engine.smr.db.catalog_stats(),
                 "spatial_index": engine.spatial_index_info(),
-                "slow_queries": [
-                    {"query": q, "seconds": s}
-                    for q, s in engine.query_log.slow_queries(5)
-                ],
+                "slow_queries": _slowest_distinct(obs.get_slow_query_log(), 5),
                 "trace_id": obs.current_trace_id(),
             }
         )
@@ -730,9 +735,8 @@ def create_app(
 
         Each entry carries the query, its wall time, the trace id to
         pivot into ``/debug/trace`` / ``/debug/logs``, the cache verdict
-        and the constraint-waterfall plan snapshot taken when the query
-        ran — enough to diagnose a past slow query without reproducing
-        it.
+        and the constraint-waterfall plan from the query's record —
+        enough to diagnose a past slow query without reproducing it.
         """
         guard = _debug_guard()
         if guard is not None:
@@ -743,7 +747,8 @@ def create_app(
             {
                 "enabled": slowlog.enabled,
                 "capacity": slowlog.capacity,
-                "threshold_seconds": slowlog.threshold_seconds,
+                # Retention is by rank alone; the key keeps the payload's shape.
+                "threshold_seconds": 0.0,
                 "recorded": slowlog.recorded,
                 "count": len(entries),
                 "entries": entries,

@@ -7,17 +7,19 @@ writer: no torn reads across the three stores, and no post-edit search
 may serve pre-edit state from any cache or memo (result cache, IRI->title
 map, location map, ranker scores); (3) SQL readers sharing one executor,
 as ``smr.sql()`` readers do under the read lock, each get their own
-statement's answer; (4) the reader–writer lock under those threads keeps
-its documented semantics.
+statement's answer; (4) query threads sharing the engine's ``QueryLog``
+keep its popularity counts equal to its retained window; (5) the
+reader–writer lock under those threads keeps its documented semantics.
 """
 
 import sys
 import threading
 import time
+from collections import Counter
 
 import pytest
 
-from repro.core import AdvancedSearchEngine, PageRankRanker
+from repro.core import AdvancedSearchEngine, PageRankRanker, QueryLog
 from repro.errors import ReproError
 from repro.relational import Database
 from repro.smr import SensorMetadataRepository
@@ -262,6 +264,46 @@ class TestConcurrentSqlReaders:
         assert not any(thread.is_alive() for thread in threads), "a reader hung"
         assert not errors, errors
         assert not wrong, f"{len(wrong)} of {self.READS} reads sorted another statement's rows"
+
+
+class TestConcurrentQueryLog:
+    """Query threads record into one ``QueryLog`` while the window evicts."""
+
+    THREADS = 4
+    CALLS = 3000
+    TRIALS = 20
+
+    def _trial(self) -> bool:
+        log = QueryLog(capacity=1000)
+
+        def writer(step):
+            for i in range(self.CALLS):
+                log.record(f"q{(i * step) % 13}", i % 2)
+
+        threads = [
+            threading.Thread(target=writer, args=(step,))
+            for step in range(1, self.THREADS + 1)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60.0)
+        assert not any(thread.is_alive() for thread in threads), "a writer hung"
+        window = Counter(entry[1] for entry in log._recent)
+        expected = sorted(window.items(), key=lambda item: (-item[1], item[0]))
+        return (
+            log.popular(k=len(expected) + 1) == expected
+            and log.total_logged == self.THREADS * self.CALLS
+        )
+
+    def test_popular_matches_the_retained_window(self):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # hand the GIL over as often as possible
+        try:
+            torn = sum(not self._trial() for _ in range(self.TRIALS))
+        finally:
+            sys.setswitchinterval(interval)
+        assert torn == 0, f"{torn} of {self.TRIALS} trials lost a count or an eviction"
 
 
 class TestReadWriteLock:

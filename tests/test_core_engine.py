@@ -252,6 +252,41 @@ class TestSearch:
         assert rows[0][3] == 2600
 
 
+class TestOutOfRangeLocations:
+    """``register()`` accepts any coordinates; the engine must cope."""
+
+    WHOLE_GLOBE = SearchQuery(bbox=BoundingBox(-90.0, -180.0, 90.0, 180.0))
+
+    @pytest.fixture
+    def repo(self):
+        repo = SensorMetadataRepository()
+        repo.register(
+            "station", "Station:OK", [("name", "ok"), ("latitude", 46.8), ("longitude", 9.8)]
+        )
+        repo.register(
+            "station", "Station:POLE", [("name", "pole"), ("latitude", 95.0), ("longitude", 9.8)]
+        )
+        return repo
+
+    @pytest.mark.parametrize("spatial_index", [True, False], ids=["rtree", "scan"])
+    def test_out_of_range_page_is_unlocated(self, repo, spatial_index):
+        engine = AdvancedSearchEngine(repo, cache=None, spatial_index=spatial_index)
+        assert engine.search(self.WHOLE_GLOBE).titles == ["Station:OK"]
+        listed = engine.search(parse_query("kind=station limit=0"))
+        assert sorted(listed.titles) == ["Station:OK", "Station:POLE"]
+        assert [r.title for r in listed.located()] == ["Station:OK"]
+
+    @pytest.mark.parametrize("spatial_index", [True, False], ids=["rtree", "scan"])
+    def test_other_location_errors_surface(self, repo, spatial_index, monkeypatch):
+        def broken(lat, lon):
+            raise RuntimeError("geo backend down")
+
+        monkeypatch.setattr("repro.core.engine.GeoPoint", broken)
+        engine = AdvancedSearchEngine(repo, cache=None, spatial_index=spatial_index)
+        with pytest.raises(RuntimeError, match="geo backend down"):
+            engine.search(self.WHOLE_GLOBE)
+
+
 class TestPrivileges:
     def test_kind_query_denied(self, engine):
         user = User("guest", AccessPolicy.restrict_to(["station"]))

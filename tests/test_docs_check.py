@@ -48,6 +48,7 @@ INVARIANT_DOCSTRINGS = {
     "repro.relational.executor": ["flat tuples", "once per statement", "No per-statement state"],
     "repro.core.ranking": ["link_generation", "mutation_count", "bit for bit"],
     "repro.pagerank.incremental": ["plain floats", "bit for bit"],
+    "repro.obs.provenance": ["never mutated once published"],
 }
 
 
@@ -65,6 +66,14 @@ def _markdown_files():
 #: kernels run serially, so no document may still describe them.
 DELETED_PARALLELISM = re.compile(
     r'ProcessWorkerPool|parallel_map|kind="cpu"|REPRO_POOL_SIZE|REPRO_PROCPOOL|ShardedSearchEngine'
+)
+
+#: The deleted alert fan-out, slow-query knob and disabled fast path:
+#: one record per search feeds every query view, so no document may
+#: still describe them.
+DELETED_OBS = re.compile(
+    r"repro\.obs\.notify|NotificationHub|WebhookStubNotifier|slow_query_seconds"
+    r"|one flag check per component"
 )
 
 #: Claims that once were true and must never reappear: (file, regex,
@@ -88,6 +97,14 @@ STALE_CLAIMS = [
         re.compile(r"of which about 3\.7\s+ms\s+rebuilds\s+both\s+link\s+graphs"),
         "the ranker rebuilds its link graphs only when WikiSite.link_generation moves",
     ),
+] + [
+    (
+        os.path.relpath(path, REPO_ROOT),
+        DELETED_OBS,
+        "one record per search feeds every query view; repro.obs.notify, the "
+        "slow_query_seconds knob and the disabled fast path are gone",
+    )
+    for path in _markdown_files()
 ]
 
 

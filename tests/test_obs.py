@@ -342,9 +342,15 @@ class TestStackInstrumentation:
 
     def test_engine_search_records_metrics_and_latency(self, registry, tracer):
         from repro import build_demo_engine
+        from repro.obs import SlowQueryLog, set_slow_query_log
 
         engine = build_demo_engine(seed=7, stations=4, sensors=8)
-        engine.search(engine.parse("kind=station"))
+        slowlog = SlowQueryLog()
+        previous = set_slow_query_log(slowlog)
+        try:
+            engine.search(engine.parse("kind=station"))
+        finally:
+            set_slow_query_log(previous)
         assert registry.counter("engine_queries_total").value == 1
         assert registry.histogram("engine_query_seconds").count == 1
         assert registry.histogram(
@@ -352,8 +358,8 @@ class TestStackInstrumentation:
         ).count == 1
         names = [t["name"] for t in tracer.recent(5)]
         assert "engine.search" in names
-        slow = engine.query_log.slow_queries(1)
-        assert slow and slow[0][1] > 0.0
+        slow = slowlog.snapshot()
+        assert slow and slow[0]["seconds"] > 0.0
 
     def test_solver_records_per_solver_metrics(self, registry, tracer):
         from repro.pagerank import combine_link_structures, solve_pagerank

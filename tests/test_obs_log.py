@@ -3,6 +3,7 @@ convergence recorder, trace correlation and error propagation."""
 
 import json
 import threading
+import time
 
 import pytest
 
@@ -310,7 +311,7 @@ class TestEngineEvents:
         smr = SensorMetadataRepository()
         smr.register("station", "Station:A", [("name", "A"), ("status", "online")])
         smr.register("station", "Station:B", [("name", "B"), ("status", "offline")])
-        return AdvancedSearchEngine(smr, slow_query_seconds=0.0)
+        return AdvancedSearchEngine(smr)
 
     def test_search_event_with_cache_verdict(self, fresh_obs, engine):
         _, _, event_log, _ = fresh_obs
@@ -322,12 +323,22 @@ class TestEngineEvents:
         assert searches[0]["fields"]["results"] == 2
         assert searches[0]["fields"]["privileges"] == "*"
 
-    def test_slow_query_event_past_threshold(self, fresh_obs, engine):
+    def test_slow_query_event_past_threshold(self, fresh_obs, engine, monkeypatch):
         registry, _, event_log, _ = fresh_obs
-        engine.search(engine.parse("kind=station"))
+        engine.search(engine.parse("kind=station"))  # fast: no slow event
+        pipeline = engine._search
+
+        def slow_pipeline(*args):
+            time.sleep(obs.SEARCH_SLO_SECONDS)
+            return pipeline(*args)
+
+        monkeypatch.setattr(engine, "_search", slow_pipeline)
+        engine.search(engine.parse("kind=sensor"))
         slow = [r for r in event_log.records() if r["event"] == "engine.slow_query"]
-        assert len(slow) == 1  # threshold 0.0 flags every query
-        assert slow[0]["fields"]["threshold"] == 0.0
+        assert len(slow) == 1  # only the query at the search SLO's threshold
+        assert slow[0]["fields"]["threshold"] == obs.SEARCH_SLO_SECONDS == 0.25
+        assert slow[0]["fields"]["seconds"] >= obs.SEARCH_SLO_SECONDS
+        assert slow[0]["fields"]["query"].startswith("kind=sensor")
         assert registry.counter("engine_slow_queries_total").value == 1
 
     def test_no_events_when_everything_disabled(self, fresh_obs, engine):

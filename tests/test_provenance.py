@@ -182,6 +182,11 @@ class TestQueryProvenanceRecord:
         prov.set_privilege_filter(3, 2)
         prov.set_ranking("pagerank", "heap-topk", 2)
         payload = prov.to_dict()
+        assert set(payload) == {
+            "query", "trace_id", "privileges", "generation", "cache", "seconds",
+            "stages", "waterfall", "candidates", "allowed", "ranking",
+            "timestamp", "seq",
+        }
         assert payload["query"] == "kind=station"
         assert payload["privileges"] == "station,sensor"
         assert payload["cache"] == "uncached"
@@ -288,6 +293,23 @@ class TestEngineProvenance:
         assert records[0]["stages"] == [] and records[0]["waterfall"] == []
         assert records[1]["cache"] in ("miss", "stale")
         assert records[1]["stages"], "the uncached run must carry its stages"
+
+    def test_one_record_per_search_feeds_every_view(self, engine, fresh_obs):
+        recorder, slowlog = fresh_obs
+        logged = engine.query_log.total_logged
+        query = SearchQuery(kind="sensor", limit=4, offset=2)
+        results = engine.search(query)
+        engine.search(query)
+        _, explained = engine.search_explained(query)
+        records = recorder.records(k=3)
+        assert [r["cache"] for r in records[:2]] == ["bypass", "hit"]
+        assert records[2]["cache"] in ("miss", "stale")
+        assert records[0]["seq"] == explained.seq
+        # Hits included: every record reaches the slow log and the query
+        # log, with the result count the caller got.
+        assert slowlog.recorded == 3
+        assert {e["results"] for e in slowlog.snapshot()} == {results.total_candidates}
+        assert engine.query_log.total_logged == logged + 3
 
     def test_disabled_recorder_collects_nothing(self, engine, fresh_obs):
         recorder, _ = fresh_obs
