@@ -4,11 +4,15 @@
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: test docs-check bench bench-smoke bench-cache bench-planner obs-check
+.PHONY: test doctest docs-check bench bench-smoke bench-cache bench-planner obs-check
 
 ## Tier-1: the full unit/integration suite (includes docs-check).
 test:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -x -q
+
+## The docstring examples under src/ (the Database quick-start among them).
+doctest:
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest --doctest-modules src/repro -q
 
 ## Documentation gate: package + invariant docstrings, markdown
 ## cross-links, required docs, stale-claim scan. On failure pytest names
@@ -33,7 +37,7 @@ bench-cache:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest benchmarks/bench_cache_warmstart.py -q
 
 ## The docs/QUERY_PLANNING.md gates: B+-tree range >= 3x over the
-## planner-off scan, engine R-tree bbox probe >= 5x over the seed scan.
+## unindexed scan, engine R-tree bbox probe >= 5x over the seed scan.
 bench-planner:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest benchmarks/bench_planner_indexes.py -q --benchmark-disable
 

@@ -12,7 +12,8 @@ Two gates guard the engine's per-query savings (docs/PERFORMANCE.md):
 - **Top-k selection.** With >= 5k candidates and a small ``limit``, the
   heap-based top-k path must beat the build-everything-then-sort path
   by >= 3x, because it materializes ``limit`` SearchResults instead of
-  thousands.
+  thousands. The full-sort side (:class:`FullSortEngine`) runs each
+  query without its limit and slices the page afterwards.
 
 Both sections assert that every compared path returns *identical* result
 lists (titles, scores, locations — exact float equality), so the
@@ -32,7 +33,9 @@ import time
 import pytest
 
 from repro.core.engine import AdvancedSearchEngine
+from repro.core.privileges import ANONYMOUS
 from repro.core.ranking import PageRankRanker
+from repro.core.results import SearchResults
 from repro.smr.repository import SensorMetadataRepository
 from repro.workloads.generator import CorpusSpec, generate_corpus
 
@@ -75,14 +78,31 @@ TOPK_QUERIES = [
 ]
 
 
-class SeedPathEngine(AdvancedSearchEngine):
+class FullSortEngine(AdvancedSearchEngine):
+    """Build every result, sort them all, then slice the page.
+
+    Each query runs without its limit, so every candidate becomes a
+    SearchResult before one full sort — the work the heap top-k skips.
+    The sliced page is the limited query's page (``TestTopkIdentity`` in
+    ``tests/test_concurrency.py``).
+    """
+
+    def search(self, query, user=ANONYMOUS):
+        unlimited = super().search(query.with_limit(None), user)
+        return SearchResults(
+            unlimited.results[: query.limit],
+            unlimited.total_candidates,
+            unlimited.query_description,
+        )
+
+
+class SeedPathEngine(FullSortEngine):
     """The earlier query path, re-created as an honest baseline.
 
     Undoes three per-query savings: the IRI->title map is rebuilt for
     *every* SPARQL filter, page locations are re-parsed on *every* bbox
-    scan, and (constructed with ``topk=False``) every candidate becomes
-    a SearchResult before one full sort. Everything else is the shared
-    engine code.
+    scan, and every candidate becomes a SearchResult before one full
+    sort. Everything else is the shared engine code.
     """
 
     def _iri_title_map(self):
@@ -137,10 +157,8 @@ def test_fanout_vs_seed_path(write_result):
     smr = _fanout_smr()
     ranker = PageRankRanker(smr)
     ranker.scores()  # one shared solve; ranking cost out of the timing
-    seed = SeedPathEngine(
-        smr, ranker=ranker, cache=None, topk=False, spatial_index=False
-    )
-    engine = AdvancedSearchEngine(smr, ranker=ranker, cache=None, topk=True)
+    seed = SeedPathEngine(smr, ranker=ranker, cache=None, spatial_index=False)
+    engine = AdvancedSearchEngine(smr, ranker=ranker, cache=None)
     queries = [seed.parse(text) for text in FANOUT_QUERIES]
 
     # Identity first: both paths must return byte-identical lists.
@@ -173,8 +191,8 @@ def test_topk_vs_full_sort(results_dir, write_result):
     smr = SensorMetadataRepository.from_corpus(generate_corpus(TOPK_SPEC))
     ranker = PageRankRanker(smr)
     ranker.scores()
-    full = AdvancedSearchEngine(smr, ranker=ranker, cache=None, topk=False)
-    lazy = AdvancedSearchEngine(smr, ranker=ranker, cache=None, topk=True)
+    full = FullSortEngine(smr, ranker=ranker, cache=None)
+    lazy = AdvancedSearchEngine(smr, ranker=ranker, cache=None)
     queries = [full.parse(text) for text in TOPK_QUERIES]
 
     candidates = full.search(queries[0]).total_candidates

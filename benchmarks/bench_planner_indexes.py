@@ -4,9 +4,9 @@ Two gates guard this PR's tentpole (docs/QUERY_PLANNING.md):
 
 - **B+-tree range probe.** A selective range predicate on a 50k-row
   table must run >= 3x faster through the cost-based planner (which
-  prices the B+-tree range probe below the scan) than through the
-  planner-off database, which has no secondary index and evaluates the
-  WHERE expression against every row.
+  prices the B+-tree range probe below the scan) than on an unindexed
+  ``Database()`` holding the same rows, where the planner's only path
+  is the SeqScan that evaluates the WHERE expression against every row.
 - **R-tree bbox probe.** The engine's generation-stamped R-tree must
   answer bounding-box constraints >= 5x faster than the seed scan path
   (``spatial_index=False``): a linear pass over every title testing
@@ -57,39 +57,41 @@ def _time(fn, repeats: int) -> float:
 
 def _make_range_dbs(rows: int):
     """Identical 50k-row data; only one database gets the B+-tree."""
-    plan_on = Database(planner=True)
-    plan_off = Database(planner=False)
+    indexed = Database()
+    unindexed = Database()
     ddl = "CREATE TABLE m (id INTEGER PRIMARY KEY, v REAL, tag TEXT)"
-    plan_on.execute(ddl)
-    plan_off.execute(ddl)
-    plan_on.execute("CREATE INDEX idx_v ON m(v) USING btree")
+    indexed.execute(ddl)
+    unindexed.execute(ddl)
+    indexed.execute("CREATE INDEX idx_v ON m(v) USING btree")
     rng = random.Random(17)
     payload = [
         {"id": i, "v": round(rng.uniform(0.0, 100.0), 4), "tag": f"t{i % 64}"}
         for i in range(rows)
     ]
-    plan_on.insert_many("m", payload)
-    plan_off.insert_many("m", payload)
-    return plan_on, plan_off
+    indexed.insert_many("m", payload)
+    unindexed.insert_many("m", payload)
+    return indexed, unindexed
 
 
 def test_btree_range_vs_seq_scan(write_result):
-    """Planner + B+-tree >= 3x over the planner-off full scan."""
-    plan_on, plan_off = _make_range_dbs(RANGE_ROWS)
+    """Planner + B+-tree >= 3x over the unindexed full scan."""
+    indexed, unindexed = _make_range_dbs(RANGE_ROWS)
 
     # Identity first: byte-identical rows, including order.
-    expected = plan_off.execute(RANGE_QUERY).rows
-    assert plan_on.execute(RANGE_QUERY).rows == expected
+    expected = unindexed.execute(RANGE_QUERY).rows
+    assert indexed.execute(RANGE_QUERY).rows == expected
     assert len(expected) > 0, "gate query must actually select rows"
-    plan_line = plan_on.execute(f"EXPLAIN {RANGE_QUERY}").rows[0][0]
+    plan_line = indexed.execute(f"EXPLAIN {RANGE_QUERY}").rows[0][0]
     assert plan_line.startswith("RangeIndexScan"), plan_line
+    seq_line = unindexed.execute(f"EXPLAIN {RANGE_QUERY}").rows[0][0]
+    assert seq_line.startswith("SeqScan"), seq_line
 
-    seq_s = _time(lambda: plan_off.execute(RANGE_QUERY), RANGE_REPEATS)
-    idx_s = _time(lambda: plan_on.execute(RANGE_QUERY), RANGE_REPEATS)
+    seq_s = _time(lambda: unindexed.execute(RANGE_QUERY), RANGE_REPEATS)
+    idx_s = _time(lambda: indexed.execute(RANGE_QUERY), RANGE_REPEATS)
     speedup = seq_s / idx_s if idx_s else float("inf")
 
     lines = [
-        "B+-tree range probe vs planner-off sequential scan",
+        "B+-tree range probe vs unindexed sequential scan",
         f"rows={RANGE_ROWS} repeats={RANGE_REPEATS} matches={len(expected)}",
         f"plan: {plan_line}",
         f"seq_scan_s={seq_s:.4f} btree_s={idx_s:.4f} speedup={speedup:.1f}x "

@@ -72,7 +72,6 @@ class AdvancedSearchEngine:
         smr: SensorMetadataRepository,
         ranker: Optional[PageRankRanker] = None,
         cache: Optional[GenerationalLruCache] = _DEFAULT_CACHE_SENTINEL,
-        topk: bool = True,
         spatial_index: bool = True,
     ):
         self.smr = smr
@@ -82,11 +81,6 @@ class AdvancedSearchEngine:
         if cache is _DEFAULT_CACHE_SENTINEL:
             cache = GenerationalLruCache(capacity=256, name="query_results")
         self.cache = cache
-        #: When True (default) and the query carries a limit under a
-        #: relevance/pagerank sort, result materialization is lazy: only
-        #: the top-k survivors get a :class:`SearchResult` built. The
-        #: returned lists are identical to the full-sort path.
-        self.topk = topk
         #: When True (default), bounding-box constraints probe a
         #: generation-stamped R-tree over every located page instead of
         #: scanning all titles; ``False`` keeps the linear scan.
@@ -355,7 +349,11 @@ class AdvancedSearchEngine:
         total = len(allowed)
         prov.set_privilege_filter(len(candidates), total)
 
-        if self._use_topk(query):
+        # A limited score sort materializes only its page (heap top-k); a
+        # property sort needs every result's value and the missing-last
+        # partition, and an unlimited query returns every result, so both
+        # build everything and sort.
+        if query.limit is not None and query.sort in (SORT_PAGERANK, SORT_RELEVANCE):
             results = self._select_topk(query, allowed, relevance, filter_matches)
             ranking_path = "heap-topk"
         else:
@@ -745,19 +743,6 @@ class AdvancedSearchEngine:
             location=self._location_of(title),
         )
 
-    def _use_topk(self, query: SearchQuery) -> bool:
-        """Whether the lazy heap-based top-k path applies to this query.
-
-        Only the score sorts qualify: a property sort needs every
-        result's property value (and the missing-last partition)
-        materialized, so it keeps the full build-then-sort path.
-        """
-        return (
-            self.topk
-            and query.limit is not None
-            and query.sort in (SORT_PAGERANK, SORT_RELEVANCE)
-        )
-
     def _select_topk(
         self,
         query: SearchQuery,
@@ -774,9 +759,9 @@ class AdvancedSearchEngine:
         ``(score, title)`` key the full sort uses. ``nlargest(k, data,
         key)`` is documented equivalent to ``sorted(data, key=key,
         reverse=True)[:k]`` and the key is unique per title, so the
-        returned page is identical to the full-sort path's — only the
-        survivors ever get a :class:`SearchResult` (annotation dict,
-        GeoPoint) built.
+        returned page is identical to the same query's unlimited results
+        sliced to the page — only the survivors ever get a
+        :class:`SearchResult` (annotation dict, GeoPoint) built.
         """
         if not allowed:
             return []

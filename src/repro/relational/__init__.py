@@ -2,12 +2,13 @@
 
 The paper's metadata lives "in both a relational database and RDF graphs"
 and queries are "processed using a combination of SQL and SPARQL". This
-package is the relational half: typed tables, hash and sorted indexes, an
-expression compiler (each expression becomes a closure over a flat row
-tuple once per statement, column names resolved to positions up front), a
-recursive-descent SQL parser and an executor that streams row tuples
-through sequential/index scans, hash joins, grouping, ordering and
-limits.
+package is the relational half: typed tables, one index structure per
+predicate shape (flat hash, B+-tree, R-tree), a cost-based planner that
+chooses each scan's access path, an expression compiler (each expression
+becomes a closure over a flat row tuple once per statement, column names
+resolved to positions up front), a recursive-descent SQL parser and an
+executor that streams row tuples through sequential/index scans, hash
+joins, grouping, ordering and limits.
 
 Entry point::
 

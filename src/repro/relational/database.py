@@ -69,10 +69,9 @@ class ResultSet:
 class Database:
     """An in-memory SQL database.
 
-    ``planner=True`` (the default) routes base-table scans through the
-    cost-based planner in :mod:`repro.relational.planner`; ``False``
-    keeps the original fixed access-path preference — results are
-    identical either way, only the physical plan differs.
+    Every base-table scan goes through the cost-based planner in
+    :mod:`repro.relational.planner`; a secondary index changes the
+    physical plan, never the rows.
 
     >>> db = Database()
     >>> _ = db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, name TEXT)")
@@ -81,13 +80,10 @@ class Database:
     [('a',)]
     """
 
-    def __init__(self, planner: bool = True):
+    def __init__(self):
         self._tables: Dict[str, Table] = {}
         self.catalog = Catalog(self._tables)
-        self.planner_enabled = planner
-        self._executor = Executor(
-            self._tables, planner=Planner(self.catalog) if planner else None
-        )
+        self._executor = Executor(self._tables, Planner(self.catalog))
         self._in_transaction = False
         self._created_in_transaction: list[str] = []
 

@@ -2,8 +2,7 @@
 
 SELECT pipelines are built left-deep in statement order:
 
-    base scan (access path chosen by the cost-based planner, or by the
-    legacy preference heuristic when the planner is disabled)
+    base scan (access path chosen by the cost-based planner)
     -> joins (hash join for equi-joins, nested loop otherwise; LEFT
        joins null-pad)
     -> WHERE filter
@@ -29,8 +28,8 @@ other's rows.
 Access-path selection lives in :mod:`repro.relational.planner`; this
 module re-exports :class:`AccessPath` for compatibility. Every index
 path returns a superset of the matching row ids and the WHERE filter
-above re-checks each row, so planner and heuristic always agree on
-results — only on cost.
+above re-checks each row, so an indexed table and an unindexed one
+always agree on results — only on cost.
 """
 
 from __future__ import annotations
@@ -55,14 +54,7 @@ from repro.relational.expr import (
     compile_row,
     rewrite,
 )
-from repro.relational.planner import (
-    AccessPath,
-    AccessPlan,
-    Planner,
-    conjuncts as _conjuncts,
-    equality_on_alias as _equality_on_alias,
-    range_on_alias as _range_on_alias,
-)
+from repro.relational.planner import AccessPath, Planner
 from repro.relational.sql_parser import Join, SelectStmt
 from repro.relational.storage import Table
 
@@ -87,12 +79,10 @@ class Executor:
     """Executes parsed SELECT statements against a table catalog.
 
     ``planner`` is the cost-based :class:`~repro.relational.planner.Planner`
-    to consult for base-table access paths; ``None`` falls back to the
-    original fixed preference order (equality index, then sorted-index
-    range, then sequential scan).
+    that chooses each base-table access path.
     """
 
-    def __init__(self, catalog: Dict[str, Table], planner: Optional[Planner] = None):
+    def __init__(self, catalog: Dict[str, Table], planner: Planner):
         self._catalog = catalog
         self._planner = planner
 
@@ -193,68 +183,18 @@ class Executor:
         ascending row-id order whichever path it is."""
         ref = stmt.table
         table = self._table(ref.name)
-        plan = self.plan_access(table, ref.alias, stmt.where)
+        plan = self._planner.plan_scan(table, ref.alias, stmt.where)
         _count_plan(plan.path.kind)
         rowids = self._execute_access_path(table, plan.path)
         if rowids is None:
             return table.rows()
         return [table.get(rowid) for rowid in sorted(rowids)]
 
-    def plan_access(self, table: Table, alias: str, where: Optional[Expr]) -> AccessPlan:
-        """The costed access path for one base-table scan.
-
-        Consults the cost-based planner when one is attached; otherwise
-        wraps the legacy heuristic's choice with a row-count cost so the
-        two modes expose the same interface.
-        """
-        if self._planner is not None:
-            return self._planner.plan_scan(table, alias, where)
-        path = self.choose_access_path(table, alias, where)
-        return AccessPlan(path, cost=float(len(table)), rows=float(len(table)))
-
-    def choose_access_path(
-        self, table: Table, alias: str, where: Optional[Expr]
-    ) -> AccessPath:
-        """Pick the cheapest access path for the base table.
-
-        Preference order: equality on any index, then a range on a sorted
-        index, then a sequential scan. Only top-level AND conjuncts are
-        considered — a predicate under OR cannot restrict the scan.
-        """
-        if where is None:
-            return AccessPath("seq")
-        range_path: Optional[AccessPath] = None
-        for conjunct in _conjuncts(where):
-            pair = _equality_on_alias(conjunct, alias)
-            if pair is not None:
-                column, value = pair
-                if table.schema.has_column(column) and table.index_on(column) is not None:
-                    return AccessPath("index_eq", column=column, value=value)
-            bound = _range_on_alias(conjunct, alias)
-            if bound is not None and range_path is None:
-                column, op, value = bound
-                index = table.index_on(column) if table.schema.has_column(column) else None
-                if index is not None and getattr(index, "kind", "") == "sorted":
-                    if op in (">", ">="):
-                        range_path = AccessPath(
-                            "index_range", column=column, low=value, include_low=(op == ">=")
-                        )
-                    else:
-                        range_path = AccessPath(
-                            "index_range", column=column, high=value, include_high=(op == "<=")
-                        )
-        return range_path or AccessPath("seq")
-
     def _execute_access_path(self, table: Table, path: AccessPath) -> Optional[Set[int]]:
         """Return restricted row ids, or None for a full scan."""
         if path.kind == "seq":
             return None
-        if path.index_name is not None:
-            index = table.indexes.get(path.index_name)
-        else:
-            index = table.index_on(path.column)
-        if index is None:
-            return None  # index dropped between planning and execution
+        index = table.indexes[path.index_name]
         if path.kind == "index_eq":
             return index.lookup(path.value)
         if path.kind == "rtree":
@@ -277,11 +217,8 @@ class Executor:
             lines.append("Result(constant)")
         else:
             table = self._table(stmt.table.name)
-            plan = self.plan_access(table, stmt.table.alias, stmt.where)
-            if self._planner is not None:
-                lines.append(plan.describe(stmt.table.name))
-            else:
-                lines.append(plan.path.describe(stmt.table.name))
+            plan = self._planner.plan_scan(table, stmt.table.alias, stmt.where)
+            lines.append(plan.describe(stmt.table.name))
             for join in stmt.joins:
                 if _equi_join_columns(join.on, join.table.alias) is not None:
                     kind = "HashJoin"

@@ -1,43 +1,34 @@
-"""Secondary indexes: hash (equality) and sorted (range) access paths.
+"""The flat hash index and the ``CREATE INDEX ... USING <kind>`` factory.
 
-Both map column values to sets of row ids. NULLs are not indexed —
-``WHERE col = NULL`` never matches in SQL, and range scans skip NULLs too.
+One structure per predicate shape, every one a
+:class:`~repro.relational.indexes.SecondaryIndex`:
 
-These two flat structures predate :mod:`repro.relational.indexes`, which
-adds the disk-shaped B+-tree, extendible-hash and R-tree structures the
-cost-based planner prices by depth and fill factor. The factory below
-maps ``CREATE INDEX ... USING <kind>`` onto the full set: ``hash`` now
-builds an extendible hash, ``sorted`` keeps this module's bisect list,
-``btree`` and ``rtree`` build the tree structures. The simple
-:class:`HashIndex` remains the primary-key index — a PK is unique, so
-directory-doubling buys it nothing.
+- ``hash`` builds :class:`HashIndex`, a flat value -> {rowid} dict for
+  equality probes — the same structure every primary key gets;
+- ``btree`` builds the B+-tree, the one ordered index (equality and
+  ranges);
+- ``rtree`` builds the R-tree over a two-column point key (boxes).
+
+NULLs are not indexed — ``WHERE col = NULL`` never matches in SQL, and
+range scans skip NULLs too.
 """
 
 from __future__ import annotations
 
-import bisect
-from typing import Any, Dict, List, Sequence, Set
+from typing import Any, Dict, Sequence, Set
 
 from repro.errors import CatalogError
-from repro.relational.indexes import (
-    BPlusTreeIndex,
-    ExtendibleHashIndex,
-    RTreeIndex,
-)
+from repro.relational.indexes import BPlusTreeIndex, RTreeIndex, SecondaryIndex
 
 
-class HashIndex:
+class HashIndex(SecondaryIndex):
     """value -> {rowid} map for equality lookups."""
 
     kind = "flat_hash"
     supports_eq = True
-    supports_range = False
-    supports_box = False
 
     def __init__(self, name: str, column: str):
-        self.name = name
-        self.column = column
-        self.columns = (column,)
+        super().__init__(name, (column,))
         self._buckets: dict[Any, Set[int]] = {}
 
     def insert(self, value: Any, rowid: int) -> None:
@@ -75,88 +66,17 @@ class HashIndex:
         return sum(len(bucket) for bucket in self._buckets.values())
 
 
-class SortedIndex:
-    """A sorted (value, rowid) list supporting range scans via bisect."""
-
-    kind = "sorted"
-    supports_eq = True
-    supports_range = True
-    supports_box = False
-
-    def __init__(self, name: str, column: str):
-        self.name = name
-        self.column = column
-        self.columns = (column,)
-        self._entries: List[tuple] = []  # (value, rowid), kept sorted
-
-    def insert(self, value: Any, rowid: int) -> None:
-        """Insert ``(value, rowid)`` keeping the entries sorted."""
-        if value is None:
-            return
-        bisect.insort(self._entries, (value, rowid))
-
-    def delete(self, value: Any, rowid: int) -> None:
-        """Remove ``(value, rowid)`` if present."""
-        if value is None:
-            return
-        pos = bisect.bisect_left(self._entries, (value, rowid))
-        if pos < len(self._entries) and self._entries[pos] == (value, rowid):
-            self._entries.pop(pos)
-
-    def lookup(self, value: Any) -> Set[int]:
-        """Row ids whose column equals ``value`` (empty set for NULL)."""
-        if value is None:
-            return set()
-        lo = bisect.bisect_left(self._entries, (value,))
-        result = set()
-        for entry_value, rowid in self._entries[lo:]:
-            if entry_value != value:
-                break
-            result.add(rowid)
-        return result
-
-    def range(
-        self,
-        low: Any = None,
-        high: Any = None,
-        include_low: bool = True,
-        include_high: bool = True,
-    ) -> Set[int]:
-        """Row ids with ``low <?= value <?= high`` (open bounds allowed)."""
-        result = set()
-        for value, rowid in self._entries:
-            if low is not None:
-                if value < low or (not include_low and value == low):
-                    continue
-            if high is not None:
-                if value > high or (not include_high and value == high):
-                    break
-            result.add(rowid)
-        return result
-
-    def statistics(self) -> Dict[str, Any]:
-        """Size statistics for the catalog snapshot (flat: depth 1)."""
-        distinct = len({value for value, _ in self._entries})
-        return {
-            "kind": self.kind,
-            "entries": len(self._entries),
-            "distinct_keys": distinct,
-            "depth": 1,
-        }
-
-    def __len__(self) -> int:
-        return len(self._entries)
+INDEX_KINDS = ("hash", "btree", "rtree")
 
 
-INDEX_KINDS = ("hash", "sorted", "btree", "rtree")
-
-
-def make_index(kind: str, name: str, columns: Sequence[str]):
+def make_index(kind: str, name: str, columns: Sequence[str]) -> SecondaryIndex:
     """Factory used by ``CREATE INDEX``; see :data:`INDEX_KINDS`.
 
     ``columns`` is the indexed column list — exactly two for ``rtree``
     (x/longitude-like and y/latitude-like), exactly one otherwise.
     """
+    if kind not in INDEX_KINDS:
+        raise CatalogError(f"unknown index kind {kind!r}; use one of {', '.join(INDEX_KINDS)}")
     columns = tuple(column.lower() for column in columns)
     if kind == "rtree":
         if len(columns) != 2:
@@ -169,9 +89,5 @@ def make_index(kind: str, name: str, columns: Sequence[str]):
             f"index {name!r}: USING {kind} indexes exactly one column, got {list(columns)}"
         )
     if kind == "hash":
-        return ExtendibleHashIndex(name, columns[0])
-    if kind == "sorted":
-        return SortedIndex(name, columns[0])
-    if kind == "btree":
-        return BPlusTreeIndex(name, columns[0])
-    raise CatalogError(f"unknown index kind {kind!r}; use one of {', '.join(INDEX_KINDS)}")
+        return HashIndex(name, columns[0])
+    return BPlusTreeIndex(name, columns[0])

@@ -31,11 +31,6 @@ class SecondaryIndex:
         self.name = name
         self.columns = tuple(column.lower() for column in columns)
 
-    @property
-    def column(self) -> str:
-        """The first indexed column (single-column compatibility alias)."""
-        return self.columns[0]
-
     # -- maintenance ----------------------------------------------------
 
     def insert(self, key: Any, rowid: int) -> None:

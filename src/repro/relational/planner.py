@@ -24,8 +24,12 @@ Invariants:
 - **Superset, never subset.** Every path returns a *superset* of the
   matching rows and the executor re-applies the full WHERE filter, so a
   planning mistake can cost time but never correctness — the property
-  the planner-on/planner-off differential tests in
+  the indexed/unindexed differential tests in
   ``tests/test_sql_differential.py`` pin down.
+- **Typed literals only.** An index path takes a literal of the
+  column's declared type (:func:`typed_literal`); any other literal
+  keeps the SeqScan, whose answer — rows or a ``RelationalError`` — is
+  the result.
 - **Three-valued NULL handling.** Statistics separate ``non_null`` from
   ``nulls`` per column; selectivity estimates scale by the non-NULL
   fraction because under SQL's 3VL *no* comparison predicate matches a
@@ -45,6 +49,8 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.relational.expr import Between, BinaryOp, ColumnRef, Expr, Literal, UnaryOp
+from repro.relational.schema import TableSchema
+from repro.relational.types import DataType
 
 # ----------------------------------------------------------------------
 # Cost model constants
@@ -95,7 +101,7 @@ class AccessPath:
     x_high: Optional[float] = None
     y_low: Optional[float] = None
     y_high: Optional[float] = None
-    #: The specific index the planner chose (None = legacy column lookup).
+    #: The index the planner chose (None for a sequential scan).
     index_name: Optional[str] = None
 
     def describe(self, table: str) -> str:
@@ -307,6 +313,27 @@ def conjuncts(expr: Expr) -> List[Expr]:
     return [expr]
 
 
+def typed_literal(schema: TableSchema, column: str, value: Any) -> bool:
+    """Whether an index path may take ``column <op> value``.
+
+    The column must exist and ``value`` must be a literal of its declared
+    type (any number for INTEGER and REAL). An ordered index bisects its
+    keys with the literal, so a literal of another type would raise a bare
+    ``TypeError`` inside the probe, where the scan matches no row (``=``)
+    or raises :class:`~repro.errors.RelationalError` (``<``, ``>=``...).
+    Such a predicate keeps the SeqScan, and the SeqScan's answer is the
+    result.
+    """
+    if value is None or not schema.has_column(column):
+        return False
+    dtype = schema.column(column).dtype
+    if dtype is DataType.TEXT:
+        return isinstance(value, str)
+    if dtype is DataType.BOOLEAN:
+        return isinstance(value, bool)
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def equality_on_alias(expr: Expr, alias: str) -> Optional[Tuple[str, Any]]:
     """Match ``col = literal`` (either side) where col belongs to ``alias``."""
     if not (isinstance(expr, BinaryOp) and expr.op == "="):
@@ -360,11 +387,14 @@ class _Bounds:
             self.high, self.include_high = value, inclusive
 
 
-def collect_bounds(where: Optional[Expr], alias: str) -> Dict[str, _Bounds]:
+def collect_bounds(
+    where: Optional[Expr], alias: str, schema: TableSchema
+) -> Dict[str, _Bounds]:
     """Per-column merged bounds from the statement's AND conjuncts.
 
     ``v > 1 AND v <= 5 AND 2 <= v`` merges into one ``(2, 5]`` interval;
-    ``BETWEEN`` contributes both bounds at once.
+    ``BETWEEN`` contributes both bounds at once. A bound that fails
+    :func:`typed_literal` against ``schema`` contributes nothing.
     """
     bounds: Dict[str, _Bounds] = {}
     if where is None:
@@ -373,24 +403,22 @@ def collect_bounds(where: Optional[Expr], alias: str) -> Dict[str, _Bounds]:
         if isinstance(conjunct, Between) and not conjunct.negated:
             low = literal_value(conjunct.low)
             high = literal_value(conjunct.high)
+            ref = conjunct.operand
             if (
-                isinstance(conjunct.operand, ColumnRef)
-                and low is not _MISSING
-                and high is not _MISSING
-                and low is not None
-                and high is not None
+                isinstance(ref, ColumnRef)
+                and (ref.table is None or ref.table == alias.lower())
+                and typed_literal(schema, ref.name, low)
+                and typed_literal(schema, ref.name, high)
             ):
-                ref = conjunct.operand
-                if ref.table is None or ref.table == alias.lower():
-                    entry = bounds.setdefault(ref.name.lower(), _Bounds())
-                    entry.tighten_low(low, True)
-                    entry.tighten_high(high, True)
+                entry = bounds.setdefault(ref.name.lower(), _Bounds())
+                entry.tighten_low(low, True)
+                entry.tighten_high(high, True)
             continue
         matched = range_on_alias(conjunct, alias)
         if matched is None:
             continue
         column, op, value = matched
-        if value is None:
+        if not typed_literal(schema, column, value):
             continue
         entry = bounds.setdefault(column.lower(), _Bounds())
         if op in (">", ">="):
@@ -465,14 +493,11 @@ def _histogram_overlap(histogram: List[Tuple[float, float, int]], bounds: _Bound
 
 def probe_cost(index) -> float:
     """Cost of reaching the first matching entry in ``index``."""
-    kind = getattr(index, "kind", "")
-    if kind == "btree":
+    if index.kind == "btree":
         return index.depth * LEVEL_COST
-    if kind == "rtree":
+    if index.kind == "rtree":
         # Box probes may descend several overlapping subtrees.
         return index.depth * LEVEL_COST * 2.0
-    if kind == "sorted":
-        return LEVEL_COST * math.log2(max(2, len(index)))
     return HASH_PROBE_COST
 
 
@@ -489,7 +514,7 @@ class Planner:
         candidates = [AccessPlan(AccessPath("seq"), cost=rows * SEQ_ROW_COST, rows=rows)]
         if where is not None and rows > 0:
             candidates.extend(self._equality_plans(table, alias, where, stats))
-            bounds = collect_bounds(where, alias)
+            bounds = collect_bounds(where, alias, table.schema)
             candidates.extend(self._range_plans(table, stats, bounds))
             candidates.extend(self._rtree_plans(table, stats, bounds))
         # Cheapest wins; ties break toward fewer estimated rows, then
@@ -505,12 +530,10 @@ class Planner:
             if matched is None:
                 continue
             column, value = matched
-            if value is None or not table.schema.has_column(column):
+            if not typed_literal(table.schema, column, value):
                 continue
             for index in table.indexes.values():
-                if index.column != column.lower() or not getattr(index, "supports_eq", False):
-                    continue
-                if len(getattr(index, "columns", (index.column,))) != 1:
+                if not index.supports_eq or index.columns != (column.lower(),):
                     continue
                 est = equality_selectivity(stats, column.lower()) * stats.row_count
                 plans.append(
@@ -527,14 +550,10 @@ class Planner:
     def _range_plans(self, table, stats, bounds) -> List[AccessPlan]:
         plans = []
         for column, interval in bounds.items():
-            if not table.schema.has_column(column):
-                continue
             for index in table.indexes.values():
-                if index.column != column.lower() or not getattr(
-                    index, "supports_range", False
-                ):
+                if not index.supports_range or index.columns != (column,):
                     continue
-                selectivity = range_selectivity(stats, column.lower(), interval)
+                selectivity = range_selectivity(stats, column, interval)
                 est = selectivity * stats.row_count
                 plans.append(
                     AccessPlan(
@@ -556,7 +575,7 @@ class Planner:
     def _rtree_plans(self, table, stats, bounds) -> List[AccessPlan]:
         plans = []
         for index in table.indexes.values():
-            if not getattr(index, "supports_box", False):
+            if not index.supports_box:
                 continue
             column_x, column_y = index.columns
             bounds_x = bounds.get(column_x)

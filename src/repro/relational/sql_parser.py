@@ -115,12 +115,7 @@ class CreateIndexStmt:
     name: str
     table: str
     columns: Tuple[str, ...]
-    kind: str = "hash"  # CREATE INDEX ... USING (hash | sorted | btree | rtree)
-
-    @property
-    def column(self) -> str:
-        """The first indexed column (single-column compatibility alias)."""
-        return self.columns[0]
+    kind: str = "hash"  # CREATE INDEX ... USING (hash | btree | rtree)
 
 
 @dataclass(frozen=True)

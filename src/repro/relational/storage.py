@@ -6,6 +6,7 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import CatalogError, IntegrityError
 from repro.relational.index import HashIndex, make_index
+from repro.relational.indexes import SecondaryIndex
 from repro.relational.schema import TableSchema
 
 
@@ -27,7 +28,7 @@ class Table:
         self._rows: List[Optional[Tuple[Any, ...]]] = []
         self._live = 0
         self.version = 0
-        self.indexes: Dict[str, object] = {}
+        self.indexes: Dict[str, SecondaryIndex] = {}
         # Undo log for transactions: None when autocommitting, else a list
         # of ('insert', rowid) / ('delete', rowid, row) / ('update', rowid,
         # old_row) entries replayed in reverse on rollback.
@@ -42,10 +43,10 @@ class Table:
     # Index keys
     # ------------------------------------------------------------------
 
-    def _index_key(self, row: Tuple[Any, ...], index) -> Any:
+    def _index_key(self, row: Tuple[Any, ...], index: SecondaryIndex) -> Any:
         """The key ``index`` stores for ``row``: one value, or a tuple
         across the index's columns (the R-tree's (x, y) pair)."""
-        columns = getattr(index, "columns", None) or (index.column,)
+        columns = index.columns
         if len(columns) == 1:
             return row[self.schema.position(columns[0])]
         return tuple(row[self.schema.position(column)] for column in columns)
@@ -246,21 +247,12 @@ class Table:
         self.indexes[name] = index
         self.version += 1
 
-    def index_on(self, column: str):
-        """Return some single-column index over ``column`` or None."""
-        column = column.lower()
-        for index in self.indexes.values():
-            columns = getattr(index, "columns", (index.column,))
-            if len(columns) == 1 and index.column == column:
-                return index
-        return None
-
     def index_statistics(self) -> Dict[str, Any]:
         """Per-index structure statistics for the catalog snapshot."""
         report: Dict[str, Any] = {}
         for name in sorted(self.indexes):
             index = self.indexes[name]
             stats = index.statistics()
-            stats["columns"] = list(getattr(index, "columns", (index.column,)))
+            stats["columns"] = list(index.columns)
             report[name] = stats
         return report

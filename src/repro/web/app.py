@@ -291,16 +291,6 @@ def _html_escape(text: str) -> str:
     )
 
 
-def _keyword_of(query_text: str) -> str:
-    """Best-effort keyword extraction for snippet highlighting."""
-    from repro.core.query import parse_query
-
-    try:
-        return parse_query(query_text).keyword
-    except Exception:
-        return ""
-
-
 def _result_payload(result) -> Dict[str, Any]:
     return {
         "title": result.title,
@@ -434,7 +424,8 @@ def create_app(
         ]
         if text.strip():
             try:
-                results = engine.search(engine.parse(text))
+                query = engine.parse(text)
+                results = engine.search(query)
             except ReproError as exc:
                 body.append(f"<p><strong>Error:</strong> {_html_escape(str(exc))}</p>")
             else:
@@ -449,12 +440,11 @@ def create_app(
                             for s in suggestions
                         )
                         body.append(f"<p>Did you mean: {links}?</p>")
-                keyword = _keyword_of(text)
                 body.append("<ol>")
                 for result in results:
                     snippet_html = ""
-                    if keyword:
-                        fragment = engine.snippet(result.title, keyword)
+                    if query.keyword:
+                        fragment = engine.snippet(result.title, query.keyword)
                         rendered = _html_escape(fragment.text).replace(
                             "**", "<b>", 1
                         )

@@ -1,8 +1,9 @@
 """Concurrency and equivalence tests for the search engine and the SMR lock.
 
-Four properties: (1) the lazy top-k path returns *identical* results to
-the full sort — same titles, same floats, same order — for every query
-shape; (2) the engine stays correct while reader threads race a live
+Four properties: (1) a limited query returns *identical* results to the
+same query without its limit, sliced to the page — same titles, same
+floats, same order — for every query shape, so the lazy top-k path
+matches the full sort; (2) the engine stays correct while reader threads race a live
 writer: no torn reads across the three stores, and no post-edit search
 may serve pre-edit state from any cache or memo (result cache, IRI->title
 map, location map, ranker scores); (3) SQL readers sharing one executor,
@@ -19,7 +20,7 @@ from collections import Counter
 
 import pytest
 
-from repro.core import AdvancedSearchEngine, PageRankRanker, QueryLog
+from repro.core import AdvancedSearchEngine, QueryLog
 from repro.errors import ReproError
 from repro.relational import Database
 from repro.smr import SensorMetadataRepository
@@ -80,23 +81,26 @@ def _fingerprint(results):
     ], results.total_candidates
 
 
+def _full_sort(engine, query):
+    """The fingerprint of ``query`` run without its limit, which builds
+    every result and sorts them all, sliced to the page."""
+    results, total = _fingerprint(engine.search(query.with_limit(None)))
+    return results[: query.limit], total
+
+
 class TestTopkIdentity:
     """Top-k vs full sort: byte-identical results."""
 
     @pytest.mark.parametrize("text", QUERY_SHAPES)
     def test_topk_matches_full_sort(self, smr, text):
-        ranker = PageRankRanker(smr)  # shared so scores are one solve
-        full = AdvancedSearchEngine(smr, ranker=ranker, cache=None, topk=False)
-        lazy = AdvancedSearchEngine(smr, ranker=ranker, cache=None, topk=True)
-        query = full.parse(text)
-        assert _fingerprint(lazy.search(query)) == _fingerprint(full.search(query))
+        engine = AdvancedSearchEngine(smr, cache=None)
+        query = engine.parse(text)
+        assert _fingerprint(engine.search(query)) == _full_sort(engine, query)
 
     def test_topk_with_offset_past_end(self, smr):
-        ranker = PageRankRanker(smr)
-        full = AdvancedSearchEngine(smr, ranker=ranker, cache=None, topk=False)
-        lazy = AdvancedSearchEngine(smr, ranker=ranker, cache=None, topk=True)
-        query = full.parse("kind=institution limit=50 offset=6")
-        assert _fingerprint(lazy.search(query)) == _fingerprint(full.search(query))
+        engine = AdvancedSearchEngine(smr, cache=None)
+        query = engine.parse("kind=institution limit=50 offset=6")
+        assert _fingerprint(engine.search(query)) == _full_sort(engine, query)
 
 
 class TestConcurrentReadersWithWriter:

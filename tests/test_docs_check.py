@@ -76,6 +76,15 @@ DELETED_OBS = re.compile(
     r"|one flag check per component"
 )
 
+#: The deleted index structures and switches: one index structure per
+#: predicate shape and one access-path chooser, so no document may still
+#: describe them.
+DELETED_RELATIONAL = re.compile(
+    r"ExtendibleHashIndex|SortedIndex|USING sorted|planner=False|topk=False"
+    r"|extendible[\s-]hash",
+    re.IGNORECASE,
+)
+
 #: Claims that once were true and must never reappear: (file, regex,
 #: what replaced them). Docs drift is a build failure, not a shrug.
 STALE_CLAIMS = [
@@ -103,6 +112,15 @@ STALE_CLAIMS = [
         DELETED_OBS,
         "one record per search feeds every query view; repro.obs.notify, the "
         "slow_query_seconds knob and the disabled fast path are gone",
+    )
+    for path in _markdown_files()
+] + [
+    (
+        os.path.relpath(path, REPO_ROOT),
+        DELETED_RELATIONAL,
+        "USING hash is the flat HashIndex and the B+-tree the one ordered index; "
+        "the cost-based planner is the only access-path chooser and a limited "
+        "score sort always takes the heap top-k",
     )
     for path in _markdown_files()
 ]

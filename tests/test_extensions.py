@@ -20,7 +20,7 @@ class TestExplain:
         # probes below a sequential scan (on a 3-row table seq would win).
         database = Database()
         database.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v REAL, tag TEXT)")
-        database.execute("CREATE INDEX idx_v ON t(v) USING sorted")
+        database.execute("CREATE INDEX idx_v ON t(v) USING btree")
         database.execute("CREATE INDEX idx_tag ON t(tag)")
         for i in range(64):
             database.execute(
@@ -57,14 +57,6 @@ class TestExplain:
         # through an index.
         plan = [row[0] for row in db.execute("EXPLAIN SELECT * FROM t WHERE v > -1000.0")]
         assert plan[0].startswith("SeqScan(t)")
-
-    def test_planner_off_keeps_legacy_explain(self):
-        database = Database(planner=False)
-        database.execute("CREATE TABLE t (id INTEGER, tag TEXT)")
-        database.execute("CREATE INDEX idx_tag ON t(tag)")
-        database.execute("INSERT INTO t (id, tag) VALUES (1, 'a')")
-        plan = [row[0] for row in database.execute("EXPLAIN SELECT * FROM t WHERE tag = 'a'")]
-        assert plan[0] == "IndexScan(t.tag = 'a')"
 
     def test_explain_join_and_agg(self, db):
         plan = [

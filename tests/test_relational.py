@@ -398,9 +398,10 @@ class TestIndexes:
         assert rows == [("DAV-002",), ("WAN-001",)]
 
     def test_sorted_index(self, db):
-        db.execute("CREATE INDEX idx_elev ON stations(elev) USING sorted")
-        index = db.table("stations").index_on("elev")
-        assert index.kind == "sorted"
+        # The B+-tree is the one ordered index.
+        db.execute("CREATE INDEX idx_elev ON stations(elev) USING btree")
+        index = db.table("stations").indexes["idx_elev"]
+        assert index.kind == "btree"
         assert index.range(low=2000) == index.lookup(2400.0) | index.lookup(2610.0)
 
     def test_duplicate_index_name(self, db):
@@ -414,8 +415,8 @@ class TestIndexes:
 
     def test_pk_index_used(self, db):
         # The automatic primary-key index answers equality lookups.
-        index = db.table("stations").index_on("id")
-        assert index is not None
+        index = db.table("stations").indexes["stations_pk"]
+        assert index.columns == ("id",)
         assert index.lookup(2) != set()
 
     def test_delete_by_key_drops_one_row_through_the_pk_index(self, db):
@@ -423,7 +424,7 @@ class TestIndexes:
         table = db.table("stations")
         assert table.delete_by_key(1) == 1
         assert table.delete_by_key(1) == 0
-        assert table.index_on("id").lookup(1) == set()
+        assert table.indexes["stations_pk"].lookup(1) == set()
         assert db.execute("SELECT id FROM stations WHERE site = 'Wannengrat'").rows == [(4,)]
         db.execute("CREATE TABLE notes (body TEXT)")
         with pytest.raises(CatalogError):

@@ -59,15 +59,43 @@ comparison = st.sampled_from(["=", "!=", "<", "<=", ">", ">="])
 
 
 @st.composite
-def where_clause(draw):
+def mistyped_literal(draw, column):
+    """A literal of another type than ``column``'s: text for the numeric
+    columns, a number for ``tag``. The text is never numeric-looking, so
+    sqlite's affinity rules cannot turn it into a number."""
+    if column == "tag":
+        return str(draw(st.integers(-50, 50)))
+    return f"'{draw(st.sampled_from(['x', 'abc']))}'"
+
+
+@st.composite
+def where_clause(draw, mistyped_order=False):
+    """A WHERE clause over ``t``.
+
+    ``mistyped_eq`` compares a column with a literal of another type by
+    ``=`` or ``!=``: no row matches ``=`` and both engines agree. With
+    ``mistyped_order`` the whole clause may instead be an ordering
+    comparison with such a literal, which this engine refuses with a
+    ``RelationalError`` on the first non-NULL row it reads. sqlite orders
+    values across types instead, so only the indexed/unindexed
+    differential asks for it.
+    """
+    if mistyped_order and draw(st.integers(0, 5)) == 0:
+        column = draw(st.sampled_from(COLUMNS))
+        op = draw(st.sampled_from(["<", "<=", ">", ">="]))
+        return f"{column} {op} {draw(mistyped_literal(column))}"
     kind = draw(
         st.sampled_from(
             [
                 "num_cmp", "tag_cmp", "null", "between", "in", "and", "or",
-                "not", "column_cmp", "arith_cmp", "concat",
+                "not", "column_cmp", "arith_cmp", "concat", "mistyped_eq",
             ]
         )
     )
+    if kind == "mistyped_eq":
+        column = draw(st.sampled_from(COLUMNS))
+        op = draw(st.sampled_from(["=", "!="]))
+        return f"{column} {op} {draw(mistyped_literal(column))}"
     if kind == "num_cmp":
         column = draw(st.sampled_from(["a", "b"]))
         op = draw(comparison)
@@ -251,55 +279,64 @@ class TestDifferentialSelect:
 
 
 def make_planner_pair(rows):
-    """Identical data, one planner-on database (with every index kind on
-    the filterable columns) and one planner-off database (no secondary
-    indexes at all) — the physical plans differ maximally, the rows must
-    not differ at all."""
-    plan_on = Database(planner=True)
-    plan_off = Database(planner=False)
+    """Identical data, one database with every index kind on the
+    filterable columns and one with no secondary index at all — the
+    physical plans differ maximally, the rows must not differ at all."""
+    indexed = Database()
+    unindexed = Database()
     ddl = "CREATE TABLE t (id INTEGER PRIMARY KEY, a INTEGER, b REAL, tag TEXT)"
-    plan_on.execute(ddl)
-    plan_off.execute(ddl)
-    plan_on.execute("CREATE INDEX idx_a ON t(a) USING btree")
-    plan_on.execute("CREATE INDEX idx_b ON t(b) USING sorted")
-    plan_on.execute("CREATE INDEX idx_tag ON t(tag) USING hash")
+    indexed.execute(ddl)
+    unindexed.execute(ddl)
+    indexed.execute("CREATE INDEX idx_a ON t(a) USING btree")
+    indexed.execute("CREATE INDEX idx_b ON t(b) USING btree")
+    indexed.execute("CREATE INDEX idx_tag ON t(tag) USING hash")
     for i, (a, b, tag) in enumerate(rows):
         a_sql = "NULL" if a is None else str(a)
         b_sql = "NULL" if b is None else repr(b)
         tag_sql = "NULL" if tag is None else f"'{tag}'"
         statement = f"INSERT INTO t (id, a, b, tag) VALUES ({i}, {a_sql}, {b_sql}, {tag_sql})"
-        plan_on.execute(statement)
-        plan_off.execute(statement)
-    return plan_on, plan_off
+        indexed.execute(statement)
+        unindexed.execute(statement)
+    return indexed, unindexed
+
+
+def outcome(db, query):
+    """What ``query`` gives: its rows, or its error's type and message."""
+    try:
+        return db.execute(query).rows
+    except Exception as exc:  # noqa: BLE001 — the error is the outcome
+        return type(exc).__name__, str(exc)
 
 
 class TestPlannerDifferential:
-    """Cost-based planner on vs off: rows must be byte-identical.
+    """A database with secondary indexes vs one without: byte-identical
+    outcomes.
 
     No ORDER BY is added — the executor's contract is that every access
     path enumerates rowids in ascending order, so even the *row order*
-    must match between a SeqScan and an index probe."""
+    must match between a SeqScan and an index probe. A clause that
+    raises must raise the same error from both."""
 
-    @given(rows_strategy, where_clause())
+    @given(rows_strategy, where_clause(mistyped_order=True))
     @settings(max_examples=120, deadline=None)
     def test_where_rows_identical(self, rows, clause):
-        plan_on, plan_off = make_planner_pair(rows)
+        indexed, unindexed = make_planner_pair(rows)
         query = f"SELECT id, a, b, tag FROM t WHERE {clause}"
-        assert plan_on.execute(query).rows == plan_off.execute(query).rows, query
+        assert outcome(indexed, query) == outcome(unindexed, query), query
 
-    @given(rows_strategy, where_clause())
+    @given(rows_strategy, where_clause(mistyped_order=True))
     @settings(max_examples=40, deadline=None)
     def test_rows_identical_after_mutation(self, rows, clause):
-        plan_on, plan_off = make_planner_pair(rows)
+        indexed, unindexed = make_planner_pair(rows)
         for statement in (
             "UPDATE t SET a = a + 1, tag = 'y' WHERE a IS NOT NULL AND a < 0",
             "DELETE FROM t WHERE tag = 'x'",
             "UPDATE t SET b = 0.5 WHERE b IS NULL",
         ):
-            plan_on.execute(statement)
-            plan_off.execute(statement)
+            indexed.execute(statement)
+            unindexed.execute(statement)
         query = f"SELECT id, a, b, tag FROM t WHERE {clause}"
-        assert plan_on.execute(query).rows == plan_off.execute(query).rows, query
+        assert outcome(indexed, query) == outcome(unindexed, query), query
 
     @given(
         st.lists(
@@ -317,20 +354,20 @@ class TestPlannerDifferential:
     )
     @settings(max_examples=60, deadline=None)
     def test_rtree_bbox_rows_identical(self, points, south, height, west, width):
-        plan_on = Database(planner=True)
-        plan_off = Database(planner=False)
+        indexed = Database()
+        unindexed = Database()
         ddl = "CREATE TABLE geo (id INTEGER PRIMARY KEY, lat REAL, lon REAL)"
-        plan_on.execute(ddl)
-        plan_off.execute(ddl)
-        plan_on.execute("CREATE INDEX idx_geo ON geo(lat, lon) USING rtree")
+        indexed.execute(ddl)
+        unindexed.execute(ddl)
+        indexed.execute("CREATE INDEX idx_geo ON geo(lat, lon) USING rtree")
         for i, (lat, lon) in enumerate(points):
             statement = f"INSERT INTO geo (id, lat, lon) VALUES ({i}, {lat!r}, {lon!r})"
-            plan_on.execute(statement)
-            plan_off.execute(statement)
+            indexed.execute(statement)
+            unindexed.execute(statement)
         north, east = round(south + height, 3), round(west + width, 3)
         query = (
             "SELECT id, lat, lon FROM geo WHERE "
             f"lat >= {south!r} AND lat <= {north!r} AND "
             f"lon >= {west!r} AND lon <= {east!r}"
         )
-        assert plan_on.execute(query).rows == plan_off.execute(query).rows, query
+        assert indexed.execute(query).rows == unindexed.execute(query).rows, query

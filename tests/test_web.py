@@ -97,6 +97,28 @@ class TestSearchEndpoints:
         assert status == "400 Bad Request"
         assert body["type"] == "QueryError"
 
+    @pytest.mark.parametrize("text", ["elevation_m%3Dabc", "elevation_m%3E%3Dabc"])
+    def test_mistyped_filter_on_a_btree_column_answers_like_the_scan(self, text):
+        """A text literal against a B+-tree on a numeric column keeps the
+        SeqScan, so the indexed app answers exactly as the unindexed one."""
+
+        def search(indexed):
+            smr = SensorMetadataRepository()
+            for i, elevation in enumerate([2400, 2100, 1500]):
+                smr.register(
+                    "station", f"Station:S{i}", [("name", f"S{i}"), ("elevation_m", elevation)]
+                )
+            if indexed:
+                smr.db.execute("CREATE INDEX idx_elev ON station(elevation_m) USING btree")
+            app = create_app(AdvancedSearchEngine(smr, cache=None))
+            status, _, body = call(app, "GET", "/api/search", f"q={text}")
+            body.pop("trace_id", None)
+            return status, body
+
+        indexed = search(indexed=True)
+        assert indexed == search(indexed=False)
+        assert indexed[0] == "200 OK"
+
     def test_page_detail(self, app):
         status, _, body = call(app, "GET", "/api/page/Station:WAN-001")
         assert status == "200 OK"
