@@ -4,11 +4,19 @@
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: test doctest docs-check bench bench-smoke bench-cache bench-planner obs-check
+.PHONY: test test-dev doctest docs-check bench bench-smoke bench-cache bench-planner obs-check
 
 ## Tier-1: the full unit/integration suite (includes docs-check).
 test:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -x -q
+
+## The suites around the SMR's lock and its write-through lookups, in
+## development mode (-X dev) with a leaked resource (ResourceWarning)
+## turned into an error.
+TEST_DEV_FILES := tests/test_smr.py tests/test_core_engine.py tests/test_concurrency.py \
+	tests/test_planner.py tests/test_web.py
+test-dev:
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -X dev -W error::ResourceWarning -m pytest $(TEST_DEV_FILES) -q
 
 ## The docstring examples under src/ (the Database quick-start among them).
 doctest:
@@ -37,7 +45,7 @@ bench-cache:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest benchmarks/bench_cache_warmstart.py -q
 
 ## The docs/QUERY_PLANNING.md gates: B+-tree range >= 3x over the
-## unindexed scan, engine R-tree bbox probe >= 5x over the seed scan.
+## unindexed scan, engine R-tree bbox probe >= 5x over the linear scan.
 bench-planner:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest benchmarks/bench_planner_indexes.py -q --benchmark-disable
 

@@ -1,4 +1,4 @@
-"""E13 — cost-based planner index probes vs the seed scan paths.
+"""E13 — cost-based planner index probes vs the scan paths.
 
 Two gates guard this PR's tentpole (docs/QUERY_PLANNING.md):
 
@@ -7,10 +7,11 @@ Two gates guard this PR's tentpole (docs/QUERY_PLANNING.md):
   prices the B+-tree range probe below the scan) than on an unindexed
   ``Database()`` holding the same rows, where the planner's only path
   is the SeqScan that evaluates the WHERE expression against every row.
-- **R-tree bbox probe.** The engine's generation-stamped R-tree must
-  answer bounding-box constraints >= 5x faster than the seed scan path
-  (``spatial_index=False``): a linear pass over every title testing
-  ``BoundingBox.contains`` against the memoized location.
+- **R-tree bbox probe.** The SMR's R-tree, which every ``register()``
+  keeps current, must answer the engine's bounding-box constraints >= 5x
+  faster than the scan path (``spatial_index=False``): a linear pass
+  over every located page testing ``BoundingBox.contains`` against the
+  location the SMR keeps for it.
 
 Both sections assert the compared paths return *identical* rows/titles
 first — the speedups are never bought with a behavior change. Results go
@@ -123,7 +124,7 @@ def _bbox_smr(pages: int) -> SensorMetadataRepository:
 
 
 def _bbox_section() -> list:
-    """R-tree bbox probe >= 5x over the seed linear scan."""
+    """R-tree bbox probe >= 5x over the linear scan."""
     from repro.geo.bbox import BoundingBox
 
     smr = _bbox_smr(BBOX_PAGES)
@@ -131,8 +132,8 @@ def _bbox_section() -> list:
     scan = AdvancedSearchEngine(smr, cache=None, spatial_index=False)
     boxes = [BoundingBox(s, w, n, e) for s, w, n, e in BBOXES]
 
-    # Identity first, which also warms the R-tree and the location memo
-    # on both engines — the gate times steady-state probes, not builds.
+    # Identity first. Both paths read lookups the writes above already
+    # built, so the gate times probes, not builds.
     for box in boxes:
         assert probe._titles_in_bbox(box) == scan._titles_in_bbox(box)
 
@@ -145,7 +146,7 @@ def _bbox_section() -> list:
     speedup = scan_s / probe_s if probe_s else float("inf")
 
     lines = [
-        "R-tree bbox probe vs seed linear scan",
+        "R-tree bbox probe vs linear scan",
         f"pages={BBOX_PAGES} boxes={len(boxes)} repeats={BBOX_REPEATS}",
         f"rtree: {probe.spatial_index_info()}",
         f"scan_s={scan_s:.4f} rtree_s={probe_s:.4f} speedup={speedup:.1f}x "

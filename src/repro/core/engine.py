@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import heapq
 import re
-import threading
 import time
 from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
@@ -40,8 +39,7 @@ from repro.core.query import (
 from repro.core.ranking import PageRankRanker
 from repro.core.recommend import Recommendation, Recommender
 from repro.core.results import SearchResult, SearchResults
-from repro.errors import QueryError, RelationalError, ReproError
-from repro.geo.point import GeoPoint
+from repro.errors import QueryError, RelationalError
 from repro.perf.cache import GenerationalLruCache, result_cache_key
 from repro.smr.repository import SensorMetadataRepository
 
@@ -81,21 +79,10 @@ class AdvancedSearchEngine:
         if cache is _DEFAULT_CACHE_SENTINEL:
             cache = GenerationalLruCache(capacity=256, name="query_results")
         self.cache = cache
-        #: When True (default), bounding-box constraints probe a
-        #: generation-stamped R-tree over every located page instead of
-        #: scanning all titles; ``False`` keeps the linear scan.
+        #: When True (default), bounding-box constraints probe the SMR's
+        #: R-tree (kept current by every write, like the SMR's kind,
+        #: IRI and location lookups); ``False`` scans every located page.
         self.spatial_index = spatial_index
-        # Per-generation memos shared by all query threads: the
-        # IRI -> title map every SPARQL filter needs, per-title GeoPoint
-        # parses the bbox paths need, and the spatial R-tree the bbox
-        # probe descends. All are stamped with the SMR mutation counter —
-        # the same generation the result cache uses — and rebuilt lazily
-        # after any write.
-        self._iri_map_lock = threading.Lock()
-        self._iri_map_memo: Optional[Tuple[int, Dict[str, str]]] = None
-        self._location_memo: Optional[Tuple[int, Dict[str, Optional[GeoPoint]]]] = None
-        self._spatial_lock = threading.Lock()
-        self._spatial_memo: Optional[Tuple[int, Any]] = None  # (generation, RTreeIndex)
         from repro.core.history import QueryLog
 
         self.query_log = QueryLog()
@@ -270,7 +257,7 @@ class AdvancedSearchEngine:
 
         if query.kind is not None:
             kind_start = time.perf_counter()
-            kind_titles = set(self.smr.titles(query.kind))
+            kind_titles = self.smr.titles_of_kind(query.kind)
             name = f"kind={query.kind}"
             prov.add_stage(
                 name,
@@ -410,8 +397,8 @@ class AdvancedSearchEngine:
         property filters show the cost-based plan the SQL planner would
         choose (one entry per mapped kind), unmapped filters report the
         SPARQL fallback, and a bbox constraint reports whether it would
-        probe the generation-stamped R-tree or fall back to the linear
-        scan. Backs ``/debug/plan`` and ``explain=1`` on ``/api/search``.
+        probe the SMR's R-tree or fall back to the linear scan. Backs
+        ``/debug/plan`` and ``explain=1`` on ``/api/search``.
         """
         constraints: List[Dict[str, Any]] = []
         if query.keyword:
@@ -472,7 +459,7 @@ class AdvancedSearchEngine:
             entry = {"constraint": f"bbox({box})"}
             if self.spatial_index:
                 entry["strategy"] = "RTreeProbe"
-                entry["detail"] = "generation-stamped R-tree over located pages"
+                entry["detail"] = "R-tree over located pages, kept current by every write"
                 entry["index"] = self.spatial_index_info()
             else:
                 entry["strategy"] = "BBoxScan"
@@ -581,138 +568,43 @@ class AdvancedSearchEngine:
             f"SELECT ?s WHERE {{ ?s prop:{prop_local} ?v . FILTER({condition}) }}"
         )
         result = self.smr.sparql(query)
-        matches: Set[str] = set()
-        iri_to_title = self._iri_title_map()
-        for term in result.column("s"):
-            title = iri_to_title.get(getattr(term, "value", None))
-            if title is not None:
-                matches.add(title)
-        return matches
-
-    def _iri_title_map(self) -> Dict[str, str]:
-        """The IRI -> title map, memoized per SMR generation.
-
-        Every SPARQL-backed filter needs this map; before memoization a
-        three-SPARQL-filter query rebuilt it three times. The generation
-        is read *before* the titles, so a concurrent write can at worst
-        stamp fresh data with a stale generation (rebuilt next query),
-        never stale data with a fresh one.
-        """
-        from repro.wiki.site import title_to_iri
-
-        generation = self.smr.mutation_count
-        memo = self._iri_map_memo
-        if memo is not None and memo[0] == generation:
-            return memo[1]
-        with self._iri_map_lock:
-            memo = self._iri_map_memo
-            if memo is not None and memo[0] == generation:
-                return memo[1]
-            mapping = {title_to_iri(title).value: title for title in self.smr.titles()}
-            self._iri_map_memo = (generation, mapping)
-            return mapping
+        return self.smr.titles_of_iris(
+            getattr(term, "value", None) for term in result.column("s")
+        )
 
     def _titles_in_bbox(self, bbox) -> Set[str]:
         """Titles of pages located inside ``bbox``.
 
-        One generation read up front is shared by both paths — the
-        R-tree probe and the fallback scan can never disagree about
-        which snapshot they serve, and a memo hit re-parses nothing.
-        ``BoundingBox.contains`` is a plain inclusive axis test (no
-        antimeridian wrap), exactly the R-tree's box semantics, so the
-        probe result needs no per-title re-verification.
+        The R-tree probe and the fallback scan read the SMR's location
+        lookups, which every write keeps current, so neither parses a
+        location. ``BoundingBox.contains`` is a plain inclusive axis
+        test (no antimeridian wrap), exactly the R-tree's box semantics,
+        so the probe result needs no per-title re-verification.
         """
-        generation = self.smr.mutation_count
         if self.spatial_index:
-            index = self._spatial_index_for(generation)
-            return set(index.box(bbox.south, bbox.north, bbox.west, bbox.east))
-        matches: Set[str] = set()
-        for title in self.smr.titles():
-            location = self._cached_location(generation, title)
-            if location is not None and bbox.contains(location):
-                matches.add(title)
-        return matches
-
-    def _spatial_index_for(self, generation: int):
-        """The R-tree over every located page, memoized per generation.
-
-        Same double-checked-lock shape as :meth:`_iri_title_map`: the
-        generation was read *before* the titles, so a write landing
-        mid-build at worst stamps fresh data with a stale generation
-        (rebuilt on the next spatial query), never the reverse.
-        """
-        from repro.relational.indexes import RTreeIndex
-
-        memo = self._spatial_memo
-        if memo is not None and memo[0] == generation:
-            return memo[1]
-        with self._spatial_lock:
-            memo = self._spatial_memo
-            if memo is not None and memo[0] == generation:
-                return memo[1]
-            index = RTreeIndex("engine_spatial", columns=("latitude", "longitude"))
-            for title in self.smr.titles():
-                location = self._cached_location(generation, title)
-                if location is not None:
-                    index.insert((location.lat, location.lon), title)
-            self._spatial_memo = (generation, index)
-            return index
+            return self.smr.titles_in_box(bbox.south, bbox.north, bbox.west, bbox.east)
+        return {
+            title
+            for title, location in self.smr.locations().items()
+            if bbox.contains(location)
+        }
 
     def spatial_index_info(self) -> Dict[str, Any]:
         """Spatial-index state for ``/api/stats`` and the health probe.
 
-        ``generation`` is the SMR mutation count the memoized R-tree was
-        built at (None before the first spatial query); comparing it with
-        ``current_generation`` tells whether the next bbox probe will
-        rebuild.
+        Every ``register()`` updates the SMR's R-tree, so ``generation``
+        always equals ``current_generation``. ``entries`` counts the
+        located pages; ``depth``, ``nodes``, ``leaves`` and
+        ``fill_factor`` follow the order the pages were inserted in.
         """
-        memo = self._spatial_memo
+        generation, statistics = self.smr.spatial_index_statistics()
         info: Dict[str, Any] = {
             "enabled": self.spatial_index,
-            "generation": memo[0] if memo is not None else None,
-            "current_generation": self.smr.mutation_count,
+            "generation": generation,
+            "current_generation": generation,
         }
-        if memo is not None:
-            info.update(memo[1].statistics())
+        info.update(statistics)
         return info
-
-    def _location_of(self, title: str) -> Optional[GeoPoint]:
-        """Per-title GeoPoint, cached by SMR generation."""
-        return self._cached_location(self.smr.mutation_count, title)
-
-    def _cached_location(self, generation: int, title: str) -> Optional[GeoPoint]:
-        """Look up (or parse) ``title``'s location at ``generation``.
-
-        Only the first spatial query after a write pays the annotation
-        walk. Same generation-before-data ordering as
-        :meth:`_iri_title_map`; the dict update is lock-free (single
-        bytecode-level store, and a lost race merely re-parses).
-        """
-        memo = self._location_memo
-        if memo is None or memo[0] != generation:
-            memo = (generation, {})
-            self._location_memo = memo
-        cache = memo[1]
-        if title in cache:
-            return cache[title]
-        location = self._parse_location(title)
-        cache[title] = location
-        return location
-
-    def _parse_location(self, title: str) -> Optional[GeoPoint]:
-        annotations = dict(
-            (prop.lower(), value) for prop, value in self.smr.annotations(title)
-        )
-        lat = annotations.get("latitude")
-        lon = annotations.get("longitude")
-        if isinstance(lat, (int, float)) and isinstance(lon, (int, float)):
-            try:
-                return GeoPoint(float(lat), float(lon))
-            except ReproError:
-                # register() does not validate coordinates; a page whose
-                # latitude or longitude is out of range is unlocated.
-                return None
-        return None
 
     # ------------------------------------------------------------------
     # Result construction and ranking
@@ -730,9 +622,8 @@ class AdvancedSearchEngine:
             match_degree = satisfied / len(filter_matches)
         else:
             match_degree = 1.0
-        annotations = {
-            prop.lower(): value for prop, value in self.smr.annotations(title)
-        }
+        pairs, location = self.smr.annotations_and_location(title)
+        annotations = {prop.lower(): value for prop, value in pairs}
         return SearchResult(
             title=title,
             kind=kind,
@@ -740,7 +631,7 @@ class AdvancedSearchEngine:
             pagerank=self.ranker.score(title),
             match_degree=match_degree,
             annotations=annotations,
-            location=self._location_of(title),
+            location=location,
         )
 
     def _select_topk(

@@ -24,6 +24,16 @@ Invariants:
   with the corpus. A page the export cannot name is refused by
   ``WikiSite.save``, the first step of the write, so a refused
   ``register()`` leaves every store as it was.
+- **Write-through search lookups.** Under the same write lock,
+  ``register()`` keeps the engine's kind -> titles, IRI value -> title
+  and title -> location lookups and one R-tree over the located pages
+  equal to a fresh derivation from the wiki, so no read rebuilds them.
+  Of two titles that differ only by space versus underscore, the one
+  that sorts later under ``str.lower`` keeps their shared IRI; a
+  location is :func:`parse_location` of the page's annotations, taken
+  from the write's one wikitext parse before the write section, so a
+  parse that raises refuses the write with every store as it was. An
+  R-tree entry moves only when its page's location changed.
 - **Row replacement by primary key.** The old row is dropped through the
   table's primary-key hash index, not by a scanning ``DELETE``.
 """
@@ -31,19 +41,21 @@ Invariants:
 from __future__ import annotations
 
 import threading
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.errors import SmrError
+from repro.errors import ReproError, SmrError
+from repro.geo.point import GeoPoint
 from repro.rdf.graph import Graph
 from repro.rdf.sparql import SparqlEngine, SparqlResult
 from repro.relational.database import Database, ResultSet
+from repro.relational.indexes import RTreeIndex
 from repro.relational.types import DataType
 from repro.smr.model import KIND_ORDER, record_class_for
 from repro.smr.rwlock import ReadWriteLock
 from repro.text.inverted_index import InvertedIndex
 from repro.wiki.schema_map import PropertyMapping, SchemaMapping
-from repro.wiki.site import WikiSite
-from repro.wiki.wikitext import render_annotations
+from repro.wiki.site import WikiSite, title_to_iri
+from repro.wiki.wikitext import parse_wikitext, render_annotations
 
 
 def default_schema_mapping() -> SchemaMapping:
@@ -104,6 +116,25 @@ def default_schema_mapping() -> SchemaMapping:
     return mapping
 
 
+def parse_location(annotations: Sequence[Tuple[str, Any]]) -> Optional[GeoPoint]:
+    """The point a page's ``latitude`` and ``longitude`` annotations give.
+
+    Property names match case-insensitively, and a later pair overrides
+    an earlier one. A page is unlocated (None) unless both values are
+    numbers; ``register()`` does not validate coordinates, so a value
+    out of range, or too large for a float, leaves it unlocated too.
+    """
+    pairs = {prop.lower(): value for prop, value in annotations}
+    lat = pairs.get("latitude")
+    lon = pairs.get("longitude")
+    if isinstance(lat, (int, float)) and isinstance(lon, (int, float)):
+        try:
+            return GeoPoint(float(lat), float(lon))
+        except (OverflowError, ReproError):
+            return None
+    return None
+
+
 class SensorMetadataRepository:
     """Keeps the wiki, the relational DB and the RDF export in sync.
 
@@ -125,6 +156,11 @@ class SensorMetadataRepository:
         self.text_index = InvertedIndex()
         self.lock = ReadWriteLock()
         self._kind_of: Dict[str, str] = {}  # title-key -> kind
+        # The write-through search lookups (module docstring).
+        self._titles_of_kind: Dict[str, Set[str]] = {kind: set() for kind in self.mapping.kinds}
+        self._title_of_iri: Dict[str, str] = {}
+        self._locations: Dict[str, GeoPoint] = {}  # located pages only
+        self._spatial = RTreeIndex("spatial", columns=("latitude", "longitude"))
         self._rdf: Optional[Graph] = None  # built by the first rdf_graph() call
         self._rdf_build_lock = threading.Lock()
         self._mutations = 0
@@ -151,12 +187,15 @@ class SensorMetadataRepository:
         text = render_annotations(list(annotations), list(links))
         if description:
             text = f"{description}\n{text}"
-        # Row construction (validation, typing) happens outside the write
-        # section; only the multi-store commit below is exclusive.
+        # Row construction (validation, typing), the wikitext parse and the
+        # location it gives happen outside the write section; only the
+        # multi-store commit below is exclusive.
         row = self.mapping.row_from_annotations(kind, title, list(annotations))
+        parsed = parse_wikitext(text)
+        location = parse_location(parsed.annotations)
         key = title.strip().lower()
         with self.lock.write():
-            title = self.wiki.save(title, text, author=author).title
+            title = self.wiki.save(title, text, author=author, parsed=parsed).title
             row["title"] = title
             old_kind = self._kind_of.get(key)
             if old_kind is not None:
@@ -164,6 +203,7 @@ class SensorMetadataRepository:
                 self.db.table(old_kind).delete_by_key(title)
             self.db.table(kind).insert(row)
             self._kind_of[key] = kind
+            self._update_lookups(title, old_kind, kind, location)
             searchable = " ".join(
                 [title, description] + [str(value) for _, value in annotations]
             )
@@ -171,6 +211,28 @@ class SensorMetadataRepository:
             if self._rdf is not None:
                 self.wiki.refresh_page_rdf(self._rdf, title)
             self._mutations += 1
+
+    def _update_lookups(
+        self, title: str, old_kind: Optional[str], kind: str, location: Optional[GeoPoint]
+    ) -> None:
+        """Bring the search lookups up to one save of ``title`` (write lock held)."""
+        if old_kind is None:  # a creation
+            iri = title_to_iri(title).value
+            holder = self._title_of_iri.get(iri)
+            if holder is None or holder.lower() < title.lower():
+                self._title_of_iri[iri] = title
+        if old_kind != kind:
+            if old_kind is not None:
+                self._titles_of_kind[old_kind].discard(title)
+            self._titles_of_kind[kind].add(title)
+        old = self._locations.pop(title, None)
+        if location is not None:
+            self._locations[title] = location
+        if old != location:
+            if old is not None:
+                self._spatial.delete((old.lat, old.lon), title)
+            if location is not None:
+                self._spatial.insert((location.lat, location.lon), title)
 
     def register_record(self, kind: str, record: Dict[str, Any], links: Sequence[str] = ()) -> None:
         """Register from a plain dict using the typed record classes."""
@@ -231,14 +293,45 @@ class SensorMetadataRepository:
             return dict(self._kind_of)
 
     def titles(self, kind: Optional[str] = None) -> List[str]:
-        """All page titles, optionally restricted to one kind."""
+        """All page titles, optionally restricted to one kind, sorted case-insensitively."""
         with self.lock.read():
             if kind is None:
                 return self.wiki.titles()
-            wanted = kind.lower()
-            return [
-                t for t in self.wiki.titles() if self._kind_of[t.strip().lower()] == wanted
-            ]
+            return sorted(self._titles_of_kind.get(kind.lower(), ()), key=str.lower)
+
+    def titles_of_kind(self, kind: str) -> Set[str]:
+        """The titles of one kind as a set: :meth:`titles` without the sort."""
+        with self.lock.read():
+            return set(self._titles_of_kind.get(kind.lower(), ()))
+
+    def titles_of_iris(self, iris: Iterable[Any]) -> Set[str]:
+        """Titles of the pages whose subject IRI value is among ``iris``."""
+        with self.lock.read():
+            lookup = self._title_of_iri.get
+            return {title for title in map(lookup, iris) if title is not None}
+
+    def annotations_and_location(
+        self, title: str
+    ) -> Tuple[List[Tuple[str, Any]], Optional[GeoPoint]]:
+        """:meth:`annotations` of ``title`` and their :func:`parse_location`."""
+        with self.lock.read():
+            title = self.wiki.get(title).title
+            return self.wiki.annotations(title), self._locations.get(title)
+
+    def locations(self) -> Dict[str, GeoPoint]:
+        """A snapshot of title -> location over every located page."""
+        with self.lock.read():
+            return dict(self._locations)
+
+    def titles_in_box(self, south: float, north: float, west: float, east: float) -> Set[str]:
+        """Titles of the located pages inside the box, bounds inclusive (R-tree probe)."""
+        with self.lock.read():
+            return self._spatial.box(south, north, west, east)
+
+    def spatial_index_statistics(self) -> Tuple[int, Dict[str, Any]]:
+        """The R-tree's statistics and the :attr:`mutation_count` they describe."""
+        with self.lock.read():
+            return self._mutations, self._spatial.statistics()
 
     def annotations(self, title: str) -> List[Tuple[str, Any]]:
         """The (attribute, value) pairs of ``title``'s current revision."""

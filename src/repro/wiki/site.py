@@ -11,7 +11,7 @@ same page ordering, ready for
 from __future__ import annotations
 
 import re
-from typing import Any, Dict, Iterator, List, Set, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.errors import WikiError
 from repro.pagerank.webgraph import LinkGraph
@@ -57,7 +57,14 @@ class WikiSite:
     def _key(title: str) -> str:
         return title.strip().lower()
 
-    def save(self, title: str, text: str, author: str = "", comment: str = "") -> Page:
+    def save(
+        self,
+        title: str,
+        text: str,
+        author: str = "",
+        comment: str = "",
+        parsed: Optional[ParsedWikitext] = None,
+    ) -> Page:
         """Create the page or append a revision to it.
 
         A page whose title, property or category names hold whitespace
@@ -66,11 +73,14 @@ class WikiSite:
         :meth:`export_rdf` never fails on a saved page.
 
         A creation bumps :attr:`link_generation`, and so does an edit
-        that changes the page's :meth:`link_targets`.
+        that changes the page's :meth:`link_targets`. A caller that has
+        already parsed ``text`` passes the result as ``parsed``, so one
+        save parses the text once.
         """
         key = self._key(title)
         page = self._pages.get(key)
-        parsed = parse_wikitext(text)
+        if parsed is None:
+            parsed = parse_wikitext(text)
         names = [prop for prop, _ in parsed.annotations] + parsed.categories
         if page is None:
             names.append(title)

@@ -223,6 +223,100 @@ class TestConcurrentReadersWithWriter:
         assert [r.title for r in after_bbox.results] == ["Station:NEW-SPOT"]
 
 
+class TestWriteThroughLookupsUnderThreads:
+    """Readers race a writer that moves a station in and out of a box.
+
+    The writer also changes an unmapped property each time, so the
+    station's bbox, SPARQL and kind reads all go through the SMR's
+    write-through lookups while they change.
+    """
+
+    TITLE = "Station:MOVER"
+    WRITES = 40
+    READERS_PER_QUERY = 2  # with the writer, more threads than cores
+    BOX = "bbox=46,9,47,10"
+
+    @staticmethod
+    def _version(v):
+        inside = v % 2 == 0
+        return [
+            ("name", "MOVER"),
+            ("latitude", 46.5 if inside else 10.5),
+            ("longitude", 9.5 if inside else 10.5),
+            ("firmware", f"fw{v}"),  # unmapped: lives in the RDF graph only
+        ]
+
+    def test_reads_see_one_written_version(self):
+        from repro.geo.point import GeoPoint
+
+        smr = _corpus_smr()
+        smr.register("station", self.TITLE, self._version(1))  # outside the box
+        engine = AdvancedSearchEngine(smr, cache=None)
+        versions = {}
+        for v in range(self.WRITES + 2):
+            pairs = dict(self._version(v))
+            versions[pairs["firmware"]] = (pairs["latitude"], pairs["longitude"])
+        box_query = engine.parse(self.BOX)
+        sparql_query = engine.parse("firmware~fw")
+        kind_query = engine.parse("kind=station")
+        others_in_box = set(engine.search(box_query).titles)
+        stations = engine.search(kind_query).total_candidates
+        errors, wrong = [], []
+        stop = threading.Event()
+
+        def check(query, results):
+            titles = set(results.titles)
+            if query is box_query and titles - {self.TITLE} != others_in_box:
+                wrong.append(("bbox", sorted(titles ^ others_in_box)))
+            if query is sparql_query and titles != {self.TITLE}:
+                wrong.append(("sparql", sorted(titles)))
+            if query is kind_query and results.total_candidates != stations:
+                wrong.append(("kind", results.total_candidates))
+            for result in results.results:
+                if result.title != self.TITLE:
+                    continue
+                pairs = result.annotations
+                version = versions.get(pairs.get("firmware"))
+                point = (pairs.get("latitude"), pairs.get("longitude"))
+                if version != point or result.location != GeoPoint(*point):
+                    wrong.append(("torn", pairs, result.location))
+
+        def reader(query):
+            try:
+                while not stop.is_set():
+                    check(query, engine.search(query))
+            except Exception as exc:  # pragma: no cover - the assertion target
+                errors.append(exc)
+
+        def writer():
+            try:
+                for v in range(2, self.WRITES + 2):
+                    smr.register("station", self.TITLE, self._version(v))
+            except Exception as exc:  # pragma: no cover
+                errors.append(exc)
+            finally:
+                stop.set()
+
+        queries = [box_query, sparql_query, kind_query] * self.READERS_PER_QUERY
+        threads = [threading.Thread(target=reader, args=(query,)) for query in queries]
+        threads.append(threading.Thread(target=writer))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # hand the GIL over as often as possible
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60.0)
+        finally:
+            stop.set()
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads), "a reader or the writer hung"
+        assert not errors, errors
+        assert not wrong, wrong[:5]
+        last_inside = (self.WRITES + 1) % 2 == 0
+        assert (self.TITLE in engine.search(box_query).titles) is last_inside
+
+
 class TestConcurrentSqlReaders:
     """Reader threads share one ``Executor``; each sorts its own rows."""
 

@@ -277,14 +277,51 @@ class TestOutOfRangeLocations:
         assert [r.title for r in listed.located()] == ["Station:OK"]
 
     @pytest.mark.parametrize("spatial_index", [True, False], ids=["rtree", "scan"])
+    def test_coordinate_too_large_for_a_float_is_unlocated(self, repo, spatial_index):
+        repo.register(
+            "sensor",
+            "Sensor:HUGE",
+            [("name", "huge"), ("latitude", 10**400), ("longitude", 9.8)],
+        )
+        engine = AdvancedSearchEngine(repo, cache=None, spatial_index=spatial_index)
+        assert engine.search(parse_query("bbox=40,5,50,12")).titles == ["Station:OK"]
+        for text in ("kind=sensor", "keyword=huge"):
+            results = engine.search(parse_query(text))
+            assert results.titles == ["Sensor:HUGE"]
+            assert results.results[0].location is None
+
+    @staticmethod
+    def _state(repo):
+        """Every store and lookup a refused write must leave as it was."""
+        return {
+            "wiki": {
+                title: (repo.wiki.get(title).text, repo.wiki.get(title).revision_count)
+                for title in repo.titles()
+            },
+            "sql": {kind: repo.sql(f"SELECT * FROM {kind}").rows for kind in repo.mapping.kinds},
+            "text": (repo.text_index.document_count, repo.keyword_search("moved")),
+            "rdf": set(repo.rdf_graph().triples()),
+            "kinds": {kind: repo.titles_of_kind(kind) for kind in repo.mapping.kinds},
+            "iris": dict(repo._title_of_iri),
+            "locations": repo.locations(),
+            "rtree": repo.spatial_index_statistics(),
+            "mutations": repo.mutation_count,
+        }
+
+    @pytest.mark.parametrize("spatial_index", [True, False], ids=["rtree", "scan"])
     def test_other_location_errors_surface(self, repo, spatial_index, monkeypatch):
         def broken(lat, lon):
             raise RuntimeError("geo backend down")
 
-        monkeypatch.setattr("repro.core.engine.GeoPoint", broken)
         engine = AdvancedSearchEngine(repo, cache=None, spatial_index=spatial_index)
-        with pytest.raises(RuntimeError, match="geo backend down"):
-            engine.search(self.WHOLE_GLOBE)
+        before = self._state(repo)
+        monkeypatch.setattr("repro.smr.repository.GeoPoint", broken)
+        moved = [("name", "moved"), ("latitude", 40.0), ("longitude", 7.0)]
+        for kind, title in (("station", "Station:OK"), ("sensor", "Sensor:NEW")):
+            with pytest.raises(RuntimeError, match="geo backend down"):
+                repo.register(kind, title, moved)
+        assert self._state(repo) == before
+        assert engine.search(self.WHOLE_GLOBE).titles == ["Station:OK"]
 
 
 class TestPrivileges:

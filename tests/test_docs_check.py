@@ -43,7 +43,12 @@ REQUIRED_SECTIONS = {
 #: down, not just that a docstring exists).
 INVARIANT_DOCSTRINGS = {
     "repro.text.inverted_index": ["Write-through", "Re-add replaces"],
-    "repro.smr.repository": ["Write-through", "export_rdf", "canonical title"],
+    "repro.smr.repository": [
+        "Write-through",
+        "export_rdf",
+        "canonical title",
+        "Write-through search lookups",
+    ],
     "repro.relational.planner": ["NULL", "Superset"],
     "repro.relational.executor": ["flat tuples", "once per statement", "No per-statement state"],
     "repro.core.ranking": ["link_generation", "mutation_count", "bit for bit"],
@@ -85,6 +90,14 @@ DELETED_RELATIONAL = re.compile(
     re.IGNORECASE,
 )
 
+#: The deleted engine memos: the SMR keeps the IRI map, the locations
+#: and the R-tree current on every write, so no document may still
+#: describe a memo the engine rebuilds.
+DELETED_ENGINE_MEMOS = re.compile(
+    r"_iri_title_map|_spatial_index_for|_cached_location|generation-stamped\s+R-tree",
+    re.IGNORECASE,
+)
+
 #: Claims that once were true and must never reappear: (file, regex,
 #: what replaced them). Docs drift is a build failure, not a shrug.
 STALE_CLAIMS = [
@@ -121,6 +134,14 @@ STALE_CLAIMS = [
         "USING hash is the flat HashIndex and the B+-tree the one ordered index; "
         "the cost-based planner is the only access-path chooser and a limited "
         "score sort always takes the heap top-k",
+    )
+    for path in _markdown_files()
+] + [
+    (
+        os.path.relpath(path, REPO_ROOT),
+        DELETED_ENGINE_MEMOS,
+        "register() keeps the IRI map, the locations and the R-tree current in "
+        "the SMR; the engine rebuilds no memo",
     )
     for path in _markdown_files()
 ]

@@ -417,23 +417,29 @@ class TestEngineSpatialIndex:
         )
         assert "Station:LATE" not in {r.title for r in engine.search(query)}
 
-    def test_memo_hit_reparses_nothing(self):
+    def test_memo_hit_reparses_nothing(self, monkeypatch):
+        import repro.smr.repository as repository
         from repro.core import AdvancedSearchEngine
 
         smr = self._smr()
         engine = AdvancedSearchEngine(smr, cache=None)
         query = engine.parse("bbox=41,5,45,8")
-        engine.search(query)  # builds the R-tree and the location memo
         calls = []
-        original = engine._parse_location
+        original = repository.parse_location
 
-        def counting(title):
-            calls.append(title)
-            return original(title)
+        def counting(annotations):
+            calls.append(annotations)
+            return original(annotations)
 
-        engine._parse_location = counting
+        monkeypatch.setattr(repository, "parse_location", counting)
         engine.search(query)
-        assert calls == []  # same generation: pure memo hits
+        assert calls == []  # a search parses no location
+        smr.register(
+            "station", "Station:S3", [("name", "S3"), ("latitude", 42.0), ("longitude", 6.0)]
+        )
+        assert len(calls) == 1  # a write parses its own page, once
+        engine.search(query)
+        assert len(calls) == 1
 
     def test_spatial_index_info(self):
         from repro.core import AdvancedSearchEngine
@@ -441,11 +447,15 @@ class TestEngineSpatialIndex:
         smr = self._smr()
         engine = AdvancedSearchEngine(smr, cache=None)
         info = engine.spatial_index_info()
-        assert info["enabled"] is True and info["generation"] is None
-        engine.search(engine.parse("bbox=41,5,45,8"))
-        info = engine.spatial_index_info()
-        assert info["generation"] == info["current_generation"]
+        assert info["enabled"] is True
+        assert info["generation"] == info["current_generation"] == smr.mutation_count
         assert info["kind"] == "rtree" and info["entries"] == 40
+        smr.register("station", "Station:S0", [("name", "S0"), ("latitude", 95.0)])
+        info = engine.spatial_index_info()
+        assert info["generation"] == info["current_generation"] == smr.mutation_count
+        assert info["entries"] == 39  # the edit unlocated one page
+        info = AdvancedSearchEngine(smr, cache=None, spatial_index=False).spatial_index_info()
+        assert info["enabled"] is False and info["entries"] == 39
 
     def test_explain_search_strategies(self):
         from repro.core import AdvancedSearchEngine

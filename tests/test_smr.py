@@ -259,6 +259,100 @@ class TestRdfWriteThrough:
             assert rows == smr.text_index.document_count == smr.page_count
 
 
+#: Coordinates a write may carry: located points, none at all, and
+#: values that leave the page unlocated.
+_COORDINATES = [
+    None,  # no latitude or longitude
+    (46.5, 9.0),
+    (47.25, 8.5),
+    (0.0, 9.0),
+    (-0.0, 9.0),  # equals the point above
+    (95.0, 9.0),  # out of range
+    (10**400, 9.0),  # too large for a float
+    ("north", 9.0),  # not a number
+    (46.5, None),  # latitude alone
+]
+
+_lookup_step = st.tuples(
+    st.sampled_from(["station", "sensor", "deployment", "field_site"]),
+    _named,
+    st.integers(0, len(_COORDINATES) - 1),
+)
+_box = st.tuples(
+    st.floats(-1.0, 48.0), st.floats(-1.0, 48.0), st.floats(8.0, 10.0), st.floats(8.0, 10.0)
+)
+
+
+class TestSearchLookupsWriteThrough:
+    """The kind, IRI, location and R-tree lookups equal a fresh derivation."""
+
+    @staticmethod
+    def _check(smr, boxes):
+        from repro.smr.repository import parse_location
+        from repro.wiki.site import title_to_iri
+
+        titles = smr.titles()
+        for kind in smr.mapping.kinds:
+            expected = [title for title in titles if smr.kind_of(title) == kind]
+            assert smr.titles(kind) == expected
+            assert smr.titles_of_kind(kind) == set(expected)
+        assert smr._title_of_iri == {title_to_iri(title).value: title for title in titles}
+        located = {}
+        for title in titles:
+            pairs = smr.annotations(title)
+            point = parse_location(pairs)
+            assert smr.annotations_and_location(title.upper()) == (pairs, point)
+            if point is not None:
+                located[title] = point
+        assert smr.locations() == located
+        assert len(smr._spatial) == len(located)
+        for lat_a, lat_b, lon_a, lon_b in boxes:
+            south, north = sorted((lat_a, lat_b))
+            west, east = sorted((lon_a, lon_b))
+            assert smr.titles_in_box(south, north, west, east) == {
+                title
+                for title, point in located.items()
+                if south <= point.lat <= north and west <= point.lon <= east
+            }
+
+    @given(
+        steps=st.lists(_lookup_step, min_size=1, max_size=14),
+        boxes=st.lists(_box, min_size=1, max_size=3),
+    )
+    @settings(max_examples=150, deadline=None)
+    @example(
+        steps=[
+            ("station", ("Station:Alp_One", 0), 1),  # created first, sorts later
+            ("station", ("Station:Alp One", 0), 3),  # shares its IRI, sorts earlier
+            ("station", ("STATION:ALP ONE", 0), 4),  # case variant: -0.0 equals 0.0
+            ("station", ("Station:Alp One", 1), 1),  # moved
+            ("sensor", ("Sensor:S_1", 1), 2),
+            ("sensor", ("Sensor:S 1", 2), 6),  # too large for a float: unlocated
+            ("deployment", ("station:alp_one", 0), 0),  # kind change, coordinates removed
+            ("sensor", ("Sensor:S_1", 0), 5),  # out of range: leaves the R-tree
+            ("sensor", ("sensor:s_1", 0), 7),  # not a number
+            ("field_site", ("Field Site:F", 0), 8),  # latitude alone
+            ("field_site", ("Field_Site:F", 0), 2),
+        ],
+        boxes=[(-1.0, 48.0, 8.0, 10.0), (46.0, 47.0, 8.9, 9.1)],
+    )
+    def test_lookups_match_a_fresh_derivation_after_every_write(self, steps, boxes):
+        smr = SensorMetadataRepository()
+        for n, (kind, page, coordinate) in enumerate(steps):
+            annotations = [("name", f"n{n}")]
+            if _COORDINATES[coordinate] is not None:
+                lat, lon = _COORDINATES[coordinate]
+                annotations.append(("latitude", lat))
+                if lon is not None:
+                    annotations.append(("longitude", lon))
+            try:
+                smr.register(kind, _spell(page), annotations)
+            except OverflowError:
+                # A latitude column converts 10**400 and refuses the write.
+                assert kind in ("station", "field_site")
+            self._check(smr, boxes)
+
+
 class TestBulkLoader:
     def test_load_records(self, smr):
         loader = BulkLoader(smr)

@@ -477,6 +477,24 @@ class TestDeepObservability:
         assert body["checks"]["ranker"]["status"] == "degraded"
         assert body["checks"]["ranker"]["fresh"] is False
 
+    def test_spatial_index_never_lags_a_write(self, fresh_obs):
+        from repro.core import AdvancedSearchEngine
+        from repro.smr import SensorMetadataRepository
+        from repro.web import create_app
+
+        smr = SensorMetadataRepository()
+        located = [("latitude", 46.0), ("longitude", 9.0)]
+        smr.register("station", "Station:H1", [("name", "H1")] + located)
+        own_app = create_app(AdvancedSearchEngine(smr))
+        call(own_app, "GET", "/api/search", "q=bbox%3D45%2C8%2C47%2C10")
+        smr.register("station", "Station:H2", [("name", "H2")] + located)
+        _, _, body = call(own_app, "GET", "/healthz")
+        indexes = body["checks"]["indexes"]
+        assert indexes["status"] == "ok" and indexes["entries"] == 2
+        assert indexes["generation"] == indexes["current_generation"] == smr.mutation_count
+        _, _, stats = call(own_app, "GET", "/api/stats")
+        assert stats["spatial_index"]["generation"] == smr.mutation_count
+
     def test_debug_endpoints_locked_without_debug_flag(self, app, fresh_obs):
         from repro.web import create_app
 
