@@ -17,8 +17,8 @@ import time
 import numpy as np
 import pytest
 
+from repro.perf import GenerationalLruCache
 from repro.tagging import (
-    LruTtlCache,
     TagCloudBuilder,
     TagGraph,
     TagStore,
@@ -27,7 +27,7 @@ from repro.tagging import (
     build_similarity,
     font_sizes,
 )
-from repro.text.tfidf import cosine_similarity
+from repro.tagging.similarity import cosine_similarity
 from repro.workloads import generate_tag_workload
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
@@ -94,7 +94,7 @@ def test_fig4_end_to_end_cloud(store, benchmark):
 
 
 def test_fig4_cache_speedup(store, benchmark, write_result):
-    system = TaggingSystem(store=store, cache=LruTtlCache(capacity=8))
+    system = TaggingSystem(store=store, cache=GenerationalLruCache(capacity=8, name="tagcloud"))
     system.cloud(top=40)  # prime
 
     cloud = benchmark(lambda: system.cloud(top=40))

@@ -4,7 +4,7 @@ The paper (Section III): "Pagerank scores need to be updated regularly as
 new metadata pages are continuously created." This example simulates that
 operation: batches of new stations/sensors stream in; after each batch
 the ranking refreshes from the previous solution (warm start) and the tag
-cloud rebuilds only when its cache key changes.
+cloud rebuilds only when the tag store changed.
 
 Run:  python examples/incremental_updates.py
 """
@@ -53,11 +53,10 @@ def main() -> None:
                     ("sensor_type", sensor_type),
                 ],
             )
-        # Refresh ranking (warm start) and derived services.
+        # Refresh ranking (warm start); autocomplete and recommendations
+        # follow the new generation on their next read.
         engine.ranker.refresh()
         engine.ranker.scores()
-        engine.autocomplete.refresh()
-        engine.recommender.refresh()
         tagging.sync_from_smr(engine.smr, ["sensor_type"])
         print(
             f"Batch {batch}: corpus now {engine.smr.page_count} pages; "

@@ -57,12 +57,13 @@ class AdvancedSearchEngine:
 
     Repeated queries are served from a generation-stamped result cache
     (:mod:`repro.perf`): entries are keyed on the normalized query plus
-    the user's privileges and stamped with the SMR mutation counter, so
-    any page write invalidates every cached result lazily — post-edit
-    searches can never observe pre-edit results. Set ``cache=None`` to
-    disable caching (e.g. for benchmarking the raw pipeline); cached
-    :class:`~repro.core.results.SearchResults` are shared between callers
-    and must be treated as immutable.
+    the user's privileges and stamped with the ranker's
+    :attr:`~repro.core.ranking.PageRankRanker.generation`, so any page
+    write or forced re-solve invalidates every cached result lazily —
+    post-edit searches can never observe pre-edit results. Set
+    ``cache=None`` to disable caching (e.g. for benchmarking the raw
+    pipeline); cached :class:`~repro.core.results.SearchResults` are
+    shared between callers and must be treated as immutable.
     """
 
     def __init__(
@@ -129,7 +130,7 @@ class AdvancedSearchEngine:
         """
         description = query.describe()
         prov = obs.QueryProvenance(description, privileges=_privilege_label(user))
-        generation = self._generation()
+        generation = self.ranker.generation
         key = None
         if not probe_cache:
             prov.cache = "bypass"
@@ -363,16 +364,6 @@ class AdvancedSearchEngine:
                 return "SqlFilter"
         return "SparqlFilter"
 
-    def _generation(self) -> Tuple[int, int]:
-        """The cache generation: (SMR mutations, ranker epoch).
-
-        Any page write bumps the first component; a forced
-        :meth:`~repro.core.ranking.PageRankRanker.refresh` bumps the
-        second — cached results embed PageRank scores, so both must
-        invalidate them.
-        """
-        return (self.smr.mutation_count, getattr(self.ranker, "epoch", 0))
-
     def cache_info(self) -> Dict[str, Any]:
         """Result-cache statistics for ``/api/stats`` and diagnostics."""
         if self.cache is None:
@@ -382,7 +373,7 @@ class AdvancedSearchEngine:
             "enabled": True,
             "entries": len(self.cache),
             "capacity": self.cache.capacity,
-            "generation": list(self._generation()),
+            "generation": list(self.ranker.generation),
             "hits": stats.hits,
             "misses": stats.misses,
             "stale": stats.stale,

@@ -79,8 +79,8 @@ class QueryLog:
         seen = []
         with self._lock:
             for _, query, count in reversed(self._recent):
-                if count == 0 and query not in seen:
-                    seen.append(query)
                 if len(seen) == k:
                     break
+                if count == 0 and query not in seen:
+                    seen.append(query)
         return seen

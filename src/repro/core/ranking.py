@@ -47,6 +47,9 @@ from repro.smr.repository import SensorMetadataRepository
 #: no page).
 LinkStructure = Tuple[List[str], Optional[PageRankProblem]]
 
+#: ``(smr.mutation_count, ranker.epoch)``; see :attr:`PageRankRanker.generation`.
+Generation = Tuple[int, int]
+
 
 def _top_k(pairs: Iterable[Tuple[str, float]], k: int) -> List[Tuple[str, float]]:
     """The ``k`` highest-scored ``(name, score)`` pairs, ties by name."""
@@ -100,9 +103,9 @@ class PageRankRanker:
         self._structure_memo: Optional[Tuple[Tuple[int, float, float], LinkStructure]] = None
         # Per-generation snapshot backing explain(): the titles, an index
         # map, the problem and the score vector. Stamped with
-        # (mutation_count, epoch) so writes and forced refreshes both
-        # invalidate it; built lazily on first explain.
-        self._explain_memo: Optional[Tuple[Tuple[Any, int], Dict[str, Any]]] = None
+        # ``generation`` so writes and forced refreshes both invalidate
+        # it; built lazily on first explain.
+        self._explain_memo: Optional[Tuple[Generation, Dict[str, Any]]] = None
         #: Bumped by :meth:`refresh`. Result caches that embed PageRank
         #: scores fold this into their generation stamp, so forcing a
         #: re-solve also invalidates cached search results.
@@ -129,6 +132,18 @@ class PageRankRanker:
         self._property_weights = None
         self._force_full = True
         self.epoch += 1
+
+    @property
+    def generation(self) -> Generation:
+        """The generation derived views are stamped with: (SMR mutations, epoch).
+
+        Any page write bumps the first component; a forced :meth:`refresh`
+        bumps the second. The engine's result cache, the autocomplete
+        memos and the recommender's reverse links read it before each
+        rebuild, so a write or a forced re-solve reaches them on their
+        next read.
+        """
+        return (self.smr.mutation_count, self.epoch)
 
     #: Iterations spent by the most recent solve, in full-sweep units
     #: (incremental refreshes convert their row-relaxation count; see
@@ -384,18 +399,18 @@ class PageRankRanker:
         """The per-generation state :meth:`explain` decomposes against.
 
         Same generation-before-data, double-checked-lock shape as the
-        score cache: the (mutation, epoch) stamp is read before the link
+        score cache: the :attr:`generation` stamp is read before the link
         structure, so a racing write can at worst stamp fresh state stale
         (rebuilt next call), never stale state fresh. The snapshot holds
         the ranker's titles and combined double-link problem, whose cached
         transpose is the in-link index the decomposition reads.
         """
-        stamp = (getattr(self.smr, "mutation_count", None), self.epoch)
+        stamp = self.generation
         memo = self._explain_memo
         if memo is not None and memo[0] == stamp:
             return memo[1]
         with self._refresh_lock:
-            stamp = (getattr(self.smr, "mutation_count", None), self.epoch)
+            stamp = self.generation
             memo = self._explain_memo
             if memo is not None and memo[0] == stamp:
                 return memo[1]

@@ -14,16 +14,28 @@ where ``weight`` is the property-importance measure from
 :class:`~repro.core.ranking.PageRankRanker` (total PageRank mass of pages
 carrying that property). Pages already in the result set are excluded;
 each recommendation records *why* it was proposed.
+
+Invariant — **stamped with the generation it was built from.** The
+backward step reads a reverse-link map (target page -> the pages whose
+annotations name it). The map is one ``(generation, map)`` memo, where
+the generation is :attr:`~repro.core.ranking.PageRankRanker.generation`.
+It is built under ``smr.lock.read()``, because it reads ``smr.wiki``
+directly, with the generation read inside that lock before the build.
+The first read after a write or a forced ranker refresh rebuilds it,
+and the rebuilt map is published in one assignment.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.core.ranking import PageRankRanker
+from repro.core.ranking import Generation, PageRankRanker
 from repro.core.results import SearchResults
 from repro.smr.repository import SensorMetadataRepository
+
+#: target title-key -> [(property, source title)].
+ReverseLinks = Dict[str, List[Tuple[str, str]]]
 
 
 @dataclass
@@ -46,24 +58,24 @@ class Recommender:
     def __init__(self, smr: SensorMetadataRepository, ranker: PageRankRanker):
         self.smr = smr
         self.ranker = ranker
-        self._reverse: Dict[str, List[Tuple[str, str]]] = {}
-        self._reverse_built = False
+        self._reverse: Optional[Tuple[Generation, ReverseLinks]] = None
 
-    def _reverse_links(self) -> Dict[str, List[Tuple[str, str]]]:
+    def _reverse_links(self) -> ReverseLinks:
         """target title-key -> [(property, source title)] across the wiki."""
-        if not self._reverse_built:
-            self._reverse = {}
-            for title in self.smr.titles():
-                for prop, value in self.smr.annotations(title):
-                    if isinstance(value, str) and self.smr.wiki.has(value):
+        with self.smr.lock.read():
+            generation = self.ranker.generation
+            memo = self._reverse
+            if memo is not None and memo[0] == generation:
+                return memo[1]
+            wiki = self.smr.wiki
+            reverse: ReverseLinks = {}
+            for title in wiki.titles():
+                for prop, value in wiki.annotations(title):
+                    if isinstance(value, str) and wiki.has(value):
                         key = value.strip().lower()
-                        self._reverse.setdefault(key, []).append((prop.lower(), title))
-            self._reverse_built = True
-        return self._reverse
-
-    def refresh(self) -> None:
-        """Invalidate the reverse-link cache after SMR changes."""
-        self._reverse_built = False
+                        reverse.setdefault(key, []).append((prop.lower(), title))
+        self._reverse = (generation, reverse)
+        return reverse
 
     def recommend(
         self, results: SearchResults, k: int = 5, fanout: int = 10

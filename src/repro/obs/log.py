@@ -207,6 +207,8 @@ class EventLog:
             snapshot = list(self._buffer)
         out: List[Dict[str, Any]] = []
         for record in reversed(snapshot):
+            if k is not None and len(out) >= k:
+                break
             if minimum is not None and record.level < minimum:
                 continue
             if trace_id is not None and record.trace_id != trace_id:
@@ -214,8 +216,6 @@ class EventLog:
             if component is not None and record.component != component:
                 continue
             out.append(record.to_dict())
-            if k is not None and len(out) >= k:
-                break
         return out
 
     def to_json_lines(self, **filters: Any) -> str:

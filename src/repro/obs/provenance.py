@@ -196,7 +196,7 @@ class ProvenanceRecorder:
             snapshot = list(self._buffer)
         if trace_id is not None:
             snapshot = [p for p in snapshot if p.trace_id == trace_id]
-        return [p.to_dict() for p in reversed(snapshot[-k:])]
+        return [p.to_dict() for p in reversed(snapshot[-k:] if k > 0 else [])]
 
     def __len__(self) -> int:
         return len(self._buffer)

@@ -235,7 +235,7 @@ class Tracer:
             spans = list(self._buffer)
         if trace_id is not None:
             spans = [span for span in spans if span.trace_id == trace_id]
-        return [span.to_dict() for span in reversed(spans[-k:])]
+        return [span.to_dict() for span in reversed(spans[-k:] if k > 0 else [])]
 
     def clear(self) -> None:
         """Drop every retained trace."""

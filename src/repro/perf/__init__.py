@@ -8,13 +8,15 @@ half of that story; the incremental re-ranking half lives in
 :mod:`repro.pagerank.incremental` and
 :class:`repro.core.ranking.PageRankRanker`.
 
-- :mod:`repro.perf.cache` — :class:`GenerationalLruCache`, an LRU result
-  cache whose entries are stamped with the repository *generation* (the
-  SMR mutation counter). Edits and bulk loads bump the generation, so
-  stale entries die lazily on lookup instead of requiring an eager
-  flush; :func:`result_cache_key` canonicalizes a
-  :class:`~repro.core.query.SearchQuery` + privilege pair into the cache
-  key the engine uses.
+- :mod:`repro.perf.cache` — :class:`GenerationalLruCache`, an LRU
+  cache whose entries are stamped with a *generation*. For the engine's
+  result cache that is the ranker's ``(mutation_count, epoch)`` pair:
+  edits and bulk loads bump it, so stale entries die lazily on lookup
+  instead of requiring an eager flush; :func:`result_cache_key`
+  canonicalizes a :class:`~repro.core.query.SearchQuery` + privilege
+  pair into the cache key the engine uses. The class's second user is
+  the tag-cloud cache of :class:`repro.tagging.TaggingSystem`, stamped
+  with the tag store's version (``cache="tagcloud"``).
 
 Searches, ranking solves, similarity matrices and bulk loads all run
 serially on the calling thread; :mod:`repro.perf.pool` and

@@ -1,13 +1,18 @@
 """A generation-stamped LRU cache for the hot query path.
 
+It has two users: the engine's query-result cache, stamped with
+:attr:`repro.core.ranking.PageRankRanker.generation`, and the tag-cloud
+cache of :class:`repro.tagging.TaggingSystem` (the paper's Fig. 4
+Cache), stamped with ``TagStore.version``.
+
 Invalidation strategy (documented in docs/PERFORMANCE.md): every entry is
-stamped with the repository *generation* — the SMR's monotonically
-increasing mutation counter — at the moment it is stored. A lookup only
-hits when the stored stamp equals the caller's current generation; an
-entry from an older generation counts as *stale*, is evicted lazily, and
-the caller recomputes. Writers therefore never touch the cache: a page
-edit or a 10k-record bulk load "invalidates" everything by incrementing
-one integer.
+stamped with the caller's *generation* — for the result cache, the SMR's
+monotonically increasing mutation counter and the ranker epoch — at the
+moment it is stored. A lookup only hits when the stored stamp equals the
+caller's current generation; an entry from an older generation counts as
+*stale*, is evicted lazily, and the caller recomputes. Writers therefore
+never touch the cache: a page edit or a 10k-record bulk load
+"invalidates" everything by incrementing one integer.
 
 Compared with eager flushing this keeps writes O(1), and compared with
 TTLs it is exact: a result can never be served across a mutation, and is
@@ -77,7 +82,7 @@ class GenerationalLruCache:
         setattr(self.stats, event, getattr(self.stats, event) + 1)
         obs.get_registry().counter(
             f"perf_cache_{event}_total",
-            f"Result-cache {event} per cache name.",
+            f"Cache {event} per cache name.",
             labels=("cache",),
         ).labels(self.name).inc()
 

@@ -8,18 +8,19 @@ The pipeline reproduces the architecture figure module for module:
 
 - :mod:`repro.tagging.store` — tag storage + the Parser that fetches
   property values from the SMR as tags;
-- :mod:`repro.tagging.cache` — the Cache mechanism (LRU + TTL);
-- :mod:`repro.tagging.similarity` — the Matrix Transformation module;
+- :mod:`repro.tagging.similarity` — the Matrix Transformation module
+  and the cosine similarity it is built on;
 - :mod:`repro.tagging.graphmod` — the Graph module;
 - :mod:`repro.tagging.cliques` — Bron-Kerbosch with pivoting and
   degeneracy ordering;
 - :mod:`repro.tagging.fontsize` — Eq. 6 verbatim;
 - :mod:`repro.tagging.cloud` — the assembled tag cloud;
-- :mod:`repro.tagging.interface` — the user-facing command surface.
+- :mod:`repro.tagging.interface` — the user-facing command surface,
+  whose Cache is :class:`repro.perf.GenerationalLruCache` stamped with
+  the tag store's version.
 """
 
 from repro.tagging.store import TagStore
-from repro.tagging.cache import LruTtlCache
 from repro.tagging.similarity import SimilarityMatrix, build_similarity
 from repro.tagging.graphmod import TagGraph
 from repro.tagging.cliques import bron_kerbosch, degeneracy_order
@@ -29,7 +30,6 @@ from repro.tagging.interface import TaggingSystem
 
 __all__ = [
     "TagStore",
-    "LruTtlCache",
     "SimilarityMatrix",
     "build_similarity",
     "TagGraph",

@@ -3,8 +3,10 @@
 "The Interface module provides the necessary commands in order to create
 tags and to accept users' inputs for visualizing tag clouds." Cloud
 construction goes through the Cache so repeated visualizations of an
-unchanged store cost nothing — the cache key includes the store version,
-so any tag mutation invalidates naturally.
+unchanged store cost nothing. The Cache is the result cache's
+:class:`~repro.perf.cache.GenerationalLruCache`: a cloud is keyed on its
+build parameters and stamped with the ``TagStore.version`` read before
+the build, so the first read after any tag mutation rebuilds it.
 """
 
 from __future__ import annotations
@@ -12,10 +14,10 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from repro import obs
-from repro.tagging.cache import LruTtlCache
+from repro.perf.cache import GenerationalLruCache
 from repro.tagging.cloud import TagCloud, TagCloudBuilder
+from repro.tagging.similarity import cosine_similarity
 from repro.tagging.store import TagStore
-from repro.text.tfidf import cosine_similarity
 
 
 class TaggingSystem:
@@ -25,11 +27,14 @@ class TaggingSystem:
         self,
         store: Optional[TagStore] = None,
         builder: Optional[TagCloudBuilder] = None,
-        cache: Optional[LruTtlCache] = None,
+        cache: Optional[GenerationalLruCache] = None,
     ):
         self.store = store or TagStore()
         self.builder = builder or TagCloudBuilder()
-        self.cache = cache or LruTtlCache(capacity=32)
+        # ``is None``, not ``or``: an empty cache has length 0 and is falsy.
+        self.cache = (
+            cache if cache is not None else GenerationalLruCache(capacity=32, name="tagcloud")
+        )
 
     # ------------------------------------------------------------------
     # Commands
@@ -74,10 +79,11 @@ class TaggingSystem:
         """
         tracer = obs.get_tracer()
         event_log = obs.get_event_log()
-        key = (self.store.version, top, min_count, self.builder.threshold, self.builder.max_font)
+        key = (top, min_count, self.builder.threshold, self.builder.max_font)
+        version = self.store.version
         with tracer.span("tagging.cloud", top=top, min_count=min_count) as span:
             with tracer.span("tagging.cache"):
-                cached = self.cache.get(key)
+                cached = self.cache.get(key, version)
             if cached is not None:
                 span.set_attribute("cache", "hit")
                 event_log.debug(
@@ -92,7 +98,7 @@ class TaggingSystem:
                 )
             ) as timer, tracer.span("tagging.matrix"):
                 built = self.builder.build(self.store, top=top, min_count=min_count)
-            self.cache.put(key, built)
+            self.cache.put(key, version, built)
             event_log.info(
                 "tagging.cloud",
                 cache="miss",

@@ -12,16 +12,19 @@ the geometric mean of their frequencies — co-occurring tags are similar.
 
 The matrix is built by a vectorized tile kernel over a tag↔page
 incidence CSR (:func:`_similarity_tile`): for binary vectors the legacy
-per-pair ``cosine_similarity`` reduces to ``overlap / (sqrt(|a|) *
+per-pair :func:`cosine_similarity` reduces to ``overlap / (sqrt(|a|) *
 sqrt(|b|))``, and the kernel performs those exact float operations, so
 the result is bitwise identical to the historical dict-based loop
 (pinned in ``tests/test_tagging.py``). One call computes every row.
+:func:`cosine_similarity` itself stays as that loop's reference and as
+the page-to-page measure of :meth:`repro.tagging.TaggingSystem.similar_pages`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, Mapping
 
 import numpy as np
 
@@ -29,6 +32,24 @@ from repro.errors import TaggingError
 from repro.tagging.store import TagStore
 
 DEFAULT_THRESHOLD = 0.5  # the paper's "above 50%"
+
+
+def cosine_similarity(a: Mapping[str, float], b: Mapping[str, float]) -> float:
+    """Return the cosine of two sparse vectors (0.0 when either is empty).
+
+    The result is clamped to [0, 1] for non-negative inputs; negative
+    components are allowed and can push it to [-1, 1].
+    """
+    if not a or not b:
+        return 0.0
+    # Iterate over the smaller dict for the dot product.
+    small, large = (a, b) if len(a) <= len(b) else (b, a)
+    dot = sum(value * large.get(key, 0.0) for key, value in small.items())
+    norm_a = math.sqrt(sum(value * value for value in a.values()))
+    norm_b = math.sqrt(sum(value * value for value in b.values()))
+    if norm_a == 0.0 or norm_b == 0.0:
+        return 0.0
+    return dot / (norm_a * norm_b)
 
 
 @dataclass
@@ -105,8 +126,8 @@ def _similarity_tile(
 
     For binary page vectors the cosine is ``overlap / (sqrt(|a|) *
     sqrt(|b|))`` — the same float divides and multiplies, in the same
-    order, as ``repro.text.tfidf.cosine_similarity`` on 1.0-valued
-    dicts, so tiles are bitwise identical to the legacy pairwise loop.
+    order, as :func:`cosine_similarity` on 1.0-valued dicts, so tiles
+    are bitwise identical to the legacy pairwise loop.
     Empty tags get 0.0 rows/columns (the legacy empty-vector contract);
     the diagonal is left as computed — the caller overwrites it with
     exact 1.0, as the legacy ``np.eye`` seed did.

@@ -1,22 +1,23 @@
 """Text and information-retrieval substrate.
 
 The advanced search interface needs keyword search over page text and
-metadata values, autocomplete for the query form, and cosine similarity
-between tag vectors (Section IV). This package supplies those pieces:
+metadata values, and autocomplete for the query form (Fig. 7). This
+package supplies those pieces:
 
 - :mod:`repro.text.tokenize` — tokenizer and n-gram helpers;
 - :mod:`repro.text.stopwords` — the English stopword list;
 - :mod:`repro.text.stemmer` — a from-scratch Porter stemmer;
-- :mod:`repro.text.tfidf` — TF-IDF vectors and cosine similarity;
-- :mod:`repro.text.inverted_index` — ranked keyword search (TF-IDF and
-  BM25 scoring);
+- :mod:`repro.text.inverted_index` — ranked keyword search, Okapi BM25
+  over OR semantics;
 - :mod:`repro.text.trie` — prefix trie powering autocomplete.
+
+The cosine similarity between tag vectors (Section IV) lives with its
+one user, :mod:`repro.tagging.similarity`.
 """
 
 from repro.text.tokenize import tokenize, normalize_token
 from repro.text.stopwords import STOPWORDS, is_stopword
 from repro.text.stemmer import porter_stem
-from repro.text.tfidf import TfidfVectorizer, cosine_similarity
 from repro.text.fuzzy import levenshtein, suggest
 from repro.text.inverted_index import InvertedIndex, SearchHit
 from repro.text.snippet import Snippet, best_snippet
@@ -28,8 +29,6 @@ __all__ = [
     "STOPWORDS",
     "is_stopword",
     "porter_stem",
-    "TfidfVectorizer",
-    "cosine_similarity",
     "InvertedIndex",
     "SearchHit",
     "Snippet",

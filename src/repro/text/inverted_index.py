@@ -3,8 +3,8 @@ extends).
 
 Documents are added as ``(doc_id, text)``; tokens are stemmed and
 stopword-filtered before indexing. Queries run through the same pipeline,
-then candidate documents are scored with either TF-IDF cosine or Okapi
-BM25 — BM25 is the default because short metadata pages benefit from its
+then every document containing any query term (OR semantics) is scored
+with Okapi BM25, the one ranking: short metadata pages benefit from its
 length normalization.
 
 Invariants the rest of the system leans on:
@@ -48,7 +48,6 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.errors import ReproError
 from repro.text.stemmer import porter_stem
 from repro.text.stopwords import is_stopword
 from repro.text.tokenize import tokenize
@@ -84,13 +83,8 @@ def bm25_term_score(tf: int, idf: float, length: int, avg_len: float) -> float:
     return idf * tf * (_BM25_K1 + 1) / denom
 
 
-def tfidf_term_score(tf: int, idf: float, length: int) -> float:
-    """One term's TF-IDF contribution (length-normalized term frequency)."""
-    return (tf / max(1, length)) * idf
-
-
 class InvertedIndex:
-    """An in-memory inverted index with BM25 / TF-IDF scoring."""
+    """An in-memory inverted index with BM25 scoring."""
 
     def __init__(self):
         # term -> doc_id -> term frequency
@@ -152,34 +146,18 @@ class InvertedIndex:
     # Search
     # ------------------------------------------------------------------
 
-    def search(
-        self,
-        query: str,
-        limit: Optional[int] = None,
-        scoring: str = "bm25",
-        require_all: bool = False,
-    ) -> List[SearchHit]:
-        """Return documents ranked by relevance to ``query``.
-
-        ``require_all=True`` keeps only documents containing every query
-        term (AND semantics); the default is OR with ranking.
-        """
-        if scoring not in ("bm25", "tfidf"):
-            raise ReproError(f"unknown scoring {scoring!r}; use 'bm25' or 'tfidf'")
+    def search(self, query: str, limit: Optional[int] = None) -> List[SearchHit]:
+        """Return the documents containing any query term, best BM25 first."""
         terms = analyze(query)
         if not terms:
             return []
         postings = [self._postings.get(term, {}) for term in terms]
-        if require_all:
-            candidates = set(postings[0]).intersection(*postings[1:])
-        else:
-            candidates = set().union(*postings)
+        candidates = set().union(*postings)
         if not candidates:
             return []
         n = len(self._doc_lengths)
         avg_len = self._total_tokens / max(1, n)
         idfs = [bm25_idf(len(docs), n) for docs in postings]
-        bm25 = scoring == "bm25"
         hits = []
         for doc_id in candidates:
             length = self._doc_lengths[doc_id]
@@ -188,10 +166,7 @@ class InvertedIndex:
                 tf = docs.get(doc_id, 0)
                 if tf == 0:
                     continue
-                if bm25:
-                    score += bm25_term_score(tf, idf, length, avg_len)
-                else:
-                    score += tfidf_term_score(tf, idf, length)
+                score += bm25_term_score(tf, idf, length, avg_len)
             hits.append(SearchHit(doc_id, score))
         hits.sort(key=lambda hit: (-hit.score, hit.doc_id))
         return hits[:limit] if limit is not None else hits

@@ -72,7 +72,9 @@ where traces and logs must not be public, while ``/healthz`` stays open
 for load balancers.
 
 Errors surface as JSON with appropriate status codes; the engine's
-exception hierarchy maps 1:1 onto 400s.
+exception hierarchy maps 1:1 onto 400s. Every count parameter (``k``,
+``top``, ``top_k``) goes through one parser: a negative count is a 400,
+and 0 asks for an empty list.
 """
 
 from __future__ import annotations
@@ -84,7 +86,7 @@ from wsgiref.simple_server import make_server
 
 from repro import obs
 from repro.core.engine import AdvancedSearchEngine
-from repro.errors import ReproError
+from repro.errors import QueryError, ReproError
 from repro.tagging.interface import TaggingSystem
 from repro.viz.bar import BarChart
 from repro.viz.maprender import MapMarker, MapRenderer
@@ -308,6 +310,21 @@ def _result_payload(result) -> Dict[str, Any]:
     }
 
 
+def _count(request: Request, name: str, default: Optional[int]) -> Optional[int]:
+    """The count parameter ``name`` (``k``, ``top``, ``top_k``), or ``default``.
+
+    A negative count raises :class:`~repro.errors.QueryError` (a 400);
+    0 is a valid count that asks for an empty list.
+    """
+    raw = request.params.get(name)
+    if not raw:
+        return default
+    value = int(raw)
+    if value < 0:
+        raise QueryError(f"{name} must be non-negative, got {value}")
+    return value
+
+
 def _slowest_distinct(slowlog, k: int) -> list:
     """The ``k`` slowest distinct queries the slow log holds, worst first."""
     slowest: Dict[str, float] = {}
@@ -464,7 +481,7 @@ def create_app(
 
     @router.get("/api/related/{title}")
     def related(request: Request, title: str) -> Response:
-        k = int(request.params.get("k", "5"))
+        k = _count(request, "k", 5)
         pages = engine.related_pages(title, k=k)
         return JsonResponse(
             {"related": [{"title": t, "score": s} for t, s in pages]}
@@ -504,7 +521,7 @@ def create_app(
             "trace_id": obs.current_trace_id(),
         }
         if provenance is not None:
-            top_k = int(request.params.get("top_k", "5"))
+            top_k = _count(request, "top_k", 5)
             payload["provenance"] = provenance.to_dict()
             for entry in payload["results"]:
                 entry["score_explanation"] = engine.ranker.explain(
@@ -554,7 +571,7 @@ def create_app(
     @router.get("/api/recommend")
     def recommend(request: Request) -> Response:
         results = _search(request)
-        k = int(request.params.get("k", "5"))
+        k = _count(request, "k", 5)
         recommendations = engine.recommend(results, k=k)
         return JsonResponse(
             {
@@ -648,7 +665,7 @@ def create_app(
         guard = _debug_guard()
         if guard is not None:
             return guard
-        k = int(request.params.get("k", "20"))
+        k = _count(request, "k", 20)
         trace_id = request.params.get("trace_id") or None
         return JsonResponse(
             {"traces": obs.get_tracer().recent(k, trace_id=trace_id)}
@@ -663,7 +680,7 @@ def create_app(
             level=request.params.get("level") or None,
             trace_id=request.params.get("trace_id") or None,
             component=request.params.get("component") or None,
-            k=int(request.params.get("k", "100")),
+            k=_count(request, "k", 100),
         )
         return JsonResponse({"count": len(records), "records": records})
 
@@ -672,7 +689,7 @@ def create_app(
         guard = _debug_guard()
         if guard is not None:
             return guard
-        k = int(request.params.get("k", "256"))
+        k = _count(request, "k", 256)
         rows = obs.profile_tracer(obs.get_tracer(), k=k)
         return JsonResponse({"traces_considered": k, "rows": rows})
 
@@ -754,7 +771,7 @@ def create_app(
         recorder = obs.get_provenance_recorder()
         records = recorder.records(
             trace_id=request.params.get("trace_id") or None,
-            k=int(request.params.get("k", "20")),
+            k=_count(request, "k", 20),
         )
         return JsonResponse(
             {"enabled": recorder.enabled, "count": len(records), "records": records}
@@ -841,7 +858,7 @@ def create_app(
                     "sampler": _sampler_status(sampler),
                 }
             )
-        k = int(request.params.get("k", "50"))
+        k = _count(request, "k", 50)
         return JsonResponse(
             {
                 "enabled": evaluator.enabled,
@@ -1071,7 +1088,7 @@ def create_app(
                     status="404 Not Found",
                 )
             title = results.results[0].title
-        top_k = int(request.params.get("top_k", "8"))
+        top_k = _count(request, "top_k", 8)
         explanation = engine.ranker.explain(title, top_k=top_k)
         data = [
             (f"{entry['source']} [{entry['via']}]", entry["value"])
@@ -1177,7 +1194,7 @@ def create_app(
 
     @router.get("/api/queries/popular")
     def popular_queries(request: Request) -> Response:
-        k = int(request.params.get("k", "10"))
+        k = _count(request, "k", 10)
         return JsonResponse(
             {
                 "popular": [
@@ -1189,15 +1206,14 @@ def create_app(
 
     @router.get("/api/pagerank/top")
     def pagerank_top(request: Request) -> Response:
-        k = int(request.params.get("k", "10"))
+        k = _count(request, "k", 10)
         return JsonResponse(
             {"pages": [{"title": t, "score": s} for t, s in engine.ranker.top(k)]}
         )
 
     @router.get("/api/tags/cloud")
     def tag_cloud(request: Request) -> Response:
-        top = request.params.get("top")
-        cloud = tagging.cloud(top=int(top) if top else None)
+        cloud = tagging.cloud(top=_count(request, "top", None))
         return JsonResponse(
             {
                 "tags": [
@@ -1215,8 +1231,7 @@ def create_app(
 
     @router.get("/api/tags/cloud.svg")
     def tag_cloud_svg(request: Request) -> Response:
-        top = request.params.get("top")
-        cloud = tagging.cloud(top=int(top) if top else None)
+        cloud = tagging.cloud(top=_count(request, "top", None))
         return SvgResponse(render_tag_cloud_svg(cloud))
 
     @router.post("/api/tags")

@@ -1,6 +1,6 @@
 """Concurrency and equivalence tests for the search engine and the SMR lock.
 
-Four properties: (1) a limited query returns *identical* results to the
+Six properties: (1) a limited query returns *identical* results to the
 same query without its limit, sliced to the page — same titles, same
 floats, same order — for every query shape, so the lazy top-k path
 matches the full sort; (2) the engine stays correct while reader threads race a live
@@ -10,7 +10,9 @@ map, location map, ranker scores); (3) SQL readers sharing one executor,
 as ``smr.sql()`` readers do under the read lock, each get their own
 statement's answer; (4) query threads sharing the engine's ``QueryLog``
 keep its popularity counts equal to its retained window; (5) the
-reader–writer lock under those threads keeps its documented semantics.
+reader–writer lock under those threads keeps its documented semantics;
+(6) autocomplete and recommendations read under a live writer never go
+back and end equal to a fresh build.
 """
 
 import sys
@@ -315,6 +317,89 @@ class TestWriteThroughLookupsUnderThreads:
         assert not wrong, wrong[:5]
         last_inside = (self.WRITES + 1) % 2 == 0
         assert (self.TITLE in engine.search(box_query).titles) is last_inside
+
+
+class TestDerivedViewsUnderThreads:
+    """Readers race a writer through autocomplete and recommendations.
+
+    Each memo is published in one assignment and stamped with the
+    generation read before its build, so a reader never sees a trie
+    without its case map, a read never reflects fewer writes than an
+    earlier read on the same thread, and after the writer stops every
+    view equals a fresh build.
+    """
+
+    WRITES = 30
+    READERS = 4  # with the writer, more threads than cores
+
+    def test_reads_grow_with_the_writes_and_end_fresh(self):
+        from repro.core.autocomplete import AutocompleteService
+        from repro.core.recommend import Recommender
+
+        smr = SensorMetadataRepository()
+        smr.register("station", "Station:Seed", [("name", "seed"), ("status", "online")])
+        engine = AdvancedSearchEngine(smr)
+        results = engine.search(engine.parse("kind=station"))  # just the seed
+        errors, wrong = [], []
+        stop = threading.Event()
+
+        def views():
+            titles = engine.autocomplete.complete_title("station:z", 100)
+            values = dict(engine.autocomplete.values_for("status", kind="station"))
+            return titles, values.get("retired", 0), len(engine.recommend(results, k=100))
+
+        def reader():
+            try:
+                seen = (0, 0, 0)
+                while not stop.is_set():
+                    titles, retired, recommended = views()
+                    if any(not title.startswith("Station:Z") for title in titles):
+                        wrong.append(("case", titles))
+                    counts = (len(titles), retired, recommended)
+                    if any(now < before for now, before in zip(counts, seen)):
+                        wrong.append(("went back", seen, counts))
+                    seen = counts
+            except Exception as exc:  # pragma: no cover - the assertion target
+                errors.append(exc)
+
+        def writer():
+            try:
+                for i in range(self.WRITES):
+                    smr.register(
+                        "station", f"Station:Z{i:02d}", [("name", f"z{i}"), ("status", "retired")]
+                    )
+                    smr.register(
+                        "sensor",
+                        f"Sensor:Z{i:02d}",
+                        [("name", f"z{i}"), ("station", "Station:Seed")],
+                    )
+            except Exception as exc:  # pragma: no cover
+                errors.append(exc)
+            finally:
+                stop.set()
+
+        threads = [threading.Thread(target=reader) for _ in range(self.READERS)]
+        threads.append(threading.Thread(target=writer))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # hand the GIL over as often as possible
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60.0)
+        finally:
+            stop.set()
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads), "a reader or the writer hung"
+        assert not errors, errors
+        assert not wrong, wrong[:5]
+        fresh = AutocompleteService(smr, engine.ranker)
+        assert views() == (
+            fresh.complete_title("station:z", 100),
+            self.WRITES,
+            len(Recommender(smr, engine.ranker).recommend(results, k=100)),
+        )
+        assert views()[2] == self.WRITES
 
 
 class TestConcurrentSqlReaders:

@@ -1,6 +1,8 @@
 """Tests for the advanced search engine (the paper's core contribution)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     AccessPolicy,
@@ -11,9 +13,12 @@ from repro.core import (
     User,
     parse_query,
 )
+from repro.core.autocomplete import AutocompleteService
+from repro.core.recommend import Recommender
 from repro.errors import AccessDeniedError, QueryError
 from repro.geo.bbox import BoundingBox
 from repro.smr import SensorMetadataRepository
+from repro.tagging import TagCloudBuilder, TaggingSystem
 
 
 @pytest.fixture(scope="module")
@@ -418,3 +423,72 @@ class TestAutocomplete:
     def test_values_need_property(self, engine):
         with pytest.raises(QueryError):
             engine.autocomplete.values_for("")
+
+
+#: What the derived-view write sequences draw from: page titles, string
+#: properties and values, the properties a page-valued annotation uses,
+#: and tags.
+_PAGES = ["Station:A", "Station:B", "Sensor:S1", "Sensor:S2", "Deployment:D"]
+_PROPS = ["status", "maintainer", "project"]
+_VALUES = ["online", "offline", "alice", "retired-x"]
+_TAGS = ["snow", "wind", "alpine"]
+
+_derived_step = st.one_of(
+    st.tuples(
+        st.just("register"),
+        st.sampled_from(["station", "sensor", "deployment"]),  # may change the kind
+        st.sampled_from(_PAGES),  # a creation or an edit
+        st.lists(st.tuples(st.sampled_from(_PROPS), st.sampled_from(_VALUES)), max_size=2),
+        # a page-valued annotation naming an existing page, by position
+        st.none() | st.tuples(st.sampled_from(["station", "deployment"]), st.integers(0, 9)),
+    ),
+    st.tuples(st.sampled_from(["tag", "untag"]), st.sampled_from(_PAGES), st.sampled_from(_TAGS)),
+    st.just(("refresh",)),
+)
+
+
+class TestDerivedViewsFollowWrites:
+    """Autocomplete, recommendations and tag clouds equal a fresh build
+    after every write, tag change and forced ranker refresh."""
+
+    @staticmethod
+    def _check(engine, tagging):
+        smr, ranker = engine.smr, engine.ranker
+        live, fresh = engine.autocomplete, AutocompleteService(smr, ranker)
+        for prefix in ("", "s", "station:", "sensor:", "m"):
+            assert live.complete_title(prefix, 20) == fresh.complete_title(prefix, 20)
+            assert live.complete_property(prefix, 20) == fresh.complete_property(prefix, 20)
+        for prop in _PROPS + ["station"]:
+            for kind in (None, "station", "sensor"):
+                assert live.values_for(prop, kind) == fresh.values_for(prop, kind)
+        results = engine.search(parse_query("kind=station"))
+        expected = Recommender(smr, ranker).recommend(results, k=10)
+        assert engine.recommend(results, k=10) == expected
+        for top in (None, 2):
+            assert tagging.cloud(top=top) == TagCloudBuilder().build(tagging.store, top=top)
+
+    @given(steps=st.lists(_derived_step, min_size=1, max_size=10))
+    @settings(max_examples=60, deadline=None)
+    def test_views_match_fresh_builds_after_every_step(self, steps):
+        smr = SensorMetadataRepository()
+        smr.register("station", "Station:Seed", [("name", "seed"), ("status", "online")])
+        engine = AdvancedSearchEngine(smr)
+        tagging = TaggingSystem()
+        tagging.create_tag("Station:Seed", "snow")
+        self._check(engine, tagging)  # every memo is built before the first write
+        for step in steps:
+            if step[0] == "register":
+                _, kind, title, pairs, named = step
+                annotations = [("name", title.lower())] + pairs
+                if named is not None:
+                    prop, position = named
+                    existing = smr.titles()
+                    annotations.append((prop, existing[position % len(existing)]))
+                smr.register(kind, title, annotations)
+            elif step[0] == "tag":
+                tagging.create_tag(step[1], step[2])
+            elif step[0] == "untag":
+                tagging.remove_tag(step[1], step[2])
+            else:
+                engine.ranker.refresh()
+            self._check(engine, tagging)

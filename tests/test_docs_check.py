@@ -54,6 +54,8 @@ INVARIANT_DOCSTRINGS = {
     "repro.core.ranking": ["link_generation", "mutation_count", "bit for bit"],
     "repro.pagerank.incremental": ["plain floats", "bit for bit"],
     "repro.obs.provenance": ["never mutated once published"],
+    "repro.core.autocomplete": ["generation"],
+    "repro.core.recommend": ["generation"],
 }
 
 
@@ -96,6 +98,16 @@ DELETED_RELATIONAL = re.compile(
 DELETED_ENGINE_MEMOS = re.compile(
     r"_iri_title_map|_spatial_index_for|_cached_location|generation-stamped\s+R-tree",
     re.IGNORECASE,
+)
+
+#: The deleted second cache, second scorer and manual refreshes: every
+#: derived view is stamped with the generation it was built from, and
+#: BM25 over OR semantics is the only ranking, so no document may still
+#: describe them.
+DELETED_CACHES = re.compile(
+    r"LruTtlCache|TfidfVectorizer|tagging_cache_|LRU\+TTL|TTL\+LRU"
+    r"|autocomplete\.refresh|recommender\.refresh"
+    r"|(?i:require_all|tf-?idf)"
 )
 
 #: Claims that once were true and must never reappear: (file, regex,
@@ -142,6 +154,15 @@ STALE_CLAIMS = [
         DELETED_ENGINE_MEMOS,
         "register() keeps the IRI map, the locations and the R-tree current in "
         "the SMR; the engine rebuilds no memo",
+    )
+    for path in _markdown_files()
+] + [
+    (
+        os.path.relpath(path, REPO_ROOT),
+        DELETED_CACHES,
+        "the tag-cloud cache is a GenerationalLruCache, autocomplete and the "
+        "recommender rebuild on the first read after the generation moves, and "
+        "BM25 is the only keyword scorer",
     )
     for path in _markdown_files()
 ]

@@ -15,32 +15,31 @@ from repro.errors import (
 )
 from repro.relational import Database
 from repro.smr import BulkLoader, SensorMetadataRepository
-from repro.tagging import LruTtlCache, TagStore
+from repro.tagging import TagCloudBuilder, TagStore, TaggingSystem
 
 
 class TestCacheFailureInjection:
     def test_failing_compute_not_cached(self):
-        cache = LruTtlCache()
+        builder = TagCloudBuilder()
+        build = builder.build
         calls = {"n": 0}
 
-        def flaky():
+        def flaky(store, top=None, min_count=1):
             calls["n"] += 1
             if calls["n"] == 1:
                 raise RuntimeError("transient")
-            return "ok"
+            return build(store, top=top, min_count=min_count)
 
+        builder.build = flaky
+        tagging = TaggingSystem(builder=builder)
+        tagging.create_tag("Page:A", "snow")
         with pytest.raises(RuntimeError):
-            cache.get_or_compute("k", flaky)
+            tagging.cloud()
         # The failure must not have poisoned the cache entry.
-        assert cache.get("k") is None
-        assert cache.get_or_compute("k", flaky) == "ok"
+        assert len(tagging.cache) == 0
+        assert [entry.tag for entry in tagging.cloud().entries] == ["snow"]
         assert calls["n"] == 2
-
-    def test_unhashable_key_raises_cleanly(self):
-        cache = LruTtlCache()
-        with pytest.raises(TypeError):
-            cache.put(["list", "key"], 1)
-        assert len(cache) == 0
+        assert len(tagging.cache) == 1
 
 
 class TestRelationalFailureInjection:

@@ -377,19 +377,22 @@ class TestStackInstrumentation:
         assert any(t["name"] == "pagerank.solve" for t in tracer.recent(5))
 
     def test_cache_bridges_to_registry(self, registry):
-        from repro.tagging.cache import LruTtlCache
+        from repro.perf import GenerationalLruCache
+        from repro.tagging import TaggingSystem
 
-        cache = LruTtlCache(capacity=2, name="test")
-        cache.get("missing")
-        cache.put("a", 1)
-        cache.get("a")
-        cache.put("b", 2)
-        cache.put("c", 3)  # evicts "a"
-        assert cache.stats.hits == 1 and cache.stats.misses == 1
-        assert cache.stats.evictions == 1
-        assert registry.get("tagging_cache_hits_total").labels("test").value == 1
-        assert registry.get("tagging_cache_misses_total").labels("test").value == 1
-        assert registry.get("tagging_cache_evictions_total").labels("test").value == 1
+        tagging = TaggingSystem(cache=GenerationalLruCache(capacity=1, name="tagcloud"))
+        tagging.create_tag("Page:A", "snow")
+        tagging.cloud()  # miss
+        tagging.cloud()  # hit
+        tagging.cloud(top=1)  # miss; evicts the full cloud
+        tagging.create_tag("Page:B", "snow")
+        tagging.cloud(top=1)  # stale: the store's version moved
+        expected = {"hits": 1, "misses": 2, "stale": 1, "evictions": 1}
+        stats = tagging.cache.stats
+        assert {event: getattr(stats, event) for event in expected} == expected
+        for event, value in expected.items():
+            family = registry.get(f"perf_cache_{event}_total")
+            assert family.labels("tagcloud").value == value
 
     def test_tagging_cloud_stage_spans(self, registry, tracer):
         from repro.tagging import TaggingSystem

@@ -78,6 +78,16 @@ class TestGenerationalLruCache:
         cache.get("missing", 0)
         assert cache.stats.hit_rate == pytest.approx(0.5)
 
+    def test_unhashable_key_raises_cleanly(self):
+        cache = GenerationalLruCache(capacity=2)
+        with pytest.raises(TypeError):
+            cache.put(["list", "key"], 0, 1)
+        with pytest.raises(TypeError):
+            cache.get(["list", "key"], 0)
+        assert len(cache) == 0
+        cache.put("a", 0, 1)  # the lock was released: still usable
+        assert cache.get("a", 0) == 1
+
 
 # ----------------------------------------------------------------------
 # Cache-key normalization
@@ -235,7 +245,7 @@ class TestStaleCacheRegression:
         smr = _make_smr()
         engine = AdvancedSearchEngine(smr)
         query = engine.parse("kind=station")
-        generation = engine._generation()
+        generation = engine.ranker.generation
         results = engine.search(query)
         smr.register("station", "Station:MIDFLIGHT", [("name", "midflight")])
         # Simulate the racing put: stamped with the pre-write generation.

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from repro.errors import TaggingError
 from repro.tagging import (
-    LruTtlCache,
     TagCloudBuilder,
     TagGraph,
     TagStore,
@@ -74,65 +73,6 @@ class TestTagStore:
         # Numeric values are not topics; only the two strings become tags.
         assert added == 2
         assert store.tags() == ["vaisala", "wind speed"]
-
-
-class TestCache:
-    def test_get_put(self):
-        cache = LruTtlCache(capacity=2)
-        cache.put("a", 1)
-        assert cache.get("a") == 1
-        assert cache.get("missing", "default") == "default"
-
-    def test_lru_eviction(self):
-        cache = LruTtlCache(capacity=2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        cache.get("a")  # refresh a
-        cache.put("c", 3)  # evicts b
-        assert cache.get("b") is None
-        assert cache.get("a") == 1
-        assert cache.stats.evictions == 1
-
-    def test_ttl_expiry_with_fake_clock(self):
-        times = iter(range(100))
-        cache = LruTtlCache(capacity=4, ttl=5, clock=lambda: float(next(times)))
-        cache.put("a", 1)  # stored at t=0
-        assert cache.get("a") == 1  # t=1, fresh
-        for _ in range(5):
-            next(times)
-        assert cache.get("a") is None  # expired
-
-    def test_get_or_compute(self):
-        cache = LruTtlCache()
-        calls = []
-        value = cache.get_or_compute("k", lambda: calls.append(1) or 42)
-        again = cache.get_or_compute("k", lambda: calls.append(1) or 43)
-        assert value == again == 42
-        assert len(calls) == 1
-        assert cache.stats.hits == 1 and cache.stats.misses == 1
-
-    def test_invalidate_and_clear(self):
-        cache = LruTtlCache()
-        cache.put("a", 1)
-        assert cache.invalidate("a")
-        assert not cache.invalidate("a")
-        cache.put("b", 2)
-        cache.clear()
-        assert len(cache) == 0
-
-    def test_invalid_parameters(self):
-        with pytest.raises(TaggingError):
-            LruTtlCache(capacity=0)
-        with pytest.raises(TaggingError):
-            LruTtlCache(ttl=0)
-
-    def test_hit_rate(self):
-        cache = LruTtlCache()
-        assert cache.stats.hit_rate == 0.0
-        cache.put("a", 1)
-        cache.get("a")
-        cache.get("b")
-        assert cache.stats.hit_rate == 0.5
 
 
 class TestSimilarity:

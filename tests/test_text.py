@@ -6,12 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ReproError
+from repro.tagging.similarity import cosine_similarity
 from repro.text import (
     InvertedIndex,
-    TfidfVectorizer,
     Trie,
-    cosine_similarity,
     is_stopword,
     porter_stem,
     tokenize,
@@ -24,21 +22,21 @@ from repro.text.tokenize import ngrams
 ORACLE_WORDS = ["wind", "snow", "davos", "measurement", "measurements", "station", "the"]
 
 
-def _oracle_search(docs, query, scoring, require_all):
+def _oracle_search(docs, query):
     """Rank ``docs`` (doc_id -> analyzed terms) for ``query`` from the definition.
 
     N, every document frequency and the average length are recounted
-    from scratch. Scores are Okapi BM25 (k1 = 1.5, b = 0.75, idf
-    ``log(1 + (N - df + 0.5) / (df + 0.5))``) or length-normalized TF-IDF
-    over the same idf; ties break on the document id.
+    from scratch. A document matches when it holds any query term, and
+    scores are Okapi BM25 (k1 = 1.5, b = 0.75, idf
+    ``log(1 + (N - df + 0.5) / (df + 0.5))``); ties break on the
+    document id.
     """
     terms = analyze(query)
     n = len(docs)
     avg_len = sum(len(tokens) for tokens in docs.values()) / max(1, n)
-    match = all if require_all else any
     hits = []
     for doc_id, tokens in docs.items():
-        if not terms or not match(term in tokens for term in terms):
+        if not any(term in tokens for term in terms):
             continue
         score = 0.0
         for term in terms:
@@ -47,12 +45,9 @@ def _oracle_search(docs, query, scoring, require_all):
                 continue
             df = sum(1 for other in docs.values() if term in other)
             idf = math.log(1.0 + (n - df + 0.5) / (df + 0.5))
-            if scoring == "bm25":
-                score += idf * tf * (1.5 + 1) / (
-                    tf + 1.5 * (1 - 0.75 + 0.75 * len(tokens) / max(avg_len, 1e-9))
-                )
-            else:
-                score += (tf / max(1, len(tokens))) * idf
+            score += idf * tf * (1.5 + 1) / (
+                tf + 1.5 * (1 - 0.75 + 0.75 * len(tokens) / max(avg_len, 1e-9))
+            )
         hits.append((doc_id, score))
     hits.sort(key=lambda hit: (-hit[1], hit[0]))
     return hits
@@ -199,36 +194,6 @@ class TestCosineSimilarity:
         assert -1e-9 <= sim <= 1 + 1e-9
 
 
-class TestTfidfVectorizer:
-    def test_fit_transform(self):
-        docs = [["wind", "speed"], ["wind", "wind", "snow"], ["snow"]]
-        vectors = TfidfVectorizer().fit_transform(docs)
-        assert len(vectors) == 3
-        # "wind" appears in 2/3 documents; "speed" in 1 -> higher idf.
-        v0 = vectors[0]
-        assert v0["speed"] > v0["wind"]
-
-    def test_unknown_terms_dropped(self):
-        vec = TfidfVectorizer().fit([["a", "b"]])
-        assert vec.transform(["a", "zzz"]) == {"a": pytest.approx(vec.idf("a") * 0.5)}
-
-    def test_unfitted_raises(self):
-        with pytest.raises(ReproError):
-            TfidfVectorizer().transform(["a"])
-
-    def test_empty_corpus_rejected(self):
-        with pytest.raises(ReproError):
-            TfidfVectorizer().fit([])
-
-    def test_empty_document(self):
-        vec = TfidfVectorizer().fit([["a"]])
-        assert vec.transform([]) == {}
-
-    def test_vocabulary_sorted(self):
-        vec = TfidfVectorizer().fit([["b", "a", "c"]])
-        assert vec.vocabulary == ["a", "b", "c"]
-
-
 class TestInvertedIndex:
     @pytest.fixture
     def index(self):
@@ -256,10 +221,6 @@ class TestInvertedIndex:
         # p3 mentions wind twice.
         assert hits[0].doc_id == "p3"
 
-    def test_require_all(self, index):
-        hits = index.search("wind davos", require_all=True)
-        assert [h.doc_id for h in hits] == ["p3"]
-
     def test_or_semantics_default(self, index):
         hits = index.search("wind davos")
         assert {h.doc_id for h in hits} == {"p1", "p2", "p3"}
@@ -280,14 +241,6 @@ class TestInvertedIndex:
         assert index.search("glacier")[0].doc_id == "p1"
         assert all(h.doc_id != "p1" for h in index.search("wannengrat"))
 
-    def test_tfidf_scoring(self, index):
-        hits = index.search("wind", scoring="tfidf")
-        assert hits and hits[0].doc_id == "p3"
-
-    def test_unknown_scoring_rejected(self, index):
-        with pytest.raises(ReproError):
-            index.search("wind", scoring="pagerank")
-
     def test_deterministic_tie_break(self):
         idx = InvertedIndex()
         idx.add("b", "alpha")
@@ -305,11 +258,9 @@ class TestInvertedIndex:
             max_size=30,
         ),
         query=st.lists(st.sampled_from(ORACLE_WORDS), min_size=1, max_size=4),
-        scoring=st.sampled_from(["bm25", "tfidf"]),
-        require_all=st.booleans(),
     )
     @settings(max_examples=200, deadline=None)
-    def test_search_matches_from_definition_oracle(self, ops, query, scoring, require_all):
+    def test_search_matches_from_definition_oracle(self, ops, query):
         idx = InvertedIndex()
         docs = {}
         for doc_id, words in ops:
@@ -323,10 +274,8 @@ class TestInvertedIndex:
         assert idx.document_count == len(docs)
         assert idx.total_token_count == sum(len(tokens) for tokens in docs.values())
         text = " ".join(query)
-        hits = idx.search(text, scoring=scoring, require_all=require_all)
-        assert [(h.doc_id, h.score) for h in hits] == _oracle_search(
-            docs, text, scoring, require_all
-        )
+        hits = idx.search(text)
+        assert [(h.doc_id, h.score) for h in hits] == _oracle_search(docs, text)
 
 
 class TestTrie:

@@ -2,6 +2,7 @@
 
 import io
 import json
+import re
 
 import pytest
 
@@ -152,6 +153,31 @@ class TestAutocompleteEndpoints:
         values = {entry["value"]: entry["count"] for entry in body["values"]}
         assert values == {"online": 1, "offline": 1}
 
+    def test_completions_follow_a_write(self):
+        smr = SensorMetadataRepository()
+        smr.register("station", "Station:WAN-001", [("name", "WAN-001"), ("status", "online")])
+        app = create_app(AdvancedSearchEngine(smr))
+
+        def answers():
+            return (
+                call(app, "GET", "/api/autocomplete/title", "prefix=Station:ZZ")[2],
+                call(app, "GET", "/api/autocomplete/property", "prefix=maint")[2],
+                call(app, "GET", "/api/values", "prop=status&kind=station")[2],
+            )
+
+        titles, properties, values = answers()
+        assert titles["completions"] == [] and properties["completions"] == []
+        assert values["values"] == [{"value": "online", "count": 1}]
+        smr.register(
+            "station",
+            "Station:ZZTOP",
+            [("name", "zz"), ("status", "retired-x"), ("maintainer", "alice")],
+        )
+        titles, properties, values = answers()
+        assert titles["completions"] == ["Station:ZZTOP"]
+        assert properties["completions"] == ["maintainer"]
+        assert {"value": "retired-x", "count": 1} in values["values"]
+
 
 class TestAnalysisEndpoints:
     def test_facets(self, app):
@@ -254,6 +280,33 @@ class TestHtmlAndInfoEndpoints:
         assert "**wind**" in body["snippet"]
 
 
+class TestCountParameters:
+    """Every ``k``, ``top`` and ``top_k``: 0 is an empty list, negative a 400."""
+
+    @pytest.mark.parametrize(
+        "path, param, fields",
+        [
+            ("/debug/trace", "k", ("traces",)),
+            ("/debug/provenance", "k", ("records",)),
+            ("/debug/profile", "k", ("rows",)),
+            ("/debug/logs", "k", ("records",)),
+            ("/api/queries/popular", "k", ("popular", "zero_results")),
+            ("/api/tags/cloud", "top", ("tags",)),
+        ],
+    )
+    def test_zero_is_empty_and_negative_is_400(self, app, path, param, fields):
+        # Leave something in every recorder, the query log's zero-result
+        # list among them.
+        call(app, "GET", "/api/search", "q=kind%3Dstation")
+        call(app, "GET", "/api/search", "q=keyword%3Dzzyzx")
+        status, _, body = call(app, "GET", path, f"{param}=0")
+        assert status == "200 OK"
+        assert all(body[field] == [] for field in fields)
+        status, _, body = call(app, "GET", path, f"{param}=-1")
+        assert status == "400 Bad Request"
+        assert body["type"] == "QueryError"
+
+
 class TestObservabilityEndpoints:
     @pytest.fixture
     def fresh_obs(self):
@@ -283,7 +336,8 @@ class TestObservabilityEndpoints:
         assert "engine_queries_total 1" in body
         assert "# TYPE pagerank_solve_seconds histogram" in body
         assert 'pagerank_iterations_total{solver="gauss_seidel"}' in body
-        assert 'tagging_cache_misses_total{cache="tagcloud"}' in body
+        # A miss on a fresh cache, stale once an earlier test tagged a page.
+        assert re.search(r'perf_cache_(misses|stale)_total\{cache="tagcloud"\} 1\n', body)
         assert (
             'http_requests_total{endpoint="/api/search",method="GET",status="200"} 1'
             in body
