@@ -10,11 +10,11 @@ PYTHONPATH := src
 test:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -x -q
 
-## The suites around the SMR's lock and its write-through lookups, in
-## development mode (-X dev) with a leaked resource (ResourceWarning)
-## turned into an error.
+## The suites around the SMR's lock, its write-through lookups and the
+## result cache's lock, in development mode (-X dev) with a leaked
+## resource (ResourceWarning) turned into an error.
 TEST_DEV_FILES := tests/test_smr.py tests/test_core_engine.py tests/test_concurrency.py \
-	tests/test_planner.py tests/test_web.py
+	tests/test_planner.py tests/test_web.py tests/test_perf_cache.py
 test-dev:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -X dev -W error::ResourceWarning -m pytest $(TEST_DEV_FILES) -q
 

@@ -58,15 +58,19 @@ class QueryLog:
         return self._sequence
 
     def recent(self, k: int = 10) -> List[str]:
-        """The last ``k`` distinct queries, most recent first."""
-        seen = []
+        """The last ``k`` distinct queries, most recent first (none for ``k <= 0``)."""
+        queries: List[str] = []
+        if k <= 0:
+            return queries
+        seen = set()
         with self._lock:
             for _, query, _ in reversed(self._recent):
                 if query not in seen:
-                    seen.append(query)
-                if len(seen) == k:
-                    break
-        return seen
+                    seen.add(query)
+                    queries.append(query)
+                    if len(queries) == k:
+                        break
+        return queries
 
     def popular(self, k: int = 10) -> List[Tuple[str, int]]:
         """The ``k`` most-run queries in the window, with counts."""

@@ -10,9 +10,16 @@ stamped with the caller's *generation* — for the result cache, the SMR's
 monotonically increasing mutation counter and the ranker epoch — at the
 moment it is stored. A lookup only hits when the stored stamp equals the
 caller's current generation; an entry from an older generation counts as
-*stale*, is evicted lazily, and the caller recomputes. Writers therefore
+*stale*, is dropped lazily, and the caller recomputes. Writers therefore
 never touch the cache: a page edit or a 10k-record bulk load
 "invalidates" everything by incrementing one integer.
+
+The cache holds one generation. Generations are compared only for
+equality, so an entry whose stamp differs from a new put's can never hit
+again: the first put of another generation drops every entry before it
+stores its own. A put that raced a write (stamped with the generation
+before it) may drop live entries that way; that costs hits, never a wrong
+result. Only readers put, so writers still never touch the cache.
 
 Compared with eager flushing this keeps writes O(1), and compared with
 TTLs it is exact: a result can never be served across a mutation, and is
@@ -28,6 +35,9 @@ from typing import Any, Hashable, Optional, Tuple
 
 from repro import obs
 from repro.errors import ReproError
+
+# Tells a stored ``None`` apart from an absent key in one dict probe.
+_ABSENT = object()
 
 
 @dataclass
@@ -71,12 +81,22 @@ class GenerationalLruCache:
             raise ReproError(f"cache capacity must be positive, got {capacity}")
         self.capacity = capacity
         self.name = name
-        self._entries: "OrderedDict[Hashable, Tuple[int, Any]]" = OrderedDict()
+        self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()
+        #: The one generation every entry is stamped with.
+        self._generation: Hashable = None
         self._lock = threading.Lock()
         self.stats = CacheStats()
 
     def __len__(self) -> int:
         return len(self._entries)
+
+    def _record_size(self) -> None:
+        """Report the entry count; called under the lock after each change."""
+        obs.get_registry().gauge(
+            "perf_cache_entries",
+            "Live entries per cache name.",
+            labels=("cache",),
+        ).labels(self.name).set(float(len(self._entries)))
 
     def _bump(self, event: str) -> None:
         setattr(self.stats, event, getattr(self.stats, event) + 1)
@@ -104,18 +124,18 @@ class GenerationalLruCache:
         value (``None``) but very different operational meanings.
         """
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
+            value = self._entries.get(key, _ABSENT)
+            if value is _ABSENT:
                 self._bump("misses")
                 return None, "miss"
-            stored_generation, value = entry
-            if stored_generation != generation:
+            if self._generation != generation:
                 del self._entries[key]
+                self._record_size()
                 self._bump("stale")
                 obs.get_event_log().debug(
                     "perf.cache_stale",
                     cache=self.name,
-                    stored_generation=stored_generation,
+                    stored_generation=self._generation,
                     current_generation=generation,
                 )
                 return None, "stale"
@@ -124,24 +144,28 @@ class GenerationalLruCache:
             return value, "hit"
 
     def put(self, key: Hashable, generation: int, value: Any) -> None:
-        """Store ``value`` under ``key`` stamped with ``generation``."""
+        """Store ``value`` under ``key`` stamped with ``generation``.
+
+        A ``generation`` other than the stored entries' drops them all
+        first: none of them can hit again. The drop is not an eviction.
+        """
         with self._lock:
-            if key in self._entries:
+            if generation != self._generation:
+                self._entries.clear()
+                self._generation = generation
+            elif key in self._entries:
                 self._entries.move_to_end(key)
-            self._entries[key] = (generation, value)
+            self._entries[key] = value
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
                 self._bump("evictions")
-            obs.get_registry().gauge(
-                "perf_cache_entries",
-                "Live entries per cache name.",
-                labels=("cache",),
-            ).labels(self.name).set(float(len(self._entries)))
+            self._record_size()
 
     def clear(self) -> None:
         """Drop every entry (statistics are kept)."""
         with self._lock:
             self._entries.clear()
+            self._record_size()
 
 
 def result_cache_key(query, user) -> Tuple:

@@ -71,6 +71,15 @@ scraping ``/metrics``. The ``/debug/*`` surfaces are privilege-gated:
 where traces and logs must not be public, while ``/healthz`` stays open
 for load balancers.
 
+JSON bodies are compact, with keys sorted: every one is encoded by
+:func:`repro.web.http.encode_json` (pipe one through
+``python -m json.tool`` to read it indented). A plain ``/api/search``
+body is encoded once per result set. The bytes are kept, keyed on the
+``SearchResults`` object, for as long as the engine's result cache holds
+it, and each response splices its own ``trace_id`` in before the closing
+brace — byte-equal to encoding the whole payload, since ``trace_id``
+sorts last.
+
 Errors surface as JSON with appropriate status codes; the engine's
 exception hierarchy maps 1:1 onto 400s. Every count parameter (``k``,
 ``top``, ``top_k``) goes through one parser: a negative count is a 400,
@@ -80,12 +89,14 @@ and 0 asks for an empty list.
 from __future__ import annotations
 
 import time
+import weakref
 from typing import Any, Dict, Optional
 from urllib.parse import quote
 from wsgiref.simple_server import make_server
 
 from repro import obs
 from repro.core.engine import AdvancedSearchEngine
+from repro.core.results import SearchResults
 from repro.errors import QueryError, ReproError
 from repro.tagging.interface import TaggingSystem
 from repro.viz.bar import BarChart
@@ -95,6 +106,7 @@ from repro.viz.sparkline import SparklineGrid, SparklinePanel
 from repro.viz.tagcloud import render_tag_cloud_svg
 from repro.viz.waterfall import WaterfallChart
 from repro.web.http import (
+    JSON_CONTENT_TYPE,
     HtmlResponse,
     JsonResponse,
     Request,
@@ -102,6 +114,7 @@ from repro.web.http import (
     Router,
     SvgResponse,
     TextResponse,
+    encode_json,
 )
 
 _INDEX_HTML = """<!doctype html>
@@ -310,6 +323,15 @@ def _result_payload(result) -> Dict[str, Any]:
     }
 
 
+def _search_payload(results: SearchResults) -> Dict[str, Any]:
+    """The ``/api/search`` body of one result set, before its ``trace_id``."""
+    return {
+        "query": results.query_description,
+        "total_candidates": results.total_candidates,
+        "results": [_result_payload(r) for r in results],
+    }
+
+
 def _count(request: Request, name: str, default: Optional[int]) -> Optional[int]:
     """The count parameter ``name`` (``k``, ``top``, ``top_k``), or ``default``.
 
@@ -364,6 +386,12 @@ def create_app(
     router = Router()
 
     sampler = sampler if sampler is not None else obs.get_sampler()
+    # Plain /api/search bodies, encoded once per result set. Keyed on the
+    # result object, an entry lives exactly as long as the engine's result
+    # cache (or the request) holds that object.
+    search_bodies: "weakref.WeakKeyDictionary[SearchResults, bytes]" = (
+        weakref.WeakKeyDictionary()
+    )
 
     def _engine_probe(registry) -> None:
         # Refresh pull-style gauges just before each scrape: the ranker's
@@ -499,6 +527,23 @@ def create_app(
             }
         )
 
+    def _search_response(results: SearchResults) -> Response:
+        """The plain search body: the result set's bytes plus a trace id.
+
+        Sorted keys put ``trace_id`` last, so splicing it in before the
+        stored closing brace gives exactly ``encode_json`` of the whole
+        payload; the bytes before it are shared by every cache hit.
+        """
+        body = search_bodies.get(results)
+        if body is None:
+            body = search_bodies[results] = encode_json(_search_payload(results))
+        trace_id = encode_json(obs.current_trace_id())
+        return Response(
+            b"".join((body[:-1], b',"trace_id":', trace_id, b"}")),
+            "200 OK",
+            JSON_CONTENT_TYPE,
+        )
+
     @router.get("/api/search")
     def search(request: Request) -> Response:
         query = engine.parse(request.params.get("q", ""))
@@ -508,27 +553,23 @@ def create_app(
             # reflects a real pipeline run, and decompose each returned
             # page's PageRank into its fixed-point terms.
             results, provenance = engine.search_explained(query)
-        else:
-            results = engine.search(query)
-            provenance = None
-        payload = {
-            "query": results.query_description,
-            "total_candidates": results.total_candidates,
-            "results": [_result_payload(r) for r in results],
-            # The same id lands in the X-Trace-Id header; it is also
-            # in the body so API clients that log payloads can quote
-            # it back when reporting a slow or wrong result.
-            "trace_id": obs.current_trace_id(),
-        }
-        if provenance is not None:
+            payload = _search_payload(results)
             top_k = _count(request, "top_k", 5)
             payload["provenance"] = provenance.to_dict()
             for entry in payload["results"]:
                 entry["score_explanation"] = engine.ranker.explain(
                     entry["title"], top_k=top_k
                 )
-        elif explain in ("1", "true", "yes"):
+        else:
+            results = engine.search(query)
+            if explain not in ("1", "true", "yes"):
+                return _search_response(results)
+            payload = _search_payload(results)
             payload["plan"] = engine.explain_search(query)
+        # The same id lands in the X-Trace-Id header; it is also in the
+        # body so API clients that log payloads can quote it back when
+        # reporting a slow or wrong result.
+        payload["trace_id"] = obs.current_trace_id()
         return JsonResponse(payload)
 
     @router.get("/api/page/{title}")

@@ -1,4 +1,12 @@
-"""A minimal WSGI router and response helpers."""
+"""A minimal WSGI router and response helpers.
+
+Every JSON body is encoded in one place, :func:`encode_json`: compact
+(no indentation, no spaces after separators), keys sorted, non-ASCII
+escaped, and values JSON cannot represent rendered with ``str``. That
+shape is what lets CPython run its C encoder; ``indent`` would force the
+pure-Python one. Pipe a body through ``python -m json.tool`` to read it
+indented.
+"""
 
 from __future__ import annotations
 
@@ -8,6 +16,21 @@ from typing import Any, Callable, Dict, List, Tuple
 from urllib.parse import parse_qs
 
 Handler = Callable[..., "Response"]
+
+JSON_CONTENT_TYPE = "application/json; charset=utf-8"
+
+# One encoder for the process: it holds no per-call state, and reusing it
+# skips building one per call, as ``json.dumps`` with keywords does.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=str)
+
+
+def encode_json(payload: Any) -> bytes:
+    """``payload`` as a compact, key-sorted JSON body.
+
+    >>> encode_json({"b": [1.5, None], "a": "x"})
+    b'{"a":"x","b":[1.5,null]}'
+    """
+    return _ENCODER.encode(payload).encode("utf-8")
 
 
 class Response:
@@ -24,8 +47,7 @@ class Response:
 
 class JsonResponse(Response):
     def __init__(self, payload: Any, status: str = "200 OK"):
-        body = json.dumps(payload, indent=2, sort_keys=True, default=str).encode("utf-8")
-        super().__init__(body, status, "application/json; charset=utf-8")
+        super().__init__(encode_json(payload), status, JSON_CONTENT_TYPE)
 
 
 class TextResponse(Response):

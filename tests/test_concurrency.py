@@ -1,6 +1,6 @@
 """Concurrency and equivalence tests for the search engine and the SMR lock.
 
-Six properties: (1) a limited query returns *identical* results to the
+Seven properties: (1) a limited query returns *identical* results to the
 same query without its limit, sliced to the page — same titles, same
 floats, same order — for every query shape, so the lazy top-k path
 matches the full sort; (2) the engine stays correct while reader threads race a live
@@ -12,13 +12,18 @@ statement's answer; (4) query threads sharing the engine's ``QueryLog``
 keep its popularity counts equal to its retained window; (5) the
 reader–writer lock under those threads keeps its documented semantics;
 (6) autocomplete and recommendations read under a live writer never go
-back and end equal to a fresh build.
+back and end equal to a fresh build; (7) ``/api/search`` bodies read
+under a live writer each carry their own request's trace id and end
+byte-equal to a fresh engine's.
 """
 
+import io
+import json
 import sys
 import threading
 import time
 from collections import Counter
+from urllib.parse import urlencode
 
 import pytest
 
@@ -27,6 +32,9 @@ from repro.errors import ReproError
 from repro.relational import Database
 from repro.smr import SensorMetadataRepository
 from repro.smr.rwlock import ReadWriteLock
+from repro.web import create_app
+from repro.web.app import _result_payload
+from repro.web.http import encode_json
 from repro.workloads import CorpusSpec, generate_corpus
 
 
@@ -400,6 +408,128 @@ class TestDerivedViewsUnderThreads:
             len(Recommender(smr, engine.ranker).recommend(results, k=100)),
         )
         assert views()[2] == self.WRITES
+
+
+class TestSearchBodiesUnderThreads:
+    """Readers race a writer through the app's ``/api/search``.
+
+    Cache hits share one encoded body per result set and splice in their
+    own request's trace id, so no reader may receive another request's
+    id, and after the writer stops every body equals a fresh engine's.
+    """
+
+    WRITES = 20
+    READERS = 4  # with the writer, more threads than cores
+    QUERIES = [
+        "kind=station",
+        "kind=sensor",
+        "keyword=zeta",
+        "keyword=seed",
+        "status=online",
+        "status=retired",
+        "kind=station status=retired",
+        "kind=station elevation_m>=1500",
+        "elevation_m<1000",
+        "kind=station sort=pagerank limit=5",
+        "kind=station sort=elevation_m order=asc",
+        "kind=station limit=3 offset=2",
+        "kind=sensor station=Station:Seed",
+        "bbox=45,8,48,11",
+        "kind=station bbox=46,9,47,10",
+        "keyword=zeta kind=station",
+        "status=retired elevation_m>=1500 relaxed=true",
+        "name~z1",
+        "maintainer=alice",
+        "keyword=seed sort=pagerank",
+    ]
+
+    @staticmethod
+    def _get(app, text):
+        environ = {
+            "REQUEST_METHOD": "GET",
+            "PATH_INFO": "/api/search",
+            "QUERY_STRING": urlencode({"q": text}),
+            "wsgi.input": io.BytesIO(b""),
+        }
+        captured = {}
+
+        def start_response(status, headers, exc_info=None):
+            captured["status"] = status
+            captured["headers"] = dict(headers)
+
+        body = b"".join(app(environ, start_response))
+        return captured["status"], captured["headers"]["X-Trace-Id"], body
+
+    def test_bodies_carry_their_own_trace_id_and_end_fresh(self):
+        smr = SensorMetadataRepository()
+        smr.register(
+            "station",
+            "Station:Seed",
+            [("name", "seed"), ("status", "online"), ("latitude", 46.5),
+             ("longitude", 9.5), ("elevation_m", 2000), ("maintainer", "alice")],
+        )
+        engine = AdvancedSearchEngine(smr)
+        app = create_app(engine)
+        errors, wrong = [], []
+        stop = threading.Event()
+        start = threading.Barrier(self.READERS + 1)
+
+        def reader():
+            try:
+                start.wait()
+                while not stop.is_set():
+                    for text in self.QUERIES:
+                        status, trace_id, body = self._get(app, text)
+                        if not status.startswith("200"):
+                            wrong.append(("status", text, status, body[:200]))
+                        elif json.loads(body)["trace_id"] != trace_id:
+                            wrong.append(("trace id", text, trace_id, body[-40:]))
+            except Exception as exc:  # pragma: no cover - the assertion target
+                errors.append(exc)
+
+        def writer():
+            try:
+                start.wait()
+                for i in range(self.WRITES):
+                    smr.register(
+                        "station",
+                        f"Station:Z{i:02d}",
+                        [("name", f"z{i} zeta"), ("status", "retired"), ("latitude", 46 + i / 40),
+                         ("longitude", 9 + i / 40), ("elevation_m", 900 + 60 * i)],
+                    )
+                    time.sleep(0.002)  # let the readers fill and hit the cache between writes
+            except Exception as exc:  # pragma: no cover
+                errors.append(exc)
+            finally:
+                stop.set()
+
+        threads = [threading.Thread(target=reader) for _ in range(self.READERS)]
+        threads.append(threading.Thread(target=writer))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # hand the GIL over as often as possible
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60.0)
+        finally:
+            stop.set()
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads), "a reader or the writer hung"
+        assert not errors, errors
+        assert not wrong, wrong[:5]
+        fresh = AdvancedSearchEngine(smr, ranker=engine.ranker)
+        for text in self.QUERIES:
+            _, trace_id, body = self._get(app, text)
+            results = fresh.search(fresh.parse(text))
+            expected = {
+                "query": results.query_description,
+                "total_candidates": results.total_candidates,
+                "results": [_result_payload(result) for result in results],
+                "trace_id": trace_id,
+            }
+            assert body == encode_json(expected), text
+        assert fresh.search(fresh.parse("status=retired")).total_candidates == self.WRITES
 
 
 class TestConcurrentSqlReaders:

@@ -7,6 +7,7 @@ pre-edit result may never survive a mutation.
 
 import pytest
 
+from repro import obs
 from repro.core import AccessPolicy, AdvancedSearchEngine, User
 from repro.core.query import parse_query
 from repro.errors import ReproError
@@ -17,6 +18,15 @@ from repro.smr import SensorMetadataRepository
 # ----------------------------------------------------------------------
 # GenerationalLruCache unit behavior
 # ----------------------------------------------------------------------
+
+
+@pytest.fixture
+def registry():
+    """A fresh metrics registry for one test; the old one comes back after."""
+    fresh = obs.MetricsRegistry()
+    previous = obs.set_registry(fresh)
+    yield fresh
+    obs.set_registry(previous)
 
 
 class TestGenerationalLruCache:
@@ -53,10 +63,53 @@ class TestGenerationalLruCache:
         cache = GenerationalLruCache(capacity=2)
         cache.put("a", 0, 1)
         cache.put("b", 0, 2)
-        cache.put("a", 1, 10)
+        cache.put("a", 0, 10)
         assert len(cache) == 2
         assert cache.stats.evictions == 0
+        assert cache.get("a", 0) == 10
+
+    def test_put_of_a_new_generation_drops_dead_entries(self):
+        cache = GenerationalLruCache(capacity=4)
+        cache.put("a", 0, 1)
+        cache.put("b", 0, 2)
+        cache.put("a", 1, 10)
+        assert len(cache) == 1
+        assert cache.lookup("b", 1) == (None, "miss")  # dropped, not stale
+        assert cache.stats.evictions == 0
         assert cache.get("a", 1) == 10
+
+    def test_a_put_that_raced_a_write_is_never_served(self):
+        """The racing order: a reader stamped before a write puts last.
+
+        Its put drops the live entry (a lost hit) and its own value stays
+        stamped with the dead generation, so no lookup at the live
+        generation returns it.
+        """
+        cache = GenerationalLruCache(capacity=4)
+        cache.put("k1", 2, "fresh")
+        cache.put("k2", 1, "raced")
+        assert cache.stats.evictions == 0
+        assert cache.lookup("k1", 2) == (None, "miss")
+        assert cache.lookup("k2", 2) == (None, "stale")
+        cache.put("k2", 2, "recomputed")
+        assert cache.get("k2", 2) == "recomputed"
+
+    def test_entries_gauge_follows_every_change(self, registry):
+        cache = GenerationalLruCache(capacity=4, name="gauged")
+
+        def gauge():
+            return registry.get("perf_cache_entries").labels("gauged").value
+
+        cache.put("a", 0, 1)
+        cache.put("b", 0, 2)
+        assert gauge() == 2.0  # put
+        assert cache.get("a", 1) is None
+        assert gauge() == 1.0  # stale drop on lookup
+        cache.put("c", 1, 3)
+        assert gauge() == 1.0  # new generation drops "b"
+        cache.put("d", 1, 4)
+        cache.clear()
+        assert gauge() == 0.0  # clear
 
     def test_clear_keeps_statistics(self):
         cache = GenerationalLruCache(capacity=2)

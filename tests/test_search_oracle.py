@@ -122,6 +122,8 @@ class TestQueryLog:
         log.record("keyword=wind", 0)
         assert log.popular(1) == [("kind=station", 2)]
         assert log.recent(2) == ["keyword=wind", "kind=station"]
+        assert log.recent(1) == ["keyword=wind"]
+        assert log.recent(0) == []
         assert log.zero_result_queries() == ["keyword=wind"]
         assert log.total_logged == 3
 

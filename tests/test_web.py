@@ -3,13 +3,19 @@
 import io
 import json
 import re
+from urllib.parse import urlencode
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import AdvancedSearchEngine
+from repro.core.query import OPERATORS
 from repro.smr import SensorMetadataRepository
 from repro.tagging import TaggingSystem
 from repro.web import create_app
+from repro.web.app import _result_payload
+from repro.web.http import encode_json
 
 
 @pytest.fixture(scope="module")
@@ -54,6 +60,17 @@ def app():
 
 def call(app, method, path, query="", body=None):
     """Invoke the WSGI app and return (status, headers, decoded body)."""
+    status, headers, payload = call_raw(app, method, path, query, body)
+    decoded = (
+        json.loads(payload.decode())
+        if "json" in headers.get("Content-Type", "")
+        else payload.decode()
+    )
+    return status, headers, decoded
+
+
+def call_raw(app, method, path, query="", body=None):
+    """Invoke the WSGI app and return (status, headers, body bytes)."""
     raw = json.dumps(body).encode() if body is not None else b""
     environ = {
         "REQUEST_METHOD": method,
@@ -69,12 +86,7 @@ def call(app, method, path, query="", body=None):
         captured["headers"] = dict(headers)
 
     chunks = app(environ, start_response)
-    payload = b"".join(chunks)
-    content_type = captured["headers"].get("Content-Type", "")
-    decoded = (
-        json.loads(payload.decode()) if "json" in content_type else payload.decode()
-    )
-    return captured["status"], captured["headers"], decoded
+    return captured["status"], captured["headers"], b"".join(chunks)
 
 
 class TestSearchEndpoints:
@@ -900,3 +912,82 @@ class TestTelemetryEndpoints:
             status, _, _ = call(locked, "GET", path.split("?")[0],
                                 path.partition("?")[2])
             assert status in ("200 OK", "400 Bad Request", "404 Not Found")
+
+
+# Compact-query tokens for the HTTP-edge fuzz: every reserved field,
+# mapped and unmapped properties under every operator, and values that
+# are out of range, not numbers, quoted or non-ASCII.
+_NUMBERS = st.one_of(
+    st.integers(-3, 3000).map(str),
+    st.sampled_from(["46.8", "-1.5", "1e309", "-1e309", "nan", "inf", "abc", ""]),
+)
+_WORDS = st.sampled_from(
+    ["wind", "snow", "WAN-001", "Station:WAN-002", "\u00e9t\u00e9", "\u65e5\u672c",
+     '"', "'", '"wind"', "a b"]
+)
+_PROPERTIES = st.sampled_from(
+    ["elevation_m", "status", "name", "latitude", "sensor_type", "station", "maintainer",
+     "h\u00f6he", "limit", "kind"]
+)
+_TOKENS = st.one_of(
+    _WORDS,
+    st.builds("keyword={}".format, _WORDS),
+    st.builds("kind={}".format, st.sampled_from(["station", "Sensor", "nope", ""])),
+    st.builds("limit={}".format, _NUMBERS),
+    st.builds("offset={}".format, _NUMBERS),
+    st.builds("sort={}".format, st.sampled_from(["relevance", "pagerank", "elevation_m", "nope"])),
+    st.builds("order={}".format, st.sampled_from(["asc", "desc", "up"])),
+    st.builds("relaxed={}".format, st.sampled_from(["true", "no", "1"])),
+    st.builds(
+        "bbox={}".format,
+        st.one_of(
+            st.lists(st.floats(-90, 90).map(str), min_size=4, max_size=4),
+            st.lists(_NUMBERS, min_size=3, max_size=5),
+        ).map(",".join),
+    ),
+    st.builds(
+        "{}{}{}".format, _PROPERTIES, st.sampled_from(OPERATORS), st.one_of(_NUMBERS, _WORDS)
+    ),
+)
+_ENDPOINTS = [
+    ("/api/search", {}),
+    ("/api/search", {"explain": "1"}),
+    ("/api/search", {"explain": "full"}),
+    ("/api/facets", {"prop": "status"}),
+    ("/api/recommend", {}),
+    ("/api/viz/map.svg", {}),
+    ("/explore", {}),
+    ("/debug/plan", {}),
+]
+
+
+class TestHttpEdgeFuzz:
+    """Malformed input at the HTTP edge is a 4xx, never the catch-all 500,
+    and every plain search body is the one encoder's output."""
+
+    @given(
+        st.lists(_TOKENS, max_size=5).map(" ".join),
+        st.sampled_from(_ENDPOINTS),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_queries_answer_2xx_or_4xx_and_search_bodies_match_the_oracle(
+        self, app, text, endpoint
+    ):
+        path, params = endpoint
+        query = urlencode({"q": text, **params})
+        status, headers, body = call_raw(app, "GET", path, query)
+        assert status[0] in "24", (path, text, status, body[:300])
+        if path != "/api/search" or params or not status.startswith("200"):
+            return
+        # The first request may have missed; this one hits the result
+        # cache and is served from the stored body.
+        _, again_headers, again = call_raw(app, "GET", path, query)
+        results = app.engine.search(app.engine.parse(text))  # the cached result set
+        for served, served_headers in ((body, headers), (again, again_headers)):
+            payload = {
+                "query": results.query_description,
+                "total_candidates": results.total_candidates,
+                "results": [_result_payload(result) for result in results],
+                "trace_id": served_headers["X-Trace-Id"],
+            }
+            assert served == encode_json(payload), text
