@@ -4,7 +4,7 @@
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: test test-dev doctest docs-check bench bench-smoke bench-cache bench-planner bench-tagging obs-check
+.PHONY: test test-dev doctest docs-check bench bench-smoke bench-cache bench-planner bench-tagging obs-check search-bodies
 
 ## Tier-1: the full unit/integration suite (includes docs-check).
 test:
@@ -62,3 +62,12 @@ bench-tagging:
 obs-check:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest tests/test_obs.py tests/test_obs_log.py tests/test_provenance.py tests/test_slowlog.py tests/test_timeseries.py tests/test_slo.py tests/test_web.py tests/test_svg_wellformed.py -q
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest benchmarks/bench_obs_overhead.py -q
+
+## Byte oracle for the search path: every seed-1 perfbench /api/search
+## body (warm-ups, cold, hot and ingest lists, and limit=0, offset=3,
+## explain=1 and explain=full variants of 70 cold queries), one a line,
+## trace ids and explain=full timings blanked. Write it on two checkouts
+## and cmp the files.
+search-bodies:
+	@test -n "$(OUT)" || { echo "usage: make search-bodies OUT=<file>"; exit 2; }
+	PYTHONHASHSEED=1 $(PYTHON) benchmarks/search_bodies.py $(OUT)

@@ -36,6 +36,7 @@ from repro.core.engine import AdvancedSearchEngine
 from repro.core.privileges import ANONYMOUS
 from repro.core.ranking import PageRankRanker
 from repro.core.results import SearchResults
+from repro.geo.bbox import BoundingBox
 from repro.smr.repository import SensorMetadataRepository, parse_location
 from repro.wiki.site import title_to_iri
 from repro.workloads.generator import CorpusSpec, generate_corpus
@@ -80,10 +81,10 @@ TOPK_QUERIES = [
 
 
 class FullSortEngine(AdvancedSearchEngine):
-    """Build every result, sort them all, then slice the page.
+    """Sort every candidate, build every result, then slice the page.
 
-    Each query runs without its limit, so every candidate becomes a
-    SearchResult before one full sort — the work the heap top-k skips.
+    Each query runs without its limit, so every candidate is sorted and
+    becomes a SearchResult — the work the heap top-k skips.
     The sliced page is the limited query's page (``TestTopkIdentity`` in
     ``tests/test_concurrency.py``).
     """
@@ -127,15 +128,19 @@ class _SeedPathRepository:
                 located[title] = point
         return located
 
+    def titles_in_box(self, south, north, west, east):
+        """Scan every page's freshly parsed location instead of the R-tree."""
+        box = BoundingBox(south, west, north, east)
+        return {title for title, location in self.locations().items() if box.contains(location)}
+
 
 class SeedPathEngine(FullSortEngine):
     """The earlier query path, re-created as an honest baseline.
 
     Undoes three per-query savings: the IRI->title map is rebuilt for
-    *every* SPARQL filter, page locations are re-parsed on *every* bbox
-    scan (run with ``spatial_index=False``), and every candidate becomes
-    a SearchResult before one full sort. Everything else is the shared
-    engine code.
+    *every* SPARQL filter, page locations are re-parsed and scanned on
+    *every* bbox constraint, and every candidate is sorted and becomes a
+    SearchResult. Everything else is the shared engine code.
     """
 
     def __init__(self, smr, **kwargs):
@@ -186,7 +191,7 @@ def test_fanout_vs_seed_path(write_result):
     smr = _fanout_smr()
     ranker = PageRankRanker(smr)
     ranker.scores()  # one shared solve; ranking cost out of the timing
-    seed = SeedPathEngine(smr, ranker=ranker, cache=None, spatial_index=False)
+    seed = SeedPathEngine(smr, ranker=ranker, cache=None)
     engine = AdvancedSearchEngine(smr, ranker=ranker, cache=None)
     queries = [seed.parse(text) for text in FANOUT_QUERIES]
 

@@ -9,9 +9,8 @@ Two gates guard this PR's tentpole (docs/QUERY_PLANNING.md):
   is the SeqScan that evaluates the WHERE expression against every row.
 - **R-tree bbox probe.** The SMR's R-tree, which every ``register()``
   keeps current, must answer the engine's bounding-box constraints >= 5x
-  faster than the scan path (``spatial_index=False``): a linear pass
-  over every located page testing ``BoundingBox.contains`` against the
-  location the SMR keeps for it.
+  faster than a linear scan: one ``smr.locations()`` snapshot per box,
+  then ``BoundingBox.contains`` against every located page's location.
 
 Both sections assert the compared paths return *identical* rows/titles
 first — the speedups are never bought with a behavior change. Results go
@@ -128,18 +127,24 @@ def _bbox_section() -> list:
     from repro.geo.bbox import BoundingBox
 
     smr = _bbox_smr(BBOX_PAGES)
-    probe = AdvancedSearchEngine(smr, cache=None)
-    scan = AdvancedSearchEngine(smr, cache=None, spatial_index=False)
     boxes = [BoundingBox(s, w, n, e) for s, w, n, e in BBOXES]
+
+    def probe(box):
+        """The engine's bbox constraint: one R-tree probe."""
+        return smr.titles_in_box(box.south, box.north, box.west, box.east)
+
+    def scan(box):
+        """The linear scan: a box test per located page."""
+        return {title for title, location in smr.locations().items() if box.contains(location)}
 
     # Identity first. Both paths read lookups the writes above already
     # built, so the gate times probes, not builds.
     for box in boxes:
-        assert probe._titles_in_bbox(box) == scan._titles_in_bbox(box)
+        assert probe(box) == scan(box)
 
-    def run(engine):
+    def run(path):
         for box in boxes:
-            engine._titles_in_bbox(box)
+            path(box)
 
     scan_s = _time(lambda: run(scan), BBOX_REPEATS)
     probe_s = _time(lambda: run(probe), BBOX_REPEATS)
@@ -148,7 +153,7 @@ def _bbox_section() -> list:
     lines = [
         "R-tree bbox probe vs linear scan",
         f"pages={BBOX_PAGES} boxes={len(boxes)} repeats={BBOX_REPEATS}",
-        f"rtree: {probe.spatial_index_info()}",
+        f"rtree: {AdvancedSearchEngine(smr, cache=None).spatial_index_info()}",
         f"scan_s={scan_s:.4f} rtree_s={probe_s:.4f} speedup={speedup:.1f}x "
         f"(gate >= {BBOX_MIN_SPEEDUP}x)",
     ]

@@ -1,19 +1,25 @@
 """The advanced search engine: Query Interface + Query Management.
 
-The pipeline mirrors Fig. 1. A :class:`~repro.core.query.SearchQuery`
-is decomposed into constraint sets:
+The pipeline mirrors Fig. 1. One method turns a
+:class:`~repro.core.query.SearchQuery` into its list of constraints, in
+waterfall order, each with its provenance name, its access strategy and
+how to evaluate it:
 
 - the keyword runs against the inverted index (basic search);
+- the kind reads the repository's title set of that kind;
 - each property filter runs against the *relational* store when the
   property is mapped to a column (SQL), and against the *RDF graph*
   otherwise (SPARQL) — the paper's "combination of SQL and SPARQL";
-- kind and bounding-box constraints restrict further.
+- a bounding box probes the repository's R-tree.
 
+A search evaluates that list once; ``explain_search`` describes the same
+list without running it, so the two always name the same constraints.
 Strict mode intersects all constraint sets; relaxed mode unions the
 property filters and reports a per-result **match degree** (the fraction
 of predicates satisfied) — the quantity the map visualization colors by.
-Results are ranked by the double-link PageRank metric blended with
-keyword relevance.
+One scorer ranks the survivors, limited query or not, by the double-link
+PageRank metric or by its blend with keyword relevance, and only the
+returned page becomes result objects.
 """
 
 from __future__ import annotations
@@ -22,7 +28,8 @@ import heapq
 import re
 import time
 from functools import partial
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from operator import itemgetter
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro import obs
 
@@ -47,9 +54,36 @@ from repro.smr.repository import SensorMetadataRepository
 _RELEVANCE_WEIGHT = 0.6
 _PAGERANK_WEIGHT = 0.4
 
+# The ranking key of a scored (score, title, kind) entry: unique per title.
+_SCORE_KEY = itemgetter(0, 1)
+
 # Distinguishes "caller wants the default cache" from an explicit None
 # (= caching disabled) in AdvancedSearchEngine.__init__.
 _DEFAULT_CACHE_SENTINEL: Any = object()
+
+# What explain_search says about each access path that has no SQL plan.
+_STRATEGY_DETAILS = {
+    "InvertedIndexScan": "BM25-ranked lookup in the text index",
+    "KindTitleLookup": "direct per-kind title listing",
+    "SparqlFilter": "triple-pattern match + FILTER over the RDF graph",
+    "RTreeProbe": "R-tree over located pages, kept current by every write",
+}
+
+
+class _Constraint(NamedTuple):
+    """One constraint of a query, as search and explain both read it."""
+
+    #: The name provenance and the explain payload show.
+    name: str
+    #: The access path: InvertedIndexScan, KindTitleLookup, SqlFilter,
+    #: SparqlFilter or RTreeProbe.
+    strategy: str
+    #: Evaluates the constraint: keyword hits, or a set of titles.
+    evaluate: Callable[[], Any]
+    #: The property filter behind a SqlFilter or SparqlFilter.
+    flt: Optional[PropertyFilter] = None
+    #: The kinds whose tables a SqlFilter queries.
+    kinds: Sequence[str] = ()
 
 
 class AdvancedSearchEngine:
@@ -71,7 +105,6 @@ class AdvancedSearchEngine:
         smr: SensorMetadataRepository,
         ranker: Optional[PageRankRanker] = None,
         cache: Optional[GenerationalLruCache] = _DEFAULT_CACHE_SENTINEL,
-        spatial_index: bool = True,
     ):
         self.smr = smr
         self.ranker = ranker or PageRankRanker(smr)
@@ -80,10 +113,6 @@ class AdvancedSearchEngine:
         if cache is _DEFAULT_CACHE_SENTINEL:
             cache = GenerationalLruCache(capacity=256, name="query_results")
         self.cache = cache
-        #: When True (default), bounding-box constraints probe the SMR's
-        #: R-tree (kept current by every write, like the SMR's kind,
-        #: IRI and location lookups); ``False`` scans every located page.
-        self.spatial_index = spatial_index
         from repro.core.history import QueryLog
 
         self.query_log = QueryLog()
@@ -200,130 +229,91 @@ class AdvancedSearchEngine:
             ).inc()
         self.query_log.record(prov.query, prov.result_count)
 
-    def _evaluate_constraints(
-        self, query: SearchQuery
-    ) -> Tuple[List[Any], List[float]]:
-        """Evaluate the query's independent constraints, in declaration order.
+    def _constraints(self, query: SearchQuery) -> List[_Constraint]:
+        """The query's constraints in waterfall order: keyword, kind, each filter, bbox.
 
-        The keyword search, each SQL/SPARQL property filter, then the
-        bbox probe run one after another on the calling thread; each
-        facade call takes the SMR's read lock, so a concurrent writer
-        never tears a read. Returns each constraint's output and wall
-        seconds.
+        :meth:`_search` evaluates this list and :meth:`explain_search`
+        describes it. A filter whose property some kind maps to a column
+        runs as SQL over those kinds' tables, any other as SPARQL.
         """
-        jobs: List[Callable[[], Any]] = []
+        smr = self.smr
+        constraints: List[_Constraint] = []
         if query.keyword:
-            jobs.append(partial(self.smr.keyword_search, query.keyword))
-        jobs.extend(partial(self._titles_matching_filter, flt) for flt in query.filters)
+            name = f"keyword={query.keyword!r}"
+            search = partial(smr.keyword_search, query.keyword)
+            constraints.append(_Constraint(name, "InvertedIndexScan", search))
+        if query.kind is not None:
+            lookup = partial(smr.titles_of_kind, query.kind)
+            constraints.append(_Constraint(f"kind={query.kind}", "KindTitleLookup", lookup))
+        for flt in query.filters:
+            kinds = smr.mapping.mapped_kinds(flt.prop)
+            if kinds:
+                evaluate = partial(self._sql_filter, flt, kinds)
+                constraints.append(_Constraint(flt.describe(), "SqlFilter", evaluate, flt, kinds))
+            else:
+                evaluate = partial(self._sparql_filter, flt)
+                constraints.append(_Constraint(flt.describe(), "SparqlFilter", evaluate, flt))
         if query.bbox is not None:
-            jobs.append(partial(self._titles_in_bbox, query.bbox))
-        outputs: List[Any] = []
-        seconds: List[float] = []
-        for job in jobs:
-            start = time.perf_counter()
-            outputs.append(job())
-            seconds.append(time.perf_counter() - start)
-        return outputs, seconds
+            # The probe's box test is BoundingBox.contains' inclusive axis
+            # test, so no hit needs re-checking.
+            box = query.bbox
+            name = f"bbox(lat in [{box.south}, {box.north}], lon in [{box.west}, {box.east}])"
+            probe = partial(smr.titles_in_box, box.south, box.north, box.west, box.east)
+            constraints.append(_Constraint(name, "RTreeProbe", probe))
+        return constraints
 
     def _search(
         self, query: SearchQuery, user: User, prov: obs.QueryProvenance
     ) -> SearchResults:
         """Execute the Fig. 1 pipeline for one parsed query, filling ``prov``.
 
-        Each constraint's wall time, match count and selectivity, the
-        intersection waterfall, the privilege filter and the ranking path
-        land in the record as the pipeline runs. The waterfall intersects
-        in declaration order, so its final set is the intersection of
-        every constraint set.
+        Each constraint of :meth:`_constraints` is evaluated once, in
+        order, on the calling thread; each facade call takes the SMR's
+        read lock, so a concurrent writer never tears a read. Its wall
+        time, match count and selectivity land in the record. The
+        waterfall then intersects the constraint sets in the same order
+        (relaxed mode unions the filters' sets into one step, after
+        keyword and kind), so its final set is the intersection of every
+        step; :class:`SearchQuery` refuses a query without a constraint.
+        The privilege filter and the ranking path follow.
         """
         if query.kind is not None:
             user.check_kind(query.kind)
-        relevance: Dict[str, float] = {}
-        constraint_sets: List[Set[str]] = []
-        set_names: List[str] = []
-        outputs, job_seconds = self._evaluate_constraints(query)
         corpus = self.smr.page_count  # O(1); titles() would sort every title
+        relevance: Dict[str, float] = {}
+        filter_matches: List[Tuple[PropertyFilter, Set[str]]] = []
+        steps: List[Tuple[str, Set[str]]] = []
+        union_at = 0
+        for constraint in self._constraints(query):
+            start = time.perf_counter()
+            matches = constraint.evaluate()
+            seconds = time.perf_counter() - start
+            prov.add_stage(constraint.name, constraint.strategy, seconds, len(matches), corpus)
+            if constraint.strategy == "InvertedIndexScan":
+                relevance = {hit.doc_id: hit.score for hit in matches}
+                matches = set(relevance)
+            if constraint.flt is not None:
+                filter_matches.append((constraint.flt, matches))
+                if query.relaxed:
+                    union_at = len(steps)
+                    continue
+            steps.append((constraint.name, matches))
+        if query.relaxed and filter_matches:
+            union: Set[str] = set()
+            for _, titles in filter_matches:
+                union |= titles
+            name = "any-of(" + ", ".join(f.describe() for f, _ in filter_matches) + ")"
+            steps.insert(union_at, (name, union))
 
-        cursor = 0
-        if query.keyword:
-            hits = outputs[cursor]
-            relevance = {hit.doc_id: hit.score for hit in hits}
-            constraint_sets.append(set(relevance))
-            name = f"keyword={query.keyword!r}"
-            prov.add_stage(
-                name, "InvertedIndexScan", job_seconds[cursor], len(hits), corpus
-            )
-            set_names.append(name)
-            cursor += 1
-
-        if query.kind is not None:
-            kind_start = time.perf_counter()
-            kind_titles = self.smr.titles_of_kind(query.kind)
-            name = f"kind={query.kind}"
-            prov.add_stage(
-                name,
-                "KindTitleLookup",
-                time.perf_counter() - kind_start,
-                len(kind_titles),
-                corpus,
-            )
-            set_names.append(name)
-            constraint_sets.append(kind_titles)
-
-        filter_matches = list(
-            zip(query.filters, outputs[cursor : cursor + len(query.filters)])
-        )
-        for offset, (flt, titles) in enumerate(filter_matches):
-            prov.add_stage(
-                flt.describe(),
-                self._filter_strategy(flt),
-                job_seconds[cursor + offset],
-                len(titles),
-                corpus,
-            )
-        cursor += len(query.filters)
-        if filter_matches:
-            if query.relaxed:
-                union: Set[str] = set()
-                for _, titles in filter_matches:
-                    union |= titles
-                constraint_sets.append(union)
-                set_names.append(
-                    "any-of(" + ", ".join(f.describe() for f, _ in filter_matches) + ")"
-                )
-            else:
-                for flt, titles in filter_matches:
-                    constraint_sets.append(titles)
-                    set_names.append(flt.describe())
-
-        if query.bbox is not None:
-            constraint_sets.append(outputs[cursor])
-            bbox = query.bbox
-            name = (
-                f"bbox(lat in [{bbox.south}, {bbox.north}], "
-                f"lon in [{bbox.west}, {bbox.east}])"
-            )
-            prov.add_stage(
-                name,
-                "RTreeProbe" if self.spatial_index else "BBoxScan",
-                job_seconds[cursor],
-                len(outputs[cursor]),
-                corpus,
-            )
-            set_names.append(name)
-
-        if constraint_sets:
-            # Intersect sequentially in declaration order so each step's
-            # before/after counts land in the waterfall.
-            candidates = set(constraint_sets[0])
-            prov.add_waterfall_step(set_names[0], None, len(candidates))
-            for name, cset in zip(set_names[1:], constraint_sets[1:]):
-                before = len(candidates)
-                candidates &= cset
-                prov.add_waterfall_step(name, before, len(candidates))
-        else:
-            candidates = set(self.smr.titles())
-            prov.add_waterfall_step("(no constraints)", None, len(candidates))
+        # Intersect sequentially so each step's before/after counts land
+        # in the waterfall.
+        (first_name, first), *rest = steps
+        candidates = set(first)
+        prov.add_waterfall_step(first_name, None, len(candidates))
+        for name, matches in rest:
+            before = len(candidates)
+            candidates &= matches
+            prov.add_waterfall_step(name, before, len(candidates))
 
         # One locked snapshot instead of a kind_of() lock round-trip per
         # candidate; every candidate came from the repository, so the
@@ -337,13 +327,13 @@ class AdvancedSearchEngine:
         total = len(allowed)
         prov.set_privilege_filter(len(candidates), total)
 
-        # A limited score sort materializes only its page (heap top-k); a
-        # property sort needs every result's value and the missing-last
-        # partition, and an unlimited query returns every result, so both
-        # build everything and sort.
-        if query.limit is not None and query.sort in (SORT_PAGERANK, SORT_RELEVANCE):
-            results = self._select_topk(query, allowed, relevance, filter_matches)
-            ranking_path = "heap-topk"
+        # A score sort builds only its page; a limited one selects it with
+        # a heap (heap top-k), an unlimited one sorts the scored entries.
+        # A property sort needs every result's value and the missing-last
+        # partition, so it builds everything and sorts.
+        if query.sort in (SORT_PAGERANK, SORT_RELEVANCE):
+            results = self._rank_by_score(query, allowed, relevance, filter_matches)
+            ranking_path = "full-sort" if query.limit is None else "heap-topk"
         else:
             results = [
                 self._build_result(title, kind, relevance, filter_matches)
@@ -356,13 +346,6 @@ class AdvancedSearchEngine:
             ranking_path = "full-sort"
         prov.set_ranking(query.sort, ranking_path, len(results))
         return SearchResults(results, total, prov.query)
-
-    def _filter_strategy(self, flt: PropertyFilter) -> str:
-        """The access path a property filter resolves to (for provenance)."""
-        for kind in self.smr.mapping.kinds:
-            if self.smr.mapping.column_for_property(kind, flt.prop) is not None:
-                return "SqlFilter"
-        return "SparqlFilter"
 
     def cache_info(self) -> Dict[str, Any]:
         """Result-cache statistics for ``/api/stats`` and diagnostics."""
@@ -384,77 +367,23 @@ class AdvancedSearchEngine:
     def explain_search(self, query: SearchQuery) -> Dict[str, Any]:
         """Describe how each constraint of ``query`` would be evaluated.
 
-        Nothing is executed except relational ``EXPLAIN`` — mapped
-        property filters show the cost-based plan the SQL planner would
-        choose (one entry per mapped kind), unmapped filters report the
-        SPARQL fallback, and a bbox constraint reports whether it would
-        probe the SMR's R-tree or fall back to the linear scan. Backs
+        Reads the same constraint list a search evaluates, and executes
+        nothing except relational ``EXPLAIN``: a SQL filter shows the
+        cost-based plan the planner would choose for each kind that maps
+        its property, and a bbox carries the R-tree's statistics. Backs
         ``/debug/plan`` and ``explain=1`` on ``/api/search``.
         """
         constraints: List[Dict[str, Any]] = []
-        if query.keyword:
-            constraints.append(
-                {
-                    "constraint": f"keyword={query.keyword!r}",
-                    "strategy": "InvertedIndexScan",
-                    "detail": "BM25-ranked lookup in the text index",
-                }
-            )
-        if query.kind is not None:
-            constraints.append(
-                {
-                    "constraint": f"kind={query.kind}",
-                    "strategy": "KindTitleLookup",
-                    "detail": "direct per-kind title listing",
-                }
-            )
-        for flt in query.filters:
-            mapped_kinds = [
-                kind
-                for kind in self.smr.mapping.kinds
-                if self.smr.mapping.column_for_property(kind, flt.prop) is not None
-            ]
-            if not mapped_kinds:
-                constraints.append(
-                    {
-                        "constraint": flt.describe(),
-                        "strategy": "SparqlFilter",
-                        "detail": "triple-pattern match + FILTER over the RDF graph",
-                    }
-                )
-                continue
-            tables: List[Dict[str, Any]] = []
-            for kind in mapped_kinds:
-                column = self.smr.mapping.column_for_property(kind, flt.prop)
-                condition = _sql_condition(column, flt)
-                sql = f"SELECT title FROM {kind} WHERE {condition}"
-                entry: Dict[str, Any] = {"kind": kind, "sql": sql}
-                try:
-                    entry["plan"] = [row[0] for row in self.smr.sql(f"EXPLAIN {sql}")]
-                except RelationalError as exc:
-                    entry["error"] = str(exc)
-                tables.append(entry)
-            constraints.append(
-                {
-                    "constraint": flt.describe(),
-                    "strategy": "SqlFilter",
-                    "tables": tables,
-                }
-            )
-        if query.bbox is not None:
-            bbox = query.bbox
-            box = (
-                f"lat in [{bbox.south}, {bbox.north}], "
-                f"lon in [{bbox.west}, {bbox.east}]"
-            )
-            entry = {"constraint": f"bbox({box})"}
-            if self.spatial_index:
-                entry["strategy"] = "RTreeProbe"
-                entry["detail"] = "R-tree over located pages, kept current by every write"
-                entry["index"] = self.spatial_index_info()
+        for constraint in self._constraints(query):
+            entry: Dict[str, Any] = {"constraint": constraint.name, "strategy": constraint.strategy}
+            if constraint.strategy == "SqlFilter":
+                entry["tables"] = [
+                    self._explain_sql(constraint.flt, kind) for kind in constraint.kinds
+                ]
             else:
-                entry["strategy"] = "BBoxScan"
-                entry["detail"] = "linear scan over every located page"
+                entry["detail"] = _STRATEGY_DETAILS[constraint.strategy]
+            if constraint.strategy == "RTreeProbe":
+                entry["index"] = self.spatial_index_info()
             constraints.append(entry)
         return {
             "query": query.describe(),
@@ -465,6 +394,16 @@ class AdvancedSearchEngine:
             ),
             "constraints": constraints,
         }
+
+    def _explain_sql(self, flt: PropertyFilter, kind: str) -> Dict[str, Any]:
+        """The statement one SQL filter runs on ``kind``'s table, and its plan."""
+        sql = self._filter_sql(flt, kind)
+        entry: Dict[str, Any] = {"kind": kind, "sql": sql}
+        try:
+            entry["plan"] = [row[0] for row in self.smr.sql(f"EXPLAIN {sql}")]
+        except RelationalError as exc:
+            entry["error"] = str(exc)
+        return entry
 
     def facets(self, results: SearchResults, prop: str) -> List[Tuple[Any, int]]:
         """Facet counts of ``prop`` over a result set (for bar/pie charts)."""
@@ -522,25 +461,18 @@ class AdvancedSearchEngine:
     # Constraint evaluation
     # ------------------------------------------------------------------
 
-    def _titles_matching_filter(self, flt: PropertyFilter) -> Set[str]:
-        """Resolve one property filter via SQL (mapped) or SPARQL (not)."""
-        mapped_kinds = [
-            kind
-            for kind in self.smr.mapping.kinds
-            if self.smr.mapping.column_for_property(kind, flt.prop) is not None
-        ]
-        if mapped_kinds:
-            return self._sql_filter(flt, mapped_kinds)
-        return self._sparql_filter(flt)
+    def _filter_sql(self, flt: PropertyFilter, kind: str) -> str:
+        """The statement selecting the titles of ``kind`` that satisfy ``flt``."""
+        column = self.smr.mapping.column_for_property(kind, flt.prop)
+        return f"SELECT title FROM {kind} WHERE {_sql_condition(column, flt)}"
 
     def _sql_filter(self, flt: PropertyFilter, kinds: List[str]) -> Set[str]:
         matches: Set[str] = set()
         errors = []
         for kind in kinds:
-            column = self.smr.mapping.column_for_property(kind, flt.prop)
-            condition = _sql_condition(column, flt)
+            sql = self._filter_sql(flt, kind)
             try:
-                result = self.smr.sql(f"SELECT title FROM {kind} WHERE {condition}")
+                result = self.smr.sql(sql)
             except RelationalError as exc:
                 errors.append(f"{kind}: {exc}")
                 continue
@@ -563,23 +495,6 @@ class AdvancedSearchEngine:
             getattr(term, "value", None) for term in result.column("s")
         )
 
-    def _titles_in_bbox(self, bbox) -> Set[str]:
-        """Titles of pages located inside ``bbox``.
-
-        The R-tree probe and the fallback scan read the SMR's location
-        lookups, which every write keeps current, so neither parses a
-        location. ``BoundingBox.contains`` is a plain inclusive axis
-        test (no antimeridian wrap), exactly the R-tree's box semantics,
-        so the probe result needs no per-title re-verification.
-        """
-        if self.spatial_index:
-            return self.smr.titles_in_box(bbox.south, bbox.north, bbox.west, bbox.east)
-        return {
-            title
-            for title, location in self.smr.locations().items()
-            if bbox.contains(location)
-        }
-
     def spatial_index_info(self) -> Dict[str, Any]:
         """Spatial-index state for ``/api/stats`` and the health probe.
 
@@ -590,7 +505,6 @@ class AdvancedSearchEngine:
         """
         generation, statistics = self.smr.spatial_index_statistics()
         info: Dict[str, Any] = {
-            "enabled": self.spatial_index,
             "generation": generation,
             "current_generation": generation,
         }
@@ -625,24 +539,24 @@ class AdvancedSearchEngine:
             location=location,
         )
 
-    def _select_topk(
+    def _rank_by_score(
         self,
         query: SearchQuery,
         allowed: List[Tuple[str, str]],
         relevance: Dict[str, float],
         filter_matches: List[Tuple[PropertyFilter, Set[str]]],
     ) -> List[SearchResult]:
-        """Materialize only the page of results the query asked for.
+        """Rank a PageRank or relevance sort; build only the returned page.
 
-        Scores come from scalars already in hand (the relevance dict, the
-        ranker's score map, the match degree) using the exact float
-        expressions of :meth:`_score_and_sort`, and ``heapq.nlargest`` /
-        ``nsmallest`` picks ``offset + limit`` entries under the same
-        ``(score, title)`` key the full sort uses. ``nlargest(k, data,
-        key)`` is documented equivalent to ``sorted(data, key=key,
-        reverse=True)[:k]`` and the key is unique per title, so the
-        returned page is identical to the same query's unlimited results
-        sliced to the page — only the survivors ever get a
+        Each readable candidate is scored once into ``(score, title,
+        kind)``: its match degree times its PageRank, or times the blend
+        of relevance and PageRank, each divided by its maximum over the
+        candidates. A limited query keeps its ``offset + limit`` best
+        with ``heapq.nlargest`` (``nsmallest`` ascending); an unlimited
+        one sorts them all. Both order on ``(score, title)``, which is
+        unique per title, and ``nlargest(k, data, key)`` is documented
+        equal to ``sorted(data, key=key, reverse=True)[:k]``, so a
+        limited page is the unlimited list sliced. Only the page gets a
         :class:`SearchResult` (annotation dict, GeoPoint) built.
         """
         if not allowed:
@@ -656,22 +570,31 @@ class AdvancedSearchEngine:
             satisfied = sum(1 for _, titles in filter_matches if title in titles)
             return satisfied / n_filters
 
-        scored: List[Tuple[float, str, str]] = []
         if query.sort == SORT_PAGERANK:
-            for title, kind in allowed:
-                scored.append((degree(title) * pagerank.get(title, 0.0), title, kind))
-        else:  # SORT_RELEVANCE — same maxima and blend as _score_and_sort
+            scored = [
+                (degree(title) * pagerank.get(title, 0.0), title, kind)
+                for title, kind in allowed
+            ]
+        else:  # SORT_RELEVANCE
             max_rel = max((relevance.get(t, 0.0) for t, _ in allowed), default=0.0) or 1.0
             max_pr = max((pagerank.get(t, 0.0) for t, _ in allowed), default=0.0) or 1.0
-            for title, kind in allowed:
-                blended = (
-                    _RELEVANCE_WEIGHT * (relevance.get(title, 0.0) / max_rel)
-                    + _PAGERANK_WEIGHT * (pagerank.get(title, 0.0) / max_pr)
+            scored = [
+                (
+                    degree(title)
+                    * (
+                        _RELEVANCE_WEIGHT * (relevance.get(title, 0.0) / max_rel)
+                        + _PAGERANK_WEIGHT * (pagerank.get(title, 0.0) / max_pr)
+                    ),
+                    title,
+                    kind,
                 )
-                scored.append((degree(title) * blended, title, kind))
-        k = query.offset + query.limit
-        select = heapq.nlargest if query.descending else heapq.nsmallest
-        page = select(k, scored, key=lambda entry: (entry[0], entry[1]))
+                for title, kind in allowed
+            ]
+        if query.limit is None:
+            page = sorted(scored, key=_SCORE_KEY, reverse=query.descending)
+        else:
+            select = heapq.nlargest if query.descending else heapq.nsmallest
+            page = select(query.offset + query.limit, scored, key=_SCORE_KEY)
         results = []
         for score, title, kind in page[query.offset :]:
             result = self._build_result(title, kind, relevance, filter_matches)
@@ -680,35 +603,22 @@ class AdvancedSearchEngine:
         return results
 
     def _score_and_sort(self, query: SearchQuery, results: List[SearchResult]) -> None:
+        """Sort ``results`` by the property ``query.sort``; missing values last.
+
+        A result's score is the property's value when it is a number,
+        else 0.0.
+        """
         if not results:
             return
-        if query.sort == SORT_PAGERANK:
-            for result in results:
-                result.score = result.match_degree * result.pagerank
-        elif query.sort == SORT_RELEVANCE:
-            max_rel = max((r.relevance for r in results), default=0.0) or 1.0
-            max_pr = max((r.pagerank for r in results), default=0.0) or 1.0
-            for result in results:
-                blended = (
-                    _RELEVANCE_WEIGHT * (result.relevance / max_rel)
-                    + _PAGERANK_WEIGHT * (result.pagerank / max_pr)
-                )
-                result.score = result.match_degree * blended
-        else:
-            # Sort by a property value; missing values always sort last.
-            prop = query.sort
-            present = [r for r in results if r.get(prop) is not None]
-            if not present:
-                raise QueryError(f"cannot sort by {prop!r}: no result has that property")
-            missing = [r for r in results if r.get(prop) is None]
-            for result in results:
-                result.score = _numeric_or_zero(result.get(prop))
-            present.sort(
-                key=lambda r: _typed_value_key(r.get(prop)), reverse=query.descending
-            )
-            results[:] = present + missing
-            return
-        results.sort(key=lambda r: (r.score, r.title), reverse=query.descending)
+        prop = query.sort
+        present = [r for r in results if r.get(prop) is not None]
+        if not present:
+            raise QueryError(f"cannot sort by {prop!r}: no result has that property")
+        missing = [r for r in results if r.get(prop) is None]
+        for result in results:
+            result.score = _numeric_or_zero(result.get(prop))
+        present.sort(key=lambda r: _typed_value_key(r.get(prop)), reverse=query.descending)
+        results[:] = present + missing
 
 
 # ----------------------------------------------------------------------

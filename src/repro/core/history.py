@@ -73,14 +73,18 @@ class QueryLog:
         return queries
 
     def popular(self, k: int = 10) -> List[Tuple[str, int]]:
-        """The ``k`` most-run queries in the window, with counts."""
+        """The ``k`` most-run queries in the window, with counts (none for ``k <= 0``)."""
+        if k <= 0:
+            return []
         with self._lock:
             counts = list(self._counts.items())
         return sorted(counts, key=lambda item: (-item[1], item[0]))[:k]
 
     def zero_result_queries(self, k: int = 10) -> List[str]:
-        """Recent queries that returned nothing (content-gap signal)."""
-        seen = []
+        """Recent queries that returned nothing, the content-gap signal (none for ``k <= 0``)."""
+        seen: List[str] = []
+        if k <= 0:
+            return seen
         with self._lock:
             for _, query, count in reversed(self._recent):
                 if len(seen) == k:

@@ -368,10 +368,11 @@ def create_app(
     ``tagging`` defaults to an empty tagging system; ``observations`` is
     an optional :class:`~repro.observations.store.ObservationStore` —
     when given, the ``/api/observations/...`` endpoints serve live data.
-    ``debug=False`` locks the ``/debug/*`` introspection endpoints (logs,
-    traces, profile, convergence) behind 403s for deployments where that
-    detail must not be public; ``/metrics`` and ``/healthz`` stay open as
-    they carry only aggregates and statuses.
+    ``debug=False`` answers ``/debug`` and every path under ``/debug/``
+    (logs, traces, profile, plans, dashboard, routed or not) with a 403
+    before routing, for deployments where that detail must not be
+    public; ``/metrics`` and ``/healthz`` stay open as they carry only
+    aggregates and statuses.
 
     ``sampler`` is the :class:`~repro.obs.timeseries.MetricsSampler`
     feeding ``/api/timeseries``, ``/api/alerts`` and the dashboard
@@ -402,14 +403,6 @@ def create_app(
     # Keyed registration: repeated create_app() calls replace this probe
     # on the shared default sampler instead of stacking duplicates.
     sampler.set_probe("engine", _engine_probe)
-
-    def _debug_guard() -> Optional[Response]:
-        if debug:
-            return None
-        return JsonResponse(
-            {"error": "debug endpoints are disabled on this deployment"},
-            status="403 Forbidden",
-        )
 
     @router.get("/api/observations/{sensor}")
     def observation_stats(request: Request, sensor: str) -> Response:
@@ -703,9 +696,6 @@ def create_app(
 
     @router.get("/debug/trace")
     def debug_trace(request: Request) -> Response:
-        guard = _debug_guard()
-        if guard is not None:
-            return guard
         k = _count(request, "k", 20)
         trace_id = request.params.get("trace_id") or None
         return JsonResponse(
@@ -714,9 +704,6 @@ def create_app(
 
     @router.get("/debug/logs")
     def debug_logs(request: Request) -> Response:
-        guard = _debug_guard()
-        if guard is not None:
-            return guard
         records = obs.get_event_log().records(
             level=request.params.get("level") or None,
             trace_id=request.params.get("trace_id") or None,
@@ -727,18 +714,12 @@ def create_app(
 
     @router.get("/debug/profile")
     def debug_profile(request: Request) -> Response:
-        guard = _debug_guard()
-        if guard is not None:
-            return guard
         k = _count(request, "k", 256)
         rows = obs.profile_tracer(obs.get_tracer(), k=k)
         return JsonResponse({"traces_considered": k, "rows": rows})
 
     @router.get("/debug/convergence")
     def debug_convergence(request: Request) -> Response:
-        guard = _debug_guard()
-        if guard is not None:
-            return guard
         recorder = obs.get_convergence_recorder()
         solver = request.params.get("solver") or None
         if solver is not None:
@@ -754,9 +735,6 @@ def create_app(
         evaluation strategy (the same payload ``explain=1`` attaches to
         ``/api/search``, without running the search).
         """
-        guard = _debug_guard()
-        if guard is not None:
-            return guard
         sql = request.params.get("sql")
         query_text = request.params.get("q")
         if sql is None and query_text is None:
@@ -786,9 +764,6 @@ def create_app(
         and the constraint-waterfall plan from the query's record —
         enough to diagnose a past slow query without reproducing it.
         """
-        guard = _debug_guard()
-        if guard is not None:
-            return guard
         slowlog = obs.get_slow_query_log()
         entries = slowlog.snapshot()
         return JsonResponse(
@@ -806,9 +781,6 @@ def create_app(
     @router.get("/debug/provenance")
     def debug_provenance(request: Request) -> Response:
         """Recent query-provenance records, filterable by trace id."""
-        guard = _debug_guard()
-        if guard is not None:
-            return guard
         recorder = obs.get_provenance_recorder()
         records = recorder.records(
             trace_id=request.params.get("trace_id") or None,
@@ -913,9 +885,6 @@ def create_app(
     @router.get("/debug")
     def debug_index(request: Request) -> Response:
         """Index of every operator surface with a one-line description."""
-        guard = _debug_guard()
-        if guard is not None:
-            return guard
         body = [
             "<!doctype html><html><head><title>Operator surfaces</title></head><body>",
             "<h1>Operator surfaces</h1>",
@@ -935,9 +904,6 @@ def create_app(
     @router.get("/debug/dashboard.svg")
     def debug_dashboard_svg(request: Request) -> Response:
         """The dashboard's sparkline grid as a standalone SVG document."""
-        guard = _debug_guard()
-        if guard is not None:
-            return guard
         window = float(
             request.params.get("window", str(_DASHBOARD_WINDOW_SECONDS))
         )
@@ -965,9 +931,6 @@ def create_app(
         ``/debug/dashboard.svg`` so it can be embedded or validated
         standalone.
         """
-        guard = _debug_guard()
-        if guard is not None:
-            return guard
         evaluator = sampler.evaluator
         firing = evaluator.firing() if evaluator is not None else []
         body = [
@@ -1307,7 +1270,13 @@ def create_app(
     def application(environ, start_response):
         request = Request(environ)
         try:
-            response = router.dispatch(request)
+            if not debug and (request.path + "/").startswith("/debug/"):
+                response = JsonResponse(
+                    {"error": "debug endpoints are disabled on this deployment"},
+                    status="403 Forbidden",
+                )
+            else:
+                response = router.dispatch(request)
         except ReproError as exc:
             response = JsonResponse(
                 {"error": str(exc), "type": type(exc).__name__}, status="400 Bad Request"

@@ -98,6 +98,10 @@ class SchemaMapping:
                 return mapping.column
         return None
 
+    def mapped_kinds(self, prop: str) -> List[str]:
+        """The kinds whose table has a column for ``prop``, in :attr:`kinds` order."""
+        return [kind for kind in self.kinds if self.column_for_property(kind, prop) is not None]
+
     def property_for_column(self, kind: str, column: str) -> Optional[str]:
         """The property stored in ``column`` of ``kind``, or None."""
         for mapping in self.mappings_for(kind):

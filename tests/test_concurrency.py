@@ -1,6 +1,6 @@
 """Concurrency and equivalence tests for the search engine and the SMR lock.
 
-Seven properties: (1) a limited query returns *identical* results to the
+Eight properties: (1) a limited query returns *identical* results to the
 same query without its limit, sliced to the page — same titles, same
 floats, same order — for every query shape, so the lazy top-k path
 matches the full sort; (2) the engine stays correct while reader threads race a live
@@ -14,7 +14,9 @@ reader–writer lock under those threads keeps its documented semantics;
 (6) autocomplete and recommendations read under a live writer never go
 back and end equal to a fresh build; (7) ``/api/search`` bodies read
 under a live writer each carry their own request's trace id and end
-byte-equal to a fresh engine's.
+byte-equal to a fresh engine's; (8) ``explain_search`` names the same
+constraints, with the same strategies and in the same order, as the
+stages a search records.
 """
 
 import io
@@ -111,6 +113,23 @@ class TestTopkIdentity:
         engine = AdvancedSearchEngine(smr, cache=None)
         query = engine.parse("kind=institution limit=50 offset=6")
         assert _fingerprint(engine.search(query)) == _full_sort(engine, query)
+
+
+class TestExplainNamesTheRunConstraints:
+    """``explain_search`` lists the constraints a search runs, in order."""
+
+    @pytest.mark.parametrize(
+        "text",
+        QUERY_SHAPES
+        + ["keyword=wind kind=station elevation_m>=1500 maintainer=alice bbox=46,8,47,10"],
+    )
+    def test_explain_matches_the_provenance_stages(self, smr, text):
+        engine = AdvancedSearchEngine(smr, cache=None)
+        query = engine.parse(text)
+        plan = engine.explain_search(query)
+        _, provenance = engine.search_explained(query)
+        explained = [(c["constraint"], c["strategy"]) for c in plan["constraints"]]
+        assert explained == [(s.name, s.strategy) for s in provenance.stages]
 
 
 class TestConcurrentReadersWithWriter:

@@ -273,22 +273,20 @@ class TestOutOfRangeLocations:
         )
         return repo
 
-    @pytest.mark.parametrize("spatial_index", [True, False], ids=["rtree", "scan"])
-    def test_out_of_range_page_is_unlocated(self, repo, spatial_index):
-        engine = AdvancedSearchEngine(repo, cache=None, spatial_index=spatial_index)
+    def test_out_of_range_page_is_unlocated(self, repo):
+        engine = AdvancedSearchEngine(repo, cache=None)
         assert engine.search(self.WHOLE_GLOBE).titles == ["Station:OK"]
         listed = engine.search(parse_query("kind=station limit=0"))
         assert sorted(listed.titles) == ["Station:OK", "Station:POLE"]
         assert [r.title for r in listed.located()] == ["Station:OK"]
 
-    @pytest.mark.parametrize("spatial_index", [True, False], ids=["rtree", "scan"])
-    def test_coordinate_too_large_for_a_float_is_unlocated(self, repo, spatial_index):
+    def test_coordinate_too_large_for_a_float_is_unlocated(self, repo):
         repo.register(
             "sensor",
             "Sensor:HUGE",
             [("name", "huge"), ("latitude", 10**400), ("longitude", 9.8)],
         )
-        engine = AdvancedSearchEngine(repo, cache=None, spatial_index=spatial_index)
+        engine = AdvancedSearchEngine(repo, cache=None)
         assert engine.search(parse_query("bbox=40,5,50,12")).titles == ["Station:OK"]
         for text in ("kind=sensor", "keyword=huge"):
             results = engine.search(parse_query(text))
@@ -313,12 +311,11 @@ class TestOutOfRangeLocations:
             "mutations": repo.mutation_count,
         }
 
-    @pytest.mark.parametrize("spatial_index", [True, False], ids=["rtree", "scan"])
-    def test_other_location_errors_surface(self, repo, spatial_index, monkeypatch):
+    def test_other_location_errors_surface(self, repo, monkeypatch):
         def broken(lat, lon):
             raise RuntimeError("geo backend down")
 
-        engine = AdvancedSearchEngine(repo, cache=None, spatial_index=spatial_index)
+        engine = AdvancedSearchEngine(repo, cache=None)
         before = self._state(repo)
         monkeypatch.setattr("repro.smr.repository.GeoPoint", broken)
         moved = [("name", "moved"), ("latitude", 40.0), ("longitude", 7.0)]

@@ -110,6 +110,13 @@ DELETED_CACHES = re.compile(
     r"|(?i:require_all|tf-?idf)"
 )
 
+#: The deleted second search paths: one constraint list that search and
+#: explain both read, one scorer, and the R-tree as the only bbox path,
+#: so no document may still describe them.
+DELETED_ENGINE_PATHS = re.compile(
+    r"spatial_index=False|BBoxScan|_evaluate_constraints|_filter_strategy|_titles_in_bbox"
+)
+
 #: Claims that once were true and must never reappear: (file, regex,
 #: what replaced them). Docs drift is a build failure, not a shrug.
 STALE_CLAIMS = [
@@ -163,6 +170,14 @@ STALE_CLAIMS = [
         "the tag-cloud cache is a GenerationalLruCache, autocomplete and the "
         "recommender rebuild on the first read after the generation moves, and "
         "BM25 is the only keyword scorer",
+    )
+    for path in _markdown_files()
+] + [
+    (
+        os.path.relpath(path, REPO_ROOT),
+        DELETED_ENGINE_PATHS,
+        "search and explain_search read one constraint list, and every bbox "
+        "probes the R-tree",
     )
     for path in _markdown_files()
 ]

@@ -388,12 +388,13 @@ class TestEngineSpatialIndex:
         from repro.core import AdvancedSearchEngine
 
         smr = self._smr()
-        probe = AdvancedSearchEngine(smr, cache=None)
-        scan = AdvancedSearchEngine(smr, cache=None, spatial_index=False)
-        query = "bbox=41,5,45,8"
-        assert {r.title for r in probe.search(probe.parse(query))} == {
-            r.title for r in scan.search(scan.parse(query))
+        engine = AdvancedSearchEngine(smr, cache=None)
+        query = engine.parse("bbox=41,5,45,8 limit=0")
+        scanned = {
+            title for title, point in smr.locations().items() if query.bbox.contains(point)
         }
+        assert scanned
+        assert {r.title for r in engine.search(query)} == scanned
 
     def test_stale_generation_invalidation(self):
         from repro.core import AdvancedSearchEngine
@@ -447,15 +448,12 @@ class TestEngineSpatialIndex:
         smr = self._smr()
         engine = AdvancedSearchEngine(smr, cache=None)
         info = engine.spatial_index_info()
-        assert info["enabled"] is True
         assert info["generation"] == info["current_generation"] == smr.mutation_count
         assert info["kind"] == "rtree" and info["entries"] == 40
         smr.register("station", "Station:S0", [("name", "S0"), ("latitude", 95.0)])
         info = engine.spatial_index_info()
         assert info["generation"] == info["current_generation"] == smr.mutation_count
         assert info["entries"] == 39  # the edit unlocated one page
-        info = AdvancedSearchEngine(smr, cache=None, spatial_index=False).spatial_index_info()
-        assert info["enabled"] is False and info["entries"] == 39
 
     def test_explain_search_strategies(self):
         from repro.core import AdvancedSearchEngine

@@ -4,14 +4,19 @@ Random corpora + random property-filter queries are answered both by the
 engine (SQL/SPARQL candidate sets, indexes) and by a naive oracle that
 filters page annotations directly in Python. The candidate sets must
 match exactly, in strict and relaxed mode; relaxed match degrees are
-checked against per-filter recomputation.
+checked against per-filter recomputation. PageRank and relevance sorts
+are checked against the scores' definitions, float for float, and a
+limited page against the unlimited list sliced.
 """
 
+from dataclasses import replace
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core import AdvancedSearchEngine, PropertyFilter, SearchQuery
+from repro.core.engine import _PAGERANK_WEIGHT, _RELEVANCE_WEIGHT
 from repro.smr import SensorMetadataRepository
 
 STATUSES = ["online", "offline", "maintenance"]
@@ -112,6 +117,92 @@ class TestSearchOracle:
             assert result.match_degree == pytest.approx(satisfied / len(filters))
 
 
+#: Keywords for the scorer oracle: up to two words (none: no keyword
+#: constraint) that the corpora's titles and annotation values carry.
+#: "station" is in every station's title, "s001" in both Station:S001's
+#: and Sensor:S001-x's.
+keyword_strategy = st.lists(
+    st.sampled_from(["station", "sensor", "s000", "s001", "s002", "wind", "online", "offline"]),
+    max_size=2,
+).map(" ".join)
+
+
+def _fingerprint(results):
+    return [(r.title, r.score, r.relevance, r.pagerank, r.match_degree) for r in results]
+
+
+class TestScorerOracle:
+    """PageRank and relevance sorts against the scores' definitions."""
+
+    @given(
+        records_strategy,
+        st.lists(filter_strategy, max_size=2),
+        keyword_strategy,
+        st.sampled_from([None, "station", "sensor"]),
+        st.sampled_from(["pagerank", "relevance"]),
+        st.booleans(),
+        st.booleans(),
+        st.integers(1, 8),
+        st.integers(0, 10),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_scores_follow_their_definition(
+        self, records, raw_filters, keyword, kind, sort, descending, relaxed, limit, offset
+    ):
+        assume(raw_filters or keyword or kind)
+        smr = build_smr(records)
+        engine = AdvancedSearchEngine(smr, cache=None)
+        filters = tuple(PropertyFilter(p, op, v) for p, op, v in raw_filters)
+        query = SearchQuery(
+            keyword=keyword,
+            kind=kind,
+            filters=filters,
+            sort=sort,
+            descending=descending,
+            limit=None,
+            relaxed=relaxed,
+        )
+        results = engine.search(query).results
+
+        per_filter = [oracle_matches(smr, f) for f in filters]
+        if not filters:
+            expected = set(smr.titles())
+        elif relaxed:
+            expected = set.union(*per_filter)
+        else:
+            expected = set.intersection(*per_filter)
+        if kind is not None:
+            expected = {t for t in expected if t.startswith(kind.capitalize() + ":")}
+        bm25 = {}
+        if keyword:
+            bm25 = {hit.doc_id: hit.score for hit in smr.keyword_search(keyword)}
+            expected &= set(bm25)
+        assert {r.title for r in results} == expected
+
+        max_rel = max((bm25.get(r.title, 0.0) for r in results), default=0.0) or 1.0
+        max_pr = max((engine.ranker.score(r.title) for r in results), default=0.0) or 1.0
+        for r in results:
+            pagerank = engine.ranker.score(r.title)
+            relevance = bm25.get(r.title, 0.0)
+            satisfied = sum(1 for matches in per_filter if r.title in matches)
+            degree = satisfied / len(filters) if filters else 1.0
+            assert r.pagerank == pagerank
+            assert r.relevance == relevance
+            assert r.match_degree == degree
+            if sort == "pagerank":
+                assert r.score == degree * pagerank
+            else:
+                assert r.score == degree * (
+                    _RELEVANCE_WEIGHT * (relevance / max_rel)
+                    + _PAGERANK_WEIGHT * (pagerank / max_pr)
+                )
+        keys = [(r.score, r.title) for r in results]
+        assert keys == sorted(keys, reverse=descending)
+
+        page = engine.search(replace(query, limit=limit, offset=offset)).results
+        assert _fingerprint(page) == _fingerprint(results[offset : offset + limit])
+
+
 class TestQueryLog:
     def test_record_and_popular(self):
         from repro.core import QueryLog
@@ -126,6 +217,10 @@ class TestQueryLog:
         assert log.recent(0) == []
         assert log.zero_result_queries() == ["keyword=wind"]
         assert log.total_logged == 3
+        for k in (0, -1):
+            assert log.popular(k) == []
+            assert log.zero_result_queries(k) == []
+            assert log.recent(k) == []
 
     def test_window_eviction(self):
         from repro.core import QueryLog

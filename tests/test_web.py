@@ -574,6 +574,23 @@ class TestDeepObservability:
         status, _, _ = call(locked, "GET", "/metrics")
         assert status == "200 OK"
 
+    def test_every_debug_route_is_locked_without_debug_flag(self, app, fresh_obs):
+        locked = create_app(app.engine, debug=False)
+        paths = [
+            pattern
+            for _, _, _, pattern in locked.router._routes
+            if (pattern + "/").startswith("/debug/")
+        ]
+        assert "/debug" in paths and "/debug/plan" in paths
+        # An unrouted path under /debug/ is refused before routing, too.
+        for path in paths + ["/debug/no-such-surface"]:
+            status, headers, body = call(locked, "GET", path)
+            assert status == "403 Forbidden", path
+            assert body == {"error": "debug endpoints are disabled on this deployment"}
+            assert len(headers["X-Trace-Id"]) == 16
+        status, _, _ = call(locked, "GET", "/debugger")
+        assert status == "404 Not Found"
+
 
 class TestVizEndpoints:
     def test_map_svg(self, app):
