@@ -26,15 +26,17 @@ CPU, putting the scrape + burn-rate evaluation cost inside the number.
 
 A second section times the PageRank solver path (one full Gauss–Seidel
 solve on an n=500 double-link graph) enabled vs. disabled, covering the
-per-solve convergence-recorder append and log event.
+per-solve convergence-recorder append and log event. Each of its rounds
+times one solve per mode back to back, alternating which goes first, and
+the gate reads the median of the per-round ratios.
 
 Gates: < 5 % enabled and < 1 % disabled on the cached rows, < 5 %
-enabled-vs-disabled on the solver path. Two defenses against benchmark
+enabled-vs-disabled on the solver path. Defenses against benchmark
 noise: ``time.process_time`` (CPU time, immune to scheduler preemption
-in shared containers) with GC paused during timing, and many short
-interleaved rounds keeping the best round per mode — interleaving
-spreads clock drift across all modes equally, and the minimum over many
-small rounds converges each mode to its true floor. Results go to
+in shared containers) with GC paused during timing; for the query rows,
+many short interleaved rounds keeping the best round per mode; for the
+solver, paired rounds, whose ratios a host-speed shift between rounds
+cannot bias toward one mode. Results go to
 ``benchmarks/results/obs_overhead.txt``.
 """
 
@@ -42,6 +44,7 @@ from __future__ import annotations
 
 import gc
 import os
+import statistics
 import time
 
 from repro import obs
@@ -62,7 +65,7 @@ QUERIES = [
 ]
 ROUNDS = 3 if SMOKE else 50
 ITERATIONS = 2 if SMOKE else 5  # passes over QUERIES per round per mode
-SOLVER_ROUNDS = 2 if SMOKE else 15
+SOLVER_ROUNDS = 2 if SMOKE else 16
 SOLVER_N = 120 if SMOKE else 500
 SAMPLER_INTERVAL = 0.2  # aggressive vs the 5 s default: worst case
 
@@ -155,7 +158,13 @@ class _ObsStack:
 
 
 def _solver_overhead(stack: _ObsStack):
-    """Best-of-rounds solve time, enabled vs. disabled, on one problem."""
+    """Median per-round solve times and enabled/disabled ratio on one problem.
+
+    Each round times one disabled and one enabled solve back to back,
+    alternating which goes first, and takes their ratio: a host-speed
+    shift between rounds moves both solves of a round alike, so it cannot
+    bias one side the way a best-of-rounds minimum per side can.
+    """
     web, semantic = paired_link_structures(SOLVER_N, seed=SOLVER_N)
     problem = combine_link_structures(web, semantic, alpha=0.5)
 
@@ -165,18 +174,25 @@ def _solver_overhead(stack: _ObsStack):
         return time.process_time() - start
 
     solve()  # warm caches before timing
-    disabled = enabled = float("inf")
+    disabled, enabled, ratios = [], [], []
     gc.disable()
     try:
-        for _ in range(SOLVER_ROUNDS):
-            stack.disable()
-            disabled = min(disabled, solve())
-            stack.enable()
-            enabled = min(enabled, solve())
+        for round_index in range(SOLVER_ROUNDS):
+            seconds = {}
+            for on in (False, True) if round_index % 2 == 0 else (True, False):
+                if on:
+                    stack.enable()
+                else:
+                    stack.disable()
+                seconds[on] = solve()
+            disabled.append(seconds[False])
+            enabled.append(seconds[True])
+            ratios.append(seconds[True] / seconds[False])
     finally:
+        stack.enable()
         gc.enable()
         gc.collect()
-    return disabled, enabled
+    return statistics.median(disabled), statistics.median(enabled), statistics.median(ratios)
 
 
 def test_obs_overhead(engine, write_result):
@@ -217,7 +233,7 @@ def test_obs_overhead(engine, write_result):
         prov_records = len(stack.prov_recorder)
         slow_retained = len(stack.slowlog)
         slow_offered = stack.slowlog.recorded
-        solver_disabled, solver_enabled = _solver_overhead(stack)
+        solver_disabled, solver_enabled, solver_ratio = _solver_overhead(stack)
         recorded_runs = len(stack.recorder.runs("gauss_seidel"))
         # One explicit tick guarantees at least one scrape + SLO pass in
         # the record even if every enabled window was shorter than the
@@ -235,7 +251,7 @@ def test_obs_overhead(engine, write_result):
     queries_per_round = ITERATIONS * len(QUERIES)
     enabled_overhead = (enabled - baseline) / baseline
     disabled_overhead = (disabled - baseline) / baseline
-    solver_overhead = (solver_enabled - solver_disabled) / solver_disabled
+    solver_overhead = solver_ratio - 1.0
 
     def row(mode, seconds):
         overhead = f"{(seconds - baseline) / baseline:>9.2%}" if mode != "baseline" else "—"
@@ -274,10 +290,13 @@ def test_obs_overhead(engine, write_result):
         f"last_scrape={scrape_seconds * 1000:.2f}ms",
         f"  slo evaluations={slo_evaluations} alerts firing={alerts_firing}",
         "",
-        f"Solver path (gauss_seidel, n={SOLVER_N}, best of {SOLVER_ROUNDS} rounds)",
+        f"Solver path (gauss_seidel, n={SOLVER_N}, {SOLVER_ROUNDS} rounds of one disabled",
+        " and one enabled solve back to back, alternating which goes first)",
         "(per-solve cost: convergence-recorder append + log event + span + metrics)",
+        f"{'mode':<10} {'median (s)':>15} {'overhead':>9}",
         f"{'disabled':<10} {solver_disabled:>15.6f}",
         f"{'enabled':<10} {solver_enabled:>15.6f} {solver_overhead:>9.2%}",
+        "(overhead: the median of the per-round enabled/disabled ratios, minus one)",
         "",
         "gates: enabled < 5%, disabled < 1% (cached rows),",
         "solver enabled-vs-disabled < 5%; the uncached rows only report",

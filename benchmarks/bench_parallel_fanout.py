@@ -115,9 +115,15 @@ class _SeedPathRepository:
         mapping = {title_to_iri(title).value: title for title in self._smr.titles()}
         return {mapping[iri] for iri in iris if iri in mapping}
 
-    def annotations_and_location(self, title):
-        pairs = self._smr.annotations(title)
-        return pairs, parse_location(pairs)
+    def page_details(self, titles):
+        """Kinds from one snapshot; each result's annotations read on their
+        own and its location parsed again, as the earlier engine did."""
+        kinds = self._smr.kind_map()
+        details = []
+        for title in titles:
+            pairs = self._smr.annotations(title)
+            details.append((kinds[title.strip().lower()], pairs, parse_location(pairs)))
+        return details
 
     def locations(self):
         """Parse every page's location again, as every bbox scan did."""

@@ -18,8 +18,12 @@ Strict mode intersects all constraint sets; relaxed mode unions the
 property filters and reports a per-result **match degree** (the fraction
 of predicates satisfied) — the quantity the map visualization colors by.
 One scorer ranks the survivors, limited query or not, by the double-link
-PageRank metric or by its blend with keyword relevance, and only the
-returned page becomes result objects.
+PageRank metric or by its blend with keyword relevance. It scores every
+survivor at once, as float64 arrays with the scalar expressions' exact
+results, and a limited query partitions the scores before a heap orders
+the page, so the Python work per candidate is one list entry. Only the
+returned page becomes result objects, read from the repository in one
+locked call.
 """
 
 from __future__ import annotations
@@ -28,8 +32,10 @@ import heapq
 import re
 import time
 from functools import partial
-from operator import itemgetter
-from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
+from itertools import repeat
+from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from repro import obs
 
@@ -53,9 +59,6 @@ from repro.smr.repository import SensorMetadataRepository
 # Weighting of keyword relevance vs. PageRank in the default sort.
 _RELEVANCE_WEIGHT = 0.6
 _PAGERANK_WEIGHT = 0.4
-
-# The ranking key of a scored (score, title, kind) entry: unique per title.
-_SCORE_KEY = itemgetter(0, 1)
 
 # Distinguishes "caller wants the default cache" from an explicit None
 # (= caching disabled) in AdvancedSearchEngine.__init__.
@@ -315,37 +318,22 @@ class AdvancedSearchEngine:
             candidates &= matches
             prov.add_waterfall_step(name, before, len(candidates))
 
-        # One locked snapshot instead of a kind_of() lock round-trip per
-        # candidate; every candidate came from the repository, so the
-        # lookup cannot miss.
-        kind_by_key = self.smr.kind_map()
-        allowed: List[Tuple[str, str]] = []
-        for title in candidates:
-            kind = kind_by_key[title.strip().lower()]
-            if user.policy.can_read(kind):
-                allowed.append((title, kind))
-        total = len(allowed)
-        prov.set_privilege_filter(len(candidates), total)
-
-        # A score sort builds only its page; a limited one selects it with
-        # a heap (heap top-k), an unlimited one sorts the scored entries.
-        # A property sort needs every result's value and the missing-last
-        # partition, so it builds everything and sorts.
-        if query.sort in (SORT_PAGERANK, SORT_RELEVANCE):
-            results = self._rank_by_score(query, allowed, relevance, filter_matches)
-            ranking_path = "full-sort" if query.limit is None else "heap-topk"
+        # The privilege filter keeps the candidates' set order, which a
+        # property sort keeps for its ties. An allow-all policy keeps every
+        # candidate; a whitelist keeps those in its kinds' title sets.
+        readable = user.policy.allowed_kinds
+        if readable is None:
+            titles = list(candidates)
         else:
-            results = [
-                self._build_result(title, kind, relevance, filter_matches)
-                for title, kind in allowed
-            ]
-            self._score_and_sort(query, results)
-            results = results[query.offset :]
-            if query.limit is not None:
-                results = results[: query.limit]
+            titles = self.smr.titles_of_kinds(readable, among=candidates)
+        prov.set_privilege_filter(len(candidates), len(titles))
+        results = self._rank(query, titles, relevance, [matches for _, matches in filter_matches])
+        if query.sort in (SORT_PAGERANK, SORT_RELEVANCE) and query.limit is not None:
+            ranking_path = "heap-topk"
+        else:
             ranking_path = "full-sort"
         prov.set_ranking(query.sort, ranking_path, len(results))
-        return SearchResults(results, total, prov.query)
+        return SearchResults(results, len(titles), prov.query)
 
     def cache_info(self) -> Dict[str, Any]:
         """Result-cache statistics for ``/api/stats`` and diagnostics."""
@@ -515,92 +503,80 @@ class AdvancedSearchEngine:
     # Result construction and ranking
     # ------------------------------------------------------------------
 
-    def _build_result(
-        self,
-        title: str,
-        kind: str,
-        relevance: Dict[str, float],
-        filter_matches: List[Tuple[PropertyFilter, Set[str]]],
-    ) -> SearchResult:
-        if filter_matches:
-            satisfied = sum(1 for _, titles in filter_matches if title in titles)
-            match_degree = satisfied / len(filter_matches)
-        else:
-            match_degree = 1.0
-        pairs, location = self.smr.annotations_and_location(title)
-        annotations = {prop.lower(): value for prop, value in pairs}
-        return SearchResult(
-            title=title,
-            kind=kind,
-            relevance=relevance.get(title, 0.0),
-            pagerank=self.ranker.score(title),
-            match_degree=match_degree,
-            annotations=annotations,
-            location=location,
-        )
-
-    def _rank_by_score(
+    def _rank(
         self,
         query: SearchQuery,
-        allowed: List[Tuple[str, str]],
+        titles: List[str],
         relevance: Dict[str, float],
-        filter_matches: List[Tuple[PropertyFilter, Set[str]]],
+        filter_sets: List[Set[str]],
     ) -> List[SearchResult]:
-        """Rank a PageRank or relevance sort; build only the returned page.
+        """Rank the readable candidates ``titles``; build only the returned page.
 
-        Each readable candidate is scored once into ``(score, title,
-        kind)``: its match degree times its PageRank, or times the blend
-        of relevance and PageRank, each divided by its maximum over the
-        candidates. A limited query keeps its ``offset + limit`` best
-        with ``heapq.nlargest`` (``nsmallest`` ascending); an unlimited
-        one sorts them all. Both order on ``(score, title)``, which is
-        unique per title, and ``nlargest(k, data, key)`` is documented
-        equal to ``sorted(data, key=key, reverse=True)[:k]``, so a
-        limited page is the unlimited list sliced. Only the page gets a
-        :class:`SearchResult` (annotation dict, GeoPoint) built.
+        PageRank (from one read of the ranker's score map), relevance and
+        match degree are float64 arrays over ``titles``. The match degree
+        is 1.0 unless the query is relaxed, where it is the sum of the
+        filters' membership masks divided by the filter count. A PageRank
+        sort scores ``degree * pr``; a relevance sort ``degree * (w_rel *
+        (rel / max_rel) + w_pr * (pr / max_pr))``, each maximum taken over
+        the candidates (``or 1.0``). Evaluated element-wise in that order,
+        each score is the IEEE double the scalar expression gives.
+        :func:`_select` picks a score sort's page; a property sort builds
+        every candidate and sorts by value. Only the returned results are
+        read from the repository, in one read-locked call.
         """
-        if not allowed:
+        n = len(titles)
+        if not n:
             return []
         pagerank = self.ranker.scores()
-        n_filters = len(filter_matches)
-
-        def degree(title: str) -> float:
-            if not n_filters:
-                return 1.0
-            satisfied = sum(1 for _, titles in filter_matches if title in titles)
-            return satisfied / n_filters
-
+        pr = _column(pagerank, titles)
+        degree = np.ones(n)
+        if query.relaxed and filter_sets:
+            satisfied = np.zeros(n)
+            for matches in filter_sets:
+                satisfied += np.fromiter(map(matches.__contains__, titles), bool, n)
+            degree = satisfied / len(filter_sets)
         if query.sort == SORT_PAGERANK:
-            scored = [
-                (degree(title) * pagerank.get(title, 0.0), title, kind)
-                for title, kind in allowed
-            ]
-        else:  # SORT_RELEVANCE
-            max_rel = max((relevance.get(t, 0.0) for t, _ in allowed), default=0.0) or 1.0
-            max_pr = max((pagerank.get(t, 0.0) for t, _ in allowed), default=0.0) or 1.0
-            scored = [
-                (
-                    degree(title)
-                    * (
-                        _RELEVANCE_WEIGHT * (relevance.get(title, 0.0) / max_rel)
-                        + _PAGERANK_WEIGHT * (pagerank.get(title, 0.0) / max_pr)
-                    ),
-                    title,
-                    kind,
-                )
-                for title, kind in allowed
-            ]
-        if query.limit is None:
-            page = sorted(scored, key=_SCORE_KEY, reverse=query.descending)
+            page = _select(query, degree * pr, titles)
+        elif query.sort == SORT_RELEVANCE:
+            rel = _column(relevance, titles)
+            max_rel = float(rel.max()) or 1.0
+            max_pr = float(pr.max()) or 1.0
+            blend = _RELEVANCE_WEIGHT * (rel / max_rel) + _PAGERANK_WEIGHT * (pr / max_pr)
+            page = _select(query, degree * blend, titles)
         else:
-            select = heapq.nlargest if query.descending else heapq.nsmallest
-            page = select(query.offset + query.limit, scored, key=_SCORE_KEY)
-        results = []
-        for score, title, kind in page[query.offset :]:
-            result = self._build_result(title, kind, relevance, filter_matches)
-            result.score = score
-            results.append(result)
-        return results
+            results = self._results(zip(repeat(0.0), titles, range(n)), pagerank, relevance, degree)
+            self._score_and_sort(query, results)
+            end = None if query.limit is None else query.offset + query.limit
+            return results[query.offset : end]
+        return self._results(page, pagerank, relevance, degree)
+
+    def _results(
+        self,
+        entries: Iterable[Tuple[float, str, int]],
+        pagerank: Dict[str, float],
+        relevance: Dict[str, float],
+        degree: np.ndarray,
+    ) -> List[SearchResult]:
+        """A :class:`SearchResult` per ``(score, title, index)`` entry.
+
+        The kinds, annotations and locations come from one read-locked
+        repository call, so each result is one revision of its page.
+        """
+        entries = list(entries)
+        details = self.smr.page_details([title for _, title, _ in entries])
+        return [
+            SearchResult(
+                title=title,
+                kind=kind,
+                score=score,
+                relevance=relevance.get(title, 0.0),
+                pagerank=pagerank.get(title, 0.0),
+                match_degree=float(degree[index]),
+                annotations={prop.lower(): value for prop, value in pairs},
+                location=location,
+            )
+            for (score, title, index), (kind, pairs, location) in zip(entries, details)
+        ]
 
     def _score_and_sort(self, query: SearchQuery, results: List[SearchResult]) -> None:
         """Sort ``results`` by the property ``query.sort``; missing values last.
@@ -619,6 +595,45 @@ class AdvancedSearchEngine:
             result.score = _numeric_or_zero(result.get(prop))
         present.sort(key=lambda r: _typed_value_key(r.get(prop)), reverse=query.descending)
         results[:] = present + missing
+
+
+# ----------------------------------------------------------------------
+# Scoring helpers
+# ----------------------------------------------------------------------
+
+
+def _column(values: Dict[str, float], titles: List[str]) -> np.ndarray:
+    """``values[title]`` (0.0 when absent) for each title, as a float64 array."""
+    return np.fromiter(map(values.get, titles, repeat(0.0)), float, len(titles))
+
+
+def _select(
+    query: SearchQuery, score: np.ndarray, titles: List[str]
+) -> List[Tuple[float, str, int]]:
+    """A score sort's returned page as ``(score, title, index)`` entries.
+
+    Entries order on ``(score, title)``, which is unique per title, under
+    Python's ``str`` order (numpy's string dtype would drop trailing
+    NULs). An unlimited query sorts every entry. A limited one finds the
+    ``offset + limit``-th score with ``np.partition`` and keeps every
+    candidate at or beyond it, ties included, so the page's entries are
+    all kept; ``heapq.nlargest`` (``nsmallest`` ascending) orders only
+    those, and the page is the unlimited list sliced.
+    """
+    n = len(titles)
+    if query.limit is None:
+        ranked = sorted(zip(score.tolist(), titles, range(n)), reverse=query.descending)
+        return ranked[query.offset :]
+    k = query.offset + query.limit
+    kept = np.arange(n)
+    if k < n:
+        kth = n - k if query.descending else k - 1
+        threshold = np.partition(score, kth)[kth]
+        kept = np.flatnonzero(score >= threshold if query.descending else score <= threshold)
+    index = kept.tolist()
+    entries = zip(score[kept].tolist(), [titles[i] for i in index], index)
+    select = heapq.nlargest if query.descending else heapq.nsmallest
+    return select(k, entries)[query.offset :]
 
 
 # ----------------------------------------------------------------------

@@ -25,15 +25,15 @@ Invariants:
   ``WikiSite.save``, the first step of the write, so a refused
   ``register()`` leaves every store as it was.
 - **Write-through search lookups.** Under the same write lock,
-  ``register()`` keeps the engine's kind -> titles, IRI value -> title
-  and title -> location lookups and one R-tree over the located pages
-  equal to a fresh derivation from the wiki, so no read rebuilds them.
-  Of two titles that differ only by space versus underscore, the one
-  that sorts later under ``str.lower`` keeps their shared IRI; a
-  location is :func:`parse_location` of the page's annotations, taken
-  from the write's one wikitext parse before the write section, so a
-  parse that raises refuses the write with every store as it was. An
-  R-tree entry moves only when its page's location changed.
+  ``register()`` keeps the engine's kind -> titles and title -> location
+  lookups and one R-tree over the located pages equal to a fresh
+  derivation from the wiki, so no read rebuilds them; ``WikiSite.save``
+  keeps its IRI value -> title map, refusing a new page whose subject
+  IRI another page holds, so each IRI names one title. A location is
+  :func:`parse_location` of the page's annotations, taken from the
+  write's one wikitext parse before the write section, so a parse that
+  raises refuses the write with every store as it was. An R-tree entry
+  moves only when its page's location changed.
 - **Row replacement by primary key.** The old row is dropped through the
   table's primary-key hash index, not by a scanning ``DELETE``.
 """
@@ -54,7 +54,7 @@ from repro.smr.model import KIND_ORDER, record_class_for
 from repro.smr.rwlock import ReadWriteLock
 from repro.text.inverted_index import InvertedIndex
 from repro.wiki.schema_map import PropertyMapping, SchemaMapping
-from repro.wiki.site import WikiSite, title_to_iri
+from repro.wiki.site import WikiSite
 from repro.wiki.wikitext import parse_wikitext, render_annotations
 
 
@@ -158,7 +158,6 @@ class SensorMetadataRepository:
         self._kind_of: Dict[str, str] = {}  # title-key -> kind
         # The write-through search lookups (module docstring).
         self._titles_of_kind: Dict[str, Set[str]] = {kind: set() for kind in self.mapping.kinds}
-        self._title_of_iri: Dict[str, str] = {}
         self._locations: Dict[str, GeoPoint] = {}  # located pages only
         self._spatial = RTreeIndex("spatial", columns=("latitude", "longitude"))
         self._rdf: Optional[Graph] = None  # built by the first rdf_graph() call
@@ -216,11 +215,6 @@ class SensorMetadataRepository:
         self, title: str, old_kind: Optional[str], kind: str, location: Optional[GeoPoint]
     ) -> None:
         """Bring the search lookups up to one save of ``title`` (write lock held)."""
-        if old_kind is None:  # a creation
-            iri = title_to_iri(title).value
-            holder = self._title_of_iri.get(iri)
-            if holder is None or holder.lower() < title.lower():
-                self._title_of_iri[iri] = title
         if old_kind != kind:
             if old_kind is not None:
                 self._titles_of_kind[old_kind].discard(title)
@@ -282,12 +276,12 @@ class SensorMetadataRepository:
         return kind
 
     def kind_map(self) -> Dict[str, str]:
-        """One read-locked snapshot of title-key -> kind.
+        """One read-locked copy of title-key -> kind, for every page.
 
-        The engine's candidate loop consults the kind of thousands of
-        titles per query; one snapshot costs a single lock section and a
-        dict copy instead of one :meth:`kind_of` lock round-trip per
-        candidate (which profiled at ~75% of a top-k query).
+        A search reads kinds through :meth:`titles_of_kinds` and
+        :meth:`page_details` instead; this copy serves the benchmarks'
+        replica of the earlier engine and perfbench's ``core.snapshot``
+        span.
         """
         with self.lock.read():
             return dict(self._kind_of)
@@ -307,16 +301,39 @@ class SensorMetadataRepository:
     def titles_of_iris(self, iris: Iterable[Any]) -> Set[str]:
         """Titles of the pages whose subject IRI value is among ``iris``."""
         with self.lock.read():
-            lookup = self._title_of_iri.get
-            return {title for title in map(lookup, iris) if title is not None}
+            return self.wiki.titles_of_iris(iris)
 
-    def annotations_and_location(
-        self, title: str
-    ) -> Tuple[List[Tuple[str, Any]], Optional[GeoPoint]]:
-        """:meth:`annotations` of ``title`` and their :func:`parse_location`."""
+    def titles_of_kinds(self, kinds: Iterable[str], among: Iterable[str]) -> List[str]:
+        """The titles of ``among`` whose page is of one of ``kinds``, in order.
+
+        Reads the kinds' title sets under one read lock, so each title
+        costs a set membership test, not a kind lookup.
+        """
         with self.lock.read():
-            title = self.wiki.get(title).title
-            return self.wiki.annotations(title), self._locations.get(title)
+            sets = [self._titles_of_kind[kind] for kind in kinds if kind in self._titles_of_kind]
+            return [title for title in among if any(title in members for members in sets)]
+
+    def page_details(
+        self, titles: Iterable[str]
+    ) -> List[Tuple[str, List[Tuple[str, Any]], Optional[GeoPoint]]]:
+        """``(kind, annotations, location)`` of each title, under one read lock.
+
+        The annotations are :meth:`annotations` of the page and the
+        location their :func:`parse_location`; one lock section for the
+        whole list means each entry is one revision of its page.
+        """
+        with self.lock.read():
+            details = []
+            for title in titles:
+                title = self.wiki.get(title).title
+                details.append(
+                    (
+                        self._kind_of[title.strip().lower()],
+                        self.wiki.annotations(title),
+                        self._locations.get(title),
+                    )
+                )
+            return details
 
     def locations(self) -> Dict[str, GeoPoint]:
         """A snapshot of title -> location over every located page."""

@@ -11,7 +11,7 @@ same page ordering, ready for
 from __future__ import annotations
 
 import re
-from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.errors import WikiError
 from repro.pagerank.webgraph import LinkGraph
@@ -47,6 +47,7 @@ class WikiSite:
     def __init__(self):
         self._pages: Dict[str, Page] = {}  # canonical (lower) title -> Page
         self._parsed: Dict[str, ParsedWikitext] = {}
+        self._title_of_iri: Dict[str, str] = {}  # subject IRI value -> title
         self._link_generation = 0
 
     # ------------------------------------------------------------------
@@ -68,9 +69,12 @@ class WikiSite:
         """Create the page or append a revision to it.
 
         A page whose title, property or category names hold whitespace
-        other than spaces has no RDF export; it is refused with
+        other than spaces has no RDF export, and a new page whose subject
+        IRI another page holds (the titles differ only by space versus
+        underscore) would share its subject. Both are refused with
         :class:`WikiError` before anything is stored, so
-        :meth:`export_rdf` never fails on a saved page.
+        :meth:`export_rdf` never fails on a saved page and gives each
+        page its own subject.
 
         A creation bumps :attr:`link_generation`, and so does an edit
         that changes the page's :meth:`link_targets`. A caller that has
@@ -90,8 +94,13 @@ class WikiSite:
                     f"cannot save {title!r}: {name!r} holds whitespace other than spaces"
                 )
         if page is None:
+            iri = title_to_iri(title).value
+            holder = self._title_of_iri.get(iri)
+            if holder is not None:
+                raise WikiError(f"cannot save {title!r}: its subject IRI is {holder!r}'s")
             page = Page(title, text, author=author, comment=comment)
             self._pages[key] = page
+            self._title_of_iri[iri] = title
             self._link_generation += 1
         else:
             if self._resolved_targets(key, self._parsed[key]) != self._resolved_targets(key, parsed):
@@ -138,9 +147,15 @@ class WikiSite:
         key = self._key(title)
         if key not in self._pages:
             raise WikiError(f"no page titled {title!r}")
-        del self._pages[key]
+        page = self._pages.pop(key)
         del self._parsed[key]
+        del self._title_of_iri[title_to_iri(page.title).value]
         self._link_generation += 1
+
+    def titles_of_iris(self, iris: Iterable[Any]) -> Set[str]:
+        """Titles of the pages whose subject IRI value is among ``iris``."""
+        lookup = self._title_of_iri.get
+        return {title for title in map(lookup, iris) if title is not None}
 
     def parsed(self, title: str) -> ParsedWikitext:
         """The parsed current revision of ``title``."""
@@ -308,10 +323,6 @@ class WikiSite:
           are found in one pass over the parsed link lists, which hold
           string annotation values too. An edit changes no other page:
           titles, and with them IRIs and namespaces, never change.
-        - Titles that differ only by space versus underscore share one
-          subject IRI, so dropping a subject drops every page under it;
-          each page whose ``prop:title`` sits under a dropped subject is
-          exported again.
 
         The new triples are built in a scratch graph before ``graph``
         changes, so an exception leaves ``graph`` as it was.
@@ -326,14 +337,11 @@ class WikiSite:
                 for target in parsed.links
                 if self._key(target) == key
             )
-        subjects = {title_to_iri(stale_title) for stale_title in stale}
-        for subject in subjects:
-            stale.update(o.value for _, _, o in graph.triples(subject, PROP.title, None))
         fresh = Graph()
         for stale_title in stale:
             self.export_page_rdf(fresh, stale_title)
-        for subject in subjects:
-            graph.remove(subject, None, None)
+        for stale_title in stale:
+            graph.remove(title_to_iri(stale_title), None, None)
         graph.merge(fresh)
 
     def __repr__(self) -> str:

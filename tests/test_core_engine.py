@@ -305,7 +305,7 @@ class TestOutOfRangeLocations:
             "text": (repo.text_index.document_count, repo.keyword_search("moved")),
             "rdf": set(repo.rdf_graph().triples()),
             "kinds": {kind: repo.titles_of_kind(kind) for kind in repo.mapping.kinds},
-            "iris": dict(repo._title_of_iri),
+            "iris": dict(repo.wiki._title_of_iri),
             "locations": repo.locations(),
             "rtree": repo.spatial_index_statistics(),
             "mutations": repo.mutation_count,

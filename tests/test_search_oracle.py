@@ -6,18 +6,24 @@ filters page annotations directly in Python. The candidate sets must
 match exactly, in strict and relaxed mode; relaxed match degrees are
 checked against per-filter recomputation. PageRank and relevance sorts
 are checked against the scores' definitions, float for float, and a
-limited page against the unlimited list sliced.
+property sort against its value order; each runs as the anonymous user
+or under a random kind whitelist, and each limited page is checked
+against the unlimited list sliced, kinds, annotations and locations
+included.
 """
 
 from dataclasses import replace
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import AdvancedSearchEngine, PropertyFilter, SearchQuery
 from repro.core.engine import _PAGERANK_WEIGHT, _RELEVANCE_WEIGHT
+from repro.core.privileges import ANONYMOUS, AccessPolicy, User
+from repro.errors import AccessDeniedError, QueryError
 from repro.smr import SensorMetadataRepository
+from repro.smr.model import KIND_ORDER
 
 STATUSES = ["online", "offline", "maintenance"]
 TYPES = ["wind", "snow", "rain"]
@@ -127,12 +133,75 @@ keyword_strategy = st.lists(
 ).map(" ".join)
 
 
+#: The searching user's readable kinds: None for the anonymous user,
+#: who reads every kind, else a non-empty whitelist.
+readable_strategy = st.one_of(
+    st.none(), st.frozensets(st.sampled_from(KIND_ORDER), min_size=1)
+)
+
+#: Six stations with one sensor each: every station has the same links,
+#: so the same PageRank, float for float.
+_TIED = [(1000, "online", "wind")] * 6
+
+
+def _user(readable):
+    if readable is None:
+        return ANONYMOUS
+    return User("restricted", AccessPolicy.restrict_to(readable))
+
+
+def _kind(title):
+    """The kind a :func:`build_smr` title names: its namespace, lower-cased."""
+    return title.split(":", 1)[0].lower()
+
+
+def _oracle_candidates(smr, filters, keyword, kind, relaxed, readable):
+    """The readable titles the query must match, per-filter sets and BM25 scores."""
+    per_filter = [oracle_matches(smr, f) for f in filters]
+    if not filters:
+        expected = set(smr.titles())
+    elif relaxed:
+        expected = set.union(*per_filter)
+    else:
+        expected = set.intersection(*per_filter)
+    if kind is not None:
+        expected = {t for t in expected if _kind(t) == kind}
+    bm25 = {}
+    if keyword:
+        bm25 = {hit.doc_id: hit.score for hit in smr.keyword_search(keyword)}
+        expected &= set(bm25)
+    if readable is not None:
+        expected = {t for t in expected if _kind(t) in readable}
+    return expected, per_filter, bm25
+
+
 def _fingerprint(results):
-    return [(r.title, r.score, r.relevance, r.pagerank, r.match_degree) for r in results]
+    return [
+        (
+            r.title,
+            r.kind,
+            r.score,
+            r.relevance,
+            r.pagerank,
+            r.match_degree,
+            r.annotations,
+            r.location,
+        )
+        for r in results
+    ]
+
+
+def _check_results(smr, results, readable):
+    """Every result's kind, annotations and location are its page's own."""
+    for r in results:
+        assert r.kind == smr.kind_of(r.title) == _kind(r.title)
+        assert readable is None or r.kind in readable
+        assert r.annotations == {prop.lower(): value for prop, value in smr.annotations(r.title)}
+        assert r.location is None  # build_smr gives no page coordinates
 
 
 class TestScorerOracle:
-    """PageRank and relevance sorts against the scores' definitions."""
+    """PageRank, relevance and property sorts against their definitions."""
 
     @given(
         records_strategy,
@@ -144,14 +213,28 @@ class TestScorerOracle:
         st.booleans(),
         st.integers(1, 8),
         st.integers(0, 10),
+        readable_strategy,
     )
     @settings(max_examples=80, deadline=None)
+    @example(_TIED, [], "", "station", "pagerank", True, False, 2, 2, None)
+    @example(_TIED, [], "", "station", "pagerank", False, False, 2, 2, frozenset({"station"}))
     def test_scores_follow_their_definition(
-        self, records, raw_filters, keyword, kind, sort, descending, relaxed, limit, offset
+        self,
+        records,
+        raw_filters,
+        keyword,
+        kind,
+        sort,
+        descending,
+        relaxed,
+        limit,
+        offset,
+        readable,
     ):
         assume(raw_filters or keyword or kind)
         smr = build_smr(records)
         engine = AdvancedSearchEngine(smr, cache=None)
+        user = _user(readable)
         filters = tuple(PropertyFilter(p, op, v) for p, op, v in raw_filters)
         query = SearchQuery(
             keyword=keyword,
@@ -162,22 +245,19 @@ class TestScorerOracle:
             limit=None,
             relaxed=relaxed,
         )
-        results = engine.search(query).results
+        if kind is not None and readable is not None and kind not in readable:
+            with pytest.raises(AccessDeniedError):
+                engine.search(query, user)
+            return
+        unlimited = engine.search(query, user)
+        results = unlimited.results
 
-        per_filter = [oracle_matches(smr, f) for f in filters]
-        if not filters:
-            expected = set(smr.titles())
-        elif relaxed:
-            expected = set.union(*per_filter)
-        else:
-            expected = set.intersection(*per_filter)
-        if kind is not None:
-            expected = {t for t in expected if t.startswith(kind.capitalize() + ":")}
-        bm25 = {}
-        if keyword:
-            bm25 = {hit.doc_id: hit.score for hit in smr.keyword_search(keyword)}
-            expected &= set(bm25)
+        expected, per_filter, bm25 = _oracle_candidates(
+            smr, filters, keyword, kind, relaxed, readable
+        )
         assert {r.title for r in results} == expected
+        assert unlimited.total_candidates == len(expected)
+        _check_results(smr, results, readable)
 
         max_rel = max((bm25.get(r.title, 0.0) for r in results), default=0.0) or 1.0
         max_pr = max((engine.ranker.score(r.title) for r in results), default=0.0) or 1.0
@@ -199,7 +279,59 @@ class TestScorerOracle:
         keys = [(r.score, r.title) for r in results]
         assert keys == sorted(keys, reverse=descending)
 
-        page = engine.search(replace(query, limit=limit, offset=offset)).results
+        page = engine.search(replace(query, limit=limit, offset=offset), user)
+        assert page.total_candidates == unlimited.total_candidates
+        assert _fingerprint(page) == _fingerprint(results[offset : offset + limit])
+
+    @given(
+        records_strategy,
+        st.lists(filter_strategy, max_size=2),
+        st.sampled_from([None, "station", "sensor"]),
+        st.booleans(),
+        st.booleans(),
+        st.integers(1, 8),
+        st.integers(0, 10),
+        readable_strategy,
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_property_sort_page_is_the_list_sliced(
+        self, records, raw_filters, kind, descending, relaxed, limit, offset, readable
+    ):
+        assume(raw_filters or kind)
+        assume(kind is None or readable is None or kind in readable)
+        smr = build_smr(records)
+        engine = AdvancedSearchEngine(smr, cache=None)
+        user = _user(readable)
+        filters = tuple(PropertyFilter(p, op, v) for p, op, v in raw_filters)
+        query = SearchQuery(
+            kind=kind,
+            filters=filters,
+            sort="elevation_m",
+            descending=descending,
+            limit=None,
+            relaxed=relaxed,
+        )
+        expected, _, _ = _oracle_candidates(smr, filters, "", kind, relaxed, readable)
+        elevations = {t: dict(smr.annotations(t)).get("elevation_m") for t in expected}
+        if expected and all(value is None for value in elevations.values()):
+            with pytest.raises(QueryError, match="cannot sort by"):
+                engine.search(query, user)
+            return
+        unlimited = engine.search(query, user)
+        results = unlimited.results
+        assert {r.title for r in results} == expected
+        assert unlimited.total_candidates == len(expected)
+        _check_results(smr, results, readable)
+
+        present = [r for r in results if elevations[r.title] is not None]
+        assert results[len(present) :] == [r for r in results if elevations[r.title] is None]
+        values = [elevations[r.title] for r in present]
+        assert values == sorted(values, reverse=descending)
+        for r in results:
+            assert r.score == float(elevations[r.title] or 0.0)
+
+        page = engine.search(replace(query, limit=limit, offset=offset), user)
+        assert page.total_candidates == unlimited.total_candidates
         assert _fingerprint(page) == _fingerprint(results[offset : offset + limit])
 
 

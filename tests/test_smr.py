@@ -177,6 +177,22 @@ class TestRepository:
             titles = [r.title for r in engine.search(engine.parse(query)).results]
             assert sorted(titles) == ["Station:Alpha", "Station:WAN-001"], query
 
+    def test_titles_sharing_a_subject_iri_are_refused(self, smr):
+        """Space versus underscore: a SPARQL filter and the kind listing agree."""
+        from repro.core import AdvancedSearchEngine
+        from repro.errors import WikiError
+
+        smr.register("station", "Station:Alp One", [("name", "a"), ("colour", "red")])
+        graph = smr.rdf_graph()
+        with pytest.raises(WikiError, match="subject IRI"):
+            smr.register("station", "Station:Alp_One", [("name", "b"), ("colour", "red")])
+        assert set(graph.triples()) == set(smr.wiki.export_rdf().triples())
+        engine = AdvancedSearchEngine(smr)
+        by_colour = engine.search(engine.parse("colour=red limit=0")).titles
+        by_kind = engine.search(engine.parse("kind=station limit=0")).titles
+        assert by_colour == ["Station:Alp One"]
+        assert sorted(by_kind) == ["Station:Alp One", "Station:WAN-001"]
+
     def test_semantic_link_in_rdf(self, smr):
         from repro.wiki.site import PROP, title_to_iri
 
@@ -201,7 +217,8 @@ class TestRepository:
 
 
 #: Titles for the write-through sequences: each underscore title collides
-#: with its spaced twin on one RDF subject IRI.
+#: with its spaced twin on one RDF subject IRI, so whichever is created
+#: second is refused.
 _TITLES = [
     "Station:Alp One",
     "Station:Alp_One",
@@ -228,6 +245,29 @@ def _spell(named):
     return _SPELLINGS[spelling](title)
 
 
+def _collides(smr, title):
+    """True when ``title`` names no page and another page holds its subject IRI."""
+    from repro.wiki.site import title_to_iri
+
+    iri = title_to_iri(title).value
+    return not smr.wiki.has(title) and any(
+        title_to_iri(other).value == iri for other in smr.titles()
+    )
+
+
+def _register_or_refuse(smr, kind, title, annotations, **kwargs):
+    """Register, expecting a refusal exactly when ``title`` collides."""
+    from repro.errors import WikiError
+
+    generation = smr.mutation_count
+    if _collides(smr, title):
+        with pytest.raises(WikiError, match="subject IRI"):
+            smr.register(kind, title, annotations, **kwargs)
+        assert smr.mutation_count == generation
+    else:
+        smr.register(kind, title, annotations, **kwargs)
+
+
 class TestRdfWriteThrough:
     """Once built, the RDF graph equals a fresh export after every write."""
 
@@ -238,7 +278,7 @@ class TestRdfWriteThrough:
             # Names two pages before they exist, in other spellings.
             ("sensor", ("Sensor:S 1", 0), [("Station:Alp One", 1)], [("Deployment:D", 2)], 0),
             ("station", ("Station:Alp One", 0), [], [], 1),  # created: S 1 now points at it
-            ("station", ("Station:Alp_One", 0), [("Sensor:S_1", 0)], [], 2),  # shares its IRI
+            ("station", ("Station:Alp_One", 0), [("Sensor:S_1", 0)], [], 2),  # its IRI: refused
             ("deployment", ("Station:Alp One", 2), [], [("Sensor:S 1", 1)], 3),  # kind change
             ("deployment", ("Deployment:D", 1), [("Station:Alp_One", 0)], [], 0),
             ("station", ("Field Site:F", 0), [("Deployment:D", 0)], [], 1),  # spaced namespace
@@ -252,7 +292,8 @@ class TestRdfWriteThrough:
         for kind, page, values, links, n in steps:
             annotations = [("name", f"n{n}"), ("elevation_m", n)]
             annotations += [("refers", _spell(named)) for named in values]
-            smr.register(kind, _spell(page), annotations, links=[_spell(named) for named in links])
+            links = [_spell(named) for named in links]
+            _register_or_refuse(smr, kind, _spell(page), annotations, links=links)
             assert smr.rdf_graph() is graph
             assert set(graph.triples()) == set(smr.wiki.export_rdf().triples())
             rows = sum(len(smr.db.table(name)) for name in smr.mapping.kinds)
@@ -296,14 +337,17 @@ class TestSearchLookupsWriteThrough:
             expected = [title for title in titles if smr.kind_of(title) == kind]
             assert smr.titles(kind) == expected
             assert smr.titles_of_kind(kind) == set(expected)
-        assert smr._title_of_iri == {title_to_iri(title).value: title for title in titles}
+        assert smr.wiki._title_of_iri == {title_to_iri(title).value: title for title in titles}
+        assert len(smr.wiki._title_of_iri) == len(titles)
         located = {}
+        details = []
         for title in titles:
             pairs = smr.annotations(title)
             point = parse_location(pairs)
-            assert smr.annotations_and_location(title.upper()) == (pairs, point)
+            details.append((smr.kind_of(title), pairs, point))
             if point is not None:
                 located[title] = point
+        assert smr.page_details([title.upper() for title in titles]) == details
         assert smr.locations() == located
         assert len(smr._spatial) == len(located)
         for lat_a, lat_b, lon_a, lon_b in boxes:
@@ -322,8 +366,8 @@ class TestSearchLookupsWriteThrough:
     @settings(max_examples=150, deadline=None)
     @example(
         steps=[
-            ("station", ("Station:Alp_One", 0), 1),  # created first, sorts later
-            ("station", ("Station:Alp One", 0), 3),  # shares its IRI, sorts earlier
+            ("station", ("Station:Alp_One", 0), 1),  # created first
+            ("station", ("Station:Alp One", 0), 3),  # its IRI: refused
             ("station", ("STATION:ALP ONE", 0), 4),  # case variant: -0.0 equals 0.0
             ("station", ("Station:Alp One", 1), 1),  # moved
             ("sensor", ("Sensor:S_1", 1), 2),
@@ -346,9 +390,10 @@ class TestSearchLookupsWriteThrough:
                 if lon is not None:
                     annotations.append(("longitude", lon))
             try:
-                smr.register(kind, _spell(page), annotations)
+                _register_or_refuse(smr, kind, _spell(page), annotations)
             except OverflowError:
-                # A latitude column converts 10**400 and refuses the write.
+                # A latitude column converts 10**400 and refuses the write
+                # before the wiki sees it.
                 assert kind in ("station", "field_site")
             self._check(smr, boxes)
 

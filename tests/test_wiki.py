@@ -178,6 +178,19 @@ class TestWikiSite:
         graph = site.export_rdf()
         assert (title_to_iri("Field Site:Davos"), RDF.type, WIKI.term("Field_Site")) in graph
 
+    def test_title_sharing_a_subject_iri_is_refused(self, site):
+        site.save("Station:Alp One", "[[elev::1]]")
+        generation = site.link_generation
+        with pytest.raises(WikiError, match="subject IRI"):
+            site.save("Station:Alp_One", "[[elev::2]]")
+        assert not site.has("Station:Alp_One")
+        assert site.link_generation == generation
+        site.save("station:alp one", "[[elev::3]]")  # an edit of the holder
+        assert site.get("Station:Alp One").revision_count == 2
+        site.delete("Station:Alp One")
+        site.save("Station:Alp_One", "[[elev::4]]")  # the IRI is free again
+        assert site.get("Station:Alp_One").title == "Station:Alp_One"
+
     def test_refresh_page_rdf_leaves_the_graph_as_it_was_when_export_fails(
         self, site, monkeypatch
     ):
