@@ -4,7 +4,7 @@
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: test test-dev doctest docs-check bench bench-smoke bench-cache bench-planner bench-scale bench-tagging obs-check search-bodies
+.PHONY: test test-dev doctest docs-check bench bench-smoke bench-cache bench-planner bench-scale bench-tagging obs-check search-bodies search-bodies-cmp
 
 ## Tier-1: the full unit/integration suite (includes docs-check).
 test:
@@ -78,3 +78,11 @@ obs-check:
 search-bodies:
 	@test -n "$(OUT)" || { echo "usage: make search-bodies OUT=<file>"; exit 2; }
 	PYTHONHASHSEED=1 $(PYTHON) benchmarks/search_bodies.py $(OUT)
+
+## The byte oracle of BASE against the working tree's: BASE is checked out
+## into a temporary git worktree (removed afterwards), both sides write
+## their bodies with this tree's script, and the first differing line's
+## workload, list and query are printed.
+search-bodies-cmp:
+	@test -n "$(BASE)" || { echo "usage: make search-bodies-cmp BASE=<rev>"; exit 2; }
+	$(PYTHON) benchmarks/search_bodies_cmp.py $(BASE)

@@ -33,7 +33,20 @@ import re
 import time
 from functools import partial
 from itertools import repeat
-from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
+from operator import itemgetter
+from typing import (
+    Any,
+    Callable,
+    Collection,
+    Dict,
+    Iterable,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 import numpy as np
 
@@ -81,7 +94,8 @@ class _Constraint(NamedTuple):
     #: The access path: InvertedIndexScan, KindTitleLookup, SqlFilter,
     #: SparqlFilter or RTreeProbe.
     strategy: str
-    #: Evaluates the constraint: keyword hits, or a set of titles.
+    #: Evaluates the constraint: the keyword's title -> BM25 score map,
+    #: whose keys are its match set, or a set of titles.
     evaluate: Callable[[], Any]
     #: The property filter behind a SqlFilter or SparqlFilter.
     flt: Optional[PropertyFilter] = None
@@ -285,7 +299,9 @@ class AdvancedSearchEngine:
         corpus = self.smr.page_count  # O(1); titles() would sort every title
         relevance: Dict[str, float] = {}
         filter_matches: List[Tuple[PropertyFilter, Set[str]]] = []
-        steps: List[Tuple[str, Set[str]]] = []
+        # The keyword, when there is one, is the first step: its score map
+        # seeds the candidate set and is never intersected into it.
+        steps: List[Tuple[str, Collection[str]]] = []
         union_at = 0
         for constraint in self._constraints(query):
             start = time.perf_counter()
@@ -293,8 +309,7 @@ class AdvancedSearchEngine:
             seconds = time.perf_counter() - start
             prov.add_stage(constraint.name, constraint.strategy, seconds, len(matches), corpus)
             if constraint.strategy == "InvertedIndexScan":
-                relevance = {hit.doc_id: hit.score for hit in matches}
-                matches = set(relevance)
+                relevance = matches
             if constraint.flt is not None:
                 filter_matches.append((constraint.flt, matches))
                 if query.relaxed:
@@ -464,7 +479,7 @@ class AdvancedSearchEngine:
             except RelationalError as exc:
                 errors.append(f"{kind}: {exc}")
                 continue
-            matches.update(row[0] for row in result)
+            matches.update(map(itemgetter(0), result.rows))
         if errors and not matches and len(errors) == len(kinds):
             raise QueryError(
                 f"filter {flt.describe()} failed on every kind: {'; '.join(errors)}"

@@ -70,6 +70,7 @@ from repro.obs.tracing import (
     Span,
     Tracer,
     bind_trace_id,
+    count_error,
     current_trace_id,
     get_tracer,
     mint_trace_id,
@@ -174,6 +175,7 @@ __all__ = [
     "Tracer",
     "WARNING",
     "bind_trace_id",
+    "count_error",
     "current_trace_id",
     "default_slos",
     "estimate_quantile",

@@ -54,6 +54,7 @@ from repro.obs.metrics import (
     MetricsRegistry,
     estimate_quantile,
 )
+from repro.obs.tracing import count_error
 
 DEFAULT_INTERVAL_SECONDS = 5.0
 DEFAULT_POINTS_PER_SERIES = 720  # one hour of 5 s ticks
@@ -504,6 +505,7 @@ class MetricsSampler:
                 probe(registry)
             except Exception as exc:  # noqa: BLE001 — telemetry must not die
                 self.probe_errors += 1
+                count_error("obs.sampler.probe_error")
                 from repro.obs.log import get_event_log
 
                 get_event_log().error(
@@ -560,6 +562,7 @@ class MetricsSampler:
             try:
                 self.tick()
             except Exception as exc:  # noqa: BLE001 — keep sampling
+                count_error("obs.sampler.tick_error")
                 from repro.obs.log import get_event_log
 
                 get_event_log().error("obs.sampler.tick_error", error=str(exc))

@@ -94,7 +94,7 @@ class Span:
         self.end = self._tracer._clock()
         if exc_type is not None:
             self.attributes["error"] = f"{exc_type.__name__}: {exc}"
-            _count_error(self.name)
+            count_error(self.name)
         self._tracer._pop(self)
 
     def to_dict(self) -> Dict[str, Any]:
@@ -108,20 +108,21 @@ class Span:
         }
 
 
-def _count_error(span_name: str) -> None:
-    """Count one errored span into ``errors_total{component}``.
+def count_error(name: str) -> None:
+    """Count one failure into ``errors_total{component}``.
 
-    The component label is the span name's first dotted segment
-    (``engine.search`` -> ``engine``) — bounded by the set of
-    instrumented subsystems, never by request content.
+    Errored spans count here, and so does every broad ``except`` that
+    keeps a boundary running. The component label is the name's first
+    dotted segment (``engine.search`` -> ``engine``) — bounded by the set
+    of instrumented subsystems, never by request content.
     """
     from repro.obs.metrics import get_registry
 
     get_registry().counter(
         "errors_total",
-        "Errored spans per component (failures are countable, not just traceable).",
+        "Failures per component: errored spans and caught errors (countable, not just traceable).",
         labels=("component",),
-    ).labels(span_name.split(".", 1)[0]).inc()
+    ).labels(name.split(".", 1)[0]).inc()
 
 
 class _NoopSpan:

@@ -12,6 +12,7 @@ row, where the compiled aggregate reads its slot.
 
 from __future__ import annotations
 
+import math
 import operator
 import re
 from dataclasses import dataclass
@@ -196,12 +197,21 @@ _COMPARATORS = {
     ">=": operator.ge,
 }
 
+
+def _sql_remainder(a, b):
+    """``a % b`` with the dividend's sign; ``b`` is a non-zero number."""
+    if isinstance(a, int) and isinstance(b, int):
+        remainder = abs(a) % abs(b)
+        return -remainder if a < 0 else remainder
+    return math.fmod(a, b)
+
+
 _ARITHMETIC = {
     "+": operator.add,
     "-": operator.sub,
     "*": operator.mul,
     "/": operator.truediv,
-    "%": operator.mod,
+    "%": _sql_remainder,
 }
 
 _SCALAR_FUNCS = {
@@ -243,7 +253,10 @@ def compile_expr(expr: Expr, layout: Layout, aggregates: Sequence[str] = ()) -> 
 
     Semantics are SQL's: comparisons against NULL yield NULL, AND/OR use
     Kleene truth tables and short-circuit, arithmetic propagates NULL and
-    division by zero yields NULL.
+    division by zero yields NULL. ``%`` is the remainder of truncated
+    division, so it takes the dividend's sign (``-3 % 2`` is -1, as in
+    SQLite, PostgreSQL and MySQL): exact for two integers, ``math.fmod``
+    when either operand is REAL.
     """
     return _Compiler(layout, aggregates).compile(expr)
 

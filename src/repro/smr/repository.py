@@ -394,10 +394,10 @@ class SensorMetadataRepository:
         with self.lock.read():  # reentrant with rdf_graph()'s read section
             return SparqlEngine(self.rdf_graph()).query(query)
 
-    def keyword_search(self, query: str, limit: Optional[int] = None):
-        """Basic ranked keyword search (the baseline the paper extends)."""
+    def keyword_search(self, query: str) -> Dict[str, float]:
+        """Basic keyword search (the baseline the paper extends): title -> BM25 score."""
         with self.lock.read():
-            return self.text_index.search(query, limit=limit)
+            return self.text_index.search(query)
 
     def __repr__(self) -> str:
         return f"SensorMetadataRepository(pages={self.page_count})"

@@ -19,7 +19,7 @@ from repro.text.tokenize import tokenize, normalize_token
 from repro.text.stopwords import STOPWORDS, is_stopword
 from repro.text.stemmer import porter_stem
 from repro.text.fuzzy import levenshtein, suggest
-from repro.text.inverted_index import InvertedIndex, SearchHit
+from repro.text.inverted_index import InvertedIndex
 from repro.text.snippet import Snippet, best_snippet
 from repro.text.trie import Trie
 
@@ -30,7 +30,6 @@ __all__ = [
     "is_stopword",
     "porter_stem",
     "InvertedIndex",
-    "SearchHit",
     "Snippet",
     "best_snippet",
     "levenshtein",

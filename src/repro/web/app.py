@@ -1121,6 +1121,7 @@ def create_app(
             try:
                 checks[name] = fn()
             except Exception as exc:  # noqa: BLE001 — health must not raise
+                obs.count_error(name)  # the probed component
                 checks[name] = {"status": "error", "error": str(exc)}
 
         def smr_probe() -> Dict[str, Any]:
@@ -1288,6 +1289,7 @@ def create_app(
             # server's own 500 page — which bypasses the middleware's
             # X-Trace-Id stamping. Every response, crashes included, must
             # carry the trace id; it is the handle users quote back.
+            obs.count_error("http.unhandled_error")
             obs.get_event_log().error(
                 "http.unhandled_error",
                 path=request.path,

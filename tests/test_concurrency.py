@@ -1,6 +1,6 @@
 """Concurrency and equivalence tests for the search engine and the SMR lock.
 
-Eight properties: (1) a limited query returns *identical* results to the
+Nine properties: (1) a limited query returns *identical* results to the
 same query without its limit, sliced to the page — same titles, same
 floats, same order — for every query shape, so the lazy top-k path
 matches the full sort; (2) the engine stays correct while reader threads race a live
@@ -16,7 +16,9 @@ back and end equal to a fresh build; (7) ``/api/search`` bodies read
 under a live writer each carry their own request's trace id and end
 byte-equal to a fresh engine's; (8) ``explain_search`` names the same
 constraints, with the same strategies and in the same order, as the
-stages a search records.
+stages a search records; (9) keyword reads racing a writer that grows
+the text index's arrays each equal the from-definition BM25 map of the
+corpus after some prefix of the writes.
 """
 
 import io
@@ -549,6 +551,95 @@ class TestSearchBodiesUnderThreads:
             }
             assert body == encode_json(expected), text
         assert fresh.search(fresh.parse("status=retired")).total_candidates == self.WRITES
+
+
+class TestKeywordReadsWhileTheIndexGrows:
+    """Readers score keyword queries while a writer grows the index's arrays.
+
+    Each new page takes the next dense number, and the writer registers
+    pages past the lengths array's capacity several times over, so reads
+    race every doubling. A read must equal the from-definition BM25 map
+    of the corpus after some prefix of the writes, float for float.
+    """
+
+    SEED_PAGES = 5
+    WRITES = 70  # the index's arrays start with 16 slots: three doublings
+    READERS = 3  # with the writer, more threads than cores
+    QUERIES = ("wind", "wind snow station", "davos davos height")
+    WORDS = ("wind", "snow", "davos", "station", "height", "glacier")
+
+    def _pages(self):
+        """``(name, description)`` per page, the descriptions of varied length."""
+        words = self.WORDS
+        return [
+            (f"G-{i:03d}", " ".join(words[j % len(words)] for j in range(i % 4 + 1 + i // 7)))
+            for i in range(self.SEED_PAGES + self.WRITES)
+        ]
+
+    @staticmethod
+    def _register(smr, name, description):
+        smr.register("station", f"Station:{name}", [("name", name)], description=description)
+
+    def test_every_read_is_a_prefix_of_the_writes(self):
+        from repro.text.inverted_index import analyze
+        from tests.test_text import _oracle_search
+
+        smr = SensorMetadataRepository()
+        pages = self._pages()
+        docs = {}
+        expected = {query: set() for query in self.QUERIES}
+        for i, (name, description) in enumerate(pages):
+            # register() indexes the title, the description and each value.
+            docs[f"Station:{name}"] = analyze(f"Station:{name} {description} {name}")
+            if i + 1 >= self.SEED_PAGES:
+                for query in self.QUERIES:
+                    expected[query].add(frozenset(_oracle_search(docs, query).items()))
+        for name, description in pages[: self.SEED_PAGES]:
+            self._register(smr, name, description)
+        errors, wrong, reads = [], [], Counter()
+        stop = threading.Event()
+
+        def reader(n):
+            try:
+                while not stop.is_set():
+                    for query in self.QUERIES:
+                        hits = smr.keyword_search(query)
+                        reads[n] += 1
+                        if frozenset(hits.items()) not in expected[query]:
+                            wrong.append((query, len(hits)))
+                    # The lock prefers readers: leave the writer a gap.
+                    time.sleep(1e-4)
+            except Exception as exc:  # pragma: no cover - the assertion target
+                errors.append(exc)
+
+        def writer():
+            try:
+                for name, description in pages[self.SEED_PAGES :]:
+                    self._register(smr, name, description)
+            except Exception as exc:  # pragma: no cover
+                errors.append(exc)
+            finally:
+                stop.set()
+
+        threads = [threading.Thread(target=reader, args=(n,)) for n in range(self.READERS)]
+        threads.append(threading.Thread(target=writer))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # hand the GIL over as often as possible
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60.0)
+        finally:
+            stop.set()
+            sys.setswitchinterval(interval)
+        for thread in threads:
+            assert not thread.is_alive(), "a reader or the writer hung"
+        assert not errors, errors
+        assert not wrong, wrong[:5]
+        assert len(reads) == self.READERS
+        for query in self.QUERIES:
+            assert smr.keyword_search(query) == _oracle_search(docs, query)
 
 
 class TestConcurrentSqlReaders:

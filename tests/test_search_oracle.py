@@ -168,7 +168,7 @@ def _oracle_candidates(smr, filters, keyword, kind, relaxed, readable):
         expected = {t for t in expected if _kind(t) == kind}
     bm25 = {}
     if keyword:
-        bm25 = {hit.doc_id: hit.score for hit in smr.keyword_search(keyword)}
+        bm25 = smr.keyword_search(keyword)
         expected &= set(bm25)
     if readable is not None:
         expected = {t for t in expected if _kind(t) in readable}

@@ -97,7 +97,7 @@ class TestRepository:
         assert smr.sql("SELECT COUNT(*) FROM station").scalar() == 1
         assert smr.kind_of("Station:WAN-001") == "station"
         hits = smr.keyword_search("wind")
-        assert hits and hits[0].doc_id == "Sensor:S1"
+        assert hits and max(hits, key=hits.get) == "Sensor:S1"
         result = smr.sparql(
             "PREFIX prop: <http://repro.example.org/property/> "
             "SELECT ?s WHERE { ?s prop:sensor_type ?t . FILTER(REGEX(?t, \"wind\")) }"
@@ -171,7 +171,7 @@ class TestRepository:
             ("Station:Alpha", 7)
         ]
         assert smr.text_index.document_count == 3
-        assert [hit.doc_id for hit in smr.keyword_search("alpha")] == ["Station:Alpha"]
+        assert list(smr.keyword_search("alpha")) == ["Station:Alpha"]
         engine = AdvancedSearchEngine(smr)
         for query in ("elevation_m>=1", "kind=station"):
             titles = [r.title for r in engine.search(engine.parse(query)).results]

@@ -4,9 +4,12 @@
 on every row. The walker survives here, verbatim in behaviour, as
 ``_reference_evaluate``: Hypothesis builds expression trees over every
 node type and checks that the compiled closure returns the walker's value
-or raises a ``RelationalError`` with the walker's message.
+or raises a ``RelationalError`` with the walker's message. Its one change
+since: ``%`` takes the dividend's sign, as SQL engines do, where it had
+followed Python.
 """
 
+import math
 import re
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -141,7 +144,13 @@ def _arith(op: str, left: Any, right: Any) -> Any:
     if op == "%":
         if right == 0:
             return None
-        return left % right
+        if isinstance(left, float) or isinstance(right, float):
+            return math.fmod(left, right)
+        # Truncated division: the quotient rounds toward zero.
+        quotient = abs(left) // abs(right)
+        if (left < 0) != (right < 0):
+            quotient = -quotient
+        return left - right * quotient
     raise RelationalError(f"unknown arithmetic operator {op!r}")
 
 
@@ -506,6 +515,11 @@ class TestCompiledStatements:
         db.execute("INSERT INTO u (id) VALUES (1)")
         with pytest.raises(RelationalError, match="table 'u' has no column 'zz'"):
             db.execute("SELECT t.id FROM t JOIN u ON t.id = u.zz")
+
+    def test_remainder_takes_the_dividends_sign(self, db):
+        row = db.execute("SELECT -3 % 2, 3 % -2, -7 % -3, 7 % 3, -7.5 % 2, 7 % 2.5, 5 % 0").rows
+        assert row == [(-1, 1, -1, 1, -1.5, 2.0, None)]
+        assert [type(value) for value in row[0][:4]] == [int] * 4
 
     def test_order_by_leaves_no_state_on_the_executor(self, db):
         db.execute("INSERT INTO t (id, tag) VALUES (1, 'b'), (2, 'a')")

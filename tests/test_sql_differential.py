@@ -105,10 +105,12 @@ def where_clause(draw, mistyped_order=False):
         left, right = draw(st.permutations(["a", "b"]))
         return f"{left} {draw(comparison)} {right}"
     if kind == "arith_cmp":
-        # No '/' or '%': sqlite divides integers, and its remainder takes
-        # the dividend's sign; this engine follows Python for both.
-        arith = draw(st.sampled_from(["+", "-", "*"]))
-        operand = draw(st.integers(1, 3))
+        # No '/': sqlite divides integers. '%' takes the dividend's sign in
+        # both engines; sqlite casts REAL operands of '%' to integers, so
+        # only the INTEGER column a is a dividend, by a divisor that may be
+        # negative or zero (NULL).
+        arith = draw(st.sampled_from(["+", "-", "*", "%"]))
+        operand = draw(st.integers(-3, 3) if arith == "%" else st.integers(1, 3))
         return f"a {arith} {operand} {draw(comparison)} b"
     if kind == "concat":
         return f"tag || 'x' {draw(st.sampled_from(['=', '!=']))} 'xx'"

@@ -219,6 +219,31 @@ class TestMetricsSampler:
         assert sampler.probe_errors == 2
         assert sampler.ticks == 2
 
+    def test_probe_error_counts_into_errors_total(self, registry):
+        sampler = MetricsSampler()
+        sampler.set_probe("bad", lambda reg: 1 / 0)
+        sampler.tick(now=1.0)
+        assert registry.get("errors_total").labels("obs").value == 1
+
+    def test_tick_error_counts_into_errors_total(self, registry):
+        sampler = MetricsSampler(interval=0.001)
+        raised = threading.Event()
+
+        def tick():
+            if not raised.is_set():
+                raised.set()
+                raise RuntimeError("scrape failed")
+
+        sampler.tick = tick  # the background loop calls the instance's tick
+        assert sampler.start()
+        thread = sampler._thread
+        try:
+            assert raised.wait(5.0)
+        finally:
+            sampler.stop()  # joins the thread, so its handler has run
+        assert not thread.is_alive()
+        assert registry.get("errors_total").labels("obs").value == 1
+
     def test_probe_replacement_is_keyed(self):
         sampler = MetricsSampler()
         sampler.set_probe("k", lambda reg: None)

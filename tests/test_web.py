@@ -522,6 +522,18 @@ class TestDeepObservability:
         assert body["checks"]["relational"]["status"] == "ok"
         assert body["checks"]["rdf"]["triples"] > 0
 
+    def test_healthz_counts_a_failing_probe(self, app, fresh_obs, monkeypatch):
+        registry = fresh_obs[0]
+
+        def broken():
+            raise RuntimeError("cache backend down")
+
+        monkeypatch.setattr(app.engine, "cache_info", broken)
+        status, _, body = call(app, "GET", "/healthz")
+        assert status == "503 Service Unavailable"
+        assert body["checks"]["cache"] == {"status": "error", "error": "cache backend down"}
+        assert registry.get("errors_total").labels("cache").value == 1
+
     def test_healthz_degrades_when_ranker_goes_stale(self, fresh_obs):
         from repro.core import AdvancedSearchEngine
         from repro.smr import SensorMetadataRepository
@@ -781,6 +793,17 @@ class TestProvenanceExplorer:
         assert body["error"] == "internal server error"
         assert body["type"] == "RuntimeError"
         assert body["trace_id"] == headers["X-Trace-Id"]
+
+    def test_unhandled_exception_counts_into_errors_total(self, app, fresh_obs, monkeypatch):
+        registry = fresh_obs[0]
+
+        def boom(query):
+            raise RuntimeError("simulated crash")
+
+        monkeypatch.setattr(app.engine, "search_explained", boom)
+        status, _, _ = call(app, "GET", "/api/search", "q=kind%3Dstation&explain=full")
+        assert status == "500 Internal Server Error"
+        assert registry.get("errors_total").labels("http").value == 1
 
     def test_new_debug_surfaces_locked_without_debug_flag(self, app, fresh_obs):
         locked = create_app(app.engine, debug=False)
