@@ -333,8 +333,8 @@ class AdvancedSearchEngine:
             candidates &= matches
             prov.add_waterfall_step(name, before, len(candidates))
 
-        # The privilege filter keeps the candidates' set order, which a
-        # property sort keeps for its ties. An allow-all policy keeps every
+        # The privilege filter keeps the candidates' set order; every sort
+        # breaks its ties on the title. An allow-all policy keeps every
         # candidate; a whitelist keeps those in its kinds' title sets.
         readable = user.policy.allowed_kinds
         if readable is None:
@@ -536,8 +536,10 @@ class AdvancedSearchEngine:
         the candidates (``or 1.0``). Evaluated element-wise in that order,
         each score is the IEEE double the scalar expression gives.
         :func:`_select` picks a score sort's page; a property sort builds
-        every candidate and sorts by value. Only the returned results are
-        read from the repository, in one read-locked call.
+        every candidate in title order (Python ``str`` order, as score
+        sorts break ties) and sorts it stably by value, so ties do not
+        follow the set's hash order. Only the returned results are read
+        from the repository, in one read-locked call.
         """
         n = len(titles)
         if not n:
@@ -559,7 +561,9 @@ class AdvancedSearchEngine:
             blend = _RELEVANCE_WEIGHT * (rel / max_rel) + _PAGERANK_WEIGHT * (pr / max_pr)
             page = _select(query, degree * blend, titles)
         else:
-            results = self._results(zip(repeat(0.0), titles, range(n)), pagerank, relevance, degree)
+            order = sorted(range(n), key=titles.__getitem__)
+            entries = ((0.0, titles[i], i) for i in order)
+            results = self._results(entries, pagerank, relevance, degree)
             self._score_and_sort(query, results)
             end = None if query.limit is None else query.offset + query.limit
             return results[query.offset : end]

@@ -14,12 +14,21 @@ Invariants:
 - **Inputs keyed on the link structure.** The sorted titles and the
   blended :class:`~repro.pagerank.webgraph.PageRankProblem` are one memo
   per ranker, stamped ``(link_generation, alpha, teleport)`` from
-  ``WikiSite.link_generation`` and built under ``smr.lock.read()``. A
-  write that changes no link (an observation, a description edit)
-  reuses them; the score cache stays stamped with ``mutation_count``,
-  so the refresh still runs, on the same matrix. Scores, explanations
-  and personalized scores are bit for bit those of a ranker that
-  rebuilds every input on every call.
+  ``WikiSite.link_generation`` and built under ``smr.lock.read()``, from
+  the link targets the wiki keeps. Explanations and personalized scores
+  are bit for bit those of a ranker that rebuilds every input on every
+  call.
+- **Scores stamped on the link structure.** PageRank is a function of
+  the titles, the two link graphs, ``alpha`` and ``teleport``, so the
+  score map is stamped ``(link_generation, epoch)``: it is solved again
+  only when a link changed or :meth:`PageRankRanker.refresh` bumped the
+  epoch (which forces a full solve). A write that changes no link (an
+  observation, a description edit) moves only ``mutation_count``; the
+  next :meth:`~PageRankRanker.scores` reads both counters together under
+  ``smr.lock.read()``, advances its ``mutation_count`` stamp and returns
+  the same map object, with no solve, event or metric. Property weights
+  sum scores over annotations, which such a write does change, so they
+  carry their own stamp, :attr:`~PageRankRanker.generation`.
 - **Non-negative k.** ``top``, ``related_pages`` and ``top_properties``
   raise :class:`~repro.errors.QueryError` for ``k < 0``; ``k = 0`` is an
   empty list.
@@ -50,6 +59,9 @@ LinkStructure = Tuple[List[str], Optional[PageRankProblem]]
 #: ``(smr.mutation_count, ranker.epoch)``; see :attr:`PageRankRanker.generation`.
 Generation = Tuple[int, int]
 
+#: ``(WikiSite.link_generation, ranker.epoch)`` of the last solve.
+LinkStamp = Tuple[int, int]
+
 
 def _top_k(pairs: Iterable[Tuple[str, float]], k: int) -> List[Tuple[str, float]]:
     """The ``k`` highest-scored ``(name, score)`` pairs, ties by name."""
@@ -61,11 +73,12 @@ def _top_k(pairs: Iterable[Tuple[str, float]], k: int) -> List[Tuple[str, float]
 class PageRankRanker:
     """Computes and caches double-link PageRank scores for an SMR.
 
-    Freshness and warm starts: the score cache is stamped with the SMR's
-    :attr:`~repro.smr.repository.SensorMetadataRepository.mutation_count`,
-    so any page write invalidates it automatically — no explicit
-    ``refresh()`` needed on the query path. Recomputation reuses the last
-    score vector: small deltas go through the localized
+    Freshness and warm starts: the score cache is stamped with the
+    wiki's ``link_generation`` and the ranker's ``epoch``, so a write
+    that creates a page or changes a link invalidates it automatically —
+    no explicit ``refresh()`` needed on the query path — and any other
+    write leaves it as it is. Recomputation reuses the last score
+    vector: small deltas go through the localized
     :func:`~repro.pagerank.incremental.refine_incremental` relaxation
     (only dirty rows are touched), and anything past
     ``incremental_threshold`` (a fraction of pages dirty) falls back to a
@@ -90,13 +103,16 @@ class PageRankRanker:
         self.tol = tol
         self.max_iter = max_iter
         self.incremental_threshold = incremental_threshold
-        self._scores: Optional[Dict[str, float]] = None
-        self._property_weights: Optional[Dict[str, float]] = None
-        self._built_at_mutation: Optional[int] = None
-        self._force_full = False
+        # Replaced on each solve, never mutated in place: the next solve
+        # warm-starts from it.
+        self._scores: Dict[str, float] = {}
+        self._solved_at: Optional[LinkStamp] = None
+        # The generation scores() last checked the stamp at.
+        self._checked_at: Optional[Generation] = None
+        self._property_weights: Optional[Tuple[Generation, Dict[str, float]]] = None
         # Serializes recomputes: several request threads can hit a stale
         # cache at once — one solve is expensive enough without N copies.
-        # Reentrant because property_weights() -> scores() may recompute.
+        # Reentrant because _explain_snapshot() -> scores() may recompute.
         self._refresh_lock = threading.RLock()
         # The link-structure memo (see _link_structure), stamped
         # (link_generation, alpha, teleport).
@@ -123,14 +139,11 @@ class PageRankRanker:
         metadata pages are continuously created", and re-solving from the
         old vector converges in a fraction of the iterations when the
         graph changed only incrementally (see
-        :attr:`last_refresh_iterations`). Ordinary SMR writes are picked
-        up automatically (and may take the cheaper incremental path);
+        :attr:`last_refresh_iterations`). Link changes are picked up
+        automatically (and may take the cheaper incremental path);
         ``refresh()`` is for forcing a complete solver run — e.g. after
         changing ``alpha``/``teleport``/``method`` on a live ranker.
         """
-        self._scores = None
-        self._property_weights = None
-        self._force_full = True
         self.epoch += 1
 
     @property
@@ -139,9 +152,8 @@ class PageRankRanker:
 
         Any page write bumps the first component; a forced :meth:`refresh`
         bumps the second. The engine's result cache, the autocomplete
-        memos and the recommender's reverse links read it before each
-        rebuild, so a write or a forced re-solve reaches them on their
-        next read.
+        memos and the property weights read it before each rebuild, so a
+        write or a forced re-solve reaches them on their next read.
         """
         return (self.smr.mutation_count, self.epoch)
 
@@ -160,25 +172,31 @@ class PageRankRanker:
     #: refresh (0 for full solves).
     last_refresh_relaxations: int = 0
 
-    def _stale(self) -> bool:
-        if self._scores is None:
-            return True
-        mutation = getattr(self.smr, "mutation_count", None)
-        return mutation is not None and mutation != self._built_at_mutation
+    def _current(self) -> bool:
+        """Whether the scores were solved on today's link structure and epoch."""
+        return self._solved_at == (self.smr.wiki.link_generation, self.epoch)
 
     def scores(self) -> Dict[str, float]:
-        """title -> PageRank score (cached; recomputed when the SMR moved).
+        """title -> PageRank score (cached; recomputed when a link changed).
 
-        The cache is generation-stamped: a register/edit/bulk-load bumps
-        ``smr.mutation_count`` and the next call recomputes — through the
-        incremental path when the edit dirtied few rows, through a
-        warm-started full solve otherwise.
+        After any write, the next call reads ``smr.mutation_count`` and
+        ``WikiSite.link_generation`` together under the read lock. When
+        the link structure and the epoch are those of the last solve it
+        only advances its ``mutation_count`` stamp and returns the same
+        map. Otherwise it recomputes — through the incremental path when
+        the change dirtied few rows, through a warm-started full solve
+        otherwise, and always through a full solve after
+        :meth:`refresh`.
         """
-        if self._stale():
+        if self._checked_at != self.generation:
             with self._refresh_lock:  # double-checked: first thread solves
-                if self._stale():
-                    self._property_weights = None
-                    self._recompute()
+                with self.smr.lock.read():
+                    generation = self.generation
+                    stamp = (self.smr.wiki.link_generation, generation[1])
+                if self._checked_at != generation:
+                    if self._solved_at != stamp:
+                        self._recompute(stamp)
+                    self._checked_at = generation
         return self._scores
 
     def _link_structure(self) -> LinkStructure:
@@ -204,16 +222,16 @@ class PageRankRanker:
         self._structure_memo = (stamp, structure)
         return structure
 
-    def _recompute(self) -> None:
-        # Mutation read first: a racing write can then only stamp fresh
-        # inputs stale, never the reverse.
-        mutation = getattr(self.smr, "mutation_count", None)
+    def _recompute(self, stamp: LinkStamp) -> None:
+        # The stamp was read before the link structure: a racing write can
+        # then only stamp fresh inputs stale, never the reverse.
         titles, problem = self._link_structure()
         if not titles:
             self._scores = {}
-            self._built_at_mutation = mutation
-            self._force_full = False
+            self._solved_at = stamp
             return
+        # A new epoch (refresh()) forces the full solve.
+        force_full = self._solved_at is not None and self._solved_at[1] != stamp[1]
         x0 = self._warm_start(titles, problem.n)
         mode = "cold"
         scores_vec: Optional[np.ndarray] = None
@@ -227,7 +245,7 @@ class PageRankRanker:
             )
             x0 = x0 / k
             mode = "warm"
-            if not self._force_full:
+            if not force_full:
                 scores_vec = self._try_incremental(problem, x0)
                 if scores_vec is not None:
                     mode = "incremental"
@@ -248,10 +266,8 @@ class PageRankRanker:
             scores_vec = result.scores
         self.last_refresh_mode = mode
         self._record_refresh(mode, problem.n)
-        self._scores = {title: float(scores_vec[i]) for i, title in enumerate(titles)}
-        self._previous_scores = dict(self._scores)
-        self._built_at_mutation = mutation
-        self._force_full = False
+        self._scores = dict(zip(titles, scores_vec.tolist()))
+        self._solved_at = stamp
 
     def _try_incremental(self, problem, y0: np.ndarray) -> Optional[np.ndarray]:
         """Localized dirty-set recompute; None when a full solve is due.
@@ -312,17 +328,23 @@ class PageRankRanker:
     def record_staleness(self) -> int:
         """Export the mutation lag as ``ranking_staleness_generations``.
 
-        The lag is how many SMR mutations the cached ranking has not yet
-        absorbed (the full mutation count when nothing was ever ranked).
+        The lag is 0 while the link structure is the one the scores were
+        solved on, since no write since then changed a score. Otherwise
+        it is how many SMR mutations arrived since :meth:`scores` last
+        checked (the full mutation count when nothing was ever ranked).
         Called each tick by the metrics sampler's engine probe, this
         turns ranker freshness into the time series the ROADMAP's
         streaming-ingestion item asks for — staleness *lag over time*,
         not just the boolean the ``/healthz`` probe reports — and the
         series the ``ranker_freshness`` SLO burns its budget against.
         """
-        current = getattr(self.smr, "mutation_count", 0) or 0
-        built = self._built_at_mutation
-        lag = current if built is None else max(0, current - built)
+        checked = self._checked_at
+        if self._current():
+            lag = 0
+        elif checked is None:
+            lag = self.smr.mutation_count
+        else:
+            lag = max(0, self.smr.mutation_count - checked[0])
         registry = obs.get_registry()
         if registry.enabled:
             registry.gauge(
@@ -332,15 +354,18 @@ class PageRankRanker:
         return lag
 
     def freshness(self) -> Dict[str, Any]:
-        """Ranker staleness vs. the SMR generation, for ``/healthz``.
+        """Ranker staleness vs. the link structure, for ``/healthz``.
 
         ``fresh=False`` means the next scoring call will trigger a
         recompute — a degraded-but-self-healing state, not an error.
+        ``built_at_mutation`` is the SMR mutation count :meth:`scores`
+        last checked its stamp at.
         """
+        checked = self._checked_at
         return {
-            "fresh": not self._stale(),
-            "built_at_mutation": self._built_at_mutation,
-            "smr_mutation": getattr(self.smr, "mutation_count", None),
+            "fresh": self._current(),
+            "built_at_mutation": None if checked is None else checked[0],
+            "smr_mutation": self.smr.mutation_count,
             "epoch": self.epoch,
             "last_refresh_mode": self.last_refresh_mode,
             "last_refresh_iterations": self.last_refresh_iterations,
@@ -372,7 +397,7 @@ class PageRankRanker:
         New pages start at the old median score; the vector is rescaled
         to unit sum, the scale every solver's default start has.
         """
-        previous = getattr(self, "_previous_scores", None)
+        previous = self._scores
         if not previous:
             return None
         old_values = sorted(previous.values())
@@ -509,17 +534,24 @@ class PageRankRanker:
     # ------------------------------------------------------------------
 
     def property_weights(self) -> Dict[str, float]:
-        """property name -> total PageRank mass of pages annotating it."""
-        scores = self.scores()  # refreshing scores resets stale weights too
-        if self._property_weights is None:
-            weights: Dict[str, float] = {}
-            for title in self.smr.titles():
-                page_score = scores.get(title, 0.0)
-                for prop, _ in self.smr.annotations(title):
-                    name = prop.lower()
-                    weights[name] = weights.get(name, 0.0) + page_score
-            self._property_weights = weights
-        return self._property_weights
+        """property name -> total PageRank mass of pages annotating it.
+
+        Stamped with :attr:`generation`, read before the walk: a write
+        that changes no score may still change annotations.
+        """
+        generation = self.generation
+        memo = self._property_weights
+        if memo is not None and memo[0] == generation:
+            return memo[1]
+        scores = self.scores()
+        weights: Dict[str, float] = {}
+        for title in self.smr.titles():
+            page_score = scores.get(title, 0.0)
+            for prop, _ in self.smr.annotations(title):
+                name = prop.lower()
+                weights[name] = weights.get(name, 0.0) + page_score
+        self._property_weights = (generation, weights)
+        return weights
 
     def top_properties(self, k: int = 5) -> List[Tuple[str, float]]:
         """The ``k`` highest-weighted properties as (name, weight) pairs."""

@@ -15,27 +15,22 @@ where ``weight`` is the property-importance measure from
 carrying that property). Pages already in the result set are excluded;
 each recommendation records *why* it was proposed.
 
-Invariant — **stamped with the generation it was built from.** The
-backward step reads a reverse-link map (target page -> the pages whose
-annotations name it). The map is one ``(generation, map)`` memo, where
-the generation is :attr:`~repro.core.ranking.PageRankRanker.generation`.
-It is built under ``smr.lock.read()``, because it reads ``smr.wiki``
-directly, with the generation read inside that lock before the build.
-The first read after a write or a forced ranker refresh rebuilds it,
-and the rebuilt map is published in one assignment.
+Invariant — **no memo of its own, so no generation to miss.** The
+backward step reads ``WikiSite.backlinks``, the index every save keeps
+current, under ``smr.lock.read()`` because it reads ``smr.wiki``
+directly. The property weights come from the ranker, stamped with its
+generation, so a read after a write or a forced ranker refresh sees
+both.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-from repro.core.ranking import Generation, PageRankRanker
+from repro.core.ranking import PageRankRanker
 from repro.core.results import SearchResults
 from repro.smr.repository import SensorMetadataRepository
-
-#: target title-key -> [(property, source title)].
-ReverseLinks = Dict[str, List[Tuple[str, str]]]
 
 
 @dataclass
@@ -58,24 +53,21 @@ class Recommender:
     def __init__(self, smr: SensorMetadataRepository, ranker: PageRankRanker):
         self.smr = smr
         self.ranker = ranker
-        self._reverse: Optional[Tuple[Generation, ReverseLinks]] = None
 
-    def _reverse_links(self) -> ReverseLinks:
-        """target title-key -> [(property, source title)] across the wiki."""
+    def _naming(self, title: str) -> List[Tuple[str, str]]:
+        """``(property, source title)`` per annotation whose value names ``title``.
+
+        Sources in title order, each one's annotations in their order.
+        """
+        key = title.strip().lower()
         with self.smr.lock.read():
-            generation = self.ranker.generation
-            memo = self._reverse
-            if memo is not None and memo[0] == generation:
-                return memo[1]
             wiki = self.smr.wiki
-            reverse: ReverseLinks = {}
-            for title in wiki.titles():
-                for prop, value in wiki.annotations(title):
-                    if isinstance(value, str) and wiki.has(value):
-                        key = value.strip().lower()
-                        reverse.setdefault(key, []).append((prop.lower(), title))
-        self._reverse = (generation, reverse)
-        return reverse
+            return [
+                (prop.lower(), source)
+                for source in wiki.backlinks(title)
+                for prop, value in wiki.parsed(source).annotations
+                if isinstance(value, str) and value.strip().lower() == key
+            ]
 
     def recommend(
         self, results: SearchResults, k: int = 5, fanout: int = 10
@@ -109,9 +101,7 @@ class Recommender:
                 if isinstance(value, str):
                     credit(value, prop, result.title)
             # Backward: pages whose annotations point at this result.
-            for prop, source in self._reverse_links().get(
-                result.title.strip().lower(), []
-            ):
+            for prop, source in self._naming(result.title):
                 credit(source, prop, result.title)
 
         ranked = sorted(scores.values(), key=lambda rec: (-rec.score, rec.title))

@@ -7,12 +7,16 @@ IRI is derived automatically unless given explicitly.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Any, Optional, Union
 
 from repro.errors import RdfError
 
 _XSD = "http://www.w3.org/2001/XMLSchema#"
+
+# On a str pattern, \s matches exactly the code points str.isspace() accepts.
+_find_whitespace = re.compile(r"\s").search
 
 
 @dataclass(frozen=True, order=True)
@@ -22,7 +26,7 @@ class IRI:
     value: str
 
     def __post_init__(self):
-        if not self.value or any(ch.isspace() for ch in self.value):
+        if not self.value or _find_whitespace(self.value):
             raise RdfError(f"invalid IRI {self.value!r}")
 
     def n3(self) -> str:

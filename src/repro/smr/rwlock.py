@@ -10,16 +10,20 @@ against readers with this lock.
 Semantics, chosen deliberately (see docs/PERFORMANCE.md, "Concurrency
 model"):
 
-- **Reader-preferring.** A waiting writer does not block new readers;
-  a read section waits only for an *active* writer. Writers can
-  therefore be starved by a saturated read side — acceptable here
-  because every read section is short (one facade call), never a whole
-  request.
+- **Writers are not starved.** A fresh read section (a thread not
+  already reading) waits while a writer is active *or waiting*, so a
+  steady stream of short readers cannot hold a ``register()`` off: the
+  writer gets in once the readers already inside leave.
 - **Reentrant for readers**, so ``sparql()`` may call ``rdf_graph()``
-  without self-deadlock, and a thread holding *write* may freely enter
-  read sections (a writer is exclusive already).
+  without self-deadlock: a nested read never waits, not even for a
+  waiting writer, since that writer waits for this very reader. A
+  thread holding *write* may freely enter read sections (a writer is
+  exclusive already).
 - **No upgrade.** Acquiring write while holding only read raises —
   two upgraders would deadlock each other, so the attempt is a bug.
+- **Lock order.** A thread may take a fresh read section while holding
+  another lock (the ranker's refresh lock) only if no thread takes that
+  lock inside a read section: a waiting writer would close the cycle.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ class ReadWriteLock:
     def __init__(self):
         self._cond = threading.Condition()
         self._active_readers = 0  # threads (not entries) holding read
+        self._waiting_writers = 0  # threads blocked in acquire_write
         self._writer: int | None = None  # ident of the exclusive writer
         self._writer_depth = 0
         self._local = threading.local()
@@ -52,11 +57,14 @@ class ReadWriteLock:
     # -- readers ---------------------------------------------------------
 
     def acquire_read(self) -> None:
-        """Enter the shared side, blocking while a writer is active."""
+        """Enter the shared side, blocking while a writer is active or waiting.
+
+        A nested read, or a read under the held write lock, never blocks.
+        """
         depth = self._read_depth()
         if depth == 0 and self._writer != threading.get_ident():
             with self._cond:
-                while self._writer is not None:
+                while self._writer is not None or self._waiting_writers:
                     self._cond.wait()
                 self._active_readers += 1
         self._local.read_depth = depth + 1
@@ -96,8 +104,16 @@ class ReadWriteLock:
                 "would deadlock); release the read section first"
             )
         with self._cond:
-            while self._writer is not None or self._active_readers > 0:
-                self._cond.wait()
+            self._waiting_writers += 1
+            try:
+                while self._writer is not None or self._active_readers > 0:
+                    self._cond.wait()
+            except BaseException:
+                # Readers held off by this waiter may enter again.
+                self._waiting_writers -= 1
+                self._cond.notify_all()
+                raise
+            self._waiting_writers -= 1
             self._writer = me
             self._writer_depth = 1
 
@@ -126,6 +142,11 @@ class ReadWriteLock:
     def active_readers(self) -> int:
         """Threads currently inside a read section (diagnostic)."""
         return self._active_readers
+
+    @property
+    def waiting_writers(self) -> int:
+        """Threads currently blocked in :meth:`acquire_write` (diagnostic)."""
+        return self._waiting_writers
 
     @property
     def write_held(self) -> bool:

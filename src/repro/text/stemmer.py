@@ -4,9 +4,17 @@ Keyword search conflates "sensors"/"sensor", "measurements"/"measurement"
 etc. through this stemmer. The implementation follows the original paper's
 five steps and condition predicates (measure ``m``, ``*v*``, ``*d``,
 ``*o``); words of length <= 2 are returned unchanged, as Porter specifies.
+The stem is a pure function of its word, so :func:`porter_stem` keeps
+the most recent ``STEM_CACHE_SIZE`` words' stems.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
+
+#: Words whose stems :func:`porter_stem` keeps; bounded, so a long-lived
+#: server indexing ever-new serials and timestamps stays bounded too.
+STEM_CACHE_SIZE = 65_536
 
 _VOWELS = set("aeiou")
 
@@ -188,6 +196,7 @@ def _step5b(word: str) -> str:
     return word
 
 
+@lru_cache(maxsize=STEM_CACHE_SIZE)
 def porter_stem(word: str) -> str:
     """Return the Porter stem of ``word`` (assumed lower-case).
 

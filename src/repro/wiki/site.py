@@ -6,12 +6,22 @@ This is where the paper's *double linking structure* is born: ordinary
 Both return :class:`~repro.pagerank.webgraph.LinkGraph` objects over the
 same page ordering, ready for
 :class:`~repro.pagerank.doublelink.DoubleLinkGraph`.
+
+Invariant — **link targets and backlinks kept by every write.**
+:meth:`WikiSite.save` and :meth:`WikiSite.delete` keep each page's
+resolved :meth:`~WikiSite.link_targets` and a backlink index (name key
+-> the pages whose parsed links name it, missing pages included) equal
+to a walk over every page's parse. A creation re-resolves only the pages
+that name it, and the link graphs, the RDF refresh after a creation and
+the recommender read the kept structures instead of walking the wiki.
+A refused save changes neither.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple
+import sys
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
 
 from repro.errors import WikiError
 from repro.pagerank.webgraph import LinkGraph
@@ -31,6 +41,13 @@ PROP = Namespace("http://repro.example.org/property/")
 _UNEXPORTABLE_WHITESPACE = re.compile(r"[^\S ]")
 
 
+#: A page's resolved link targets: the sorted keys of the other existing
+#: pages its links name, and of those its string annotation values name.
+LinkTargets = Tuple[Tuple[str, ...], Tuple[str, ...]]
+
+_NO_TARGETS: LinkTargets = ((), ())
+
+
 def title_to_iri(title: str) -> IRI:
     """Deterministically map a page title to its RDF identifier."""
     return WIKI.term(title.replace(" ", "_"))
@@ -48,6 +65,11 @@ class WikiSite:
         self._pages: Dict[str, Page] = {}  # canonical (lower) title -> Page
         self._parsed: Dict[str, ParsedWikitext] = {}
         self._title_of_iri: Dict[str, str] = {}  # subject IRI value -> title
+        self._targets: Dict[str, LinkTargets] = {}  # page key -> link_targets
+        # Name key -> the key of the one page whose links name it, or the
+        # set of them once there are two. Page keys are interned, so each
+        # is one string object however many targets and sources hold it.
+        self._backlinks: Dict[str, Union[str, Set[str]]] = {}
         self._link_generation = 0
 
     # ------------------------------------------------------------------
@@ -76,12 +98,14 @@ class WikiSite:
         :meth:`export_rdf` never fails on a saved page and gives each
         page its own subject.
 
-        A creation bumps :attr:`link_generation`, and so does an edit
-        that changes the page's :meth:`link_targets`. A caller that has
-        already parsed ``text`` passes the result as ``parsed``, so one
-        save parses the text once.
+        A creation bumps :attr:`link_generation` and re-resolves the
+        targets of the pages that name the new page, found in the
+        backlink index. An edit resolves its new parse once and bumps
+        :attr:`link_generation` when the targets differ from the kept
+        ones. A caller that has already parsed ``text`` passes the result
+        as ``parsed``, so one save parses the text once.
         """
-        key = self._key(title)
+        key = sys.intern(self._key(title))
         page = self._pages.get(key)
         if parsed is None:
             parsed = parse_wikitext(text)
@@ -93,6 +117,7 @@ class WikiSite:
                 raise WikiError(
                     f"cannot save {title!r}: {name!r} holds whitespace other than spaces"
                 )
+        named = _named_keys(parsed)
         if page is None:
             iri = title_to_iri(title).value
             holder = self._title_of_iri.get(iri)
@@ -100,36 +125,94 @@ class WikiSite:
                 raise WikiError(f"cannot save {title!r}: its subject IRI is {holder!r}'s")
             page = Page(title, text, author=author, comment=comment)
             self._pages[key] = page
+            self._parsed[key] = parsed
             self._title_of_iri[iri] = title
+            self._add_backlinks(key, named)
+            self._targets[key] = self._resolve(key, named, parsed)
+            for source in self._sources(key):
+                if source != key:
+                    self._targets[source] = self._reresolve(source)
             self._link_generation += 1
-        else:
-            if self._resolved_targets(key, self._parsed[key]) != self._resolved_targets(key, parsed):
-                self._link_generation += 1
-            page.edit(text, author=author, comment=comment)
+            return page
+        targets = self._resolve(key, named, parsed)
+        if targets != self._targets[key]:
+            self._targets[key] = targets
+            self._link_generation += 1
+        old = _named_keys(self._parsed[key])
+        self._drop_backlinks(key, old - named)
+        self._add_backlinks(key, named - old)
+        page.edit(text, author=author, comment=comment)
         self._parsed[key] = parsed
         return page
 
-    def link_targets(self, title: str) -> Tuple[Set[str], Set[str]]:
+    def link_targets(self, title: str) -> LinkTargets:
         """Keys of the other existing pages ``title`` links to, and annotates with.
 
         These are the page's rows of :meth:`link_graph` and
-        :meth:`semantic_graph`, by title key: a self-link, or a link or
-        value naming a missing page, is in neither.
+        :meth:`semantic_graph`, by title key, each sorted: a self-link,
+        or a link or value naming a missing page, is in neither. The
+        second tuple is a subset of the first, since the parsed links
+        hold the string annotation values.
         """
-        return self._resolved_targets(self._key(title), self.parsed(title))
+        targets = self._targets.get(self._key(title))
+        if targets is None:
+            raise WikiError(f"no page titled {title!r}")
+        return targets
 
-    def _resolved_targets(self, key: str, parsed: ParsedWikitext) -> Tuple[Set[str], Set[str]]:
-        """:meth:`link_targets` of the page keyed ``key``, were ``parsed`` its text."""
+    def backlinks(self, title: str) -> List[str]:
+        """Titles of the pages whose links or string annotation values name ``title``.
+
+        ``title`` need not exist. The titles sort as :meth:`titles`
+        sorts, and a page that links to itself is among its own
+        backlinks.
+        """
         pages = self._pages
-        web = {target for target in map(self._key, parsed.links) if target in pages}
-        semantic = {
-            target
-            for target in (self._key(v) for _, v in parsed.annotations if isinstance(v, str))
-            if target in pages
-        }
-        web.discard(key)
-        semantic.discard(key)
-        return web, semantic
+        return [pages[source].title for source in sorted(self._sources(self._key(title)))]
+
+    def _resolve(self, key: str, named: Set[str], parsed: ParsedWikitext) -> LinkTargets:
+        """:meth:`link_targets` of the page keyed ``key``, were ``parsed`` its text.
+
+        ``named`` is :func:`_named_keys` of ``parsed``.
+        """
+        pages = self._pages
+        web = tuple(sorted(sys.intern(name) for name in named if name in pages and name != key))
+        if not web:
+            return _NO_TARGETS
+        values = {v.strip().lower() for _, v in parsed.annotations if isinstance(v, str)}
+        semantic = tuple(name for name in web if name in values)
+        return web, web if len(semantic) == len(web) else semantic
+
+    def _reresolve(self, key: str) -> LinkTargets:
+        """:meth:`_resolve` of an existing page's current parse."""
+        parsed = self._parsed[key]
+        return self._resolve(key, _named_keys(parsed), parsed)
+
+    def _sources(self, name: str) -> Iterable[str]:
+        """Keys of the pages whose parsed links name the key ``name``."""
+        held = self._backlinks.get(name, ())
+        return (held,) if isinstance(held, str) else held
+
+    def _add_backlinks(self, source: str, names: Iterable[str]) -> None:
+        backlinks = self._backlinks
+        for name in names:
+            held = backlinks.get(name)
+            if held is None:
+                backlinks[name] = source
+            elif isinstance(held, str):
+                backlinks[name] = {held, source}
+            else:
+                held.add(source)
+
+    def _drop_backlinks(self, source: str, names: Iterable[str]) -> None:
+        backlinks = self._backlinks
+        for name in names:
+            held = backlinks[name]
+            if isinstance(held, str):
+                del backlinks[name]
+                continue
+            held.discard(source)
+            if len(held) == 1:
+                backlinks[name] = next(iter(held))
 
     def get(self, title: str) -> Page:
         """The page titled ``title`` (case-insensitive); raises if missing."""
@@ -148,8 +231,11 @@ class WikiSite:
         if key not in self._pages:
             raise WikiError(f"no page titled {title!r}")
         page = self._pages.pop(key)
-        del self._parsed[key]
+        self._drop_backlinks(key, _named_keys(self._parsed.pop(key)))
+        del self._targets[key]
         del self._title_of_iri[title_to_iri(page.title).value]
+        for source in self._sources(key):
+            self._targets[source] = self._reresolve(source)
         self._link_generation += 1
 
     def titles_of_iris(self, iris: Iterable[Any]) -> Set[str]:
@@ -222,34 +308,29 @@ class WikiSite:
     # ------------------------------------------------------------------
 
     def page_index(self) -> Dict[str, int]:
-        """title-key -> dense index, aligned with :meth:`titles`."""
-        return {self._key(title): i for i, title in enumerate(self.titles())}
+        """title-key -> dense index, aligned with :meth:`titles`.
+
+        A title carries no outer whitespace, so its key is its lower
+        case, and the sorted keys are in :meth:`titles` order.
+        """
+        return {key: i for i, key in enumerate(sorted(self._pages))}
 
     def link_graph(self) -> LinkGraph:
         """Ordinary web-page links between existing pages."""
-        index = self.page_index()
-        graph = LinkGraph(len(index))
-        for title in self.titles():
-            src = index[self._key(title)]
-            for target in self.parsed(title).links:
-                dst = index.get(self._key(target))
-                if dst is not None and dst != src:
-                    graph.add_edge(src, dst)
-        return graph
+        return self._graph(0)
 
     def semantic_graph(self) -> LinkGraph:
         """Links induced by page-valued semantic annotations."""
+        return self._graph(1)
+
+    def _graph(self, kind: int) -> LinkGraph:
+        """The graph of the kept targets' ``kind`` tuple (0 web, 1 semantic)."""
         index = self.page_index()
-        graph = LinkGraph(len(index))
-        for title in self.titles():
-            src = index[self._key(title)]
-            for _, value in self.parsed(title).annotations:
-                if not isinstance(value, str):
-                    continue
-                dst = index.get(self._key(value))
-                if dst is not None and dst != src:
-                    graph.add_edge(src, dst)
-        return graph
+        targets = self._targets
+        return LinkGraph(
+            len(index),
+            ((src, index[dst]) for key, src in index.items() for dst in targets[key][kind]),
+        )
 
     # ------------------------------------------------------------------
     # Annotations and RDF export
@@ -320,8 +401,7 @@ class WikiSite:
         - A page that did not exist before (its ``prop:title`` is not in
           ``graph``) turns every annotation value or link naming it from
           a literal into its IRI, with a ``links_to`` triple. Those pages
-          are found in one pass over the parsed link lists, which hold
-          string annotation values too. An edit changes no other page:
+          are its :meth:`backlinks`. An edit changes no other page:
           titles, and with them IRIs and namespaces, never change.
 
         The new triples are built in a scratch graph before ``graph``
@@ -330,13 +410,7 @@ class WikiSite:
         title = self.get(title).title
         stale = {title}
         if (title_to_iri(title), PROP.title, Literal(title)) not in graph:
-            key = self._key(title)
-            stale.update(
-                self._pages[other].title
-                for other, parsed in self._parsed.items()
-                for target in parsed.links
-                if self._key(target) == key
-            )
+            stale.update(self.backlinks(title))
         fresh = Graph()
         for stale_title in stale:
             self.export_page_rdf(fresh, stale_title)
@@ -346,3 +420,8 @@ class WikiSite:
 
     def __repr__(self) -> str:
         return f"WikiSite(pages={self.page_count})"
+
+
+def _named_keys(parsed: ParsedWikitext) -> Set[str]:
+    """The keys of the names in ``parsed.links``, which holds string annotation values."""
+    return {name.strip().lower() for name in parsed.links}

@@ -607,8 +607,6 @@ class TestKeywordReadsWhileTheIndexGrows:
                         reads[n] += 1
                         if frozenset(hits.items()) not in expected[query]:
                             wrong.append((query, len(hits)))
-                    # The lock prefers readers: leave the writer a gap.
-                    time.sleep(1e-4)
             except Exception as exc:  # pragma: no cover - the assertion target
                 errors.append(exc)
 
@@ -786,6 +784,49 @@ class TestReadWriteLock:
         w.join(5.0)
         r.join(5.0)
         assert order == ["write-start", "write-end", "read"]
+
+    def test_a_waiting_writer_goes_before_a_fresh_reader(self):
+        lock = ReadWriteLock()
+        order = []
+        a_inside, a_release = threading.Event(), threading.Event()
+        b_inside = threading.Event()
+        nested = []
+
+        def reader_a():
+            with lock.read():
+                a_inside.set()
+                a_release.wait(5.0)
+                with lock.read():  # nested: never waits for the waiting writer
+                    nested.append(lock.waiting_writers)
+
+        def writer():
+            with lock.write():
+                order.append("write")
+
+        def reader_b():
+            with lock.read():
+                order.append("read")
+                b_inside.set()
+
+        a = threading.Thread(target=reader_a)
+        a.start()
+        assert a_inside.wait(5.0)
+        w = threading.Thread(target=writer)
+        w.start()
+        deadline = time.monotonic() + 5.0
+        while lock.waiting_writers == 0 and time.monotonic() < deadline:
+            time.sleep(0.001)
+        assert lock.waiting_writers == 1
+        b = threading.Thread(target=reader_b)
+        b.start()
+        assert not b_inside.wait(0.1)  # held off by the waiting writer
+        a_release.set()
+        for thread in (a, w, b):
+            thread.join(5.0)
+            assert not thread.is_alive(), "a reader or the writer hung"
+        assert nested == [1]
+        assert order == ["write", "read"]
+        assert lock.waiting_writers == 0 and lock.active_readers == 0
 
     def test_concurrent_readers_overlap(self):
         lock = ReadWriteLock()

@@ -1,5 +1,10 @@
 """Tests for the advanced search engine (the paper's core contribution)."""
 
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -257,6 +262,45 @@ class TestSearch:
         assert rows[0][3] == 2600
 
 
+#: A keyword + property-sort query whose tie on elevation_m spans the
+#: returned page's edges; prints the page's (title, score) pairs.
+_TIE_SCRIPT = """
+import json
+from repro.core import AdvancedSearchEngine, parse_query
+from repro.smr import SensorMetadataRepository
+
+smr = SensorMetadataRepository()
+for i in range(12):
+    annotations = [("name", f"TIE-{i:02d}"), ("elevation_m", 1500 if i % 3 == 0 else 2000)]
+    smr.register("station", f"Station:TIE-{i:02d}", annotations, description="wind mast")
+results = AdvancedSearchEngine(smr).search(
+    parse_query("keyword=wind sort=elevation_m order=desc limit=4 offset=2")
+)
+print(json.dumps([[r.title, r.score] for r in results.results]))
+"""
+
+
+class TestPropertySortTies:
+    def test_tied_pages_do_not_follow_the_hash_seed(self):
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        pages = []
+        for seed in ("1", "2"):
+            completed = subprocess.run(
+                [sys.executable, "-c", _TIE_SCRIPT],
+                env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+                capture_output=True,
+                text=True,
+                timeout=120,
+            )
+            assert completed.returncode == 0, completed.stderr
+            pages.append(json.loads(completed.stdout))
+        assert pages[0] == pages[1]
+        # The eight 2000 m stations tie; the page is the third to sixth in title order.
+        assert [title for title, _ in pages[0]] == [
+            "Station:TIE-04", "Station:TIE-05", "Station:TIE-07", "Station:TIE-08"
+        ]
+
+
 class TestOutOfRangeLocations:
     """``register()`` accepts any coordinates; the engine must cope."""
 
@@ -380,6 +424,31 @@ class TestRecommendAndFacets:
         for rec in engine.recommend(results, k=3):
             assert rec.reasons
             assert "via" in rec.describe()
+
+    def test_backward_step_reads_each_annotation_naming_the_result(self):
+        smr = SensorMetadataRepository()
+        smr.register("deployment", "Deployment:D", [("name", "d")])
+        smr.register(
+            "station",
+            "Station:B",
+            [("name", "b"), ("deployment", "deployment:d"), ("Backup", "Deployment:D")],
+        )
+        smr.register("station", "Station:A", [("name", "a"), ("deployment", "Deployment:D")])
+        smr.register("station", "Station:C", [("name", "c")], links=["Deployment:D"])
+        recommender = Recommender(smr, PageRankRanker(smr))
+        for title in smr.titles():
+            expected = [  # a walk over every page's annotations
+                (prop.lower(), source)
+                for source in smr.titles()
+                for prop, value in smr.annotations(source)
+                if isinstance(value, str) and value.strip().lower() == title.lower()
+            ]
+            assert recommender._naming(title) == expected
+        assert recommender._naming("Deployment:D") == [
+            ("deployment", "Station:A"),
+            ("deployment", "Station:B"),
+            ("backup", "Station:B"),
+        ]
 
     def test_recommend_k_zero(self, engine):
         results = engine.search(parse_query("kind=sensor limit=0"))

@@ -29,6 +29,11 @@ class TestTerms:
         with pytest.raises(RdfError):
             IRI("has space")
 
+    @pytest.mark.parametrize("space", ["\u00a0", "\u2028", "\u3000", "\t", "\x1c"])
+    def test_iri_refuses_every_unicode_space(self, space):
+        with pytest.raises(RdfError):
+            IRI(f"http://example.org/a{space}b")
+
     def test_literal_datatype_inference(self):
         assert Literal(5).datatype.endswith("#integer")
         assert Literal(2.5).datatype.endswith("#double")

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.core.ranking import PageRankRanker
 from repro.pagerank import combine_link_structures, solve_pagerank
 from repro.pagerank.doublelink import DoubleLinkGraph
@@ -28,6 +29,7 @@ from repro.pagerank.linear_system import normalize_solution
 from repro.smr import SensorMetadataRepository
 from repro.wiki.site import WikiSite
 from repro.workloads.webgraphs import paired_link_structures
+from tests.test_wiki import walked_link_graph, walked_semantic_graph
 
 TOL = 1e-10
 
@@ -236,6 +238,20 @@ def _make_smr(pages: int = 30) -> SensorMetadataRepository:
     return smr
 
 
+@pytest.fixture
+def registry():
+    """A fresh metrics registry for one test; the old one comes back after."""
+    fresh = obs.MetricsRegistry()
+    previous = obs.set_registry(fresh)
+    yield fresh
+    obs.set_registry(previous)
+
+
+def _refresh_total(registry) -> float:
+    family = registry.get("ranking_refresh_total")
+    return 0.0 if family is None else sum(child.value for _, child in family.samples())
+
+
 class TestRankerRefreshModes:
     def test_first_solve_is_cold(self):
         ranker = PageRankRanker(_make_smr())
@@ -281,11 +297,14 @@ class TestRankerRefreshModes:
     def test_refresh_forces_full_solve(self):
         smr = _make_smr()
         ranker = PageRankRanker(smr)
-        ranker.scores()
+        first = ranker.scores()
         ranker.refresh()
-        ranker.scores()
-        assert ranker.last_refresh_mode == "warm"
+        assert not ranker.freshness()["fresh"]
+        second = ranker.scores()
+        assert ranker.last_refresh_mode == "warm"  # still warm-started
         assert ranker.last_refresh_relaxations == 0
+        assert second is not first
+        assert sum(abs(second[t] - first[t]) for t in first) < 100 * ranker.tol
 
     def test_power_method_never_takes_incremental_path(self):
         smr = _make_smr()
@@ -300,6 +319,38 @@ class TestRankerRefreshModes:
         ranker = PageRankRanker(_make_smr())
         first = ranker.scores()
         assert ranker.scores() is first  # cached dict, no recompute
+
+    def test_a_write_that_changes_no_link_keeps_the_scores(self, registry):
+        smr = _make_smr()
+        ranker = PageRankRanker(smr)
+        first = ranker.scores()
+        solves = _refresh_total(registry)
+        kind, title, annotations = _station(3)
+        smr.register(kind, title, annotations + [("last_value", 1.5)])  # an observation
+        assert ranker.freshness()["fresh"]  # no link moved
+        assert ranker.record_staleness() == 0
+        assert ranker.scores() is first
+        smr.register(kind, title, annotations, description="A prose edit.")
+        assert ranker.scores() is first
+        assert _refresh_total(registry) == solves
+        assert ranker.freshness()["built_at_mutation"] == smr.mutation_count
+        # A link to an existing page is solved again.
+        smr.register(kind, title, annotations, links=["Station:INC-000"])
+        assert not ranker.freshness()["fresh"]
+        assert ranker.record_staleness() == 1
+        assert ranker.scores() is not first
+        assert _refresh_total(registry) == solves + 1
+
+    def test_property_weights_follow_an_annotation_only_write(self):
+        smr = _make_smr()
+        ranker = PageRankRanker(smr)
+        scores = ranker.scores()
+        assert "last_value" not in ranker.property_weights()
+        kind, title, annotations = _station(3)
+        smr.register(kind, title, annotations + [("last_value", 1.5)])
+        assert ranker.scores() is scores
+        assert ranker.property_weights()["last_value"] == scores[title]
+        assert ranker.property_weights() is ranker.property_weights()  # memoized
 
 
 # ----------------------------------------------------------------------
@@ -338,7 +389,11 @@ def _register(smr, title, page):
 
 
 class TestLinkStructureMemo:
-    """The ranker rebuilds its inputs exactly when a link changed."""
+    """The ranker rebuilds its inputs, and solves, exactly when a link changed.
+
+    The reference is the walk over every page's parse (``tests.test_wiki``),
+    not ``WikiSite.link_graph``, which reads the wiki's kept targets.
+    """
 
     @given(steps=st.lists(_seq_step, min_size=1, max_size=10))
     @settings(max_examples=60, deadline=None)
@@ -362,8 +417,8 @@ class TestLinkStructureMemo:
             return link_graph(wiki)
 
         def structure(wiki):
-            edges = list(link_graph(wiki).edges()), list(wiki.semantic_graph().edges())
-            return wiki.titles(), edges
+            web, semantic = walked_link_graph(wiki), walked_semantic_graph(wiki)
+            return wiki.titles(), list(web.edges()), list(semantic.edges())
 
         smr = SensorMetadataRepository()
         pages = {}
@@ -379,7 +434,7 @@ class TestLinkStructureMemo:
         ranker = PageRankRanker(smr)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(WikiSite, "link_graph", counted)
-            ranker.scores()
+            scores = ranker.scores()
             for step in steps:
                 before = structure(smr.wiki)
                 action, index = step[0], step[1]
@@ -399,12 +454,14 @@ class TestLinkStructureMemo:
                 changed = structure(smr.wiki) != before
 
                 del calls[:]
-                scores = ranker.scores()
+                previous, scores = scores, ranker.scores()
                 titles, problem = ranker._link_structure()
                 assert len(calls) == (1 if changed else 0), step
+                assert (scores is previous) == (not changed), step
 
                 wiki = smr.wiki
-                fresh = DoubleLinkGraph(link_graph(wiki), wiki.semantic_graph()).to_problem()
+                fresh = DoubleLinkGraph(walked_link_graph(wiki), walked_semantic_graph(wiki))
+                fresh = fresh.to_problem()
                 assert titles == wiki.titles()
                 for name in ("indptr", "indices", "data"):
                     ours = getattr(problem.transition, name)

@@ -1,8 +1,11 @@
 """Tests for the semantic-wiki substrate."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import RdfError, SmrError, WikiError
+from repro.pagerank.webgraph import LinkGraph
 from repro.rdf.namespace import RDF
 from repro.rdf.term import IRI, Literal
 from repro.relational.types import DataType
@@ -207,11 +210,57 @@ class TestWikiSite:
         assert set(graph.triples()) == before
 
 
+# ----------------------------------------------------------------------
+# The reference walk: the link structures from every page's parse
+# ----------------------------------------------------------------------
+
+
+def _key(title):
+    return title.strip().lower()
+
+
+def walked_link_graph(site) -> LinkGraph:
+    """``site.link_graph()`` by a walk over every page's parsed links."""
+    index = {_key(title): i for i, title in enumerate(site.titles())}
+    graph = LinkGraph(len(index))
+    for title in site.titles():
+        src = index[_key(title)]
+        for target in site.parsed(title).links:
+            dst = index.get(_key(target))
+            if dst is not None and dst != src:
+                graph.add_edge(src, dst)
+    return graph
+
+
+def walked_semantic_graph(site) -> LinkGraph:
+    """``site.semantic_graph()`` by a walk over every page's annotations."""
+    index = {_key(title): i for i, title in enumerate(site.titles())}
+    graph = LinkGraph(len(index))
+    for title in site.titles():
+        src = index[_key(title)]
+        for _, value in site.parsed(title).annotations:
+            if not isinstance(value, str):
+                continue
+            dst = index.get(_key(value))
+            if dst is not None and dst != src:
+                graph.add_edge(src, dst)
+    return graph
+
+
+def walked_backlinks(site):
+    """name key -> keys of the pages whose parsed links name it."""
+    backlinks = {}
+    for title in site.titles():
+        for target in site.parsed(title).links:
+            backlinks.setdefault(_key(target), set()).add(_key(title))
+    return backlinks
+
+
 def _structure(site):
     return (
         site.titles(),
-        list(site.link_graph().edges()),
-        list(site.semantic_graph().edges()),
+        list(walked_link_graph(site).edges()),
+        list(walked_semantic_graph(site).edges()),
     )
 
 
@@ -272,6 +321,121 @@ class TestLinkGeneration:
             row = index[title.lower()]
             assert {index[key] for key in links} == web.out_links(row)
             assert {index[key] for key in annotations} == semantic.out_links(row)
+
+
+#: Spellings a write sequence uses: four pages (one under a spaced
+#: namespace) in several letter cases, a padded spelling (refused as a new
+#: title), the underscore spelling of the spaced page (refused while that
+#: page holds the IRI), a name that never becomes a page, and a title with
+#: a tab (refused).
+_SPELLINGS = [
+    "Station:A",
+    "station:a",
+    "Station:B",
+    "STATION:B",
+    "Deployment:D",
+    "Field Site:F",
+    "field site:f",
+    "Field_Site:F",
+    " Station:A ",
+    "Nowhere:N",
+    "Bad\tTab:T",
+]
+_spelling = st.integers(0, len(_SPELLINGS) - 1)
+_write = st.one_of(
+    st.tuples(
+        st.just("save"),
+        _spelling,
+        st.lists(_spelling, max_size=3),  # plain links
+        st.lists(_spelling, max_size=3),  # page-valued annotations
+        st.integers(0, 3),  # a literal, and the prose
+        st.booleans(),  # a property name with a tab: refused
+    ),
+    st.tuples(st.just("delete"), _spelling),
+)
+
+
+def _text(links, values, n, bad_property):
+    parts = [f"Note {n}."]
+    parts += [f"[[refers::{_SPELLINGS[i]}]]" for i in values]
+    parts += [f"[[{_SPELLINGS[i]}]]" for i in links]
+    parts.append(f"[[elev::{n}]]")
+    if bad_property:
+        parts.append("[[bad\tprop::1]]")
+    return " ".join(parts)
+
+
+def _kept(site):
+    """The kept targets and backlink index, as plain values."""
+    backlinks = {
+        name: {held} if isinstance(held, str) else set(held)
+        for name, held in site._backlinks.items()
+    }
+    return dict(site._targets), backlinks, site.link_generation
+
+
+class TestKeptLinkStructures:
+    """The kept targets, backlinks and graphs equal a walk after every write."""
+
+    @staticmethod
+    def _check(site):
+        pages = {_key(title) for title in site.titles()}
+        for title in site.titles():
+            key, parsed = _key(title), site.parsed(title)
+            web = sorted({_key(t) for t in parsed.links} & pages - {key})
+            semantic = {_key(v) for _, v in parsed.annotations if isinstance(v, str)}
+            assert site.link_targets(title) == (
+                tuple(web),
+                tuple(sorted(semantic & pages - {key})),
+            )
+        walked = walked_backlinks(site)
+        assert _kept(site)[1] == walked
+        for held in site._backlinks.values():
+            assert isinstance(held, str) or len(held) > 1  # one source: the bare key
+        order = {_key(title): i for i, title in enumerate(site.titles())}
+        for name, sources in walked.items():
+            expected = sorted(sources, key=order.__getitem__)
+            assert [_key(title) for title in site.backlinks(name)] == expected
+        assert list(site.link_graph().edges()) == list(walked_link_graph(site).edges())
+        assert list(site.semantic_graph().edges()) == list(walked_semantic_graph(site).edges())
+
+    @given(steps=st.lists(_write, min_size=1, max_size=12))
+    @settings(max_examples=150, deadline=None)
+    @example(
+        steps=[
+            ("save", 0, [9, 2], [4], 0, False),  # names B, D and a missing page
+            ("save", 3, [1, 3], [], 1, False),  # B: a case variant and a self-link
+            ("save", 8, [], [], 2, False),  # the padded spelling of A: an edit
+            ("save", 4, [], [], 0, False),  # D created: A now links to it
+            ("save", 7, [5], [], 0, False),  # F's underscore spelling, before F
+            ("save", 5, [], [7], 1, False),  # F: its IRI is taken
+            ("delete", 2),  # B goes; A's targets lose it
+            ("save", 2, [0], [0], 3, False),  # B again
+            ("save", 0, [], [], 1, True),  # refused: a property with a tab
+            ("save", 10, [0], [], 0, False),  # refused: a title with a tab
+        ]
+    )
+    def test_kept_structures_match_a_walk_after_every_write(self, steps):
+        site = WikiSite()
+        site.save("Station:Seed", "[[Station:A]] [[refers::deployment:d]]")
+        graph = site.export_rdf()
+        for step in steps:
+            title = _SPELLINGS[step[1]]
+            if step[0] == "delete":
+                if not site.has(title):
+                    continue
+                site.delete(title)
+                graph = site.export_rdf()  # a delete has no in-place RDF refresh
+            else:
+                before = _kept(site)
+                try:
+                    site.save(title, _text(*step[2:]))
+                except WikiError:
+                    assert _kept(site) == before
+                else:
+                    site.refresh_page_rdf(graph, title)
+            self._check(site)
+            assert set(graph.triples()) == set(site.export_rdf().triples())
 
 
 class TestSchemaMapping:
