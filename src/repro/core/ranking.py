@@ -14,10 +14,13 @@ Invariants:
 - **Inputs keyed on the link structure.** The sorted titles and the
   blended :class:`~repro.pagerank.webgraph.PageRankProblem` are one memo
   per ranker, stamped ``(link_generation, alpha, teleport)`` from
-  ``WikiSite.link_generation`` and built under ``smr.lock.read()``, from
-  the link targets the wiki keeps. Explanations and personalized scores
-  are bit for bit those of a ranker that rebuilds every input on every
-  call.
+  ``WikiSite.link_generation``. The titles and the two adjacency matrices
+  of the link targets the wiki keeps are read under ``smr.lock.read()``;
+  the blend (:func:`~repro.pagerank.doublelink.blend_transition`) and
+  the problem are built after the lock is released. The blended CSR
+  arrays are bit for bit those of the per-page blend over walked link
+  graphs, and explanations and personalized scores are bit for bit those
+  of a ranker that rebuilds every input on every call.
 - **Scores stamped on the link structure.** PageRank is a function of
   the titles, the two link graphs, ``alpha`` and ``teleport``, so the
   score map is stamped ``(link_generation, epoch)``: it is solved again
@@ -28,7 +31,14 @@ Invariants:
   ``smr.lock.read()``, advances its ``mutation_count`` stamp and returns
   the same map object, with no solve, event or metric. Property weights
   sum scores over annotations, which such a write does change, so they
-  carry their own stamp, :attr:`~PageRankRanker.generation`.
+  carry their own stamp, :attr:`~PageRankRanker.generation`; one
+  ``smr.lock.read()`` takes every page's parsed annotations, and the
+  sums run after it, in title order and then annotation order.
+- **Incremental scores within tolerance.** A refresh that takes the
+  incremental path relaxes every dirty row of a round at once, so its
+  scores agree with a cold solve within ``100 * tol`` in L1, not bit for
+  bit; when its rounds do not converge within their budget the ranker
+  falls back to the warm-started full solve.
 - **Non-negative k.** ``top``, ``related_pages`` and ``top_properties``
   raise :class:`~repro.errors.QueryError` for ``k < 0``; ``k = 0`` is an
   empty list.
@@ -38,6 +48,7 @@ from __future__ import annotations
 
 import threading
 import time
+from itertools import repeat
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -45,7 +56,7 @@ import numpy as np
 from repro import obs
 from repro.errors import ConvergenceError, QueryError
 from repro.pagerank.contributions import decompose_score
-from repro.pagerank.doublelink import DoubleLinkGraph
+from repro.pagerank.doublelink import blend_transition
 from repro.pagerank.incremental import dirty_rows, initial_residual, refine_incremental
 from repro.pagerank.linear_system import normalize_solution
 from repro.pagerank.solvers import solve_pagerank
@@ -204,8 +215,10 @@ class PageRankRanker:
 
         Built again only when ``WikiSite.link_generation``, ``alpha`` or
         ``teleport`` moved. Reading ``self.smr.wiki`` bypasses the
-        facade, so the SMR read lock is taken here: the stamp and the data
-        it stamps come from one consistent snapshot.
+        facade, so the SMR read lock is taken here: the stamp and the
+        arrays it stamps come from one consistent snapshot. The blend and
+        the problem's transpose are built after the lock is released, so
+        a waiting writer does not wait for them.
         """
         with self.smr.lock.read():
             wiki = self.smr.wiki
@@ -214,10 +227,10 @@ class PageRankRanker:
             if memo is not None and memo[0] == stamp:
                 return memo[1]
             titles = wiki.titles()
-            double = (
-                DoubleLinkGraph(wiki.link_graph(), wiki.semantic_graph()) if titles else None
-            )
-        problem = double.to_problem(alpha=stamp[1], teleport=stamp[2]) if double else None
+            adjacency = wiki.link_adjacency() if titles else None
+        problem = None
+        if adjacency is not None:
+            problem = PageRankProblem(blend_transition(*adjacency, alpha=stamp[1]), stamp[2])
         structure = (titles, problem)
         self._structure_memo = (stamp, structure)
         return structure
@@ -394,15 +407,17 @@ class PageRankRanker:
     def _warm_start(self, titles, n: int) -> Optional[np.ndarray]:
         """Seed the solver with the previous solution, if one exists.
 
-        New pages start at the old median score; the vector is rescaled
+        New pages start at the old median score (the upper middle value,
+        found by ``np.partition`` without a sort); the vector is rescaled
         to unit sum, the scale every solver's default start has.
         """
         previous = self._scores
         if not previous:
             return None
-        old_values = sorted(previous.values())
-        fallback = old_values[len(old_values) // 2]
-        vector = np.array([previous.get(title, fallback) for title in titles])
+        old_values = np.fromiter(previous.values(), dtype=float, count=len(previous))
+        middle = old_values.size // 2
+        fallback = float(np.partition(old_values, middle)[middle])
+        vector = np.fromiter(map(previous.get, titles, repeat(fallback)), dtype=float, count=n)
         total = vector.sum()
         if total <= 0:
             return None
@@ -537,17 +552,25 @@ class PageRankRanker:
         """property name -> total PageRank mass of pages annotating it.
 
         Stamped with :attr:`generation`, read before the walk: a write
-        that changes no score may still change annotations.
+        that changes no score may still change annotations. One read lock
+        takes every page's title and parsed annotations, which a save
+        replaces and never mutates; the sums run after it is released, in
+        title order and then annotation order, so each weight is the same
+        sum of the same doubles as a walk that locks once per page, and a
+        waiting writer waits for the references only.
         """
         generation = self.generation
         memo = self._property_weights
         if memo is not None and memo[0] == generation:
             return memo[1]
         scores = self.scores()
+        with self.smr.lock.read():
+            wiki = self.smr.wiki
+            pages = [(title, wiki.parsed(title).annotations) for title in wiki.titles()]
         weights: Dict[str, float] = {}
-        for title in self.smr.titles():
+        for title, annotations in pages:
             page_score = scores.get(title, 0.0)
-            for prop, _ in self.smr.annotations(title):
+            for prop, _ in annotations:
                 name = prop.lower()
                 weights[name] = weights.get(name, 0.0) + page_score
         self._property_weights = (generation, weights)

@@ -13,6 +13,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
+import numpy as np
+
+from repro.linalg import CsrMatrix
 from repro.smr.repository import SensorMetadataRepository
 
 
@@ -60,15 +63,15 @@ class CorpusStatistics:
         return "\n".join(lines)
 
 
-def _link_stats(graph) -> LinkStats:
-    n = graph.n or 1
-    degrees = [graph.out_degree(i) for i in range(graph.n)]
-    dangling = sum(1 for d in degrees if d == 0)
+def _link_stats(adjacency: CsrMatrix) -> LinkStats:
+    """The degree statistics of a 0/1 adjacency matrix, one entry per link."""
+    n = adjacency.nrows or 1
+    degrees = np.diff(adjacency.indptr)
     return LinkStats(
-        edges=graph.edge_count,
-        dangling_fraction=dangling / n,
-        max_out_degree=max(degrees, default=0),
-        mean_out_degree=sum(degrees) / n,
+        edges=adjacency.nnz,
+        dangling_fraction=int(np.count_nonzero(degrees == 0)) / n,
+        max_out_degree=int(degrees.max(initial=0)),
+        mean_out_degree=int(degrees.sum()) / n,
     )
 
 
@@ -96,12 +99,14 @@ def corpus_statistics(
             str(value) for value in smr.wiki.property_values(prop)
         )
         top_values[prop.lower()] = values.most_common(5)
+    with smr.lock.read():  # reading smr.wiki bypasses the facade's locks
+        web, semantic = smr.wiki.link_adjacency()
     return CorpusStatistics(
         page_count=len(titles),
         pages_per_kind=dict(pages_per_kind),
         property_usage=usage,
         property_coverage=coverage,
-        web_links=_link_stats(smr.wiki.link_graph()),
-        semantic_links=_link_stats(smr.wiki.semantic_graph()),
+        web_links=_link_stats(web),
+        semantic_links=_link_stats(semantic),
         top_values=top_values,
     )

@@ -115,8 +115,10 @@ class CsrMatrix:
                 raise LinalgError("row index out of range")
             if cols.min() < 0 or cols.max() >= ncols:
                 raise LinalgError("column index out of range")
-        # Sort lexicographically by (row, col) so duplicates are adjacent.
-        order = np.lexsort((cols, rows))
+        # Sort by (row, col), stably, so duplicates are adjacent in their
+        # input order. One key row * ncols + col orders as the pair does,
+        # and the stable sort merges already sorted runs in linear time.
+        order = np.argsort(rows * ncols + cols, kind="stable")
         rows, cols, data = rows[order], cols[order], data[order]
         if rows.size:
             # Collapse runs of identical (row, col) by summing their data.

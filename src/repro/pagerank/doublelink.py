@@ -13,6 +13,11 @@ leak probability mass and silently demote such pages — the very problem the
 paper calls "non-trivial": *not all of the metadata pages have semantic
 attributes*). Pages with neither kind of link remain dangling and are
 handled by the Eq. 1 correction.
+
+:func:`blend_transition` is the one blend: it takes the two 0/1 adjacency
+matrices as CSR and builds ``M`` with a handful of numpy calls, so the
+ranker can blend the link targets the wiki keeps without building a
+:class:`~repro.pagerank.webgraph.LinkGraph`.
 """
 
 from __future__ import annotations
@@ -22,8 +27,50 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.errors import LinalgError
-from repro.linalg import CooMatrix, CsrMatrix
+from repro.linalg import CsrMatrix
 from repro.pagerank.webgraph import LinkGraph, PageRankProblem
+
+
+def blend_transition(web: CsrMatrix, semantic: CsrMatrix, alpha: float = 0.5) -> CsrMatrix:
+    """The blended transition matrix ``M`` of two 0/1 adjacency matrices.
+
+    ``web`` and ``semantic`` index the same pages. ``alpha`` is the
+    weight of the *web* structure: a row with both kinds of link gives
+    weight ``alpha`` to its web links and ``1 - alpha`` to its semantic
+    links, and a row with one kind gives that kind 1.0 (the per-page
+    fallback). Each entry is its kind's ``weight / degree``. At the
+    extremes the fallback is disabled: the other kind has weight 0
+    everywhere and stores no entry, so ``alpha=1`` is exactly classic
+    PageRank over web links and ``alpha=0`` semantic-only, the pure
+    single-structure ablation variants.
+
+    All web entries precede all semantic entries, so the stable sort of
+    :meth:`CsrMatrix.from_coo_arrays` sums a link of both kinds as the
+    web share plus the semantic share, the order a per-page loop adds
+    them in: the arrays are those of that loop, byte for byte.
+    """
+    if not 0.0 <= alpha <= 1.0:
+        raise LinalgError(f"alpha must lie in [0, 1], got {alpha}")
+    if web.shape != semantic.shape or web.nrows != web.ncols:
+        raise LinalgError(
+            f"both structures must be square over the same pages: {web.shape} vs {semantic.shape}"
+        )
+    web_degree, semantic_degree = np.diff(web.indptr), np.diff(semantic.indptr)
+    kinds = []
+    if alpha > 0.0:
+        kinds.append((web, np.where(semantic_degree > 0, alpha, 1.0), web_degree))
+    if alpha < 1.0:
+        kinds.append((semantic, np.where(web_degree > 0, 1.0 - alpha, 1.0), semantic_degree))
+    rows, cols, data = [], [], []
+    for adjacency, weight, degree in kinds:
+        row_of = adjacency.row_index()
+        rows.append(row_of)
+        cols.append(adjacency.indices)
+        data.append((weight / np.maximum(degree, 1))[row_of])
+    n = web.nrows
+    return CsrMatrix.from_coo_arrays(
+        n, n, np.concatenate(rows), np.concatenate(cols), np.concatenate(data)
+    )
 
 
 class DoubleLinkGraph:
@@ -47,37 +94,8 @@ class DoubleLinkGraph:
         self.n = web.n
 
     def transition_matrix(self, alpha: float = 0.5) -> CsrMatrix:
-        """Return the blended transition matrix ``M``.
-
-        ``alpha`` is the weight of the *web* structure; ``alpha=1`` reduces
-        exactly to classic PageRank over web links and ``alpha=0`` to
-        semantic-only — at the extremes the per-page fallback is disabled,
-        so the ablation variants are pure single-structure PageRank.
-        """
-        if not 0.0 <= alpha <= 1.0:
-            raise LinalgError(f"alpha must lie in [0, 1], got {alpha}")
-        if alpha == 1.0:
-            return self.web.transition_matrix()
-        if alpha == 0.0:
-            return self.semantic.transition_matrix()
-        coo = CooMatrix(self.n, self.n)
-        for page in range(self.n):
-            web_links = sorted(self.web.out_links(page))
-            sem_links = sorted(self.semantic.out_links(page))
-            web_weight, sem_weight = alpha, 1.0 - alpha
-            if not web_links and sem_links:
-                web_weight, sem_weight = 0.0, 1.0
-            elif web_links and not sem_links:
-                web_weight, sem_weight = 1.0, 0.0
-            if web_links and web_weight:
-                share = web_weight / len(web_links)
-                for dst in web_links:
-                    coo.add(page, dst, share)
-            if sem_links and sem_weight:
-                share = sem_weight / len(sem_links)
-                for dst in sem_links:
-                    coo.add(page, dst, share)
-        return coo.to_csr()
+        """Return the blended transition matrix ``M`` (:func:`blend_transition`)."""
+        return blend_transition(self.web.adjacency(), self.semantic.adjacency(), alpha)
 
     def to_problem(
         self,

@@ -5,7 +5,10 @@ This is where the paper's *double linking structure* is born: ordinary
 ``[[prop::page]]`` annotations populate :meth:`WikiSite.semantic_graph`.
 Both return :class:`~repro.pagerank.webgraph.LinkGraph` objects over the
 same page ordering, ready for
-:class:`~repro.pagerank.doublelink.DoubleLinkGraph`.
+:class:`~repro.pagerank.doublelink.DoubleLinkGraph`. Both are built from
+:meth:`WikiSite.link_adjacency`, the one map from the kept targets to
+page positions, which gives the ranker the two structures as CSR
+adjacency matrices without a graph object.
 
 Invariant — **link targets and backlinks kept by every write.**
 :meth:`WikiSite.save` and :meth:`WikiSite.delete` keep each page's
@@ -14,16 +17,24 @@ resolved :meth:`~WikiSite.link_targets` and a backlink index (name key
 to a walk over every page's parse. A creation re-resolves only the pages
 that name it, and the link graphs, the RDF refresh after a creation and
 the recommender read the kept structures instead of walking the wiki.
-A refused save changes neither.
+A refused save changes neither. The sorted page keys, with the titles in
+the same order, are kept by the same writes, so :meth:`WikiSite.titles`
+is a list copy and no link-structure build sorts every title.
 """
 
 from __future__ import annotations
 
 import re
 import sys
+from bisect import bisect_left
+from itertools import chain
+from operator import itemgetter
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
 
+import numpy as np
+
 from repro.errors import WikiError
+from repro.linalg import CsrMatrix
 from repro.pagerank.webgraph import LinkGraph
 from repro.rdf.graph import Graph
 from repro.rdf.namespace import RDF, Namespace
@@ -70,6 +81,9 @@ class WikiSite:
         # set of them once there are two. Page keys are interned, so each
         # is one string object however many targets and sources hold it.
         self._backlinks: Dict[str, Union[str, Set[str]]] = {}
+        # The page keys in sorted order, and the titles in the same order.
+        self._keys: List[str] = []
+        self._titles: List[str] = []
         self._link_generation = 0
 
     # ------------------------------------------------------------------
@@ -125,6 +139,9 @@ class WikiSite:
                 raise WikiError(f"cannot save {title!r}: its subject IRI is {holder!r}'s")
             page = Page(title, text, author=author, comment=comment)
             self._pages[key] = page
+            at = bisect_left(self._keys, key)
+            self._keys.insert(at, key)
+            self._titles.insert(at, title)
             self._parsed[key] = parsed
             self._title_of_iri[iri] = title
             self._add_backlinks(key, named)
@@ -231,6 +248,8 @@ class WikiSite:
         if key not in self._pages:
             raise WikiError(f"no page titled {title!r}")
         page = self._pages.pop(key)
+        at = bisect_left(self._keys, key)
+        del self._keys[at], self._titles[at]
         self._drop_backlinks(key, _named_keys(self._parsed.pop(key)))
         del self._targets[key]
         del self._title_of_iri[title_to_iri(page.title).value]
@@ -258,8 +277,9 @@ class WikiSite:
     def link_generation(self) -> int:
         """A counter that moves whenever the titles or a link graph may change.
 
-        It covers :meth:`titles`, :meth:`link_graph` and
-        :meth:`semantic_graph`. :meth:`save` bumps it on a creation and on an edit that changes
+        It covers :meth:`titles`, :meth:`link_graph`,
+        :meth:`semantic_graph` and :meth:`link_adjacency`. :meth:`save`
+        bumps it on a creation and on an edit that changes
         which existing pages the page links to or annotates with;
         :meth:`delete` bumps it. An edit of literals or prose, or of a
         link to a missing page, leaves it, so a cache stamped with it
@@ -269,8 +289,12 @@ class WikiSite:
         return self._link_generation
 
     def titles(self) -> List[str]:
-        """All page titles, sorted case-insensitively (stable ordering)."""
-        return sorted((page.title for page in self._pages.values()), key=str.lower)
+        """All page titles, sorted case-insensitively (stable ordering).
+
+        A title carries no outer whitespace, so its key is its lower case,
+        and the kept sorted keys give this order without a sort.
+        """
+        return list(self._titles)
 
     def pages(self) -> Iterator[Page]:
         """Iterate pages in title order."""
@@ -308,28 +332,31 @@ class WikiSite:
     # ------------------------------------------------------------------
 
     def page_index(self) -> Dict[str, int]:
-        """title-key -> dense index, aligned with :meth:`titles`.
-
-        A title carries no outer whitespace, so its key is its lower
-        case, and the sorted keys are in :meth:`titles` order.
-        """
-        return {key: i for i, key in enumerate(sorted(self._pages))}
+        """title-key -> dense index, aligned with :meth:`titles`."""
+        return dict(zip(self._keys, range(len(self._keys))))
 
     def link_graph(self) -> LinkGraph:
         """Ordinary web-page links between existing pages."""
-        return self._graph(0)
+        return _graph(self.link_adjacency()[0])
 
     def semantic_graph(self) -> LinkGraph:
         """Links induced by page-valued semantic annotations."""
-        return self._graph(1)
+        return _graph(self.link_adjacency()[1])
 
-    def _graph(self, kind: int) -> LinkGraph:
-        """The graph of the kept targets' ``kind`` tuple (0 web, 1 semantic)."""
+    def link_adjacency(self) -> Tuple[CsrMatrix, CsrMatrix]:
+        """The 0/1 adjacency of :meth:`link_graph`, then of :meth:`semantic_graph`.
+
+        Read from the kept targets in :meth:`titles` order with
+        ``np.fromiter``: no :class:`LinkGraph` is built and no Python
+        function runs per edge. A row's targets are sorted keys, so its
+        column indices ascend, and the arrays equal those of
+        ``LinkGraph.adjacency()`` of either graph.
+        """
         index = self.page_index()
-        targets = self._targets
-        return LinkGraph(
-            len(index),
-            ((src, index[dst]) for key, src in index.items() for dst in targets[key][kind]),
+        rows = list(map(self._targets.__getitem__, self._keys))
+        return (
+            _adjacency(index, list(map(itemgetter(0), rows))),
+            _adjacency(index, list(map(itemgetter(1), rows))),
         )
 
     # ------------------------------------------------------------------
@@ -420,6 +447,24 @@ class WikiSite:
 
     def __repr__(self) -> str:
         return f"WikiSite(pages={self.page_count})"
+
+
+def _adjacency(index: Dict[str, int], rows: List[Tuple[str, ...]]) -> CsrMatrix:
+    """The 0/1 CSR matrix whose row ``i`` holds ``index`` of the keys ``rows[i]``."""
+    n = len(rows)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.fromiter(map(len, rows), dtype=np.int64, count=n), out=indptr[1:])
+    nnz = int(indptr[-1])
+    indices = np.fromiter(
+        map(index.__getitem__, chain.from_iterable(rows)), dtype=np.int64, count=nnz
+    )
+    return CsrMatrix(n, n, indptr, indices, np.ones(nnz))
+
+
+def _graph(adjacency: CsrMatrix) -> LinkGraph:
+    """The :class:`LinkGraph` whose links are the entries of ``adjacency``."""
+    edges = zip(adjacency.row_index().tolist(), adjacency.indices.tolist())
+    return LinkGraph(adjacency.nrows, edges)
 
 
 def _named_keys(parsed: ParsedWikitext) -> Set[str]:

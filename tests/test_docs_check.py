@@ -52,7 +52,7 @@ INVARIANT_DOCSTRINGS = {
     "repro.relational.planner": ["NULL", "Superset"],
     "repro.relational.executor": ["flat tuples", "once per statement", "No per-statement state"],
     "repro.core.ranking": ["link_generation", "mutation_count", "bit for bit"],
-    "repro.pagerank.incremental": ["plain floats", "bit for bit"],
+    "repro.pagerank.incremental": ["every dirty row", "falls back"],
     "repro.obs.provenance": ["never mutated once published"],
     "repro.core.autocomplete": ["generation"],
     "repro.core.recommend": ["generation"],

@@ -4,7 +4,9 @@ The contract under test (docs/PERFORMANCE.md): after a graph delta, the
 localized Gauss–Southwell refinement of :mod:`repro.pagerank.incremental`
 must land on the *same scores* as a cold full solve, within solver
 tolerance — the incremental path is an optimization, never an
-approximation. The ranker-level tests pin down when each path runs.
+approximation. The ranker-level tests pin down when each path runs, and
+the blend of the two link structures is checked byte for byte against
+the per-edge ``CooMatrix`` blend kept here.
 """
 
 import random
@@ -16,10 +18,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import obs
+from repro.core import ranking
 from repro.core.ranking import PageRankRanker
-from repro.pagerank import combine_link_structures, solve_pagerank
-from repro.pagerank.doublelink import DoubleLinkGraph
+from repro.linalg import CooMatrix
+from repro.pagerank import LinkGraph, PageRankProblem, combine_link_structures, solve_pagerank
+from repro.pagerank import incremental
+from repro.pagerank.doublelink import DoubleLinkGraph, blend_transition
 from repro.pagerank.incremental import (
+    RELAXATION_BUDGET,
     IncrementalResult,
     dirty_rows,
     initial_residual,
@@ -42,16 +48,52 @@ def _warm_gauge(problem, scores: np.ndarray) -> np.ndarray:
     return scores / k
 
 
-def _reference_refine(problem, y, tol=TOL, max_relaxations=None):
-    """The per-row numpy form of :func:`refine_incremental`'s push loop.
+def coo_blend(web: LinkGraph, semantic: LinkGraph, alpha: float):
+    """The blended transition matrix by the per-page ``CooMatrix`` loop.
 
-    The reference the plain-float loop must match bit for bit: same
-    relaxation order, same ``(c·v)·δ`` products, woken rows queued in
-    CSR column order.
+    :func:`blend_transition` must equal it byte for byte: at
+    ``alpha`` 0 or 1 the single structure's matrix, otherwise, page by
+    page, its web links and then its semantic links, each at its kind's
+    ``weight / degree`` (1.0 for a page with one kind of link).
+    """
+    if alpha == 1.0:
+        return web.transition_matrix()
+    if alpha == 0.0:
+        return semantic.transition_matrix()
+    coo = CooMatrix(web.n, web.n)
+    for page in range(web.n):
+        web_links = sorted(web.out_links(page))
+        sem_links = sorted(semantic.out_links(page))
+        web_weight, sem_weight = alpha, 1.0 - alpha
+        if not web_links and sem_links:
+            web_weight, sem_weight = 0.0, 1.0
+        elif web_links and not sem_links:
+            web_weight, sem_weight = 1.0, 0.0
+        if web_links and web_weight:
+            share = web_weight / len(web_links)
+            for dst in web_links:
+                coo.add(page, dst, share)
+        if sem_links and sem_weight:
+            share = sem_weight / len(sem_links)
+            for dst in sem_links:
+                coo.add(page, dst, share)
+    return coo.to_csr()
+
+
+def _csr_bytes(matrix):
+    return tuple(getattr(matrix, name).tobytes() for name in ("indptr", "indices", "data"))
+
+
+def _reference_refine(problem, y, tol=TOL, max_relaxations=None):
+    """The one-row-at-a-time push that :func:`refine_incremental`'s rounds replaced.
+
+    Rows are relaxed in FIFO order, each woken row queued in CSR column
+    order. The rounds relax the same dirty set in another order, so the
+    two agree within the solver tolerance, not bit for bit.
     """
     n = problem.n
     if max_relaxations is None:
-        max_relaxations = 20 * n
+        max_relaxations = RELAXATION_BUDGET * n
     transition = problem.transition
     rhs_norm = float(np.abs(problem.personalization).sum()) or 1.0
     threshold = tol * rhs_norm / max(n, 1)
@@ -99,21 +141,21 @@ def _reference_refine(problem, y, tol=TOL, max_relaxations=None):
     )
 
 
-def _refine_like_reference(problem, y, **kwargs):
-    """Run :func:`refine_incremental` on ``y`` in place; assert it is bit
-    for bit the reference loop run on a copy."""
+def _refine_like_reference(problem, y, tol=TOL):
+    """Run :func:`refine_incremental` on ``y`` in place; assert it agrees
+    with the reference push run on a copy."""
     expected_y = y.copy()
-    expected = _reference_refine(problem, expected_y, **kwargs)
-    result = refine_incremental(problem, y, **kwargs)
-    assert y.tobytes() == expected_y.tobytes()
-    assert (result.relaxations, result.dirty, result.converged) == (
-        expected.relaxations,
-        expected.dirty,
-        expected.converged,
-    )
-    assert np.array(
-        [result.final_residual, *result.residual_history]
-    ).tobytes() == np.array([expected.final_residual, *expected.residual_history]).tobytes()
+    expected = _reference_refine(problem, expected_y, tol=tol)
+    result = refine_incremental(problem, y, tol=tol)
+    assert (result.dirty, result.converged) == (expected.dirty, expected.converged)
+    history = result.residual_history
+    assert history[0] == expected.residual_history[0]  # the same initial residual
+    assert history[-1] == result.final_residual
+    # Each round's scatter re-injects at most c times the mass it removed.
+    assert all(after <= before * (1 + 1e-12) for before, after in zip(history, history[1:]))
+    if result.converged:
+        drift = np.abs(normalize_solution(problem, y) - normalize_solution(problem, expected_y))
+        assert float(drift.sum()) <= 100 * tol
     return result
 
 
@@ -164,6 +206,68 @@ def test_incremental_touches_fewer_rows_than_full_sweeps():
     assert result.sweep_equivalents(n) < cold.iterations
 
 
+def test_residual_history_has_one_point_per_sweep_equivalent():
+    n = 600
+    web, semantic = paired_link_structures(n, seed=7)
+    before = combine_link_structures(web, semantic)
+    old = solve_pagerank(before, method="gauss_seidel", tol=TOL, max_iter=5000)
+    web.add_edge(5, 410)
+    web.add_edge(411, 6)
+    after = combine_link_structures(web, semantic)
+
+    y = _warm_gauge(after, old.scores.copy())
+    start = float(np.abs(initial_residual(after, y)).sum())
+    result = refine_incremental(after, y, tol=TOL)
+    assert result.converged
+    assert result.sweep_equivalents(n) >= 2
+    history = result.residual_history
+    # The start, the round that completes each n relaxations, and the end
+    # unless that round was the last.
+    assert history[0] == start
+    assert history[-1] == result.final_residual
+    assert len(history) - 2 <= result.relaxations // n <= len(history) - 1
+
+
+@pytest.mark.parametrize("seed", [3, 17])
+def test_local_and_full_scatters_give_the_same_doubles(seed, monkeypatch):
+    n = 600
+    web, semantic = paired_link_structures(n, seed=seed)
+    before = combine_link_structures(web, semantic)
+    old = solve_pagerank(before, method="gauss_seidel", tol=TOL, max_iter=5000)
+    rng = random.Random(seed)
+    for _ in range(3):
+        web.add_edge(rng.randrange(n - 16), rng.randrange(n - 16))
+    after = combine_link_structures(web, semantic)
+    outcomes = []
+    # 0: every round scatters over the rows it reaches; n + 1: every
+    # round scatters over all n rows.
+    for local_round in (0, n + 1):
+        monkeypatch.setattr(incremental, "_LOCAL_ROUND", local_round)
+        y = _warm_gauge(after, old.scores.copy())
+        result = refine_incremental(after, y, tol=TOL)
+        assert result.converged
+        outcomes.append((y.tobytes(), result.relaxations, result.residual_history))
+    assert outcomes[0] == outcomes[1]
+
+
+def test_ranker_records_one_residual_per_reported_iteration():
+    recorder = obs.ConvergenceRecorder()
+    previous = obs.set_convergence_recorder(recorder)
+    try:
+        smr = _make_smr()
+        ranker = PageRankRanker(smr)
+        ranker.scores()
+        kind, title, annotations = _station(99)
+        smr.register(kind, title, annotations, links=["Station:INC-000"])
+        ranker.scores()
+    finally:
+        obs.set_convergence_recorder(previous)
+    assert ranker.last_refresh_mode == "incremental"
+    run = recorder.latest("incremental")
+    assert run["iterations"] == ranker.last_refresh_iterations >= 1
+    assert len(run["residuals"]) <= run["iterations"] + 2
+
+
 def test_noop_delta_needs_no_relaxations():
     web, semantic = paired_link_structures(300, seed=11)
     problem = combine_link_structures(web, semantic)
@@ -182,9 +286,84 @@ def test_relaxation_budget_reports_non_convergence():
     web, semantic = paired_link_structures(300, seed=5)
     problem = combine_link_structures(web, semantic)
     y = np.zeros(problem.n)  # everything dirty, nothing pre-solved
-    result = _refine_like_reference(problem, y, tol=TOL, max_relaxations=10)
+    result = refine_incremental(problem, y, tol=TOL, max_relaxations=10)
     assert not result.converged
-    assert result.relaxations == 10
+    # The budget is checked between rounds: the first round relaxes every
+    # dirty row and passes it, and no second round starts.
+    assert result.relaxations == result.dirty == problem.n
+    assert len(result.residual_history) == 2
+    assert result.final_residual == result.residual_history[-1]
+    # Over several rounds it stops after the first one that reaches it.
+    budget = 2 * problem.n
+    capped = refine_incremental(problem, np.zeros(problem.n), tol=TOL, max_relaxations=budget)
+    assert not capped.converged
+    assert budget <= capped.relaxations < budget + problem.n
+
+
+# ----------------------------------------------------------------------
+# Hypothesis oracle: the blend and the rounds on random paired graphs
+# ----------------------------------------------------------------------
+
+#: Random paired graphs: self-links, dangling rows and rows with only
+#: semantic links all occur.
+_MAX_PAGES = 12
+
+
+@st.composite
+def _paired_graphs(draw, min_pages=1):
+    n = draw(st.integers(min_pages, _MAX_PAGES))
+    edge = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    return n, draw(st.sets(edge, max_size=3 * n)), draw(st.sets(edge, max_size=2 * n))
+
+
+@st.composite
+def _graphs_and_delta(draw):
+    """Paired graphs, then the same pair after edge adds, removes and maybe a new page."""
+    n, web, semantic = draw(_paired_graphs(min_pages=2))
+    m = n + draw(st.integers(0, 1))
+    edge = st.tuples(st.integers(0, m - 1), st.integers(0, m - 1))
+    after = []
+    for edges in (web, semantic):
+        removed = draw(st.sets(st.sampled_from(sorted(edges)), max_size=3)) if edges else set()
+        after.append((edges - removed) | draw(st.sets(edge, max_size=3)))
+    return n, web, semantic, m, after[0], after[1]
+
+
+def _problem(n, web, semantic, alpha=0.5):
+    graphs = LinkGraph(n, web), LinkGraph(n, semantic)
+    return PageRankProblem(blend_transition(*(g.adjacency() for g in graphs), alpha))
+
+
+@given(graphs=_paired_graphs(), alpha=st.sampled_from([0.0, 0.3, 0.5, 1.0]))
+@settings(max_examples=150, deadline=None)
+@example(graphs=(3, {(0, 0), (0, 1), (1, 2)}, {(0, 1), (2, 0), (2, 2)}), alpha=0.5)
+def test_blend_equals_the_per_edge_blend(graphs, alpha):
+    n, web_edges, semantic_edges = graphs
+    web, semantic = LinkGraph(n, web_edges), LinkGraph(n, semantic_edges)
+    expected = _csr_bytes(coo_blend(web, semantic, alpha))
+    assert _csr_bytes(blend_transition(web.adjacency(), semantic.adjacency(), alpha)) == expected
+    assert _csr_bytes(DoubleLinkGraph(web, semantic).transition_matrix(alpha)) == expected
+
+
+@given(case=_graphs_and_delta())
+@settings(max_examples=100, deadline=None)
+@example(case=(3, {(0, 1), (1, 1)}, {(2, 0)}, 4, {(0, 1), (1, 1), (3, 0)}, {(2, 0), (2, 3)}))
+def test_rounds_land_within_tolerance_of_a_cold_solve(case):
+    n, web, semantic, m, web_after, semantic_after = case
+    before, after = _problem(n, web, semantic), _problem(m, web_after, semantic_after)
+    old = solve_pagerank(before, method="gauss_seidel", tol=TOL, max_iter=5000)
+    assert old.converged
+    # The old solution in the new problem's gauge: b shrinks from 1/n to
+    # 1/m, and a new page starts at its own b.
+    y = np.full(m, 1.0 / m)
+    y[:n] = _warm_gauge(before, old.scores) * (n / m)
+    result = refine_incremental(after, y, tol=TOL)
+    assert result.relaxations <= RELAXATION_BUDGET * m + m  # at most one round past
+    if result.converged:
+        cold = solve_pagerank(after, method="gauss_seidel", tol=TOL, max_iter=5000)
+        assert cold.converged
+        drift = np.abs(normalize_solution(after, y) - cold.scores).sum()
+        assert float(drift) <= 100 * TOL
 
 
 def test_initial_residual_validates_shape():
@@ -353,6 +532,78 @@ class TestRankerRefreshModes:
         assert ranker.property_weights() is ranker.property_weights()  # memoized
 
 
+def _walked_property_weights(ranker):
+    """``property_weights`` by a walk that reads each page under its own lock."""
+    scores = ranker.scores()
+    weights = {}
+    for title in ranker.smr.titles():
+        page_score = scores.get(title, 0.0)
+        for prop, _ in ranker.smr.annotations(title):
+            weights[prop.lower()] = weights.get(prop.lower(), 0.0) + page_score
+    return weights
+
+
+def test_property_weights_equal_a_per_page_walk():
+    smr = _make_smr()
+    ranker = PageRankRanker(smr)
+    assert ranker.property_weights() == _walked_property_weights(ranker)
+    kind, title, annotations = _station(3)
+    writes = [
+        lambda: smr.register(kind, title, annotations + [("last_value", 1.5)]),
+        lambda: smr.register(kind, title, annotations + [("Last_Value", 2.5)]),
+        lambda: smr.register(kind, title, annotations, description="A prose edit."),
+        lambda: smr.register(*_station(99, [("maintainer", "ann")]), links=[title]),
+    ]
+    for write in writes:
+        write()
+        assert ranker.property_weights() == _walked_property_weights(ranker)
+
+
+# Ranker-level fallback under random link deltas: a budget drawn per
+# example makes the rounds converge or run out.
+@st.composite
+def _ranker_case(draw):
+    pages = draw(st.integers(3, 8))
+    target = st.integers(0, pages)  # ``pages`` names the page the delta may create
+    page_links = st.lists(st.integers(0, pages - 1), max_size=3)
+    links = draw(st.lists(page_links, min_size=pages, max_size=pages))
+    page = draw(target)
+    return pages, links, page, draw(st.lists(target, max_size=3))
+
+
+@given(case=_ranker_case(), budget=st.sampled_from([None, 0, 1, 4, 40]))
+@settings(max_examples=60, deadline=None)
+@example(case=(3, [[1], [2], [0]], 3, [0, 1]), budget=None)
+@example(case=(3, [[1], [2], [0]], 3, [0, 1]), budget=1)
+def test_ranker_falls_back_when_the_rounds_do_not_converge(case, budget):
+    pages, links, page, new_links = case
+    smr = SensorMetadataRepository()
+    for i in range(pages):
+        kind, title, annotations = _station(i)
+        smr.register(kind, title, annotations, links=[_station(j)[1] for j in links[i]])
+    ranker = PageRankRanker(smr)
+    previous = ranker.scores()
+    kind, title, annotations = _station(page)
+    smr.register(kind, title, annotations, links=[_station(j)[1] for j in new_links])
+    outcomes = []
+
+    def budgeted(problem, y, **kwargs):
+        outcomes.append(refine_incremental(problem, y, max_relaxations=budget, **kwargs))
+        return outcomes[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ranking, "refine_incremental", budgeted)
+        scores = ranker.scores()
+    if scores is previous:  # no link moved: nothing was solved
+        assert not outcomes
+        return
+    converged = bool(outcomes) and outcomes[0].converged
+    assert ranker.last_refresh_mode == ("incremental" if converged else "warm")
+    reference = PageRankRanker(smr).scores()
+    assert set(scores) == set(reference)
+    assert sum(abs(scores[t] - reference[t]) for t in reference) < 100 * ranker.tol
+
+
 # ----------------------------------------------------------------------
 # The link-structure memo under arbitrary write sequences
 # ----------------------------------------------------------------------
@@ -391,8 +642,9 @@ def _register(smr, title, page):
 class TestLinkStructureMemo:
     """The ranker rebuilds its inputs, and solves, exactly when a link changed.
 
-    The reference is the walk over every page's parse (``tests.test_wiki``),
-    not ``WikiSite.link_graph``, which reads the wiki's kept targets.
+    The reference is the per-edge blend (:func:`coo_blend`) of the walk
+    over every page's parse (``tests.test_wiki``), not the wiki's kept
+    targets, which the ranker reads through ``WikiSite.link_adjacency``.
     """
 
     @given(steps=st.lists(_seq_step, min_size=1, max_size=10))
@@ -409,12 +661,12 @@ class TestLinkStructureMemo:
         ]
     )
     def test_inputs_and_scores_match_a_fresh_ranker_after_every_write(self, steps):
-        link_graph = WikiSite.link_graph
+        link_adjacency = WikiSite.link_adjacency
         calls = []
 
         def counted(wiki):
             calls.append(wiki)
-            return link_graph(wiki)
+            return link_adjacency(wiki)
 
         def structure(wiki):
             web, semantic = walked_link_graph(wiki), walked_semantic_graph(wiki)
@@ -433,7 +685,7 @@ class TestLinkStructureMemo:
             _register(smr, _PAGES[index], pages[index])
         ranker = PageRankRanker(smr)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(WikiSite, "link_graph", counted)
+            patch.setattr(WikiSite, "link_adjacency", counted)
             scores = ranker.scores()
             for step in steps:
                 before = structure(smr.wiki)
@@ -460,13 +712,9 @@ class TestLinkStructureMemo:
                 assert (scores is previous) == (not changed), step
 
                 wiki = smr.wiki
-                fresh = DoubleLinkGraph(walked_link_graph(wiki), walked_semantic_graph(wiki))
-                fresh = fresh.to_problem()
+                fresh = coo_blend(walked_link_graph(wiki), walked_semantic_graph(wiki), 0.5)
                 assert titles == wiki.titles()
-                for name in ("indptr", "indices", "data"):
-                    ours = getattr(problem.transition, name)
-                    theirs = getattr(fresh.transition, name)
-                    assert ours.tobytes() == theirs.tobytes(), (step, name)
+                assert _csr_bytes(problem.transition) == _csr_bytes(fresh), step
 
                 reference = PageRankRanker(smr).scores()
                 assert set(scores) == set(reference)

@@ -6,7 +6,7 @@ import re
 from urllib.parse import urlencode
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import AdvancedSearchEngine
@@ -989,6 +989,27 @@ _TOKENS = st.one_of(
         "{}{}{}".format, _PROPERTIES, st.sampled_from(OPERATORS), st.one_of(_NUMBERS, _WORDS)
     ),
 )
+# Path titles and counts for the page-level and listing endpoints:
+# existing pages, missing ones, case variants, non-ASCII, %-escapes that
+# the router receives undecoded, and counts that are negative, huge or
+# not numbers.
+_TITLES = st.sampled_from(
+    ["Station:WAN-001", "Sensor:W1", "station:wan-001", "SENSOR:W1", " Station:WAN-002 ",
+     "Station:NOPE", "Nowhere", "Station:H\u00f6he", "\u65e5\u672c", "\U0001f600",
+     "Station%3AWAN-001", "%E2%82%AC", "%", "%zz", "a%2Fb", ":", "a b", ""]
+)
+_COUNTS = st.one_of(
+    st.integers(-3, 40).map(str),
+    st.sampled_from(["-1", "-0", "9" * 30, "1e3", "1.5", "abc", "", "0x10", " 3", "nan"]),
+)
+_PAGE_ENDPOINTS = [
+    ("/api/page/{}", None),
+    ("/api/related/{}", "k"),
+    ("/api/snippet/{}", None),
+    ("/api/values", None),
+    ("/api/tags/cloud", "top"),
+    ("/api/pagerank/top", "k"),
+]
 _ENDPOINTS = [
     ("/api/search", {}),
     ("/api/search", {"explain": "1"}),
@@ -1031,3 +1052,25 @@ class TestHttpEdgeFuzz:
                 "trace_id": served_headers["X-Trace-Id"],
             }
             assert served == encode_json(payload), text
+
+    @given(
+        st.sampled_from(_PAGE_ENDPOINTS),
+        _TITLES,
+        _COUNTS,
+        st.one_of(_WORDS, _PROPERTIES),
+        st.sampled_from(["station", "Sensor", "nope", ""]),
+    )
+    @settings(max_examples=200, deadline=None)
+    @example(("/api/related/{}", "k"), "station:wan-001", "9" * 30, "wind", "")
+    @example(("/api/page/{}", None), "Station%3AWAN-001", "", "wind", "")
+    @example(("/api/tags/cloud", "top"), "", "-1", "", "")
+    def test_page_and_listing_endpoints_answer_2xx_or_4xx(
+        self, app, endpoint, title, count, word, kind
+    ):
+        template, count_name = endpoint
+        path = template.format(title)
+        params = {"q": word, "prop": word, "kind": kind}
+        if count_name:
+            params[count_name] = count
+        status, _, body = call_raw(app, "GET", path, urlencode(params))
+        assert status[0] in "24", (path, params, status, body[:300])

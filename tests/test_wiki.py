@@ -438,6 +438,50 @@ class TestKeptLinkStructures:
             assert set(graph.triples()) == set(site.export_rdf().triples())
 
 
+class TestKeptTitleOrder:
+    """The kept title order and the adjacency arrays equal a sort and a walk."""
+
+    @staticmethod
+    def _check(site):
+        titles = sorted((page.title for page in site._pages.values()), key=str.lower)
+        assert site.titles() == titles
+        assert site.page_index() == {title.lower(): i for i, title in enumerate(titles)}
+        for ours, walked in zip(
+            site.link_adjacency(), (walked_link_graph(site), walked_semantic_graph(site))
+        ):
+            theirs = walked.adjacency()
+            for name in ("indptr", "indices", "data"):
+                assert getattr(ours, name).tobytes() == getattr(theirs, name).tobytes(), name
+
+    @given(steps=st.lists(_write, min_size=1, max_size=12))
+    @settings(max_examples=100, deadline=None)
+    @example(
+        steps=[
+            ("save", 2, [0, 4], [4], 0, False),  # B before A: inserted first
+            ("save", 0, [2], [], 1, False),  # A goes in front of B
+            ("save", 1, [3], [], 2, False),  # A again, in another case: an edit
+            ("save", 5, [0], [0], 0, False),  # a spaced namespace sorts among them
+            ("delete", 0),  # the first title goes
+            ("save", 8, [], [], 0, False),  # refused: a padded new title
+            ("save", 7, [], [], 0, False),  # refused: F's IRI is taken
+        ]
+    )
+    def test_order_and_adjacency_follow_every_write(self, steps):
+        site = WikiSite()
+        self._check(site)
+        for step in steps:
+            title = _SPELLINGS[step[1]]
+            if step[0] == "delete":
+                if site.has(title):
+                    site.delete(title)
+            else:
+                try:
+                    site.save(title, _text(*step[2:]))
+                except WikiError:
+                    pass
+            self._check(site)
+
+
 class TestSchemaMapping:
     @pytest.fixture
     def mapping(self):
