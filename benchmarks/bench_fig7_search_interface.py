@@ -4,9 +4,25 @@ Benchmarks every interaction the query form offers: keyword search,
 property filtering through SQL and SPARQL, relaxed (match-degree)
 search, map-based browsing, sorting modes, autocomplete, dynamic
 drop-downs and recommendations.
+
+Autocomplete is timed on the first read after a write, the case the
+form meets while "new metadata pages are continuously created", beside
+a repeat read; both land in ``results/fig7_autocomplete.txt``.
 """
 
+import os
+import statistics
+import time
+
 import pytest
+
+from repro.core.engine import AdvancedSearchEngine
+from repro.smr.repository import SensorMetadataRepository
+from repro.workloads.stream import MutationStream
+
+# REPRO_BENCH_SMOKE=1: fewer write/read rounds.
+SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
+AUTOCOMPLETE_ROUNDS = 5 if SMOKE else 30
 
 
 def test_fig7_keyword_search(engine, benchmark):
@@ -72,10 +88,66 @@ def test_fig7_property_sort(engine, benchmark):
     assert values == sorted(values, reverse=True)
 
 
-def test_fig7_autocomplete_title(engine, benchmark):
-    engine.autocomplete.complete_title("S")  # build the trie once
-    completions = benchmark(lambda: engine.autocomplete.complete_title("Station:"))
-    assert completions
+@pytest.fixture(scope="module")
+def observed(corpus):
+    """An engine of its own, and a supply of sensor observations for it.
+
+    Each observation is one ``register()`` that changes no link, so the
+    ranker keeps its scores and only the write itself stands between a
+    first read and a repeat read. The shared engine stays unwritten.
+    """
+    smr = SensorMetadataRepository.from_corpus(corpus)
+    engine = AdvancedSearchEngine(smr)
+    engine.ranker.scores()
+    stream = MutationStream(corpus, seed=1)
+
+    def observe() -> None:
+        event = stream.next_event()
+        while event.event != "observe":
+            event = stream.next_event()
+        event.apply(smr)
+
+    return engine, observe
+
+
+@pytest.fixture(scope="module")
+def autocomplete_timings(write_result):
+    """Completion -> (first reads after a write, repeat reads) in seconds."""
+    timings = {}
+    yield timings
+    lines = ["completion: median ms of the first read after a write / of a repeat read\n"]
+    for name, (first, repeat) in sorted(timings.items()):
+        lines.append(
+            f"{name}: first {statistics.median(first) * 1e3:.3f} ms (n={len(first)}), "
+            f"repeat {statistics.median(repeat) * 1e3:.3f} ms (n={len(repeat)})\n"
+        )
+    write_result("fig7_autocomplete.txt", "".join(lines))
+
+
+@pytest.mark.parametrize(
+    "method,prefix", [("complete_title", "Station:"), ("complete_property", "s")]
+)
+def test_fig7_autocomplete_after_write(observed, autocomplete_timings, benchmark, method, prefix):
+    engine, observe = observed
+    complete = getattr(engine.autocomplete, method)
+    first = []
+
+    def read_after_write():
+        started = time.perf_counter()
+        completions = complete(prefix)
+        first.append(time.perf_counter() - started)
+        return completions
+
+    completions = benchmark.pedantic(
+        read_after_write, setup=observe, rounds=AUTOCOMPLETE_ROUNDS, iterations=1
+    )
+    repeat = []
+    for _ in range(AUTOCOMPLETE_ROUNDS):
+        started = time.perf_counter()
+        again = complete(prefix)
+        repeat.append(time.perf_counter() - started)
+    assert completions and again == completions
+    autocomplete_timings[f"{method}({prefix!r})"] = (first, repeat)
 
 
 def test_fig7_dynamic_dropdown(engine, benchmark):

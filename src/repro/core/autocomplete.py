@@ -1,7 +1,6 @@
 """Autocomplete and the dynamic drop-downs of the query interface (Fig. 7).
 
-Three completion surfaces, all trie-backed and weighted so popular
-entries surface first:
+Three completion surfaces, weighted so popular entries surface first:
 
 - page titles (weighted by PageRank — important pages complete first);
 - semantic property names (weighted by usage count);
@@ -9,14 +8,23 @@ entries surface first:
   "drop-down menus that change dynamically based on the chosen
   properties of schema".
 
-Invariant — **stamped with the generation they were built from.** The
-title trie (with its case map), the property trie and the values dict
-are each one ``(generation, value)`` memo, where the generation is
-:attr:`~repro.core.ranking.PageRankRanker.generation`. It is read before
-a rebuild, and the first read after a write or a forced ranker refresh
-rebuilds the memo, so no caller has to invalidate anything. A rebuilt
-memo is published in one assignment: a concurrent reader sees the old
-value or the new one, never a half-built trie.
+Invariants:
+
+- **Titles and properties read what every write keeps.** A title
+  completion ranks :meth:`~repro.wiki.site.WikiSite.titles_with_prefix`,
+  a bisect over the wiki's kept sorted keys, and a property completion
+  filters :meth:`~repro.wiki.site.WikiSite.property_counts`; both are
+  current after every ``register()`` and read under ``smr.lock.read()``,
+  so the first read after a write costs what a repeat read costs. Both
+  order matches by weight descending, then by lower-case text.
+- **Drop-down values stamped with the generation they were built from.**
+  The values dict is one ``(generation, value)`` memo, where the
+  generation is :attr:`~repro.core.ranking.PageRankRanker.generation`.
+  It is read before a rebuild, and the first read after a write or a
+  forced ranker refresh rebuilds the memo, so no caller has to
+  invalidate anything. A rebuilt memo is published in one assignment: a
+  concurrent reader sees the old value or the new one, never a half-built
+  dict.
 """
 
 from __future__ import annotations
@@ -27,21 +35,18 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.core.ranking import Generation, PageRankRanker
 from repro.errors import QueryError
 from repro.smr.repository import SensorMetadataRepository
-from repro.text.trie import Trie
 
 #: One (kind, property) drop-down: distinct values with usage counts.
 ValueCounts = List[Tuple[Any, int]]
 
 
 class AutocompleteService:
-    """Lazy, generation-stamped completion indexes over one SMR."""
+    """Completions over one SMR; only the drop-down values are memoized."""
 
     def __init__(self, smr: SensorMetadataRepository, ranker: PageRankRanker):
         self.smr = smr
         self.ranker = ranker
-        # Each memo is (generation, value); ``None`` until first built.
-        self._titles: Optional[Tuple[Generation, Tuple[Trie, Dict[str, str]]]] = None
-        self._properties: Optional[Tuple[Generation, Trie]] = None
+        # (generation, (kind, property) -> values); ``None`` until first built.
         self._values: Optional[
             Tuple[Generation, Dict[Tuple[Optional[str], str], ValueCounts]]
         ] = None
@@ -51,38 +56,32 @@ class AutocompleteService:
     # ------------------------------------------------------------------
 
     def complete_title(self, prefix: str, limit: int = 10) -> List[str]:
-        """Page-title completions, most important pages first."""
-        generation = self.ranker.generation
-        memo = self._titles
-        if memo is None or memo[0] != generation:
-            trie = Trie()
-            case: Dict[str, str] = {}  # lower-case -> original title
-            scores = self.ranker.scores()
-            for title in self.smr.titles():
-                trie.insert(title, weight=1.0 + scores.get(title, 0.0) * 1000.0)
-                case[title.lower()] = title
-            memo = self._titles = (generation, (trie, case))
-        trie, case = memo[1]
-        return [case.get(item, item) for item in trie.complete(prefix, limit=limit)]
+        """Page-title completions, most important pages first.
+
+        A title weighs ``1.0 + 1000 * score`` by its PageRank; equal
+        weights order by lower-case title. Matching ignores case.
+        """
+        scores = self.ranker.scores()  # before the lock: it may take the refresh lock
+        with self.smr.lock.read():
+            titles = self.smr.wiki.titles_with_prefix(prefix)
+        weighted = sorted(
+            titles, key=lambda title: (-(1.0 + scores.get(title, 0.0) * 1000.0), title.lower())
+        )
+        return weighted[:limit]
 
     # ------------------------------------------------------------------
     # Properties
     # ------------------------------------------------------------------
 
     def complete_property(self, prefix: str, limit: int = 10) -> List[str]:
-        """Semantic-property-name completions, most used first."""
-        generation = self.ranker.generation
-        memo = self._properties
-        if memo is None or memo[0] != generation:
-            trie = Trie()
-            usage: Counter = Counter()
-            for title in self.smr.titles():
-                for prop, _ in self.smr.annotations(title):
-                    usage[prop.lower()] += 1
-            for prop, count in usage.items():
-                trie.insert(prop, weight=float(count))
-            memo = self._properties = (generation, trie)
-        return memo[1].complete(prefix, limit=limit)
+        """Lower-case property-name completions, most used first, then alphabetical."""
+        lowered = prefix.lower()
+        with self.smr.lock.read():
+            counts = self.smr.wiki.property_counts()
+        names = sorted(
+            (-count, name) for name, count in counts.items() if name.startswith(lowered)
+        )
+        return [name for _, name in names[:limit]]
 
     # ------------------------------------------------------------------
     # Dynamic drop-downs (values per property)

@@ -19,8 +19,8 @@ Invariants:
   the blend (:func:`~repro.pagerank.doublelink.blend_transition`) and
   the problem are built after the lock is released. The blended CSR
   arrays are bit for bit those of the per-page blend over walked link
-  graphs, and explanations and personalized scores are bit for bit those
-  of a ranker that rebuilds every input on every call.
+  graphs, and personalized scores are bit for bit those of a ranker that
+  rebuilds every input on every call.
 - **Scores stamped on the link structure.** PageRank is a function of
   the titles, the two link graphs, ``alpha`` and ``teleport``, so the
   score map is stamped ``(link_generation, epoch)``: it is solved again
@@ -29,7 +29,10 @@ Invariants:
   observation, a description edit) moves only ``mutation_count``; the
   next :meth:`~PageRankRanker.scores` reads both counters together under
   ``smr.lock.read()``, advances its ``mutation_count`` stamp and returns
-  the same map object, with no solve, event or metric. Property weights
+  the same map object, with no solve, event or metric. Each solve keeps
+  its titles, problem and score vector beside the map, and
+  :meth:`~PageRankRanker.explain` decomposes against that vector, bit for
+  bit the map's values in title order. Property weights
   sum scores over annotations, which such a write does change, so they
   carry their own stamp, :attr:`~PageRankRanker.generation`; one
   ``smr.lock.read()`` takes every page's parsed annotations, and the
@@ -48,6 +51,7 @@ from __future__ import annotations
 
 import threading
 import time
+from bisect import bisect_left
 from itertools import repeat
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
@@ -73,6 +77,22 @@ Generation = Tuple[int, int]
 #: ``(WikiSite.link_generation, ranker.epoch)`` of the last solve.
 LinkStamp = Tuple[int, int]
 
+#: The sorted titles, the blended problem and the score vector of one
+#: solve (``None`` for both when the wiki has no page).
+Solution = Tuple[List[str], Optional[PageRankProblem], Optional[np.ndarray]]
+
+#: The incremental path declines when more than this fraction of the
+#: rows is dirty: a warm-started full sweep then costs less per unit of
+#: progress.
+INCREMENTAL_THRESHOLD = 0.25
+
+
+def _position(titles: List[str], title: str) -> Optional[int]:
+    """Where ``title`` (any case) is in ``titles``, sorted by ``str.lower``; None if absent."""
+    key = title.strip().lower()
+    at = bisect_left(titles, key, key=str.lower)
+    return at if at < len(titles) and titles[at].lower() == key else None
+
 
 def _top_k(pairs: Iterable[Tuple[str, float]], k: int) -> List[Tuple[str, float]]:
     """The ``k`` highest-scored ``(name, score)`` pairs, ties by name."""
@@ -92,9 +112,9 @@ class PageRankRanker:
     vector: small deltas go through the localized
     :func:`~repro.pagerank.incremental.refine_incremental` relaxation
     (only dirty rows are touched), and anything past
-    ``incremental_threshold`` (a fraction of pages dirty) falls back to a
-    full warm-started Gauss–Seidel solve. ``refresh()`` forces the full
-    solve path.
+    :data:`INCREMENTAL_THRESHOLD` (a fraction of pages dirty) falls back
+    to a full warm-started Gauss–Seidel solve. ``refresh()`` forces the
+    full solve path.
     """
 
     def __init__(
@@ -105,7 +125,6 @@ class PageRankRanker:
         method: str = "gauss_seidel",
         tol: float = 1e-10,
         max_iter: int = 5000,
-        incremental_threshold: float = 0.25,
     ):
         self.smr = smr
         self.alpha = alpha
@@ -113,26 +132,21 @@ class PageRankRanker:
         self.method = method
         self.tol = tol
         self.max_iter = max_iter
-        self.incremental_threshold = incremental_threshold
         # Replaced on each solve, never mutated in place: the next solve
         # warm-starts from it.
         self._scores: Dict[str, float] = {}
+        # The inputs and vector of the solve that made ``_scores``.
+        self._solution: Solution = ([], None, None)
         self._solved_at: Optional[LinkStamp] = None
         # The generation scores() last checked the stamp at.
         self._checked_at: Optional[Generation] = None
         self._property_weights: Optional[Tuple[Generation, Dict[str, float]]] = None
         # Serializes recomputes: several request threads can hit a stale
         # cache at once — one solve is expensive enough without N copies.
-        # Reentrant because _explain_snapshot() -> scores() may recompute.
-        self._refresh_lock = threading.RLock()
+        self._refresh_lock = threading.Lock()
         # The link-structure memo (see _link_structure), stamped
         # (link_generation, alpha, teleport).
         self._structure_memo: Optional[Tuple[Tuple[int, float, float], LinkStructure]] = None
-        # Per-generation snapshot backing explain(): the titles, an index
-        # map, the problem and the score vector. Stamped with
-        # ``generation`` so writes and forced refreshes both invalidate
-        # it; built lazily on first explain.
-        self._explain_memo: Optional[Tuple[Generation, Dict[str, Any]]] = None
         #: Bumped by :meth:`refresh`. Result caches that embed PageRank
         #: scores fold this into their generation stamp, so forcing a
         #: re-solve also invalidates cached search results.
@@ -162,8 +176,8 @@ class PageRankRanker:
         """The generation derived views are stamped with: (SMR mutations, epoch).
 
         Any page write bumps the first component; a forced :meth:`refresh`
-        bumps the second. The engine's result cache, the autocomplete
-        memos and the property weights read it before each rebuild, so a
+        bumps the second. The engine's result cache, the drop-down values
+        memo and the property weights read it before each rebuild, so a
         write or a forced re-solve reaches them on their next read.
         """
         return (self.smr.mutation_count, self.epoch)
@@ -241,6 +255,7 @@ class PageRankRanker:
         titles, problem = self._link_structure()
         if not titles:
             self._scores = {}
+            self._solution = (titles, None, None)
             self._solved_at = stamp
             return
         # A new epoch (refresh()) forces the full solve.
@@ -280,13 +295,14 @@ class PageRankRanker:
         self.last_refresh_mode = mode
         self._record_refresh(mode, problem.n)
         self._scores = dict(zip(titles, scores_vec.tolist()))
+        self._solution = (titles, problem, scores_vec)
         self._solved_at = stamp
 
     def _try_incremental(self, problem, y0: np.ndarray) -> Optional[np.ndarray]:
         """Localized dirty-set recompute; None when a full solve is due.
 
         Declines when the initial residual marks more than
-        ``incremental_threshold`` of all pages dirty (a full sweep is
+        :data:`INCREMENTAL_THRESHOLD` of all pages dirty (a full sweep is
         then cheaper per unit of progress) or when the relaxation budget
         runs out before convergence — the caller falls back to the
         warm-started full solver either way, so correctness never depends
@@ -315,7 +331,7 @@ class PageRankRanker:
             "ranking_dirty_pages",
             "Rows marked dirty by the most recent incremental refresh attempt.",
         ).set(float(dirty.size))
-        if dirty.size > self.incremental_threshold * problem.n:
+        if dirty.size > INCREMENTAL_THRESHOLD * problem.n:
             return None
         result = refine_incremental(
             problem, y, tol=self.tol, residual=residual
@@ -435,36 +451,6 @@ class PageRankRanker:
     # Score provenance ("why is this page ranked here")
     # ------------------------------------------------------------------
 
-    def _explain_snapshot(self) -> Dict[str, Any]:
-        """The per-generation state :meth:`explain` decomposes against.
-
-        Same generation-before-data, double-checked-lock shape as the
-        score cache: the :attr:`generation` stamp is read before the link
-        structure, so a racing write can at worst stamp fresh state stale
-        (rebuilt next call), never stale state fresh. The snapshot holds
-        the ranker's titles and combined double-link problem, whose cached
-        transpose is the in-link index the decomposition reads.
-        """
-        stamp = self.generation
-        memo = self._explain_memo
-        if memo is not None and memo[0] == stamp:
-            return memo[1]
-        with self._refresh_lock:
-            stamp = self.generation
-            memo = self._explain_memo
-            if memo is not None and memo[0] == stamp:
-                return memo[1]
-            scores = self.scores()
-            titles, problem = self._link_structure()
-            state: Dict[str, Any] = {
-                "titles": titles,
-                "index": {title.strip().lower(): i for i, title in enumerate(titles)},
-                "problem": problem,
-                "x": np.array([scores.get(title, 0.0) for title in titles]),
-            }
-            self._explain_memo = (stamp, state)
-            return state
-
     def explain(self, title: str, top_k: int = 5) -> Dict[str, Any]:
         """Decompose one page's PageRank into its Eq. 2 fixed-point terms.
 
@@ -476,15 +462,16 @@ class PageRankRanker:
         teleport terms, and the solver ``residual``. The parts sum to the
         reported score exactly. Unknown titles raise
         :class:`~repro.errors.QueryError`.
+
+        The decomposition reads the titles, problem and score vector the
+        current scores were solved with, so all three come from one solve.
         """
-        state = self._explain_snapshot()
-        position = state["index"].get(title.strip().lower())
+        self.scores()
+        titles, problem, x = self._solution
+        position = _position(titles, title)
         if position is None:
             raise QueryError(f"unknown page {title!r}")
-        decomposition = decompose_score(
-            state["problem"], state["x"], position, top_k=top_k
-        )
-        titles = state["titles"]
+        decomposition = decompose_score(problem, x, position, top_k=top_k)
         key = titles[position].strip().lower()
         contributions = []
         with self.smr.lock.read():  # direct wiki access, same as _link_structure
@@ -514,10 +501,9 @@ class PageRankRanker:
         Unknown seed titles raise :class:`QueryError`.
         """
         titles, problem = self._link_structure()
-        index = {title.strip().lower(): i for i, title in enumerate(titles)}
         seeds = []
         for title in seed_titles:
-            position = index.get(title.strip().lower())
+            position = _position(titles, title)
             if position is None:
                 raise QueryError(f"unknown page {title!r} in personalization seeds")
             seeds.append(position)

@@ -37,9 +37,11 @@ Invariants:
   what re-filtering would do anyway, and a histogram never buckets
   NULLs.
 - **Version-gated staleness.** The catalog refreshes a table's
-  statistics lazily when its mutation ``version`` moves; estimates may
-  lag a write, plans may be momentarily suboptimal, but the superset
-  rule above keeps results exact regardless.
+  statistics lazily when its mutation ``version`` moves, and the planner
+  asks for them only to price an index path: a SeqScan is priced from
+  the live row count, so a filter no index covers collects nothing.
+  Estimates may lag a write, plans may be momentarily suboptimal, but
+  the superset rule above keeps results exact regardless.
 """
 
 from __future__ import annotations
@@ -250,7 +252,7 @@ class Catalog:
     delete, update, rollback replay and schema change); a cached
     :class:`TableStats` whose version matches is served as-is, so the
     planner costs nothing on a read-only workload and re-scans a table
-    at most once per write burst.
+    at most once per write burst, and only when an index path is priced.
     """
 
     def __init__(self, tables: Dict[str, Any]):
@@ -508,22 +510,26 @@ class Planner:
         self.catalog = catalog
 
     def plan_scan(self, table, alias: str, where: Optional[Expr]) -> AccessPlan:
-        """The cheapest access path for scanning ``table`` under ``where``."""
-        stats = self.catalog.stats(table)
-        rows = stats.row_count
+        """The cheapest access path for scanning ``table`` under ``where``.
+
+        The SeqScan is priced from ``len(table)``, the live row count the
+        statistics report. Statistics are fetched only for an index path,
+        so a filter no index covers costs no collection after a write.
+        """
+        rows = len(table)
         candidates = [AccessPlan(AccessPath("seq"), cost=rows * SEQ_ROW_COST, rows=rows)]
         if where is not None and rows > 0:
-            candidates.extend(self._equality_plans(table, alias, where, stats))
+            candidates.extend(self._equality_plans(table, alias, where))
             bounds = collect_bounds(where, alias, table.schema)
-            candidates.extend(self._range_plans(table, stats, bounds))
-            candidates.extend(self._rtree_plans(table, stats, bounds))
+            candidates.extend(self._range_plans(table, bounds))
+            candidates.extend(self._rtree_plans(table, bounds))
         # Cheapest wins; ties break toward fewer estimated rows, then
         # toward index paths (seq sorts last via the kind key).
         return min(candidates, key=lambda plan: (plan.cost, plan.rows, plan.path.kind == "seq"))
 
     # -- candidate enumeration ------------------------------------------
 
-    def _equality_plans(self, table, alias, where, stats) -> List[AccessPlan]:
+    def _equality_plans(self, table, alias, where) -> List[AccessPlan]:
         plans = []
         for conjunct in conjuncts(where):
             matched = equality_on_alias(conjunct, alias)
@@ -535,6 +541,7 @@ class Planner:
             for index in table.indexes.values():
                 if not index.supports_eq or index.columns != (column.lower(),):
                     continue
+                stats = self.catalog.stats(table)
                 est = equality_selectivity(stats, column.lower()) * stats.row_count
                 plans.append(
                     AccessPlan(
@@ -547,12 +554,13 @@ class Planner:
                 )
         return plans
 
-    def _range_plans(self, table, stats, bounds) -> List[AccessPlan]:
+    def _range_plans(self, table, bounds) -> List[AccessPlan]:
         plans = []
         for column, interval in bounds.items():
             for index in table.indexes.values():
                 if not index.supports_range or index.columns != (column,):
                     continue
+                stats = self.catalog.stats(table)
                 selectivity = range_selectivity(stats, column, interval)
                 est = selectivity * stats.row_count
                 plans.append(
@@ -572,7 +580,7 @@ class Planner:
                 )
         return plans
 
-    def _rtree_plans(self, table, stats, bounds) -> List[AccessPlan]:
+    def _rtree_plans(self, table, bounds) -> List[AccessPlan]:
         plans = []
         for index in table.indexes.values():
             if not index.supports_box:
@@ -582,6 +590,12 @@ class Planner:
             bounds_y = bounds.get(column_y)
             if bounds_x is None and bounds_y is None:
                 continue
+            empty = _Bounds()
+            bx = bounds_x or empty
+            by = bounds_y or empty
+            if not all(_numeric(v) for v in (bx.low, bx.high, by.low, by.high)):
+                continue
+            stats = self.catalog.stats(table)
             sel_x = (
                 range_selectivity(stats, column_x, bounds_x) if bounds_x is not None else 1.0
             )
@@ -589,11 +603,6 @@ class Planner:
                 range_selectivity(stats, column_y, bounds_y) if bounds_y is not None else 1.0
             )
             est = sel_x * sel_y * stats.row_count
-            empty = _Bounds()
-            bx = bounds_x or empty
-            by = bounds_y or empty
-            if not all(_numeric(v) for v in (bx.low, bx.high, by.low, by.high)):
-                continue
             plans.append(
                 AccessPlan(
                     AccessPath(

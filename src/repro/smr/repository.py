@@ -355,11 +355,6 @@ class SensorMetadataRepository:
         with self.lock.read():
             return self.wiki.annotations(title)
 
-    def property_names(self) -> List[str]:
-        """Every semantic property used anywhere, sorted."""
-        with self.lock.read():
-            return self.wiki.property_names()
-
     # ------------------------------------------------------------------
     # Query surfaces (the "combination of SQL and SPARQL")
     # ------------------------------------------------------------------

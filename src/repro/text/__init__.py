@@ -1,15 +1,13 @@
 """Text and information-retrieval substrate.
 
 The advanced search interface needs keyword search over page text and
-metadata values, and autocomplete for the query form (Fig. 7). This
-package supplies those pieces:
+metadata values (Fig. 7). This package supplies those pieces:
 
 - :mod:`repro.text.tokenize` — tokenizer and n-gram helpers;
 - :mod:`repro.text.stopwords` — the English stopword list;
 - :mod:`repro.text.stemmer` — a from-scratch Porter stemmer;
 - :mod:`repro.text.inverted_index` — ranked keyword search, Okapi BM25
-  over OR semantics;
-- :mod:`repro.text.trie` — prefix trie powering autocomplete.
+  over OR semantics.
 
 The cosine similarity between tag vectors (Section IV) lives with its
 one user, :mod:`repro.tagging.similarity`.
@@ -21,7 +19,6 @@ from repro.text.stemmer import porter_stem
 from repro.text.fuzzy import levenshtein, suggest
 from repro.text.inverted_index import InvertedIndex
 from repro.text.snippet import Snippet, best_snippet
-from repro.text.trie import Trie
 
 __all__ = [
     "tokenize",
@@ -34,5 +31,4 @@ __all__ = [
     "best_snippet",
     "levenshtein",
     "suggest",
-    "Trie",
 ]

@@ -19,7 +19,11 @@ that name it, and the link graphs, the RDF refresh after a creation and
 the recommender read the kept structures instead of walking the wiki.
 A refused save changes neither. The sorted page keys, with the titles in
 the same order, are kept by the same writes, so :meth:`WikiSite.titles`
-is a list copy and no link-structure build sorts every title.
+is a list copy, no link-structure build sorts every title, and
+:meth:`WikiSite.titles_with_prefix` is two bisects. The same writes keep
+the number of annotations using each property name, after every refusal
+check, so :meth:`WikiSite.property_counts` and
+:meth:`WikiSite.property_names` walk no page.
 """
 
 from __future__ import annotations
@@ -58,6 +62,9 @@ LinkTargets = Tuple[Tuple[str, ...], Tuple[str, ...]]
 
 _NO_TARGETS: LinkTargets = ((), ())
 
+#: The greatest code point, which no character sorts after.
+_LAST_CHAR = chr(sys.maxunicode)
+
 
 def title_to_iri(title: str) -> IRI:
     """Deterministically map a page title to its RDF identifier."""
@@ -84,6 +91,8 @@ class WikiSite:
         # The page keys in sorted order, and the titles in the same order.
         self._keys: List[str] = []
         self._titles: List[str] = []
+        # Lower-case property name -> annotations using it, in every page.
+        self._property_counts: Dict[str, int] = {}
         self._link_generation = 0
 
     # ------------------------------------------------------------------
@@ -144,6 +153,7 @@ class WikiSite:
             self._titles.insert(at, title)
             self._parsed[key] = parsed
             self._title_of_iri[iri] = title
+            self._count_properties(parsed, 1)
             self._add_backlinks(key, named)
             self._targets[key] = self._resolve(key, named, parsed)
             for source in self._sources(key):
@@ -155,12 +165,25 @@ class WikiSite:
         if targets != self._targets[key]:
             self._targets[key] = targets
             self._link_generation += 1
+        self._count_properties(self._parsed[key], -1)
+        self._count_properties(parsed, 1)
         old = _named_keys(self._parsed[key])
         self._drop_backlinks(key, old - named)
         self._add_backlinks(key, named - old)
         page.edit(text, author=author, comment=comment)
         self._parsed[key] = parsed
         return page
+
+    def _count_properties(self, parsed: ParsedWikitext, step: int) -> None:
+        """Add ``step`` per annotation of ``parsed`` to its property's count."""
+        counts = self._property_counts
+        for prop, _ in parsed.annotations:
+            name = prop.lower()
+            count = counts.get(name, 0) + step
+            if count:
+                counts[name] = count
+            else:
+                del counts[name]
 
     def link_targets(self, title: str) -> LinkTargets:
         """Keys of the other existing pages ``title`` links to, and annotates with.
@@ -250,7 +273,9 @@ class WikiSite:
         page = self._pages.pop(key)
         at = bisect_left(self._keys, key)
         del self._keys[at], self._titles[at]
-        self._drop_backlinks(key, _named_keys(self._parsed.pop(key)))
+        parsed = self._parsed.pop(key)
+        self._count_properties(parsed, -1)
+        self._drop_backlinks(key, _named_keys(parsed))
         del self._targets[key]
         del self._title_of_iri[title_to_iri(page.title).value]
         for source in self._sources(key):
@@ -295,6 +320,22 @@ class WikiSite:
         and the kept sorted keys give this order without a sort.
         """
         return list(self._titles)
+
+    def titles_with_prefix(self, prefix: str) -> List[str]:
+        """The titles whose lower case starts with ``prefix.lower()``, in :meth:`titles` order.
+
+        The kept sorted keys hold such titles in one run, found with two
+        bisects: it starts at ``prefix.lower()`` and ends before the prefix
+        with its last character incremented, which every key starting with
+        the prefix sorts below. A trailing :data:`_LAST_CHAR` has no
+        successor, so it is dropped first; a prefix of nothing else
+        matches every key.
+        """
+        keys, lowered = self._keys, prefix.lower()
+        start = bisect_left(keys, lowered)
+        head = lowered.rstrip(_LAST_CHAR)
+        end = bisect_left(keys, head[:-1] + chr(ord(head[-1]) + 1)) if head else len(keys)
+        return self._titles[start:end]
 
     def pages(self) -> Iterator[Page]:
         """Iterate pages in title order."""
@@ -367,14 +408,13 @@ class WikiSite:
         """The (attribute, value) pairs of ``title``'s current revision."""
         return list(self.parsed(title).annotations)
 
+    def property_counts(self) -> Dict[str, int]:
+        """Lower-case property name -> the annotations using it, over every page."""
+        return dict(self._property_counts)
+
     def property_names(self) -> List[str]:
         """Every semantic property used anywhere, lower-case sorted."""
-        names = {
-            prop.lower()
-            for title in self.titles()
-            for prop, _ in self.parsed(title).annotations
-        }
-        return sorted(names)
+        return sorted(self._property_counts)
 
     def property_values(self, prop: str) -> List[Any]:
         """Every value of ``prop`` across the wiki (duplicates kept)."""

@@ -351,9 +351,10 @@ class TestWriteThroughLookupsUnderThreads:
 class TestDerivedViewsUnderThreads:
     """Readers race a writer through autocomplete and recommendations.
 
-    Each memo is published in one assignment and stamped with the
-    generation read before its build, so a reader never sees a trie
-    without its case map, a read never reflects fewer writes than an
+    Completions read the wiki's kept structures under the read lock, and
+    each memo is published in one assignment and stamped with the
+    generation read before its build, so a completion is never a
+    lower-cased title, a read never reflects fewer writes than an
     earlier read on the same thread, and after the writer stops every
     view equals a fresh build.
     """

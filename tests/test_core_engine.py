@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -490,6 +491,64 @@ class TestAutocomplete:
         with pytest.raises(QueryError):
             engine.autocomplete.values_for("")
 
+    @staticmethod
+    def _hub_and_leaves():
+        """Four leaves linking to a hub; ``davos`` (once as ``Davos``) and
+        ``name`` used 5 times, ``wind_speed`` 4 and ``davo`` 3."""
+        smr = SensorMetadataRepository()
+        smr.register("station", "Station:Hub", [("name", "hub"), ("Davos", 0)])
+        for i in range(4):
+            annotations = [("name", f"leaf{i}"), ("davos", i), ("wind_speed", i)]
+            if i < 3:
+                annotations.append(("davo", i))
+            smr.register("station", f"Station:Leaf{i}", annotations, links=["Station:Hub"])
+        return AdvancedSearchEngine(smr)
+
+    def test_complete_by_weight(self):
+        engine = self._hub_and_leaves()
+        titles = engine.autocomplete.complete_title("station:")
+        assert titles[0] == "Station:Hub"  # the most linked-to page
+        scores = engine.ranker.scores()
+        for before, after in zip(titles, titles[1:]):  # equal scores: alphabetical
+            assert (-scores[before], before.lower()) < (-scores[after], after.lower())
+        assert engine.autocomplete.complete_property("") == [
+            "davos", "name", "wind_speed", "davo"  # 5, 5, 4 and 3 uses
+        ]
+
+    def test_complete_limit(self):
+        autocomplete = self._hub_and_leaves().autocomplete
+        titles = autocomplete.complete_title("station:", limit=2)
+        assert len(titles) == 2 and titles[0] == "Station:Hub"
+        assert autocomplete.complete_property("d", limit=1) == ["davos"]
+        assert autocomplete.complete_title("s", limit=0) == []
+        assert autocomplete.complete_property("", limit=0) == []
+
+    def test_complete_missing_prefix(self):
+        autocomplete = self._hub_and_leaves().autocomplete
+        assert autocomplete.complete_title("zzz") == []
+        assert autocomplete.complete_property("zzz") == []
+        empty = AdvancedSearchEngine(SensorMetadataRepository()).autocomplete
+        assert empty.complete_title("") == [] and empty.complete_property("") == []
+
+    def test_usage_accumulates_across_pages_and_case(self):
+        # "Davos" on the hub and "davos" on four leaves are one property.
+        autocomplete = self._hub_and_leaves().autocomplete
+        assert autocomplete.complete_property("DAV") == ["davos", "davo"]
+        assert sorted(autocomplete.complete_title("STATION:LEAF")) == [
+            "Station:Leaf0", "Station:Leaf1", "Station:Leaf2", "Station:Leaf3"
+        ]
+
+    @given(st.lists(st.text(alphabet="abÄäİ", min_size=1, max_size=4), min_size=1, max_size=12))
+    @settings(max_examples=40, deadline=None)
+    def test_every_title_completes_to_itself(self, words):
+        smr = SensorMetadataRepository()
+        for word in words:
+            smr.register("station", f"Station:{word}", [("name", word)])
+        autocomplete = AdvancedSearchEngine(smr).autocomplete
+        for title in smr.titles():
+            for prefix in (title, title.upper(), title.lower()):
+                assert title in autocomplete.complete_title(prefix, limit=len(words))
+
 
 #: What the derived-view write sequences draw from: page titles, string
 #: properties and values, the properties a page-valued annotation uses,
@@ -514,16 +573,39 @@ _derived_step = st.one_of(
 
 
 class TestDerivedViewsFollowWrites:
-    """Autocomplete, recommendations and tag clouds equal a fresh build
-    after every write, tag change and forced ranker refresh."""
+    """Completions equal a walk of every page, and drop-down values,
+    recommendations and tag clouds a fresh build, after every write, tag
+    change and forced ranker refresh."""
 
     @staticmethod
-    def _check(engine, tagging):
+    def _walked_completions(smr, ranker, prefix, limit):
+        """Title and property completions from a walk of every page.
+
+        Titles weigh ``1.0 + 1000 * score`` and properties their
+        annotation count; heaviest first, ties by lower-case text, and a
+        prefix matches in any case.
+        """
+        lowered, scores = prefix.lower(), ranker.scores()
+        titles = sorted(
+            (title for title in smr.titles() if title.lower().startswith(lowered)),
+            key=lambda title: (-(1.0 + 1000.0 * scores.get(title, 0.0)), title.lower()),
+        )
+        usage = Counter(
+            prop.lower() for title in smr.titles() for prop, _ in smr.annotations(title)
+        )
+        names = sorted(
+            (name for name in usage if name.startswith(lowered)),
+            key=lambda name: (-usage[name], name),
+        )
+        return titles[:limit], names[:limit]
+
+    @classmethod
+    def _check(cls, engine, tagging):
         smr, ranker = engine.smr, engine.ranker
         live, fresh = engine.autocomplete, AutocompleteService(smr, ranker)
-        for prefix in ("", "s", "station:", "sensor:", "m"):
-            assert live.complete_title(prefix, 20) == fresh.complete_title(prefix, 20)
-            assert live.complete_property(prefix, 20) == fresh.complete_property(prefix, 20)
+        for prefix in ("", "s", "station:", "SENSOR:", "m", "zz"):
+            walked = cls._walked_completions(smr, ranker, prefix, 20)
+            assert (live.complete_title(prefix, 20), live.complete_property(prefix, 20)) == walked
         for prop in _PROPS + ["station"]:
             for kind in (None, "station", "sensor"):
                 assert live.values_for(prop, kind) == fresh.values_for(prop, kind)

@@ -117,6 +117,13 @@ DELETED_ENGINE_PATHS = re.compile(
     r"spatial_index=False|BBoxScan|_evaluate_constraints|_filter_strategy|_titles_in_bbox"
 )
 
+#: The deleted prefix trie: title and property completion read the
+#: wiki's kept sorted titles and property counts, so no document may
+#: still describe a trie behind autocomplete.
+DELETED_AUTOCOMPLETE = re.compile(
+    r"\bTrie\b|repro\.text\.trie|(?i:(?:autocomplete|title|property)\s+tries?\b)"
+)
+
 #: Claims that once were true and must never reappear: (file, regex,
 #: what replaced them). Docs drift is a build failure, not a shrug.
 STALE_CLAIMS = [
@@ -167,9 +174,9 @@ STALE_CLAIMS = [
     (
         os.path.relpath(path, REPO_ROOT),
         DELETED_CACHES,
-        "the tag-cloud cache is a GenerationalLruCache, autocomplete and the "
-        "recommender rebuild on the first read after the generation moves, and "
-        "BM25 is the only keyword scorer",
+        "the tag-cloud cache is a GenerationalLruCache, the drop-down values "
+        "rebuild on the first read after the generation moves, and BM25 is the "
+        "only keyword scorer",
     )
     for path in _markdown_files()
 ] + [
@@ -178,6 +185,14 @@ STALE_CLAIMS = [
         DELETED_ENGINE_PATHS,
         "search and explain_search read one constraint list, and every bbox "
         "probes the R-tree",
+    )
+    for path in _markdown_files()
+] + [
+    (
+        os.path.relpath(path, REPO_ROOT),
+        DELETED_AUTOCOMPLETE,
+        "title and property completion read WikiSite.titles_with_prefix and the "
+        "kept property counts; the Trie is gone",
     )
     for path in _markdown_files()
 ]

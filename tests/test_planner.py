@@ -280,6 +280,28 @@ class TestCatalog:
         fresh = database.catalog.stats(table)
         assert fresh is not stats and fresh.row_count == 2
 
+    def test_statistics_collected_only_for_an_index_path(self, monkeypatch):
+        import repro.relational.planner as planner
+
+        smr = SensorMetadataRepository()
+        for i in range(4):
+            smr.register("sensor", f"Sensor:S{i}", [("name", f"s{i}"), ("accuracy", 0.1 * i)])
+        collected = []
+        collect = planner.collect_stats
+        monkeypatch.setattr(
+            planner, "collect_stats", lambda table: collected.append(table) or collect(table)
+        )
+        smr.register("sensor", "Sensor:S4", [("name", "s4"), ("accuracy", 0.4)])
+        explain = "EXPLAIN SELECT title FROM sensor WHERE accuracy < 0.25"
+        assert smr.sql(explain).rows[0][0] == "SeqScan(sensor) [rows=5.0 cost=5.00]"
+        assert len(smr.sql("SELECT title FROM sensor WHERE accuracy < 0.25")) == 3
+        assert collected == []  # no index covers accuracy: priced from len(table)
+        smr.db.execute("CREATE INDEX idx_accuracy ON sensor(accuracy) USING btree")
+        smr.register("sensor", "Sensor:S5", [("name", "s5"), ("accuracy", 0.5)])
+        assert len(smr.sql("SELECT title FROM sensor WHERE accuracy < 0.25")) == 3
+        assert smr.sql(explain).rows[0][0] == "SeqScan(sensor) [rows=6.0 cost=6.00]"
+        assert len(collected) == 1  # priced the B+-tree once after the write, then cached
+
     def test_snapshot_includes_index_structure(self):
         database = Database()
         database.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER)")

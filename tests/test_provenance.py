@@ -105,6 +105,7 @@ class TestScoreDecomposition:
                 + explanation["remainder"]
             )
             assert abs(parts - explanation["score"]) < 1e-9, title
+            assert explanation["score"] == engine.ranker.score(title)  # the solve's own vector
 
     def test_contributions_are_descending_and_bounded_by_top_k(self, engine):
         explanation = engine.ranker.explain("Station:WAN-001", top_k=2)
@@ -148,7 +149,7 @@ class TestScoreDecomposition:
             engine.ranker.explain("Page:Nope")
 
     def test_explain_survives_repository_writes(self, engine, smr):
-        """The memoized snapshot must refresh when the SMR generation moves."""
+        """Explanations follow a write to the solve that includes it."""
         before = engine.ranker.explain("Station:WAN-001")
         smr.register("station", "Station:WAN-999", [("name", "WAN-999")])
         after = engine.ranker.explain("Station:WAN-999")
@@ -159,6 +160,7 @@ class TestScoreDecomposition:
             + after["remainder"]
         )
         assert abs(parts - after["score"]) < 1e-9
+        assert after["score"] == engine.ranker.score("Station:WAN-999")
         assert before["title"] == "Station:WAN-001"
 
 

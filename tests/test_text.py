@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from repro.tagging.similarity import cosine_similarity
 from repro.text import (
     InvertedIndex,
-    Trie,
     is_stopword,
     porter_stem,
     tokenize,
@@ -281,51 +280,3 @@ class TestInvertedIndex:
         assert idx.total_token_count == sum(len(tokens) for tokens in docs.values())
         text = " ".join(query)
         assert idx.search(text) == _oracle_search(docs, text)
-
-
-class TestTrie:
-    def test_insert_and_contains(self):
-        trie = Trie()
-        trie.insert("Wannengrat")
-        assert "wannengrat" in trie
-        assert "wannen" not in trie
-        assert len(trie) == 1
-
-    def test_complete_by_weight(self):
-        trie = Trie()
-        trie.insert("wind speed", weight=5)
-        trie.insert("wind direction", weight=10)
-        trie.insert("window", weight=1)
-        assert trie.complete("wind") == ["wind direction", "wind speed", "window"]
-
-    def test_complete_limit(self):
-        trie = Trie()
-        for word in ("aa", "ab", "ac"):
-            trie.insert(word)
-        assert len(trie.complete("a", limit=2)) == 2
-
-    def test_complete_missing_prefix(self):
-        assert Trie().complete("zzz") == []
-
-    def test_reinsert_accumulates_weight(self):
-        trie = Trie()
-        trie.insert("davos", weight=1)
-        trie.insert("davos", weight=4)
-        trie.insert("davo", weight=3)
-        assert trie.complete("dav") == ["davos", "davo"]
-        assert len(trie) == 2
-
-    def test_words_sorted(self):
-        trie = Trie()
-        for word in ("beta", "alpha", "gamma"):
-            trie.insert(word)
-        assert trie.words() == ["alpha", "beta", "gamma"]
-
-    @given(st.lists(st.text(alphabet="abc", min_size=1, max_size=6), min_size=1, max_size=20))
-    @settings(max_examples=80, deadline=None)
-    def test_every_inserted_word_completable(self, words):
-        trie = Trie()
-        for word in words:
-            trie.insert(word)
-        for word in words:
-            assert word in trie.complete(word, limit=len(words) + 1) or word in trie

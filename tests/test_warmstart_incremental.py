@@ -464,9 +464,10 @@ class TestRankerRefreshModes:
         drift = sum(abs(by_increment[t] - by_full[t]) for t in by_full)
         assert drift < 100 * incremental.tol
 
-    def test_threshold_zero_disables_incremental(self):
+    def test_threshold_zero_disables_incremental(self, monkeypatch):
+        monkeypatch.setattr(ranking, "INCREMENTAL_THRESHOLD", 0.0)
         smr = _make_smr()
-        ranker = PageRankRanker(smr, incremental_threshold=0.0)
+        ranker = PageRankRanker(smr)
         ranker.scores()
         kind, title, annotations = _station(99)
         smr.register(kind, title, annotations)

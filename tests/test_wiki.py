@@ -1,5 +1,7 @@
 """Tests for the semantic-wiki substrate."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -326,8 +328,10 @@ class TestLinkGeneration:
 #: Spellings a write sequence uses: four pages (one under a spaced
 #: namespace) in several letter cases, a padded spelling (refused as a new
 #: title), the underscore spelling of the spaced page (refused while that
-#: page holds the IRI), a name that never becomes a page, and a title with
-#: a tab (refused).
+#: page holds the IRI), a name that never becomes a page, a title with
+#: a tab (refused), and non-ASCII titles: two spellings of one page, one
+#: whose lower case is longer than itself (İ) and one holding the greatest
+#: code point.
 _SPELLINGS = [
     "Station:A",
     "station:a",
@@ -340,8 +344,20 @@ _SPELLINGS = [
     " Station:A ",
     "Nowhere:N",
     "Bad\tTab:T",
+    "Station:Ärz",
+    "STATION:äRZ",
+    "İstasyon:I",
+    "Station:\U0010ffffz",
 ]
 _spelling = st.integers(0, len(_SPELLINGS) - 1)
+#: Title prefixes: a prefix of a spelling, in its case or upper case, or
+#: a few characters where case and code-point order are delicate.
+_prefix = st.one_of(
+    st.tuples(st.sampled_from(_SPELLINGS), st.integers(0, 12), st.booleans()).map(
+        lambda drawn: drawn[0][: drawn[1]].upper() if drawn[2] else drawn[0][: drawn[1]]
+    ),
+    st.text(alphabet="sS:tTäÄİi\u0307\U0010ffffz", max_size=3),
+)
 _write = st.one_of(
     st.tuples(
         st.just("save"),
@@ -359,26 +375,27 @@ def _text(links, values, n, bad_property):
     parts = [f"Note {n}."]
     parts += [f"[[refers::{_SPELLINGS[i]}]]" for i in values]
     parts += [f"[[{_SPELLINGS[i]}]]" for i in links]
-    parts.append(f"[[elev::{n}]]")
+    parts.append(f"[[{'Elev' if n % 2 else 'elev'}::{n}]]")  # one property, two spellings
     if bad_property:
         parts.append("[[bad\tprop::1]]")
     return " ".join(parts)
 
 
 def _kept(site):
-    """The kept targets and backlink index, as plain values."""
+    """The kept targets, backlink index and property counts, as plain values."""
     backlinks = {
         name: {held} if isinstance(held, str) else set(held)
         for name, held in site._backlinks.items()
     }
-    return dict(site._targets), backlinks, site.link_generation
+    return dict(site._targets), backlinks, site.link_generation, site.property_counts()
 
 
 class TestKeptLinkStructures:
-    """The kept targets, backlinks and graphs equal a walk after every write."""
+    """The kept targets, backlinks, graphs, property counts and title
+    prefixes equal a walk after every write."""
 
     @staticmethod
-    def _check(site):
+    def _check(site, prefixes):
         pages = {_key(title) for title in site.titles()}
         for title in site.titles():
             key, parsed = _key(title), site.parsed(title)
@@ -398,8 +415,17 @@ class TestKeptLinkStructures:
             assert [_key(title) for title in site.backlinks(name)] == expected
         assert list(site.link_graph().edges()) == list(walked_link_graph(site).edges())
         assert list(site.semantic_graph().edges()) == list(walked_semantic_graph(site).edges())
+        usage = Counter(
+            prop.lower() for title in site.titles() for prop, _ in site.parsed(title).annotations
+        )
+        assert site.property_counts() == dict(usage)
+        assert site.property_names() == sorted(usage)
+        for prefix in prefixes:
+            lowered = prefix.lower()
+            walked_titles = [title for title in site.titles() if title.lower().startswith(lowered)]
+            assert site.titles_with_prefix(prefix) == walked_titles, prefix
 
-    @given(steps=st.lists(_write, min_size=1, max_size=12))
+    @given(steps=st.lists(_write, min_size=1, max_size=12), prefixes=st.lists(_prefix, max_size=4))
     @settings(max_examples=150, deadline=None)
     @example(
         steps=[
@@ -413,9 +439,14 @@ class TestKeptLinkStructures:
             ("save", 2, [0], [0], 3, False),  # B again
             ("save", 0, [], [], 1, True),  # refused: a property with a tab
             ("save", 10, [0], [], 0, False),  # refused: a title with a tab
-        ]
+            ("save", 12, [11], [13], 1, False),  # äRZ: a self-link, a value naming İstasyon
+            ("save", 13, [], [], 0, False),  # İstasyon created: that value now names it
+            ("save", 14, [], [], 2, False),  # a title holding the greatest code point
+            ("save", 11, [], [], 3, False),  # Ärz: an edit of äRZ
+        ],
+        prefixes=["", "STATION:Ä", "i", "İ", "station:\U0010ffff", "\U0010ffff"],
     )
-    def test_kept_structures_match_a_walk_after_every_write(self, steps):
+    def test_kept_structures_match_a_walk_after_every_write(self, steps, prefixes):
         site = WikiSite()
         site.save("Station:Seed", "[[Station:A]] [[refers::deployment:d]]")
         graph = site.export_rdf()
@@ -434,7 +465,7 @@ class TestKeptLinkStructures:
                     assert _kept(site) == before
                 else:
                     site.refresh_page_rdf(graph, title)
-            self._check(site)
+            self._check(site, prefixes)
             assert set(graph.triples()) == set(site.export_rdf().triples())
 
 
