@@ -52,9 +52,11 @@ bench-planner:
 ## The scaling table and the xlarge gates: 20 distinct cold queries of
 ## each perfbench search_cold shape on 100k+ pages, every one under the
 ## 250 ms search SLO, then the ranker refresh after each of 8 stream
-## creations, incremental with a median under 500 ms. Not in CI: the
-## 100k build takes about two minutes and 1.9 GB (bench-smoke runs the
-## module at smoke scale, ungated).
+## creations, incremental with a median under 500 ms, then, after 10,000
+## more stream events, the ingest_mixed SPARQL read after each of 20
+## observations, with a median under 10 ms. Not in CI: the 100k build
+## takes about two minutes and 1.9 GB (bench-smoke runs the module at
+## smoke scale, ungated).
 bench-scale:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest benchmarks/bench_scale_corpus.py -q --benchmark-disable
 

@@ -125,6 +125,16 @@ class Graph:
                 for o in objects:
                     yield s, p, o
 
+    def subjects_by_object(self, predicate: Term) -> Iterable[Tuple[Term, Set[Term]]]:
+        """Each object of ``predicate`` with the subjects that have it.
+
+        The POS index's groups, in the order :meth:`triples` yields
+        ``(None, predicate, None)``: a caller can test an object once for
+        all of its subjects. The sets are the index's own; do not change
+        them, and do not change the graph while iterating.
+        """
+        return self._pos.get(predicate, {}).items()
+
     # ------------------------------------------------------------------
     # Convenience accessors
     # ------------------------------------------------------------------

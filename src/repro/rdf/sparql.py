@@ -16,13 +16,39 @@ Evaluation follows the standard: a basic graph pattern is solved by
 backtracking with a most-bound-first pattern ordering; FILTER errors
 (unbound variable, type mismatch) make the filter false; OPTIONAL keeps
 the solution when the optional part has no match.
+
+Each query is compiled before any triple is read. Every group's
+variables get slots in a list, and every FILTER becomes one closure
+over those slots, so an error that depends only on the query text (a
+function's arity, BOUND of anything but a variable) raises
+:class:`SparqlSyntaxError` then, whatever the data. A group's FILTER
+constrains its basic graph pattern's solutions, before its UNION and
+OPTIONAL parts extend them. It runs inside the pattern scan, right after
+the first pattern that binds all of its variables (or before the first
+pattern, when the bindings the group is entered with already do): each
+scanned triple's terms go into their slots, the FILTER reads them there,
+and only a complete match that passed becomes a bindings dict. A FILTER
+naming a variable its group never binds runs on the full solutions,
+where that variable is unbound.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Set,
+    Tuple,
+)
 
 from repro.errors import SparqlSyntaxError
 from repro.rdf.graph import Graph
@@ -128,12 +154,18 @@ _TOKEN_RE = re.compile(
   | (?P<iri><[^>\s]*>)
   | (?P<var>\?[A-Za-z_][A-Za-z0-9_]*)
   | (?P<string>"(?:[^"\\]|\\.)*")
-  | (?P<number>[+-]?\d+(?:\.\d+)?)
+  | (?P<number>[+-]?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
   | (?P<name>[A-Za-z_][A-Za-z0-9_-]*(?::[A-Za-z0-9_.-]*)?)
   | (?P<op>&&|\|\||!=|<=|>=|[{}().,=<>!*/+-])
     """,
     re.VERBOSE,
 )
+
+
+def _parse_number(token: str) -> Any:
+    """A number token's value: a float with a fraction or exponent (SPARQL's
+    DECIMAL and DOUBLE), else an int."""
+    return float(token) if any(mark in token for mark in ".eE") else int(token)
 
 
 def _tokenize(text: str) -> List[Tuple[str, str]]:
@@ -269,9 +301,10 @@ class _Parser:
 
     def _parse_int(self, clause: str) -> int:
         kind, value = self._advance()
-        if kind != "number" or "." in value:
+        number = _parse_number(value) if kind == "number" else None
+        if not isinstance(number, int):
             raise SparqlSyntaxError(f"{clause} requires an integer, got {value!r}")
-        return int(value)
+        return number
 
     def _parse_order_item(self) -> Optional[Tuple[Variable, bool]]:
         kind, value = self._peek()
@@ -381,7 +414,7 @@ class _Parser:
         if kind == "string":
             return self._string_literal(value)
         if kind == "number":
-            return Literal(float(value) if "." in value else int(value))
+            return Literal(_parse_number(value))
         if kind == "name":
             lowered = value.lower()
             if lowered == "a" and role == "predicate":
@@ -458,7 +491,7 @@ class _Parser:
         if kind == "var":
             return FVar(Variable(value[1:]))
         if kind == "number":
-            return FLiteral(float(value) if "." in value else int(value))
+            return FLiteral(_parse_number(value))
         if kind == "string":
             return FLiteral(self._string_literal(value).value)
         if kind == "iri":
@@ -537,7 +570,7 @@ class SparqlEngine:
         parsed = parse_sparql(text)
         if not isinstance(parsed, AskQuery):
             raise SparqlSyntaxError(f"ask() needs an ASK query, got {type(parsed).__name__}")
-        for _ in self._eval_group(parsed.where, {}):
+        for _ in self.solutions(parsed.where):
             return True
         return False
 
@@ -553,7 +586,7 @@ class SparqlEngine:
                 f"construct() needs a CONSTRUCT query, got {type(parsed).__name__}"
             )
         result = Graph()
-        for solution in self._eval_group(parsed.where, {}):
+        for solution in self.solutions(parsed.where):
             for pattern in parsed.template:
                 terms = [_resolve(term, solution) for term in pattern]
                 if any(isinstance(term, Variable) for term in terms):
@@ -566,7 +599,7 @@ class SparqlEngine:
 
     def run(self, query: SelectQuery) -> SparqlResult:
         """Evaluate an already-parsed SELECT query."""
-        solutions = list(self._eval_group(query.where, {}))
+        solutions = list(self.solutions(query.where))
         if query.variables:
             variables = list(query.variables)
         else:
@@ -595,18 +628,29 @@ class SparqlEngine:
             projected = projected[: query.limit]
         return SparqlResult(variables, projected)
 
+    def solutions(self, where: GroupPattern) -> Iterator[Bindings]:
+        """Every solution of ``where``, in order, one bindings dict each.
+
+        The group and every group nested in it are compiled first, so an
+        error that depends only on the query text raises here, before
+        any triple is read.
+        """
+        return self._eval_group(_Group(where), {})
+
     # --- pattern evaluation ----------------------------------------------
 
-    def _eval_group(self, group: GroupPattern, bindings: Bindings) -> Iterator[Bindings]:
-        for solution in self._eval_bgp(group.triples, bindings):
-            if not all(self._filter_true(f, solution) for f in group.filters):
-                continue
+    def _eval_group(self, group: _Group, bindings: Bindings) -> Iterator[Bindings]:
+        plan = group.plan(bindings)
+        values: Slots = [None] * len(group.slots)
+        for var, slot in plan.inputs:
+            values[slot] = bindings[var]
+        if plan.entry_test is not None and not plan.entry_test(values):
+            return
+        for solution in self._match(plan, 0, values, bindings):
             for unioned in self._eval_unions(group.unions, solution):
                 yield from self._eval_optionals(group.optionals, unioned)
 
-    def _eval_unions(
-        self, unions: List[List[GroupPattern]], solution: Bindings
-    ) -> Iterator[Bindings]:
+    def _eval_unions(self, unions: List[List[_Group]], solution: Bindings) -> Iterator[Bindings]:
         if not unions:
             yield solution
             return
@@ -615,9 +659,7 @@ class SparqlEngine:
             for extended in self._eval_group(alternative, solution):
                 yield from self._eval_unions(tail, extended)
 
-    def _eval_optionals(
-        self, optionals: List[GroupPattern], solution: Bindings
-    ) -> Iterator[Bindings]:
+    def _eval_optionals(self, optionals: List[_Group], solution: Bindings) -> Iterator[Bindings]:
         if not optionals:
             yield solution
             return
@@ -629,152 +671,432 @@ class SparqlEngine:
         else:
             yield from self._eval_optionals(tail, solution)
 
-    def _eval_bgp(
-        self, patterns: Sequence[TriplePattern], bindings: Bindings
-    ) -> Iterator[Bindings]:
-        if not patterns:
-            yield dict(bindings)
-            return
-        # Most-bound-first: patterns with fewer unbound variables go first.
-        ordered = sorted(patterns, key=lambda p: _unbound_count(p, bindings))
-        yield from self._match(ordered, 0, dict(bindings))
-
     def _match(
-        self, patterns: Sequence[TriplePattern], index: int, bindings: Bindings
+        self, plan: _Plan, index: int, values: Slots, bindings: Bindings
     ) -> Iterator[Bindings]:
-        if index == len(patterns):
-            yield dict(bindings)
+        """Bind ``plan.steps[index:]`` by backtracking over ``values``.
+
+        Only a triple that passes its step's test reaches the next step,
+        and only a complete match becomes a dict.
+        """
+        if index == len(plan.steps):
+            yield plan.solution(bindings, values)
             return
-        pattern = patterns[index]
-        resolved = [_resolve(term, bindings) for term in pattern]
-        query = [term if not isinstance(term, Variable) else None for term in resolved]
+        for _ in self._scan(plan.steps[index], values):
+            yield from self._match(plan, index + 1, values, bindings)
+
+    def _scan(self, step: _Step, values: Slots) -> Iterator[None]:
+        """Yield once per triple matching ``step`` that passes its test.
+
+        Each scanned triple writes its terms into their slots, where the
+        test reads them, and they stay there until the next triple.
+        """
+        query = list(step.template)
+        for position, slot in step.reads:
+            query[position] = values[slot]
+        test = step.test
+        if step.by_object:
+            # The test reads no subject: run it once per object, and
+            # touch only a passing object's subjects.
+            (_, subject_slot), (_, object_slot) = step.writes
+            for obj, subjects in self.graph.subjects_by_object(query[1]):
+                values[object_slot] = obj
+                if test is None or test(values):
+                    for subject in subjects:
+                        values[subject_slot] = subject
+                        yield
+            return
+        repeats, writes = step.repeats, step.writes
         for triple in self.graph.triples(*query):
-            new_bindings = dict(bindings)
-            consistent = True
-            for term, value in zip(resolved, triple):
-                if isinstance(term, Variable):
-                    bound = new_bindings.get(term)
-                    if bound is None:
-                        new_bindings[term] = value
-                    elif bound != value:
-                        consistent = False
-                        break
-            if consistent:
-                yield from self._match(patterns, index + 1, new_bindings)
+            if repeats and any(triple[a] != triple[b] for a, b in repeats):
+                continue
+            for position, slot in writes:
+                values[slot] = triple[position]
+            if test is None or test(values):
+                yield
 
-    # --- filters -----------------------------------------------------------
 
-    def _filter_true(self, expr: FilterExpr, bindings: Bindings) -> bool:
-        try:
-            return bool(self._filter_eval(expr, bindings))
-        except _FilterError:
-            return False  # SPARQL: evaluation error -> filter rejects
+# ----------------------------------------------------------------------
+# Compilation: slots, FILTER closures and per-group plans
+# ----------------------------------------------------------------------
 
-    def _filter_eval(self, expr: FilterExpr, bindings: Bindings) -> Any:
+#: A group's slot list: one term per variable, None while unbound.
+Slots = List[Optional[Term]]
+#: A compiled FILTER (sub)expression: slots in, value out. It raises
+#: :class:`_FilterError` where SPARQL evaluation errors.
+_Value = Callable[[Slots], Any]
+#: A compiled FILTER: slots in, pass or fail out; an error fails.
+_Test = Callable[[Slots], bool]
+
+_COMPARATORS: Dict[str, Callable[[Any, Any], bool]] = {
+    "=": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
+
+_ARITHMETIC: Dict[str, Callable[[Any, Any], Any]] = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": operator.truediv,
+}
+
+
+def _filter_variables(expr: FilterExpr) -> Set[Variable]:
+    """Every variable ``expr`` names, BOUND's argument included."""
+    if isinstance(expr, FVar):
+        return {expr.var}
+    if isinstance(expr, FBinary):
+        return _filter_variables(expr.left) | _filter_variables(expr.right)
+    if isinstance(expr, FNot):
+        return _filter_variables(expr.operand)
+    if isinstance(expr, FCall):
+        return set().union(*map(_filter_variables, expr.args))
+    return set()
+
+
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+class _FilterCompiler:
+    """Turns FILTER expressions into closures over one group's slots.
+
+    The closures keep the semantics SPARQL gives an expression: ``=`` and
+    ``!=`` compare any two values; ``<``-style comparisons need two
+    numbers or two strings (booleans never order); arithmetic needs two
+    numbers (booleans count as numbers) and errors on division by zero;
+    ``!``, ``&&`` and ``||`` need booleans; ``||`` is true when its left
+    side is, and otherwise, even when the left side errors, takes its
+    right side's value; an unbound variable or a bad regex errors. An
+    error that depends only on the text — a function's arity, BOUND of
+    anything but a variable — raises :class:`SparqlSyntaxError` here, at
+    compile time.
+    """
+
+    def __init__(self, slots: Dict[Variable, int]):
+        self._slots = slots
+
+    def test(self, expr: FilterExpr) -> _Test:
+        """The FILTER ``expr``: true iff its value is truthy; an error is false."""
+        if (
+            isinstance(expr, FBinary)
+            and expr.op in _COMPARATORS
+            and isinstance(expr.left, FVar)
+            and isinstance(expr.right, FLiteral)
+            and (expr.op in ("=", "!=") or _is_number(expr.right.value))
+        ):
+            return _variable_test(expr.op, self._slots[expr.left.var], expr.right.value)
+        value = self.value(expr)
+
+        def test(values: Slots) -> bool:
+            try:
+                return bool(value(values))
+            except _FilterError:
+                return False
+
+        return test
+
+    def value(self, expr: FilterExpr) -> _Value:
         if isinstance(expr, FLiteral):
-            return expr.value
+            constant = expr.value
+            return lambda values: constant
         if isinstance(expr, FIri):
-            return expr.iri
+            iri = expr.iri
+            return lambda values: iri
         if isinstance(expr, FVar):
-            term = bindings.get(expr.var)
-            if term is None:
-                raise _FilterError(f"unbound variable {expr.var}")
-            if isinstance(term, Literal):
-                return term.value
-            return term
+            return _variable(expr.var, self._slots[expr.var])
         if isinstance(expr, FNot):
-            value = self._filter_eval(expr.operand, bindings)
-            if not isinstance(value, bool):
-                raise _FilterError("! needs a boolean")
-            return not value
-        if isinstance(expr, FCall):
-            return self._filter_call(expr, bindings)
-        if isinstance(expr, FBinary):
-            return self._filter_binary(expr, bindings)
-        raise _FilterError(f"unknown filter node {expr!r}")
+            operand = self.value(expr.operand)
 
-    def _filter_call(self, expr: FCall, bindings: Bindings) -> Any:
+            def negate(values: Slots) -> bool:
+                value = operand(values)
+                if not isinstance(value, bool):
+                    raise _FilterError("! needs a boolean")
+                return not value
+
+            return negate
+        if isinstance(expr, FCall):
+            return self._call(expr)
+        if isinstance(expr, FBinary):
+            return self._binary(expr)
+        raise SparqlSyntaxError(f"unknown filter node {expr!r}")
+
+    def _boolean(self, expr: FilterExpr) -> _Value:
+        """``expr`` as an operand of ``&&``/``||``: anything but a boolean errors."""
+        operand = self.value(expr)
+
+        def boolean(values: Slots) -> bool:
+            value = operand(values)
+            if not isinstance(value, bool):
+                raise _FilterError(f"expected boolean, got {value!r}")
+            return value
+
+        return boolean
+
+    def _call(self, expr: FCall) -> _Value:
+        args = expr.args
         if expr.name == "bound":
-            if len(expr.args) != 1 or not isinstance(expr.args[0], FVar):
+            if len(args) != 1 or not isinstance(args[0], FVar):
                 raise SparqlSyntaxError("BOUND() takes exactly one variable")
-            return expr.args[0].var in bindings
+            slot = self._slots[args[0].var]
+            return lambda values: values[slot] is not None
         if expr.name == "str":
-            if len(expr.args) != 1:
+            if len(args) != 1:
                 raise SparqlSyntaxError("STR() takes exactly one argument")
-            value = self._filter_eval(expr.args[0], bindings)
-            return value.value if isinstance(value, IRI) else str(value)
+            operand = self.value(args[0])
+
+            def string(values: Slots) -> str:
+                value = operand(values)
+                return value.value if isinstance(value, IRI) else str(value)
+
+            return string
         if expr.name == "regex":
-            if len(expr.args) not in (2, 3):
+            if len(args) not in (2, 3):
                 raise SparqlSyntaxError("REGEX() takes two or three arguments")
-            text = self._filter_eval(expr.args[0], bindings)
-            pattern = self._filter_eval(expr.args[1], bindings)
+            return self._regex(args)
+        raise SparqlSyntaxError(f"unknown function {expr.name!r}")
+
+    def _regex(self, args: Tuple[FilterExpr, ...]) -> _Value:
+        text_of, pattern_of = self.value(args[0]), self.value(args[1])
+        flags_of = self.value(args[2]) if len(args) == 3 else None
+
+        def regex(values: Slots) -> bool:
+            text, pattern = text_of(values), pattern_of(values)
             flags = 0
-            if len(expr.args) == 3:
-                flag_text = self._filter_eval(expr.args[2], bindings)
-                if "i" in str(flag_text):
-                    flags |= re.IGNORECASE
+            if flags_of is not None and "i" in str(flags_of(values)):
+                flags = re.IGNORECASE
             if not isinstance(text, str) or not isinstance(pattern, str):
                 raise _FilterError("REGEX needs string arguments")
             try:
                 return re.search(pattern, text, flags) is not None
             except re.error as exc:
                 raise _FilterError(f"bad regex: {exc}") from exc
-        raise SparqlSyntaxError(f"unknown function {expr.name!r}")
 
-    def _filter_binary(self, expr: FBinary, bindings: Bindings) -> Any:
+        return regex
+
+    def _binary(self, expr: FBinary) -> _Value:
         op = expr.op
         if op == "&&":
-            return self._filter_bool(expr.left, bindings) and self._filter_bool(
-                expr.right, bindings
-            )
+            left, right = self._boolean(expr.left), self._boolean(expr.right)
+            return lambda values: left(values) and right(values)
         if op == "||":
-            # SPARQL: || succeeds if either side is true, even if the other errors.
-            try:
-                if self._filter_bool(expr.left, bindings):
-                    return True
-            except _FilterError:
-                return self._filter_bool(expr.right, bindings)
-            return self._filter_bool(expr.right, bindings)
-        left = self._filter_eval(expr.left, bindings)
-        right = self._filter_eval(expr.right, bindings)
+            left, right = self._boolean(expr.left), self._boolean(expr.right)
+
+            def either(values: Slots) -> bool:
+                try:
+                    if left(values):
+                        return True
+                except _FilterError:
+                    pass
+                return right(values)
+
+            return either
+        left, right = self.value(expr.left), self.value(expr.right)
         if op in ("=", "!="):
-            equal = left == right
-            return equal if op == "=" else not equal
-        if op in ("<", "<=", ">", ">="):
-            if isinstance(left, bool) or isinstance(right, bool):
-                raise _FilterError("cannot order booleans")
-            if isinstance(left, (int, float)) and isinstance(right, (int, float)):
-                pass
-            elif isinstance(left, str) and isinstance(right, str):
-                pass
-            else:
-                raise _FilterError(f"cannot compare {left!r} and {right!r}")
-            if op == "<":
-                return left < right
-            if op == "<=":
-                return left <= right
-            if op == ">":
-                return left > right
-            return left >= right
-        if op in ("+", "-", "*", "/"):
-            if not isinstance(left, (int, float)) or not isinstance(right, (int, float)):
-                raise _FilterError("arithmetic needs numbers")
-            if op == "+":
-                return left + right
-            if op == "-":
-                return left - right
-            if op == "*":
-                return left * right
-            if right == 0:
-                raise _FilterError("division by zero")
-            return left / right
+            compare = _COMPARATORS[op]
+            return lambda values: compare(left(values), right(values))
+        if op in _COMPARATORS:
+            compare = _COMPARATORS[op]
+
+            def ordered(values: Slots) -> bool:
+                a, b = left(values), right(values)
+                if isinstance(a, bool) or isinstance(b, bool):
+                    raise _FilterError("cannot order booleans")
+                if not (
+                    isinstance(a, (int, float)) and isinstance(b, (int, float))
+                    or isinstance(a, str) and isinstance(b, str)
+                ):
+                    raise _FilterError(f"cannot compare {a!r} and {b!r}")
+                return compare(a, b)
+
+            return ordered
+        if op in _ARITHMETIC:
+            apply = _ARITHMETIC[op]
+            divides = op == "/"
+
+            def arithmetic(values: Slots) -> Any:
+                a, b = left(values), right(values)
+                if not isinstance(a, (int, float)) or not isinstance(b, (int, float)):
+                    raise _FilterError("arithmetic needs numbers")
+                if divides and b == 0:
+                    raise _FilterError("division by zero")
+                return apply(a, b)
+
+            return arithmetic
         raise SparqlSyntaxError(f"unknown operator {op!r}")
 
-    def _filter_bool(self, expr: FilterExpr, bindings: Bindings) -> bool:
-        value = self._filter_eval(expr, bindings)
-        if not isinstance(value, bool):
-            raise _FilterError(f"expected boolean, got {value!r}")
-        return value
+
+def _variable(var: Variable, slot: int) -> _Value:
+    def variable(values: Slots) -> Any:
+        term = values[slot]
+        if term is None:
+            raise _FilterError(f"unbound variable {var}")
+        return term.value if isinstance(term, Literal) else term
+
+    return variable
+
+
+def _variable_test(op: str, slot: int, constant: Any) -> _Test:
+    """The FILTER ``?var op constant`` as one closure, for an equality or a
+    number: the shapes the engine sends for ``=``, ``!=`` and numeric
+    comparisons."""
+    compare = _COMPARATORS[op]
+    if op in ("=", "!="):
+
+        def equality(values: Slots) -> bool:
+            term = values[slot]
+            if term is None:
+                return False
+            return compare(term.value if isinstance(term, Literal) else term, constant)
+
+        return equality
+
+    def numeric(values: Slots) -> bool:
+        term = values[slot]
+        if term is None:
+            return False
+        value = term.value if isinstance(term, Literal) else term
+        return _is_number(value) and compare(value, constant)
+
+    return numeric
+
+
+def _all_of(tests: List[_Test]) -> Optional[_Test]:
+    if not tests:
+        return None
+    if len(tests) == 1:
+        return tests[0]
+    return lambda values: all(test(values) for test in tests)
+
+
+class _Step(NamedTuple):
+    """One triple pattern of a plan, resolved against the slots bound before it."""
+
+    #: The pattern's constants; None where a variable stands.
+    template: Tuple[Optional[Term], ...]
+    #: ``(position, slot)`` of each variable bound before this step.
+    reads: Tuple[Tuple[int, int], ...]
+    #: ``(position, slot)`` of each variable this step binds.
+    writes: Tuple[Tuple[int, int], ...]
+    #: ``(position, earlier position)`` of a variable this step names twice.
+    repeats: Tuple[Tuple[int, int], ...]
+    #: The FILTERs whose variables are all bound once this step matches.
+    test: Optional[_Test]
+    #: ``?s p ?o`` with ``p`` known, two new variables, and a test that
+    #: reads no subject: scanned as each object with its subjects.
+    by_object: bool
+
+
+class _Plan:
+    """A group's patterns ordered for one set of variables bound on entry.
+
+    Patterns run most-bound-first. Each FILTER runs right after the
+    first step that binds all of its variables (before the first step
+    when the entry bindings already do), so a failing triple is dropped
+    before the next step scans. A FILTER naming a variable that neither
+    the entry bindings nor the patterns bind runs after the last step,
+    on the group's full solutions, where that variable is unbound. A
+    step ``?s p ?o`` whose FILTERs never read ``?s`` scans the graph as
+    each object with its subjects, so each object is tested once.
+    """
+
+    def __init__(self, group: _Group, bound: FrozenSet[Variable]):
+        slots = group.slots
+        self.inputs = [(var, slots[var]) for var in bound]
+        ordered = sorted(group.triples, key=lambda p: _unbound_count(p, bound))
+        known = set(bound)
+        bound_after = [frozenset(known)]  # [0]: on entry; [i + 1]: after step i
+        for pattern in ordered:
+            known.update(term for term in pattern if isinstance(term, Variable))
+            bound_after.append(frozenset(known))
+        tests: List[List[_Test]] = [[] for _ in bound_after]
+        read: List[Set[Variable]] = [set() for _ in bound_after]
+        for names, test in group.filters:
+            stage = next((i for i, b in enumerate(bound_after) if names <= b), len(ordered))
+            tests[stage].append(test)
+            read[stage] |= names
+        self.entry_test = _all_of(tests[0])
+        self.outputs: List[Tuple[Variable, int]] = []
+        self.steps: List[_Step] = []
+        for pattern, before, test, names in zip(ordered, bound_after, tests[1:], read[1:]):
+            template: List[Optional[Term]] = []
+            reads, writes, repeats = [], [], []
+            first: Dict[Variable, int] = {}
+            for position, term in enumerate(pattern):
+                if not isinstance(term, Variable):
+                    template.append(term)
+                    continue
+                template.append(None)
+                if term in before:
+                    reads.append((position, slots[term]))
+                elif term in first:
+                    repeats.append((position, first[term]))
+                else:
+                    first[term] = position
+                    writes.append((position, slots[term]))
+            self.outputs.extend((var, slots[var]) for var in first)
+            # No repeat, so the predicate of ``?s ?s ?o`` is not taken as known.
+            by_object = (
+                [position for position, _ in writes] == [0, 2]
+                and not repeats
+                and pattern[0] not in names
+            )
+            self.steps.append(
+                _Step(
+                    tuple(template),
+                    tuple(reads),
+                    tuple(writes),
+                    tuple(repeats),
+                    _all_of(test),
+                    by_object,
+                )
+            )
+
+    def solution(self, bindings: Bindings, values: Slots) -> Bindings:
+        solution = dict(bindings)
+        for var, slot in self.outputs:
+            solution[var] = values[slot]
+        return solution
+
+
+class _Group:
+    """A :class:`GroupPattern` compiled for one query.
+
+    Its variables get slots, its FILTERs become tests over those slots
+    (raising any error the text alone decides), and its nested groups
+    compile too. A plan is built the first time the group is entered
+    with a given set of bound variables, then reused.
+    """
+
+    def __init__(self, group: GroupPattern):
+        variables: Dict[Variable, None] = {}
+        for pattern in group.triples:
+            for term in pattern:
+                if isinstance(term, Variable):
+                    variables.setdefault(term)
+        named = [_filter_variables(expr) for expr in group.filters]
+        for var in sorted(set().union(*named)):
+            variables.setdefault(var)
+        self.slots = {var: slot for slot, var in enumerate(variables)}
+        compiler = _FilterCompiler(self.slots)
+        self.filters = [
+            (frozenset(names), compiler.test(expr)) for names, expr in zip(named, group.filters)
+        ]
+        self.triples = list(group.triples)
+        self.optionals = [_Group(optional) for optional in group.optionals]
+        self.unions = [[_Group(alternative) for alternative in union] for union in group.unions]
+        self._plans: Dict[FrozenSet[Variable], _Plan] = {}
+
+    def plan(self, bindings: Bindings) -> _Plan:
+        bound = frozenset(var for var in self.slots if var in bindings)
+        plan = self._plans.get(bound)
+        if plan is None:
+            plan = self._plans[bound] = _Plan(self, bound)
+        return plan
 
 
 # ----------------------------------------------------------------------
@@ -788,10 +1110,8 @@ def _resolve(term: PatternTerm, bindings: Bindings) -> PatternTerm:
     return term
 
 
-def _unbound_count(pattern: TriplePattern, bindings: Bindings) -> int:
-    return sum(
-        1 for term in pattern if isinstance(term, Variable) and term not in bindings
-    )
+def _unbound_count(pattern: TriplePattern, bound: FrozenSet[Variable]) -> int:
+    return sum(1 for term in pattern if isinstance(term, Variable) and term not in bound)
 
 
 def _order_key(term: Optional[Term]) -> tuple:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import List
 
@@ -17,6 +18,10 @@ KEYWORDS = frozenset(
     case when then else end
     """.split()
 )
+
+#: A number's optional exponent, as in ``1e-05`` or ``2.5E3``: SQLite
+#: reads it as a REAL.
+_EXPONENT = re.compile(r"[eE][+-]?[0-9]+")
 
 _OPERATORS = ("<=", ">=", "<>", "!=", "||", "=", "<", ">", "+", "-", "*", "/", "%")
 _PUNCT = "(),.;"
@@ -57,8 +62,11 @@ def tokenize_sql(text: str) -> List[Token]:
                 if text[i] == ".":
                     seen_dot = True
                 i += 1
-            # Trailing '.' belongs to qualified names, not numbers.
-            if text[start:i].endswith("."):
+            exponent = _EXPONENT.match(text, i)
+            if exponent is not None:
+                i = exponent.end()
+            elif text[start:i].endswith("."):
+                # Trailing '.' belongs to qualified names, not numbers.
                 i -= 1
             tokens.append(Token("number", text[start:i], start))
             continue
@@ -85,6 +93,11 @@ def tokenize_sql(text: str) -> List[Token]:
         raise SqlSyntaxError(f"unexpected character {ch!r} at position {i}")
     tokens.append(Token("eof", "", n))
     return tokens
+
+
+def is_real(number: str) -> bool:
+    """Whether a number token is a REAL literal: it has a fraction or an exponent."""
+    return any(mark in number for mark in ".eE")
 
 
 def _read_string(text: str, start: int) -> tuple[str, int]:

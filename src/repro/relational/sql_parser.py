@@ -40,7 +40,7 @@ from repro.relational.expr import (
     collect_aggregates,
 )
 from repro.relational.schema import Column
-from repro.relational.sql_lexer import Token, tokenize_sql
+from repro.relational.sql_lexer import Token, is_real, tokenize_sql
 from repro.relational.types import DataType
 
 _AGG_FUNCS = {"count", "sum", "avg", "min", "max"}
@@ -299,7 +299,7 @@ class _Parser:
 
     def _parse_nonnegative_int(self, clause: str) -> int:
         token = self._expect("number")
-        if "." in token.value:
+        if is_real(token.value):
             raise SqlSyntaxError(f"{clause} requires an integer, got {token.value}")
         return int(token.value)
 
@@ -575,7 +575,7 @@ class _Parser:
         token = self._peek()
         if token.kind == "number":
             self._advance()
-            if "." in token.value:
+            if is_real(token.value):
                 return Literal(float(token.value))
             return Literal(int(token.value))
         if token.kind == "string":

@@ -36,6 +36,8 @@ def coerce_value(value: Any, dtype: DataType, column: str = "?") -> Any:
 
     ``None`` passes through (NULL is type-less). Booleans are *not*
     accepted by INTEGER columns — that silent Python idiom hides bugs.
+    An integer too large for a float is refused by REAL columns like any
+    other value they cannot hold.
     """
     if value is None:
         return None
@@ -48,7 +50,14 @@ def coerce_value(value: Any, dtype: DataType, column: str = "?") -> Any:
     if dtype is DataType.REAL:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise IntegrityError(f"column {column!r} expects REAL, got {value!r}")
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:
+            # Not repr(value): an int past 4300 digits refuses to print.
+            raise IntegrityError(
+                f"column {column!r} expects REAL, got an integer of "
+                f"{value.bit_length()} bits, too large for a float"
+            ) from None
     if dtype is DataType.TEXT:
         if not isinstance(value, str):
             raise IntegrityError(f"column {column!r} expects TEXT, got {value!r}")

@@ -16,7 +16,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.errors import SmrError
 from repro.rdf.term import IRI
 from repro.relational.schema import Column, TableSchema
-from repro.relational.types import DataType
+from repro.relational.types import DataType, coerce_value
 from repro.wiki.site import property_to_iri
 
 
@@ -88,7 +88,7 @@ class SchemaMapping:
             mapping = by_property.get(prop.lower())
             if mapping is None:
                 continue
-            row[mapping.column] = _coerce(value, mapping.dtype)
+            row[mapping.column] = _coerce(value, mapping.dtype, mapping.column)
         return row
 
     def column_for_property(self, kind: str, prop: str) -> Optional[str]:
@@ -110,8 +110,13 @@ class SchemaMapping:
         return None
 
 
-def _coerce(value: Any, dtype: DataType) -> Any:
-    """Best-effort coercion from annotation values to column types."""
+def _coerce(value: Any, dtype: DataType, column: str) -> Any:
+    """Best-effort coercion from annotation values to column types.
+
+    A number a REAL column cannot hold (an integer too large for a float)
+    raises :class:`~repro.errors.IntegrityError`, so the write is refused
+    before any store changes.
+    """
     if value is None:
         return None
     if dtype is DataType.TEXT:
@@ -133,7 +138,7 @@ def _coerce(value: Any, dtype: DataType) -> Any:
         if isinstance(value, bool):
             return float(value)
         if isinstance(value, (int, float)):
-            return float(value)
+            return coerce_value(value, dtype, column)
         if isinstance(value, str):
             try:
                 return float(value)

@@ -42,7 +42,7 @@ from repro.linalg import CsrMatrix
 from repro.pagerank.webgraph import LinkGraph
 from repro.rdf.graph import Graph
 from repro.rdf.namespace import RDF, Namespace
-from repro.rdf.term import IRI, Literal
+from repro.rdf.term import IRI, Literal, Term
 from repro.wiki.page import Page
 from repro.wiki.wikitext import ParsedWikitext, parse_wikitext
 
@@ -435,27 +435,35 @@ class WikiSite:
         """
         graph = Graph()
         for title in self.titles():
-            self.export_page_rdf(graph, title)
+            subject = title_to_iri(title)
+            for predicate, obj in self.page_rdf(title):
+                graph.add(subject, predicate, obj)
         return graph
 
-    def export_page_rdf(self, graph: Graph, title: str) -> None:
-        """Append one page's triples to ``graph`` (see :meth:`export_rdf`)."""
-        subject = title_to_iri(title)
+    def page_rdf(self, title: str) -> List[Tuple[IRI, Term]]:
+        """The ``(predicate, object)`` pairs of one page's triples.
+
+        They come in the order :meth:`export_rdf` adds the triples, and a
+        pair may repeat; the subject is ``title_to_iri(title)``.
+        """
         page = self._pages[self._key(title)]
-        graph.add(subject, RDF.type, WIKI.term(page.namespace.replace(" ", "_")))
-        graph.add(subject, PROP.title, Literal(title))
+        pairs: List[Tuple[IRI, Term]] = [
+            (RDF.type, WIKI.term(page.namespace.replace(" ", "_"))),
+            (PROP.title, Literal(title)),
+        ]
         parsed = self.parsed(title)
         for prop, value in parsed.annotations:
             predicate = property_to_iri(prop)
             if isinstance(value, str) and self.has(value):
-                graph.add(subject, predicate, title_to_iri(self.get(value).title))
+                pairs.append((predicate, title_to_iri(self.get(value).title)))
             else:
-                graph.add(subject, predicate, Literal(value))
+                pairs.append((predicate, Literal(value)))
         for category in parsed.categories:
-            graph.add(subject, RDF.type, WIKI.term(f"Category_{category.replace(' ', '_')}"))
+            pairs.append((RDF.type, WIKI.term(f"Category_{category.replace(' ', '_')}")))
         for target in parsed.links:
             if self.has(target):
-                graph.add(subject, PROP.links_to, title_to_iri(self.get(target).title))
+                pairs.append((PROP.links_to, title_to_iri(self.get(target).title)))
+        return pairs
 
     def refresh_page_rdf(self, graph: Graph, title: str) -> None:
         """Update ``graph`` in place for one save of ``title``.
@@ -471,19 +479,25 @@ class WikiSite:
           are its :meth:`backlinks`. An edit changes no other page:
           titles, and with them IRIs and namespaces, never change.
 
-        The new triples are built in a scratch graph before ``graph``
-        changes, so an exception leaves ``graph`` as it was.
+        Each stale page's pairs (:meth:`page_rdf`) are built before
+        ``graph`` changes, so an exception leaves ``graph`` as it was.
+        Then only the triples that changed are written: those ``graph``
+        holds and the pairs lack are removed, those the pairs hold and
+        ``graph`` lacks are added. An observation that changes one value
+        costs one removal and one addition, not a rewrite of the page.
         """
         title = self.get(title).title
         stale = {title}
         if (title_to_iri(title), PROP.title, Literal(title)) not in graph:
             stale.update(self.backlinks(title))
-        fresh = Graph()
-        for stale_title in stale:
-            self.export_page_rdf(fresh, stale_title)
-        for stale_title in stale:
-            graph.remove(title_to_iri(stale_title), None, None)
-        graph.merge(fresh)
+        fresh = {title_to_iri(stale_title): self.page_rdf(stale_title) for stale_title in stale}
+        for subject, pairs in fresh.items():
+            held = {(predicate, obj) for _, predicate, obj in graph.triples(subject)}
+            for predicate, obj in held.difference(pairs):
+                graph.remove(subject, predicate, obj)
+            for predicate, obj in pairs:
+                if (predicate, obj) not in held:
+                    graph.add(subject, predicate, obj)  # a repeated pair adds nothing
 
     def __repr__(self) -> str:
         return f"WikiSite(pages={self.page_count})"

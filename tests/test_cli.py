@@ -39,6 +39,13 @@ class TestLoad:
         assert main(["load", "--corpus", "/nonexistent.json"]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_real_too_large_for_a_float_is_an_error_not_a_traceback(self, tmp_path, capsys):
+        path = tmp_path / "big.json"
+        path.write_text('{"sensor": [{"title": "Sensor:BIG", "accuracy": 1' + "0" * 400 + "}]}")
+        assert main(["load", "--corpus", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: row 1:") and "too large for a float" in err
+
 
 class TestSearch:
     def test_results_table(self, corpus_file, capsys):

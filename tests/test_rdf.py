@@ -150,6 +150,13 @@ class TestGraph:
         assert len(graph) == 4
         assert list(graph.triples(EX.s1)) == []
 
+    @pytest.mark.parametrize("predicate", [RDF.type, EX.name, EX.nothing])
+    def test_subjects_by_object_groups_triples_in_their_order(self, graph, predicate):
+        grouped = [
+            (s, predicate, o) for o, subjects in graph.subjects_by_object(predicate) for s in subjects
+        ]
+        assert grouped == list(graph.triples(None, predicate, None))
+
     def test_subjects_objects_sorted(self, graph):
         stations = graph.subjects(RDF.type, EX.Station)
         assert stations == [EX.s1, EX.s2]
@@ -334,9 +341,10 @@ class TestSparql:
             "SELECT ?name WHERE { ?s ex:name ?name . OPTIONAL { ?s ex:elev ?e } "
             "FILTER(!BOUND(?e)) }"
         )
-        # FILTER in the outer group runs before OPTIONAL extension per our
-        # group-scoped semantics; use a filter inside OPTIONAL-free query.
-        assert isinstance(result.rows, list)
+        # A group's FILTER runs on its basic graph pattern's solutions,
+        # before the OPTIONAL extends them: ?e is unbound there, so every
+        # name passes, in the graph's order.
+        assert result.as_tuples() == [(Literal("WAN-001"),), (Literal("DAV-002"),)]
 
     def test_distinct(self, engine):
         result = engine.query(

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.errors import BulkLoadError, SmrError
+from repro.errors import BulkLoadError, IntegrityError, SmrError
 from repro.smr import (
     BulkLoader,
     Deployment,
@@ -391,9 +391,9 @@ class TestSearchLookupsWriteThrough:
                     annotations.append(("longitude", lon))
             try:
                 _register_or_refuse(smr, kind, _spell(page), annotations)
-            except OverflowError:
-                # A latitude column converts 10**400 and refuses the write
-                # before the wiki sees it.
+            except IntegrityError:
+                # A REAL latitude column cannot hold 10**400 and refuses
+                # the write before the wiki sees it.
                 assert kind in ("station", "field_site")
             self._check(smr, boxes)
 
@@ -447,6 +447,40 @@ class TestBulkLoader:
         assert smr.titles() == [
             record["title"] for i, record in enumerate(records) if i not in (7, 23)
         ]
+
+    def test_real_too_large_for_a_float_fails_its_row_only(self):
+        big = "1" + "0" * 400  # 10**400 in JSON: an int no float can hold
+        text = (
+            f'[{{"title": "Sensor:BIG", "accuracy": {big}}}, '
+            '{"title": "Sensor:OK", "accuracy": 0.5}]'
+        )
+        smr = SensorMetadataRepository()
+        report = BulkLoader(smr).load_json("sensor", text)
+        assert report.loaded == 1
+        assert [row for row, _ in report.errors] == [1]
+        assert "too large for a float" in report.errors[0][1]
+        assert smr.titles() == ["Sensor:OK"]
+
+    def test_refused_real_too_large_for_a_float_changes_no_store(self, smr):
+        graph = smr.rdf_graph()
+
+        def state():
+            return (
+                smr.mutation_count,
+                smr.titles(),
+                smr.kind_map(),
+                {kind: smr.sql(f"SELECT * FROM {kind}").rows for kind in smr.mapping.kinds},
+                smr.text_index.document_count,
+                smr.locations(),
+                set(graph.triples()),
+            )
+
+        before = state()
+        for title in ("Sensor:S1", "Sensor:NEW"):  # an edit and a creation
+            with pytest.raises(IntegrityError, match="too large for a float"):
+                smr.register("sensor", title, [("name", "x"), ("accuracy", 10**400)])
+            assert state() == before
+        assert set(graph.triples()) == set(smr.wiki.export_rdf().triples())
 
     def test_strict_mode_raises_at_first_failing_row(self):
         records = [

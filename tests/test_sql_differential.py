@@ -89,6 +89,7 @@ def where_clause(draw, mistyped_order=False):
             [
                 "num_cmp", "tag_cmp", "null", "between", "in", "and", "or",
                 "not", "column_cmp", "arith_cmp", "concat", "mistyped_eq",
+                "real_cmp",
             ]
         )
     )
@@ -101,6 +102,12 @@ def where_clause(draw, mistyped_order=False):
         op = draw(comparison)
         value = draw(st.integers(-50, 50))
         return f"{column} {op} {value}"
+    if kind == "real_cmp":
+        # A REAL literal in exponent form, as repr() writes a small float.
+        column = draw(st.sampled_from(["a", "b"]))
+        mantissa = draw(st.sampled_from(["1", "2.5", "7.", ".5", "-3.25", "9.99"]))
+        exponent = draw(st.sampled_from(["e1", "E1", "e+1", "e-5", "E-2", "e0", "e2"]))
+        return f"{column} {draw(comparison)} {mantissa}{exponent}"
     if kind == "column_cmp":
         left, right = draw(st.permutations(["a", "b"]))
         return f"{left} {draw(comparison)} {right}"

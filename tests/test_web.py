@@ -132,6 +132,26 @@ class TestSearchEndpoints:
         assert indexed == search(indexed=False)
         assert indexed[0] == "200 OK"
 
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            # Rendered FILTER(?v > 1e-05): an exponent-form SPARQL DOUBLE.
+            ("last_value%3E0.00001", ["Sensor:Hot"]),
+            ("last_value%3C-0.00002", ["Sensor:Cold"]),
+            # Rendered accuracy < 1e-05: an exponent-form SQL REAL.
+            ("accuracy%3C0.00001", ["Sensor:Cold"]),
+            ("accuracy%3E%3D0.00001", ["Sensor:Hot"]),
+        ],
+    )
+    def test_filter_value_written_with_an_exponent(self, text, expected):
+        smr = SensorMetadataRepository()
+        smr.register("sensor", "Sensor:Hot", [("accuracy", 0.5), ("last_value", 0.25)])
+        smr.register("sensor", "Sensor:Cold", [("accuracy", 1e-06), ("last_value", -3e-05)])
+        app = create_app(AdvancedSearchEngine(smr, cache=None))
+        status, _, body = call(app, "GET", "/api/search", f"q={text}")
+        assert status == "200 OK", body
+        assert [r["title"] for r in body["results"]] == expected
+
     def test_page_detail(self, app):
         status, _, body = call(app, "GET", "/api/page/Station:WAN-001")
         assert status == "200 OK"

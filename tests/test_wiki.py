@@ -201,14 +201,26 @@ class TestWikiSite:
     ):
         graph = site.export_rdf()
         before = set(graph.triples())
-        site.save("Station:A", "[[elev::200]]")
+        site.save("Station:A", "[[elev::200]] [[Station:C]]")
+        page_rdf = WikiSite.page_rdf
 
-        def failing(self, into, title):
-            raise RdfError("export failed")
+        def failing(self, title):
+            if title == "Station:A":
+                raise RdfError("export failed")
+            return page_rdf(self, title)
 
-        monkeypatch.setattr(WikiSite, "export_page_rdf", failing)
+        monkeypatch.setattr(WikiSite, "page_rdf", failing)
         with pytest.raises(RdfError):
             site.refresh_page_rdf(graph, "Station:A")
+        assert set(graph.triples()) == before
+        # A creation re-exports its backlinks too: none is written unless all build.
+        monkeypatch.setattr(WikiSite, "page_rdf", page_rdf)
+        site.refresh_page_rdf(graph, "Station:A")
+        before = set(graph.triples())
+        site.save("Station:C", "[[elev::300]]")
+        monkeypatch.setattr(WikiSite, "page_rdf", failing)
+        with pytest.raises(RdfError):
+            site.refresh_page_rdf(graph, "Station:C")
         assert set(graph.triples()) == before
 
 
