@@ -26,7 +26,6 @@ from repro.core.engine import AdvancedSearchEngine
 from repro.core.recommend import Recommendation, Recommender
 from repro.core.autocomplete import AutocompleteService
 from repro.core.facets import facet_counts
-from repro.core.history import QueryLog
 from repro.core.stats import CorpusStatistics, corpus_statistics
 
 __all__ = [
@@ -45,5 +44,4 @@ __all__ = [
     "facet_counts",
     "CorpusStatistics",
     "corpus_statistics",
-    "QueryLog",
 ]

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import heapq
 import re
+import sys
 import time
 from functools import partial
 from itertools import repeat
@@ -130,9 +131,6 @@ class AdvancedSearchEngine:
         if cache is _DEFAULT_CACHE_SENTINEL:
             cache = GenerationalLruCache(capacity=256, name="query_results")
         self.cache = cache
-        from repro.core.history import QueryLog
-
-        self.query_log = QueryLog()
 
     # ------------------------------------------------------------------
     # Public API
@@ -161,7 +159,7 @@ class AdvancedSearchEngine:
         The cache bypass is deliberate: a cached hit would yield an empty
         waterfall, and the point of ``explain=full`` / ``/explore`` is to
         watch the real pipeline run. Otherwise this is :meth:`search`:
-        the record is published to the same views.
+        the record goes to the same ring.
         """
         return self._run(query, user, probe_cache=False)
 
@@ -206,15 +204,15 @@ class AdvancedSearchEngine:
         return results, prov
 
     def _publish(self, prov: obs.QueryProvenance) -> None:
-        """Hand one finished record to every per-query view, once.
+        """Append one finished record to the ring and observe its two histograms.
 
-        The ring goes first: it stamps the record as it admits it, and
-        nothing writes to the record after that.
+        The ring stamps the record as it admits it, and nothing writes to
+        the record after that; every other per-query view reads the ring.
+        Only a search at or above the SLO threshold also writes a line (a
+        warning) and a counter.
         """
         obs.get_provenance_recorder().record(prov)
-        obs.get_slow_query_log().record(prov)
         registry = obs.get_registry()
-        registry.counter("engine_queries_total", "Advanced searches executed.").inc()
         registry.histogram(
             "engine_query_seconds", "Advanced-search latency in seconds."
         ).observe(prov.seconds)
@@ -223,28 +221,20 @@ class AdvancedSearchEngine:
             "Distribution of per-query candidate counts.",
             buckets=obs.DEFAULT_COUNT_BUCKETS,
         ).observe(prov.result_count)
-        if prov.result_count == 0:
-            registry.counter(
-                "engine_zero_result_queries_total", "Searches that matched nothing."
-            ).inc()
-        fields = {
-            "query": prov.query,
-            "seconds": prov.seconds,
-            "cache": prov.cache,
-            "results": prov.result_count,
-            "privileges": prov.privileges,
-        }
-        event_log = obs.get_event_log()
-        event_log.info("engine.search", **fields)
         if prov.seconds >= obs.SEARCH_SLO_SECONDS:
-            event_log.warning(
-                "engine.slow_query", threshold=obs.SEARCH_SLO_SECONDS, **fields
+            obs.get_event_log().warning(
+                "engine.slow_query",
+                threshold=obs.SEARCH_SLO_SECONDS,
+                query=prov.query,
+                seconds=prov.seconds,
+                cache=prov.cache,
+                results=prov.result_count,
+                privileges=prov.privileges,
             )
             registry.counter(
                 "engine_slow_queries_total",
                 "Searches at or above the slow-query threshold.",
             ).inc()
-        self.query_log.record(prov.query, prov.result_count)
 
     def _constraints(self, query: SearchQuery) -> List[_Constraint]:
         """The query's constraints in waterfall order: keyword, kind, each filter, bbox.
@@ -703,17 +693,20 @@ def _sparql_condition(flt: PropertyFilter) -> str:
 
 
 def _numeric_or_zero(value: Any) -> float:
-    if isinstance(value, bool):
+    """A property sort's score: a number as a float, clamped to
+    ``±sys.float_info.max`` when it is too large for one; else 0.0."""
+    if not isinstance(value, (int, float)):
+        return 0.0
+    try:
         return float(value)
-    if isinstance(value, (int, float)):
-        return float(value)
-    return 0.0
+    except OverflowError:
+        return sys.float_info.max if value > 0 else -sys.float_info.max
 
 
 def _typed_value_key(value: Any):
     # Rank by type so mixed-typed property values still sort totally.
-    if isinstance(value, bool):
-        return (0, float(value), "")
+    # Numbers (bools among them) compare exactly, ints beyond a float's
+    # range included.
     if isinstance(value, (int, float)):
-        return (0, float(value), "")
+        return (0, value, "")
     return (1, 0.0, str(value))

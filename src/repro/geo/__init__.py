@@ -6,7 +6,6 @@ metadata pages. This package provides the primitives those features need:
 
 - :mod:`repro.geo.point` — WGS-84 points and haversine distance;
 - :mod:`repro.geo.bbox` — bounding boxes (containment, expansion);
-- :mod:`repro.geo.geohash` — geohash encode/decode for spatial bucketing;
 - :mod:`repro.geo.projection` — Web-Mercator pixel projection;
 - :mod:`repro.geo.cluster` — grid-based marker clustering, the same
   strategy map APIs use to collapse dense marker sets.
@@ -14,7 +13,6 @@ metadata pages. This package provides the primitives those features need:
 
 from repro.geo.point import GeoPoint, haversine_km
 from repro.geo.bbox import BoundingBox
-from repro.geo.geohash import geohash_decode, geohash_encode
 from repro.geo.projection import WebMercator
 from repro.geo.cluster import MarkerCluster, cluster_markers
 
@@ -22,8 +20,6 @@ __all__ = [
     "GeoPoint",
     "haversine_km",
     "BoundingBox",
-    "geohash_encode",
-    "geohash_decode",
     "WebMercator",
     "MarkerCluster",
     "cluster_markers",

@@ -20,9 +20,10 @@ single substrate they flow through:
   history, the live counterpart of Fig. 3(a) (``/debug/convergence``);
 - :mod:`repro.obs.provenance` — the one record every search leaves:
   which constraint matched what, at what cost, and who killed the
-  candidate set (``/explore``, ``explain=full``, ``/debug/provenance``);
-- :mod:`repro.obs.slowlog` — bounded reservoir of the slowest of those
-  records, kept by reference (``/debug/slow``);
+  candidate set (``/explore``, ``explain=full``), kept in one ring of
+  the last 1,000 searches that every per-query view reads
+  (``/debug/provenance``, ``/debug/slow``, the ``/api/stats`` slow
+  queries, ``/api/queries/popular``);
 - :mod:`repro.obs.exposition` — Prometheus and OpenMetrics text formats
   (the latter with trace-id exemplars on histogram buckets) and JSON
   snapshots (served by ``GET /metrics`` and ``/api/stats``);
@@ -39,10 +40,9 @@ single substrate they flow through:
 
 Instrumented modules call :func:`get_registry` / :func:`get_tracer` /
 :func:`get_event_log` / :func:`get_convergence_recorder` /
-:func:`get_provenance_recorder` / :func:`get_slow_query_log` /
-:func:`get_sampler` at the point of use, so tests inject fresh
-instances with the matching ``set_*`` hooks and production code can
-disable any of them.
+:func:`get_provenance_recorder` / :func:`get_sampler` at the point of
+use, so tests inject fresh instances with the matching ``set_*`` hooks
+and production code can disable any of them.
 
 Metric naming conventions (documented in README "Observability"):
 ``<subsystem>_<quantity>_<unit|total>`` with snake_case names, e.g.
@@ -96,16 +96,12 @@ from repro.obs.convergence import (
     set_convergence_recorder,
 )
 from repro.obs.provenance import (
+    SLOW_VIEW_SIZE,
     ConstraintStage,
     ProvenanceRecorder,
     QueryProvenance,
     get_provenance_recorder,
     set_provenance_recorder,
-)
-from repro.obs.slowlog import (
-    SlowQueryLog,
-    get_slow_query_log,
-    set_slow_query_log,
 )
 from repro.obs.timeseries import (
     HistogramSeries,
@@ -135,6 +131,9 @@ from repro.obs.exposition import (
     snapshot,
     snapshot_json,
 )
+
+#: The ring under the deleted slow-query log's name, which perfbench toggles.
+get_slow_query_log = get_provenance_recorder
 
 __all__ = [
     "Alert",
@@ -166,9 +165,9 @@ __all__ = [
     "ProvenanceRecorder",
     "QueryProvenance",
     "SEARCH_SLO_SECONDS",
+    "SLOW_VIEW_SIZE",
     "SloDefinition",
     "SloEvaluator",
-    "SlowQueryLog",
     "Span",
     "TimeSeries",
     "TimeSeriesStore",
@@ -185,7 +184,6 @@ __all__ = [
     "get_provenance_recorder",
     "get_registry",
     "get_sampler",
-    "get_slow_query_log",
     "get_tracer",
     "level_number",
     "mint_trace_id",
@@ -199,7 +197,6 @@ __all__ = [
     "set_provenance_recorder",
     "set_registry",
     "set_sampler",
-    "set_slow_query_log",
     "set_tracer",
     "snapshot",
     "snapshot_json",

@@ -15,14 +15,18 @@ included, capturing the paper's Fig. 1 pipeline as data:
   (sort key, top-k vs. full-sort path), the cache verdict, the result
   count and the repository generation the query ran against.
 
-Every per-query view reads this record: the :class:`ProvenanceRecorder`
-ring (``/debug/provenance``, filterable by trace id), the slow-query log
-(``/debug/slow``, ``/api/stats``), the ``engine.search`` event, the
-engine's metric families and its query log. The engine fills a record
-while the pipeline runs, then publishes it once, ring first; the ring
-stamps ``timestamp`` and ``seq`` as it admits the record. From there on
-it is frozen: a record is never mutated once published, which is what
-lets the slow log keep records by reference instead of copying them.
+The :class:`ProvenanceRecorder` ring is the only per-search store: the
+engine appends each finished record to it and observes two histograms,
+and nothing else keeps a copy. Every per-query view is computed from one
+locked snapshot of the ring when a reader asks for it: the recent
+records (``/debug/provenance``, filterable by trace id), the slowest
+records (``/debug/slow``, :data:`SLOW_VIEW_SIZE` of them) and distinct
+queries (``/api/stats``), and query popularity with the zero-result
+queries (``/api/queries/popular``). So each view covers the last
+``capacity`` searches (1,000 by default) of the whole process. The ring
+stamps ``timestamp`` and ``seq`` as it admits a record. From there on
+the record is never mutated once published, which is what lets the ring
+keep records by reference and the views render fresh dicts from them.
 
 The recorder follows the package's standard contract: a process-wide
 default swappable via :func:`set_provenance_recorder` and an ``enabled``
@@ -32,12 +36,16 @@ not the ring keeps it.
 
 from __future__ import annotations
 
+import heapq
 import threading
 import time
-from collections import deque
-from typing import Any, Deque, Dict, List, Optional
+from collections import Counter, deque
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro.errors import ObservabilityError
+
+#: How many of the slowest retained records ``/debug/slow`` shows.
+SLOW_VIEW_SIZE = 32
 
 
 class ConstraintStage:
@@ -94,7 +102,7 @@ class QueryProvenance:
         self.allowed: Optional[int] = None
         self.ranking: Optional[Dict[str, Any]] = None
         #: Readable matches the caller got (``total_candidates``), set
-        #: on cache hits too; read by the slow log, event and metrics.
+        #: on cache hits too; read by the ring's views and the metrics.
         self.result_count: int = 0
         self.timestamp: float = 0.0
         self.seq: int = 0
@@ -149,15 +157,15 @@ class ProvenanceRecorder:
     capacity:
         How many records to retain; the oldest are dropped first.
     enabled:
-        When False, :meth:`record` keeps nothing; the engine still builds
-        every record for the other views.
+        When False, :meth:`record` keeps nothing; ``explain=full`` still
+        returns its own record.
     clock:
         Injectable wall-clock source for deterministic tests.
     """
 
     def __init__(
         self,
-        capacity: int = 128,
+        capacity: int = 1000,
         enabled: bool = True,
         clock=time.time,
     ):
@@ -184,25 +192,81 @@ class ProvenanceRecorder:
             provenance.seq = self._seq
             self._buffer.append(provenance)
 
+    @property
+    def recorded(self) -> int:
+        """Records the ring has admitted, evicted and cleared ones included."""
+        return self._seq
+
+    def snapshot(self) -> List[QueryProvenance]:
+        """The retained records, oldest first, copied under the lock."""
+        with self._lock:
+            return list(self._buffer)
+
     def records(
         self, trace_id: Optional[str] = None, k: int = 20
     ) -> List[Dict[str, Any]]:
-        """The last ``k`` records as dicts, most recent first.
+        """The last ``k`` records as dicts with their result counts, most
+        recent first.
 
         ``trace_id`` filters before ``k`` applies, so an ``X-Trace-Id``
         header can always find its provenance while the ring holds it.
         """
-        with self._lock:
-            snapshot = list(self._buffer)
+        snapshot = self.snapshot()
         if trace_id is not None:
             snapshot = [p for p in snapshot if p.trace_id == trace_id]
-        return [p.to_dict() for p in reversed(snapshot[-k:] if k > 0 else [])]
+        return [
+            dict(p.to_dict(), results=p.result_count)
+            for p in reversed(snapshot[-k:] if k > 0 else [])
+        ]
+
+    def slowest(self, k: int = SLOW_VIEW_SIZE) -> List[Dict[str, Any]]:
+        """The ``k`` slowest retained records as fresh ``/debug/slow``
+        entries, slowest first, ties by ``seq``.
+
+        Each entry holds the query, wall time, trace id, cache verdict,
+        result count, the constraint-waterfall plan (None for a cache
+        hit's record) and the ring's stamps; a reader may mutate it.
+        """
+        slowest = heapq.nsmallest(k, self.snapshot(), key=_slowness)
+        return [_slow_entry(p) for p in slowest]
+
+    def slowest_queries(self, k: int) -> List[Dict[str, Any]]:
+        """The ``k`` slowest distinct query texts, worst first, each with
+        its slowest retained time."""
+        slowest: Dict[str, float] = {}
+        for p in sorted(self.snapshot(), key=_slowness):
+            if len(slowest) == k:
+                break
+            slowest.setdefault(p.query, p.seconds)
+        return [{"query": q, "seconds": s} for q, s in slowest.items()]
+
+    def popularity(self, k: int) -> Tuple[List[Tuple[str, int]], List[str]]:
+        """Query popularity over the retained records, as normalized text.
+
+        Returns the ``k`` most-run queries with their counts, by ``(-count,
+        query)``, and the ``k`` most recent distinct queries that returned
+        nothing (the content-gap signal). A query's normalized text is
+        lower case with single spaces, so keyword case variants count as
+        one query.
+        """
+        if k <= 0:
+            return [], []
+        snapshot = self.snapshot()
+        counts = Counter(_normalized(p.query) for p in snapshot)
+        popular = sorted(counts.items(), key=lambda item: (-item[1], item[0]))[:k]
+        zero_results: Dict[str, None] = {}
+        for p in reversed(snapshot):
+            if p.result_count == 0:
+                zero_results.setdefault(_normalized(p.query))
+                if len(zero_results) == k:
+                    break
+        return popular, list(zero_results)
 
     def __len__(self) -> int:
         return len(self._buffer)
 
     def clear(self) -> None:
-        """Drop every retained record."""
+        """Drop every retained record (:attr:`recorded` keeps counting)."""
         with self._lock:
             self._buffer.clear()
 
@@ -213,6 +277,36 @@ class ProvenanceRecorder:
     def disable(self) -> None:
         """Stop retaining records."""
         self.enabled = False
+
+
+def _slowness(provenance: QueryProvenance) -> Tuple[float, int]:
+    """Sort key putting the slowest record first, earlier ``seq`` on ties."""
+    return -provenance.seconds, provenance.seq
+
+
+def _normalized(query: str) -> str:
+    """A query's text as popularity counts it: lower case, single spaces."""
+    return " ".join(query.lower().split())
+
+
+def _slow_entry(provenance: QueryProvenance) -> Dict[str, Any]:
+    """One record as a fresh ``/debug/slow`` entry dict."""
+    plan = None
+    if provenance.stages:
+        plan = {
+            "stages": [stage.to_dict() for stage in provenance.stages],
+            "waterfall": [dict(step) for step in provenance.waterfall],
+        }
+    return {
+        "query": provenance.query,
+        "seconds": provenance.seconds,
+        "trace_id": provenance.trace_id,
+        "cache": provenance.cache,
+        "results": provenance.result_count,
+        "plan": plan,
+        "timestamp": provenance.timestamp,
+        "seq": provenance.seq,
+    }
 
 
 # ----------------------------------------------------------------------

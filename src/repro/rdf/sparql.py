@@ -463,7 +463,14 @@ class _Parser:
         left = self._parse_filter_mul()
         while True:
             kind, value = self._peek()
-            if kind == "op" and value in ("+", "-"):
+            if kind == "number" and value[0] in "+-":
+                # The lexer reads a sign into the number, which is right
+                # where an operand is expected (``-3 < ?v``). Here an
+                # operator is, so ``?v+1`` is ``?v + 1`` as in SPARQL's
+                # AdditiveExpression: the sign becomes the operator.
+                self._tokens[self._pos] = (kind, value[1:])
+                left = FBinary(value[0], left, self._parse_filter_mul())
+            elif kind == "op" and value in ("+", "-"):
                 self._advance()
                 left = FBinary(value, left, self._parse_filter_mul())
             else:
@@ -924,7 +931,10 @@ class _FilterCompiler:
                     raise _FilterError("arithmetic needs numbers")
                 if divides and b == 0:
                     raise _FilterError("division by zero")
-                return apply(a, b)
+                try:
+                    return apply(a, b)
+                except OverflowError as exc:
+                    raise _FilterError(f"arithmetic overflow: {exc}") from exc
 
             return arithmetic
         raise SparqlSyntaxError(f"unknown operator {op!r}")

@@ -347,14 +347,6 @@ def _count(request: Request, name: str, default: Optional[int]) -> Optional[int]
     return value
 
 
-def _slowest_distinct(slowlog, k: int) -> list:
-    """The ``k`` slowest distinct queries the slow log holds, worst first."""
-    slowest: Dict[str, float] = {}
-    for entry in slowlog.snapshot():
-        slowest.setdefault(entry["query"], entry["seconds"])
-    return [{"query": q, "seconds": s} for q, s in list(slowest.items())[:k]]
-
-
 def create_app(
     engine: AdvancedSearchEngine,
     tagging: Optional[TaggingSystem] = None,
@@ -668,7 +660,7 @@ def create_app(
                 "query_cache": engine.cache_info(),
                 "catalog": engine.smr.db.catalog_stats(),
                 "spatial_index": engine.spatial_index_info(),
-                "slow_queries": _slowest_distinct(obs.get_slow_query_log(), 5),
+                "slow_queries": obs.get_provenance_recorder().slowest_queries(5),
                 "trace_id": obs.current_trace_id(),
             }
         )
@@ -757,22 +749,23 @@ def create_app(
 
     @router.get("/debug/slow")
     def debug_slow(request: Request) -> Response:
-        """The slow-query reservoir: the worst-latency searches seen.
+        """The slowest searches the provenance ring retains (the last 1,000).
 
         Each entry carries the query, its wall time, the trace id to
-        pivot into ``/debug/trace`` / ``/debug/logs``, the cache verdict
-        and the constraint-waterfall plan from the query's record —
-        enough to diagnose a past slow query without reproducing it.
+        pivot into ``/debug/trace`` / ``/debug/provenance``, the cache
+        verdict and the constraint-waterfall plan from the query's record
+        — enough to diagnose a past slow query without reproducing it.
+        ``recorded`` counts every record the ring has admitted.
         """
-        slowlog = obs.get_slow_query_log()
-        entries = slowlog.snapshot()
+        recorder = obs.get_provenance_recorder()
+        entries = recorder.slowest()
         return JsonResponse(
             {
-                "enabled": slowlog.enabled,
-                "capacity": slowlog.capacity,
-                # Retention is by rank alone; the key keeps the payload's shape.
+                "enabled": recorder.enabled,
+                "capacity": obs.SLOW_VIEW_SIZE,
+                # Selection is by rank alone; the key keeps the payload's shape.
                 "threshold_seconds": 0.0,
-                "recorded": slowlog.recorded,
+                "recorded": recorder.recorded,
                 "count": len(entries),
                 "entries": entries,
             }
@@ -1199,13 +1192,13 @@ def create_app(
 
     @router.get("/api/queries/popular")
     def popular_queries(request: Request) -> Response:
+        """The most-run queries and the recent zero-result ones, from the ring."""
         k = _count(request, "k", 10)
+        popular, zero_results = obs.get_provenance_recorder().popularity(k)
         return JsonResponse(
             {
-                "popular": [
-                    {"query": q, "count": c} for q, c in engine.query_log.popular(k)
-                ],
-                "zero_results": engine.query_log.zero_result_queries(k),
+                "popular": [{"query": q, "count": c} for q, c in popular],
+                "zero_results": zero_results,
             }
         )
 
@@ -1328,7 +1321,9 @@ class MetricsMiddleware:
     ``/api/page/{title}``), never the raw path, so label cardinality is
     bounded by the route table. Each request also opens an ``http.request``
     span, making the engine/tagging spans it triggers children of the
-    HTTP request in ``/debug/trace``.
+    HTTP request in ``/debug/trace``. The span holds the method, the raw
+    path, the endpoint, the status and the duration, so the middleware
+    writes no event line of its own.
 
     The middleware is where request-scoped **trace correlation** starts:
     it mints one trace id per request, binds it for the request's thread
@@ -1367,20 +1362,12 @@ class MetricsMiddleware:
         start = time.perf_counter()
         obs.bind_trace_id(trace_id)
         try:
-            event_log.debug(
-                "http.request.start", method=method, path=path, endpoint=endpoint
-            )
-            with tracer.span("http.request", method=method, endpoint=endpoint) as span:
+            with tracer.span(
+                "http.request", method=method, path=path, endpoint=endpoint
+            ) as span:
                 body = self.app(environ, stamping_start_response)
                 span.set_attribute("status", captured["status"])
             elapsed = time.perf_counter() - start
-            event_log.info(
-                "http.request.end",
-                method=method,
-                endpoint=endpoint,
-                status=captured["status"],
-                seconds=elapsed,
-            )
             # Record latency while the trace id is still bound: the
             # histogram's exemplar reads the *current* trace id, and an
             # exemplar without one cannot link a percentile to its trace.

@@ -8,8 +8,8 @@ writer: no torn reads across the three stores, and no post-edit search
 may serve pre-edit state from any cache or memo (result cache, IRI->title
 map, location map, ranker scores); (3) SQL readers sharing one executor,
 as ``smr.sql()`` readers do under the read lock, each get their own
-statement's answer; (4) query threads sharing the engine's ``QueryLog``
-keep its popularity counts equal to its retained window; (5) the
+statement's answer; (4) query threads publishing into one provenance
+ring keep its popularity view equal to its retained window; (5) the
 reader–writer lock under those threads keeps its documented semantics;
 (6) autocomplete and recommendations read under a live writer never go
 back and end equal to a fresh build; (7) ``/api/search`` bodies read
@@ -31,8 +31,9 @@ from urllib.parse import urlencode
 
 import pytest
 
-from repro.core import AdvancedSearchEngine, QueryLog
+from repro.core import AdvancedSearchEngine
 from repro.errors import ReproError
+from repro.obs import ProvenanceRecorder, QueryProvenance
 from repro.relational import Database
 from repro.smr import SensorMetadataRepository
 from repro.smr.rwlock import ReadWriteLock
@@ -689,18 +690,21 @@ class TestConcurrentSqlReaders:
 
 
 class TestConcurrentQueryLog:
-    """Query threads record into one ``QueryLog`` while the window evicts."""
+    """Query threads publish into one provenance ring while its window
+    evicts; the popularity view counts exactly the retained records."""
 
     THREADS = 4
     CALLS = 3000
     TRIALS = 20
 
     def _trial(self) -> bool:
-        log = QueryLog(capacity=1000)
+        ring = ProvenanceRecorder(capacity=1000)
 
         def writer(step):
             for i in range(self.CALLS):
-                log.record(f"q{(i * step) % 13}", i % 2)
+                record = QueryProvenance(f"q{(i * step) % 13}")
+                record.result_count = i % 2
+                ring.record(record)
 
         threads = [
             threading.Thread(target=writer, args=(step,))
@@ -711,11 +715,13 @@ class TestConcurrentQueryLog:
         for thread in threads:
             thread.join(60.0)
         assert not any(thread.is_alive() for thread in threads), "a writer hung"
-        window = Counter(entry[1] for entry in log._recent)
+        window = Counter(record.query for record in ring.snapshot())
         expected = sorted(window.items(), key=lambda item: (-item[1], item[0]))
+        popular, _ = ring.popularity(k=len(expected) + 1)
         return (
-            log.popular(k=len(expected) + 1) == expected
-            and log.total_logged == self.THREADS * self.CALLS
+            popular == expected
+            and sum(window.values()) == len(ring) == 1000
+            and ring.recorded == self.THREADS * self.CALLS
         )
 
     def test_popular_matches_the_retained_window(self):

@@ -124,6 +124,15 @@ DELETED_AUTOCOMPLETE = re.compile(
     r"\bTrie\b|repro\.text\.trie|(?i:(?:autocomplete|title|property)\s+tries?\b)"
 )
 
+#: The deleted per-query stores, counters and request lines: the
+#: provenance ring is the only per-search record, and the ``http.request``
+#: span holds what the request lines said, so no document may still
+#: describe them.
+DELETED_QUERY_SINKS = re.compile(
+    r"SlowQueryLog|repro\.obs\.slowlog|\bQueryLog\b|set_slow_query_log"
+    r"|http\.request\.(?:start|end)|engine_queries_total|engine_zero_result_queries_total"
+)
+
 #: Claims that once were true and must never reappear: (file, regex,
 #: what replaced them). Docs drift is a build failure, not a shrug.
 STALE_CLAIMS = [
@@ -193,6 +202,16 @@ STALE_CLAIMS = [
         DELETED_AUTOCOMPLETE,
         "title and property completion read WikiSite.titles_with_prefix and the "
         "kept property counts; the Trie is gone",
+    )
+    for path in _markdown_files()
+] + [
+    (
+        os.path.relpath(path, REPO_ROOT),
+        DELETED_QUERY_SINKS,
+        "the provenance ring is the only per-search store: /debug/slow, the "
+        "/api/stats slow queries and /api/queries/popular read it, the histograms' "
+        "counts replace the two counters, and the http.request span replaces the "
+        "request lines",
     )
     for path in _markdown_files()
 ]

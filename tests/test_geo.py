@@ -11,8 +11,6 @@ from repro.geo import (
     MarkerCluster,
     WebMercator,
     cluster_markers,
-    geohash_decode,
-    geohash_encode,
     haversine_km,
 )
 
@@ -89,42 +87,6 @@ class TestBoundingBox:
     def test_padding_clamped(self):
         box = BoundingBox.around([GeoPoint(89.9, 179.9)], padding_deg=1.0)
         assert box.north == 90.0 and box.east == 180.0
-
-
-class TestGeohash:
-    def test_known_hash(self):
-        # Reference value for (57.64911, 10.40744) is u4pruydqqvj.
-        assert geohash_encode(GeoPoint(57.64911, 10.40744), precision=11) == "u4pruydqqvj"
-
-    def test_roundtrip(self):
-        for point in (LAUSANNE, ZURICH, DAVOS):
-            decoded, lat_err, lon_err = geohash_decode(geohash_encode(point, precision=9))
-            assert abs(decoded.lat - point.lat) <= lat_err * 2
-            assert abs(decoded.lon - point.lon) <= lon_err * 2
-
-    def test_prefix_property(self):
-        """Nearby points share hash prefixes; distant ones don't."""
-        near_a = geohash_encode(GeoPoint(46.80, 9.83), precision=6)
-        near_b = geohash_encode(GeoPoint(46.81, 9.84), precision=6)
-        far = geohash_encode(GeoPoint(-33.0, 151.0), precision=6)
-        assert near_a[:3] == near_b[:3]
-        assert near_a[0] != far[0]
-
-    def test_invalid_inputs(self):
-        with pytest.raises(ReproError):
-            geohash_encode(LAUSANNE, precision=0)
-        with pytest.raises(ReproError):
-            geohash_decode("")
-        with pytest.raises(ReproError):
-            geohash_decode("ab!")
-
-    @given(lat_strategy, lon_strategy)
-    @settings(max_examples=100, deadline=None)
-    def test_roundtrip_property(self, lat, lon):
-        point = GeoPoint(lat, lon)
-        decoded, lat_err, lon_err = geohash_decode(geohash_encode(point, precision=10))
-        assert abs(decoded.lat - lat) <= lat_err + 1e-9
-        assert abs(decoded.lon - lon) <= lon_err + 1e-9
 
 
 class TestWebMercator:

@@ -342,23 +342,25 @@ class TestStackInstrumentation:
 
     def test_engine_search_records_metrics_and_latency(self, registry, tracer):
         from repro import build_demo_engine
-        from repro.obs import SlowQueryLog, set_slow_query_log
+        from repro.obs import ProvenanceRecorder, set_provenance_recorder
 
         engine = build_demo_engine(seed=7, stations=4, sensors=8)
-        slowlog = SlowQueryLog()
-        previous = set_slow_query_log(slowlog)
+        recorder = ProvenanceRecorder()
+        previous = set_provenance_recorder(recorder)
         try:
             engine.search(engine.parse("kind=station"))
         finally:
-            set_slow_query_log(previous)
-        assert registry.counter("engine_queries_total").value == 1
+            set_provenance_recorder(previous)
         assert registry.histogram("engine_query_seconds").count == 1
         assert registry.histogram(
             "engine_result_count", buckets=DEFAULT_COUNT_BUCKETS
         ).count == 1
+        # The histograms are the only per-search families; a count of
+        # searches is engine_query_seconds_count.
+        assert registry.get("engine_queries_total") is None
         names = [t["name"] for t in tracer.recent(5)]
         assert "engine.search" in names
-        slow = slowlog.snapshot()
+        slow = recorder.slowest()
         assert slow and slow[0]["seconds"] > 0.0
 
     def test_solver_records_per_solver_metrics(self, registry, tracer):

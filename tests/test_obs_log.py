@@ -314,14 +314,19 @@ class TestEngineEvents:
         return AdvancedSearchEngine(smr)
 
     def test_search_event_with_cache_verdict(self, fresh_obs, engine):
+        """A search's facts live in its ring record, not in an event line."""
         _, _, event_log, _ = fresh_obs
-        engine.search(engine.parse("kind=station"))
-        engine.search(engine.parse("kind=station"))
-        events = event_log.records(component="engine", level="info")
-        searches = [r for r in events if r["event"] == "engine.search"]
-        assert [r["fields"]["cache"] for r in searches] == ["hit", "miss"]
-        assert searches[0]["fields"]["results"] == 2
-        assert searches[0]["fields"]["privileges"] == "*"
+        recorder = obs.ProvenanceRecorder()
+        previous = obs.set_provenance_recorder(recorder)
+        try:
+            engine.search(engine.parse("kind=station"))
+            engine.search(engine.parse("kind=station"))
+        finally:
+            obs.set_provenance_recorder(previous)
+        records = recorder.records()
+        assert [r["cache"] for r in records] == ["hit", "miss"]
+        assert [(r["results"], r["privileges"]) for r in records] == [(2, "*"), (2, "*")]
+        assert event_log.records(component="engine") == []
 
     def test_slow_query_event_past_threshold(self, fresh_obs, engine, monkeypatch):
         registry, _, event_log, _ = fresh_obs
@@ -349,4 +354,4 @@ class TestEngineEvents:
         results = engine.search(engine.parse("kind=station"))
         assert results.total_candidates == 2
         assert len(event_log) == 0
-        assert registry.get("engine_queries_total") is None
+        assert registry.get("engine_query_seconds") is None

@@ -18,8 +18,7 @@ from repro.core import (
     parse_query,
 )
 from repro.errors import ObservabilityError, QueryError
-from repro.obs import ProvenanceRecorder, QueryProvenance, SlowQueryLog
-from repro.obs import set_provenance_recorder, set_slow_query_log
+from repro.obs import ProvenanceRecorder, QueryProvenance, set_provenance_recorder
 from repro.smr import SensorMetadataRepository
 
 
@@ -84,13 +83,11 @@ def engine(smr):
 
 @pytest.fixture
 def fresh_obs():
-    """Swap in a fresh provenance recorder + slow log for one test."""
+    """Swap in a fresh provenance ring for one test."""
     recorder = ProvenanceRecorder()
-    slowlog = SlowQueryLog()
-    previous = (set_provenance_recorder(recorder), set_slow_query_log(slowlog))
-    yield recorder, slowlog
-    set_provenance_recorder(previous[0])
-    set_slow_query_log(previous[1])
+    previous = set_provenance_recorder(recorder)
+    yield recorder
+    set_provenance_recorder(previous)
 
 
 class TestScoreDecomposition:
@@ -251,6 +248,27 @@ class TestProvenanceRecorder:
         assert len({r["seq"] for r in records}) == 8  # unique, no torn writes
 
 
+def _timed(query, seconds):
+    """A finished record as the engine publishes it."""
+    record = QueryProvenance(query)
+    record.seconds = seconds
+    return record
+
+
+class TestRingViews:
+    """The ring's views other than ``/debug/slow`` (tests/test_slowlog.py)."""
+
+    def test_slowest_queries_are_distinct_at_their_slowest(self):
+        recorder = ProvenanceRecorder(capacity=8)
+        for query, seconds in [("a", 0.1), ("b", 0.3), ("a", 0.4), ("c", 0.2)]:
+            recorder.record(_timed(query, seconds))
+        assert recorder.slowest_queries(2) == [
+            {"query": "a", "seconds": 0.4},
+            {"query": "b", "seconds": 0.3},
+        ]
+        assert [q["query"] for q in recorder.slowest_queries(5)] == ["a", "b", "c"]
+
+
 class TestEngineProvenance:
     def test_search_explained_records_stages_and_waterfall(self, engine, fresh_obs):
         query = parse_query("wind kind=sensor sensor_type~wind")
@@ -270,7 +288,7 @@ class TestEngineProvenance:
         assert all(stage.seconds >= 0.0 for stage in prov.stages)
 
     def test_search_explained_lands_in_recorder(self, engine, fresh_obs):
-        recorder, _ = fresh_obs
+        recorder = fresh_obs
         engine.search_explained(parse_query("kind=station"))
         records = recorder.records()
         assert len(records) == 1
@@ -286,7 +304,7 @@ class TestEngineProvenance:
     def test_cached_search_records_hit_verdict_with_empty_waterfall(
         self, engine, fresh_obs
     ):
-        recorder, _ = fresh_obs
+        recorder = fresh_obs
         query = SearchQuery(kind="station")
         engine.search(query)
         engine.search(query)
@@ -297,8 +315,7 @@ class TestEngineProvenance:
         assert records[1]["stages"], "the uncached run must carry its stages"
 
     def test_one_record_per_search_feeds_every_view(self, engine, fresh_obs):
-        recorder, slowlog = fresh_obs
-        logged = engine.query_log.total_logged
+        recorder = fresh_obs
         query = SearchQuery(kind="sensor", limit=4, offset=2)
         results = engine.search(query)
         engine.search(query)
@@ -307,14 +324,14 @@ class TestEngineProvenance:
         assert [r["cache"] for r in records[:2]] == ["bypass", "hit"]
         assert records[2]["cache"] in ("miss", "stale")
         assert records[0]["seq"] == explained.seq
-        # Hits included: every record reaches the slow log and the query
-        # log, with the result count the caller got.
-        assert slowlog.recorded == 3
-        assert {e["results"] for e in slowlog.snapshot()} == {results.total_candidates}
-        assert engine.query_log.total_logged == logged + 3
+        # Hits included: every record reaches the ring's slow and
+        # popularity views, with the result count the caller got.
+        assert recorder.recorded == 3
+        assert {e["results"] for e in recorder.slowest()} == {results.total_candidates}
+        assert recorder.popularity(1) == ([(query.describe().lower(), 3)], [])
 
     def test_disabled_recorder_collects_nothing(self, engine, fresh_obs):
-        recorder, _ = fresh_obs
+        recorder = fresh_obs
         recorder.disable()
         results = engine.search(SearchQuery(keyword="snow"))
         assert len(recorder) == 0
@@ -363,10 +380,9 @@ class TestEngineProvenance:
         assert prov.stages and calls == []
 
     def test_search_feeds_slow_query_log(self, engine, fresh_obs):
-        _, slowlog = fresh_obs
         engine.search(SearchQuery(kind="sensor", keyword="wind"))
-        entries = slowlog.snapshot()
-        assert entries, "an uncached search must be offered to the slow log"
+        entries = fresh_obs.slowest()
+        assert entries, "an uncached search must reach the ring's slow view"
         entry = entries[0]
         assert entry["query"].startswith("keyword='wind', kind=sensor")
         assert entry["plan"] is not None

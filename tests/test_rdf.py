@@ -393,6 +393,58 @@ class TestSparql:
         )
         assert result.column("s") == [EX.s3]
 
+    @pytest.fixture
+    def numbers(self):
+        g = Graph()
+        for name, value in [("a", 1), ("b", 2), ("c", -3), ("d", 5)]:
+            g.add(EX[name], EX.v, Literal(value))
+        return SparqlEngine(g)
+
+    @pytest.mark.parametrize(
+        "where,spaced,expected",
+        [
+            # After an operand a sign is SPARQL's additive operator...
+            ("?s ex:v ?v . FILTER(?v+1 > 2)", "?s ex:v ?v . FILTER(?v + 1 > 2)", "bd"),
+            ("?s ex:v ?v . FILTER(?v-1 > 2)", "?s ex:v ?v . FILTER(?v - 1 > 2)", "d"),
+            ("?s ex:v ?v . FILTER(?v-1*2 >= 0)", "?s ex:v ?v . FILTER(?v - (1 * 2) >= 0)", "bd"),
+            # ...and where an operand is expected it is the number's sign.
+            ("?s ex:v ?v . FILTER(?v*-2 > 0)", "?s ex:v ?v . FILTER(?v * (0 - 2) > 0)", "c"),
+            ("?s ex:v ?v . FILTER(?v > -3)", "?s ex:v ?v . FILTER(?v > 0 - 3)", "abd"),
+            ("?s ex:v ?v . FILTER(-3 < ?v)", "?s ex:v ?v . FILTER(0 - 3 < ?v)", "abd"),
+            ("?s ex:v -3", "?s ex:v ?v . FILTER(?v = 0 - 3)", "c"),
+        ],
+    )
+    def test_a_sign_after_an_operand_is_an_operator(self, numbers, where, spaced, expected):
+        prefix = "PREFIX ex: <http://example.org/> SELECT ?s WHERE { "
+        for text in (where, spaced):
+            result = numbers.query(prefix + text + " } ORDER BY ?s")
+            assert result.column("s") == [EX[name] for name in expected], text
+
+    def test_a_signed_number_where_an_operand_is_expected_stays_one_literal(self):
+        from repro.rdf.sparql import FBinary, FLiteral, FVar, parse_sparql
+
+        def filters(condition):
+            query = f"SELECT ?s WHERE {{ ?s ?p ?v . FILTER({condition}) }}"
+            return parse_sparql(query).where.filters
+
+        v = FVar(Variable("v"))
+        assert filters("?v > -3") == [FBinary(">", v, FLiteral(-3))]
+        assert filters("?v+1 > 2") == [FBinary(">", FBinary("+", v, FLiteral(1)), FLiteral(2))]
+        assert filters("?v*-2 < 1") == [
+            FBinary("<", FBinary("*", v, FLiteral(-2)), FLiteral(1))
+        ]
+
+    def test_arithmetic_overflow_fails_the_filter(self):
+        g = Graph()
+        g.add(EX.big, EX.v, Literal(10**400))
+        g.add(EX.six, EX.v, Literal(6))
+        result = SparqlEngine(g).query(
+            "PREFIX ex: <http://example.org/> "
+            "SELECT ?s WHERE { ?s ex:v ?v . FILTER(?v / 3 > 1) }"
+        )
+        # 10**400 / 3 does not fit a float: an evaluation error, so false.
+        assert result.column("s") == [EX.six]
+
     @pytest.mark.parametrize(
         "bad",
         [

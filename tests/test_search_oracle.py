@@ -21,7 +21,8 @@ from hypothesis import strategies as st
 from repro.core import AdvancedSearchEngine, PropertyFilter, SearchQuery
 from repro.core.engine import _PAGERANK_WEIGHT, _RELEVANCE_WEIGHT
 from repro.core.privileges import ANONYMOUS, AccessPolicy, User
-from repro.errors import AccessDeniedError, QueryError
+from repro.errors import AccessDeniedError, ObservabilityError, QueryError
+from repro.obs import ProvenanceRecorder, QueryProvenance, set_provenance_recorder
 from repro.smr import SensorMetadataRepository
 from repro.smr.model import KIND_ORDER
 
@@ -336,47 +337,56 @@ class TestScorerOracle:
 
 
 class TestQueryLog:
-    def test_record_and_popular(self):
-        from repro.core import QueryLog
+    """Query history is a view of the provenance ring: popularity counts
+    the normalized text of the retained records."""
 
-        log = QueryLog()
-        log.record("kind=station", 5)
-        log.record("KIND=station  ", 5)  # normalizes to the same query
-        log.record("keyword=wind", 0)
-        assert log.popular(1) == [("kind=station", 2)]
-        assert log.recent(2) == ["keyword=wind", "kind=station"]
-        assert log.recent(1) == ["keyword=wind"]
-        assert log.recent(0) == []
-        assert log.zero_result_queries() == ["keyword=wind"]
-        assert log.total_logged == 3
+    @staticmethod
+    def _publish(recorder, query, result_count):
+        record = QueryProvenance(query)
+        record.result_count = result_count
+        recorder.record(record)
+
+    def test_record_and_popular(self):
+        recorder = ProvenanceRecorder()
+        self._publish(recorder, "kind=station", 5)
+        self._publish(recorder, "KIND=station  ", 5)  # normalizes to the same query
+        self._publish(recorder, "keyword=wind", 0)
+        assert recorder.popularity(1) == ([("kind=station", 2)], ["keyword=wind"])
+        assert recorder.popularity(5)[0] == [("kind=station", 2), ("keyword=wind", 1)]
+        assert recorder.recorded == 3
         for k in (0, -1):
-            assert log.popular(k) == []
-            assert log.zero_result_queries(k) == []
-            assert log.recent(k) == []
+            assert recorder.popularity(k) == ([], [])
 
     def test_window_eviction(self):
-        from repro.core import QueryLog
-
-        log = QueryLog(capacity=2)
-        log.record("a", 1)
-        log.record("b", 1)
-        log.record("c", 1)  # evicts "a"
-        assert dict(log.popular()) == {"b": 1, "c": 1}
+        recorder = ProvenanceRecorder(capacity=2)
+        for query in ("a", "b", "c"):  # "c" evicts "a"
+            self._publish(recorder, query, 0)
+        assert recorder.popularity(10) == ([("b", 1), ("c", 1)], ["c", "b"])
 
     def test_empty_query_rejected(self):
-        from repro.core import QueryLog
-        from repro.errors import QueryError
-
-        with pytest.raises(QueryError):
-            QueryLog().record("   ", 0)
-        with pytest.raises(QueryError):
-            QueryLog(capacity=0)
+        recorder = ProvenanceRecorder()
+        previous = set_provenance_recorder(recorder)
+        try:
+            engine = AdvancedSearchEngine(SensorMetadataRepository())
+            with pytest.raises(QueryError):
+                engine.search(engine.parse("   "))
+        finally:
+            set_provenance_recorder(previous)
+        assert recorder.recorded == 0  # a rejected query leaves no record
+        with pytest.raises(ObservabilityError):
+            ProvenanceRecorder(capacity=0)
 
     def test_engine_logs_searches(self):
         from repro import build_demo_engine
 
         engine = build_demo_engine(seed=6, stations=6, sensors=12)
-        engine.search(engine.parse("kind=station limit=0"))
-        engine.search(engine.parse("kind=station limit=0"))
-        popular = engine.query_log.popular(1)
-        assert popular and popular[0][1] == 2
+        recorder = ProvenanceRecorder()
+        previous = set_provenance_recorder(recorder)
+        try:
+            engine.search(engine.parse("kind=station limit=0"))
+            engine.search(engine.parse("kind=station limit=0"))
+        finally:
+            set_provenance_recorder(previous)
+        popular, zero_results = recorder.popularity(1)
+        assert popular == [(engine.parse("kind=station").describe(), 2)]
+        assert zero_results == []

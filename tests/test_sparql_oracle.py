@@ -180,15 +180,19 @@ def _reference_binary(expr, bindings):
     if op in ("+", "-", "*", "/"):
         if not isinstance(left, (int, float)) or not isinstance(right, (int, float)):
             raise _ReferenceError("arithmetic needs numbers")
-        if op == "+":
-            return left + right
-        if op == "-":
-            return left - right
-        if op == "*":
-            return left * right
-        if right == 0:
+        if op == "/" and right == 0:
             raise _ReferenceError("division by zero")
-        return left / right
+        try:
+            if op == "+":
+                return left + right
+            if op == "-":
+                return left - right
+            if op == "*":
+                return left * right
+            return left / right
+        except OverflowError as exc:
+            # SPARQL 1.1 §17.3: an evaluation error makes the FILTER false.
+            raise _ReferenceError(f"arithmetic overflow: {exc}") from exc
     raise SparqlSyntaxError(f"unknown operator {op!r}")
 
 
@@ -221,8 +225,11 @@ pattern_strategy = st.tuples(
 )
 
 #: Literal values that mix int, float, bool and str: zeros for division,
-#: equal numbers of different types, a string that is not a valid regex.
-_VALUES = [-2, 0, 1, 3, -1.5, 0.0, 1.0, 2.5, True, False, "x", "ab", "A", "", "1", "("]
+#: equal numbers of different types, an int too large for a float (its
+#: float arithmetic overflows), a string that is not a valid regex.
+_VALUES = [
+    -2, 0, 1, 3, -1.5, 0.0, 1.0, 2.5, 10**400, True, False, "x", "ab", "A", "", "1", "(",
+]
 _MIXED_OBJECTS = _SUBJECTS + [Literal(value) for value in _VALUES]
 #: ``?d`` appears in no pattern: a FILTER naming it runs on full solutions.
 _FILTER_VARS = _VARS + [Variable("d")]
@@ -351,6 +358,11 @@ class TestFilterOracle:
         triples=[(EX.s0, EX.p0, Literal(1)), (EX.s1, EX.p0, Literal(True))],
         patterns=[(Variable("a"), EX.p0, Variable("b"))],
         filters=[FBinary("&&", FVar(Variable("b")), FLiteral(True))],
+    )
+    @example(  # an int too large for a float: its division overflows, which fails
+        triples=[(EX.s0, EX.p0, Literal(10**400)), (EX.s1, EX.p0, Literal(3))],
+        patterns=[(Variable("a"), EX.p0, Variable("b"))],
+        filters=[FBinary(">", FBinary("/", FVar(Variable("b")), FLiteral(3)), FLiteral(0))],
     )
     def test_filtered_bgp_matches_brute_force_and_the_walker(self, triples, patterns, filters):
         graph = Graph()

@@ -3,6 +3,8 @@
 import io
 import json
 import re
+from collections import Counter
+from contextlib import contextmanager
 from urllib.parse import urlencode
 
 import pytest
@@ -365,7 +367,8 @@ class TestObservabilityEndpoints:
         assert status == "200 OK"
         assert headers["Content-Type"].startswith("text/plain; version=0.0.4")
         assert "# TYPE engine_query_seconds histogram" in body
-        assert "engine_queries_total 1" in body
+        assert "engine_query_seconds_count 1" in body
+        assert "engine_queries_total" not in body  # the histogram's count says it
         assert "# TYPE pagerank_solve_seconds histogram" in body
         assert 'pagerank_iterations_total{solver="gauss_seidel"}' in body
         # A miss on a fresh cache, stale once an earlier test tagged a page.
@@ -477,7 +480,8 @@ class TestDeepObservability:
         assert body["trace_id"] == headers["X-Trace-Id"]
 
     def test_one_request_reconstructable_from_its_trace_id(self, app, fresh_obs):
-        """The acceptance path: header -> span tree -> correlated logs."""
+        """The acceptance path: header -> span tree -> record -> correlated logs."""
+        app.engine.ranker.refresh()  # the search pays a solve: events between spans
         _, headers, _ = call(app, "GET", "/api/search", "q=kind%3Dstation")
         trace_id = headers["X-Trace-Id"]
 
@@ -485,18 +489,26 @@ class TestDeepObservability:
         assert status == "200 OK"
         assert len(body["traces"]) == 1
         assert body["traces"][0]["trace_id"] == trace_id
-        assert body["traces"][0]["attributes"]["endpoint"] == "/api/search"
+        assert body["traces"][0]["attributes"] == {
+            "method": "GET", "path": "/api/search", "endpoint": "/api/search", "status": "200",
+        }
+
+        status, _, body = call(app, "GET", "/debug/provenance", f"trace_id={trace_id}")
+        assert status == "200 OK"
+        [record] = body["records"]
+        assert record["query"].startswith("kind=station")
+        assert record["cache"] in ("miss", "stale")
+        assert (record["results"], record["privileges"]) == (2, "*")
 
         status, _, body = call(app, "GET", "/debug/logs", f"trace_id={trace_id}")
         assert status == "200 OK"
         events = [r["event"] for r in body["records"]]
-        assert len(events) >= 3
-        assert "http.request.start" in events
-        assert "engine.search" in events
-        assert "http.request.end" in events
+        assert "ranking.refresh" in events and "pagerank.solve" in events
+        assert not {"http.request.start", "engine.search", "http.request.end"} & set(events)
         assert all(r["trace_id"] == trace_id for r in body["records"])
 
     def test_debug_logs_level_filter(self, app, fresh_obs):
+        app.engine.ranker.refresh()  # the search pays a solve: an info and a debug line
         call(app, "GET", "/api/search", "q=kind%3Dstation")
         _, _, body = call(app, "GET", "/debug/logs", "level=info")
         assert body["count"] > 0
@@ -648,27 +660,24 @@ class TestVizEndpoints:
 class TestProvenanceExplorer:
     @pytest.fixture
     def fresh_obs(self):
-        """Fresh registry (exemplars on) + recorder + slow log per test."""
+        """Fresh registry (exemplars on) + provenance ring per test."""
         from repro import obs
 
         registry = obs.MetricsRegistry(exemplars=True)
         tracer = obs.Tracer()
         event_log = obs.EventLog()
         recorder = obs.ProvenanceRecorder()
-        slowlog = obs.SlowQueryLog()
         previous = (
             obs.set_registry(registry),
             obs.set_tracer(tracer),
             obs.set_event_log(event_log),
             obs.set_provenance_recorder(recorder),
-            obs.set_slow_query_log(slowlog),
         )
-        yield registry, recorder, slowlog
+        yield registry, recorder
         obs.set_registry(previous[0])
         obs.set_tracer(previous[1])
         obs.set_event_log(previous[2])
         obs.set_provenance_recorder(previous[3])
-        obs.set_slow_query_log(previous[4])
 
     def test_explain_full_attaches_provenance_and_decomposition(self, app, fresh_obs):
         status, _, body = call(
@@ -834,6 +843,125 @@ class TestProvenanceExplorer:
         # /explore is an operator UI but not a debug dump: stays open.
         status, _, _ = call(locked, "GET", "/explore")
         assert status == "200 OK"
+
+
+def _station_app(sensors=()):
+    """A fresh app over two stations plus ``(title, last_value)`` sensors."""
+    smr = SensorMetadataRepository()
+    for name, elevation in [("WAN-001", 2400), ("WAN-002", 2100)]:
+        smr.register(
+            "station",
+            f"Station:{name}",
+            [("name", name), ("elevation_m", elevation), ("status", "online")],
+        )
+    for title, value in sensors:
+        smr.register("sensor", title, [("name", "wind sensor"), ("last_value", value)])
+    engine = AdvancedSearchEngine(smr)
+    engine.ranker.scores()  # solve before a test watches the event log
+    application = create_app(engine)
+    application.engine = engine
+    return application
+
+
+@contextmanager
+def _fresh_ring_stack(ring_capacity=1000):
+    """A fresh registry, tracer, event log and provenance ring, restored after."""
+    from repro import obs
+
+    installed = (
+        obs.MetricsRegistry(), obs.Tracer(), obs.EventLog(), obs.ProvenanceRecorder(ring_capacity),
+    )
+    setters = (
+        obs.set_registry, obs.set_tracer, obs.set_event_log, obs.set_provenance_recorder,
+    )
+    previous = [setter(fresh) for setter, fresh in zip(setters, installed)]
+    try:
+        yield installed
+    finally:
+        for setter, old in zip(setters, previous):
+            setter(old)
+
+
+class TestOneRecordPerSearch:
+    """A search leaves one ring record and two histogram observations;
+    the ring's views are the only query history."""
+
+    def test_a_miss_and_a_hit_add_two_records_and_no_event_line(self):
+        app = _station_app()
+        with _fresh_ring_stack() as (registry, _, event_log, recorder):
+            trace_ids = []
+            for _ in range(2):
+                status, headers, _ = call(app, "GET", "/api/search", "q=kind%3Dstation")
+                assert status == "200 OK"
+                trace_ids.append(headers["X-Trace-Id"])
+            assert len(recorder) == 2 and recorder.recorded == 2
+            assert len(event_log) == 0
+            assert registry.histogram("engine_query_seconds").count == 2
+            _, _, metrics = call(app, "GET", "/metrics")
+            assert "engine_query_seconds_count 2" in metrics
+            for trace_id, cache in zip(trace_ids, ("miss", "hit")):
+                _, _, body = call(app, "GET", "/debug/provenance", f"trace_id={trace_id}")
+                records = [(r["trace_id"], r["cache"]) for r in body["records"]]
+                assert records == [(trace_id, cache)]
+
+    def test_popular_and_slow_views_equal_a_brute_force_over_the_ring(self):
+        app = _station_app()
+        texts = [
+            "kind=station", "keyword=Wind", "keyword=WIND", "wind", "kind=station",
+            "keyword=zzznothing", "elevation_m>9000", "kind=station limit=1",
+            "elevation_m>=2200", "keyword=zzznothing", "wAN kind=station",
+        ] * 5
+        with _fresh_ring_stack(ring_capacity=40) as (_, _, _, recorder):
+            searched = []  # (normalized describe(), total_candidates), in order
+            for text in texts:
+                _, _, body = call(app, "GET", "/api/search", urlencode({"q": text}))
+                normalized = " ".join(app.engine.parse(text).describe().lower().split())
+                searched.append((normalized, body["total_candidates"]))
+            _, _, popular = call(app, "GET", "/api/queries/popular", "k=1000")
+            _, _, top = call(app, "GET", "/api/queries/popular")
+            _, _, slow = call(app, "GET", "/debug/slow")
+            records = recorder.snapshot()
+
+        retained = searched[-40:]  # the ring's window
+        counts = Counter(query for query, _ in retained)
+        assert popular["popular"] == [
+            {"query": q, "count": c}
+            for q, c in sorted(counts.items(), key=lambda item: (-item[1], item[0]))
+        ]
+        zero = [q for q, total in reversed(retained) if total == 0]
+        assert popular["zero_results"] == list(dict.fromkeys(zero))
+        assert top["popular"] == popular["popular"][:10]
+
+        assert [" ".join(p.query.lower().split()) for p in records] == [q for q, _ in retained]
+        expected = sorted(records, key=lambda p: (-p.seconds, p.seq))[:32]
+        assert [(e["seq"], e["seconds"], e["query"]) for e in slow["entries"]] == [
+            (p.seq, p.seconds, p.query) for p in expected
+        ]
+        assert (slow["count"], slow["capacity"], slow["recorded"]) == (32, 32, len(texts))
+
+
+class TestPropertySortBeyondFloat:
+    """A property value too large for a float still sorts, exactly."""
+
+    def test_sort_answers_200_in_exact_order_with_finite_scores(self):
+        app = _station_app(
+            [("Sensor:Huge", 10**400), ("Sensor:Tiny", -(10**400)), ("Sensor:Three", 3)]
+        )
+
+        def finite_only(constant):
+            raise AssertionError(f"non-finite number {constant} in the body")
+
+        for order, expected in [
+            ("desc", ["Sensor:Huge", "Sensor:Three", "Sensor:Tiny"]),
+            ("asc", ["Sensor:Tiny", "Sensor:Three", "Sensor:Huge"]),
+        ]:
+            query = urlencode({"q": f"kind=sensor sort=last_value order={order}"})
+            status, _, raw = call_raw(app, "GET", "/api/search", query)
+            assert status == "200 OK", raw[:300]
+            body = json.loads(raw, parse_constant=finite_only)
+            assert [r["title"] for r in body["results"]] == expected
+            values = [r["annotations"]["last_value"] for r in body["results"]]
+            assert values == sorted(values, reverse=order == "desc")
 
 
 class TestTelemetryEndpoints:
