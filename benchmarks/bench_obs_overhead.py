@@ -2,9 +2,9 @@
 
 Every search builds one ``QueryProvenance`` record, appends it to the
 provenance ring (the only per-search store, which the slow-query and
-popularity views read) and observes two histograms inside an
-``engine.search`` span. This module times advanced search in five
-configurations:
+popularity views read) and observes two histograms; it opens no span of
+its own (over HTTP the request's ``http.request`` span is its trace).
+This module times advanced search in five configurations:
 
 - **baseline** — the pipeline with no views: ``engine._search`` filling
   a fresh record;
@@ -280,7 +280,7 @@ def test_obs_overhead(engine, write_result):
         f"histogram samples recorded while enabled: {sample_count}",
         f"event-log records written by the timed rounds: {log_count}",
         f"provenance records retained while enabled: {prov_records} "
-        f"(of {prov_admitted} admitted; /debug/slow shows {slow_shown})",
+        f"(of {prov_admitted} admitted; /debug/provenance's slowest shows {slow_shown})",
         "",
         f"sampler (interval {SAMPLER_INTERVAL:g}s, thread up in enabled mode only):",
         f"  ticks={sampler_ticks} series={sampler_series} "

@@ -23,7 +23,8 @@ perfbench run builds it, and every request goes through
   applied before its read.
 
 The script imports nothing but :mod:`perfbench`, so it runs unchanged on
-an older checkout. Each line is ``workload, list, q, other params, status,
+an older checkout. It exits 1 when any of perfbench's checks on the
+served bodies failed. Each line is ``workload, list, q, other params, status,
 body``, tab-separated. Every ``trace_id`` is blanked, and in
 ``explain=full`` bodies so are ``seconds``, ``timestamp`` and ``seq``
 (wall times and the provenance ring's stamps).
@@ -134,7 +135,9 @@ def main(argv) -> int:
         f"{sample.failed} failed check(s) {sample.failures}",
         file=sys.stderr,
     )
-    return 0
+    # A failed check fails the run, so two equally broken runs never
+    # compare equal in search_bodies_cmp.py.
+    return 1 if sample.failed else 0
 
 
 if __name__ == "__main__":

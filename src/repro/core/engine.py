@@ -168,9 +168,12 @@ class AdvancedSearchEngine:
     ) -> Tuple[SearchResults, obs.QueryProvenance]:
         """The one search path: cache probe or pipeline, then one record.
 
-        Cache hits are still served queries, so they get a record, a
-        span (tagged with the ``cache`` verdict) and a latency
-        observation like any other — percentiles reflect what callers see.
+        Cache hits are still served queries, so they get a record and a
+        latency observation like any other — percentiles reflect what
+        callers see. The search opens no span: the record (query, cache
+        verdict, seconds, trace id) and the request's ``http.request``
+        span are its trace. A search that raises is counted once, in
+        ``errors_total{component="engine"}``, with one error line.
         """
         description = query.describe()
         prov = obs.QueryProvenance(description, privileges=_privilege_label(user))
@@ -182,16 +185,12 @@ class AdvancedSearchEngine:
             key = result_cache_key(query, user)
         start = time.perf_counter()
         try:
-            with obs.get_tracer().span("engine.search", query=description) as span:
-                cached = None
-                if key is not None:
-                    cached, prov.cache = self.cache.lookup(key, generation)
-                    span.set_attribute("cache", prov.cache)
-                results = cached if cached is not None else self._search(query, user, prov)
+            cached = None
+            if key is not None:
+                cached, prov.cache = self.cache.lookup(key, generation)
+            results = cached if cached is not None else self._search(query, user, prov)
         except Exception:
-            obs.get_registry().counter(
-                "engine_query_errors_total", "Searches that raised an error."
-            ).inc()
+            obs.count_error("engine.search")
             obs.get_event_log().error("engine.search_error", query=description)
             raise
         prov.seconds = time.perf_counter() - start

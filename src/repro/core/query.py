@@ -26,6 +26,7 @@ from typing import Any, List, Optional, Tuple
 
 from repro.errors import QueryError
 from repro.geo.bbox import BoundingBox
+from repro.wiki.wikitext import coerce_annotation_value
 
 OPERATORS = ("<=", ">=", "!=", "=", "<", ">", "~")  # ~ is LIKE/contains
 
@@ -104,23 +105,6 @@ _CLAUSE_RE = re.compile(
 )
 
 
-def _typed(value: str) -> Any:
-    text = value.strip()
-    if text.lower() == "true":
-        return True
-    if text.lower() == "false":
-        return False
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        pass
-    return text
-
-
 def parse_query(text: str) -> SearchQuery:
     """Parse the compact query-string syntax into a :class:`SearchQuery`."""
     matches = list(_CLAUSE_RE.finditer(text))
@@ -173,7 +157,7 @@ def parse_query(text: str) -> SearchQuery:
         elif prop == "bbox":
             bbox = _parse_bbox(raw_value)
         else:
-            filters.append(PropertyFilter(prop, op, _typed(raw_value)))
+            filters.append(PropertyFilter(prop, op, coerce_annotation_value(raw_value)))
     return SearchQuery(
         keyword=" ".join(part for part in keyword_parts if part),
         kind=kind,

@@ -49,6 +49,7 @@ Invariants:
 
 from __future__ import annotations
 
+import heapq
 import threading
 import time
 from bisect import bisect_left
@@ -95,10 +96,14 @@ def _position(titles: List[str], title: str) -> Optional[int]:
 
 
 def _top_k(pairs: Iterable[Tuple[str, float]], k: int) -> List[Tuple[str, float]]:
-    """The ``k`` highest-scored ``(name, score)`` pairs, ties by name."""
+    """The ``k`` highest-scored ``(name, score)`` pairs, ties by name.
+
+    A heap selection, documented equal to ``sorted(...)[:k]`` with the
+    same key, so it never sorts every pair.
+    """
     if k < 0:
         raise QueryError(f"k must be non-negative, got {k}")
-    return sorted(pairs, key=lambda item: (-item[1], item[0]))[:k]
+    return heapq.nsmallest(k, pairs, key=lambda item: (-item[1], item[0]))
 
 
 class PageRankRanker:

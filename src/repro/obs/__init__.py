@@ -11,19 +11,18 @@ single substrate they flow through:
   the :func:`time_block` timer helper;
 - :mod:`repro.obs.tracing` — context-manager :class:`Span` trees with a
   bounded in-memory buffer, per-trace ``trace_id`` correlation and
-  root-level error propagation;
+  root-level error propagation (``/debug/trace``; each HTTP request is
+  one ``http.request`` root, and a search adds no span of its own);
 - :mod:`repro.obs.log` — structured, leveled :class:`EventLog` ring
   buffer whose records carry the current trace id (``/debug/logs``);
-- :mod:`repro.obs.profile` — flamegraph-style self/cumulative-time
-  aggregation of finished span trees (``/debug/profile``);
 - :mod:`repro.obs.convergence` — bounded per-solver residual-series
   history, the live counterpart of Fig. 3(a) (``/debug/convergence``);
 - :mod:`repro.obs.provenance` — the one record every search leaves:
   which constraint matched what, at what cost, and who killed the
   candidate set (``/explore``, ``explain=full``), kept in one ring of
   the last 1,000 searches that every per-query view reads
-  (``/debug/provenance``, ``/debug/slow``, the ``/api/stats`` slow
-  queries, ``/api/queries/popular``);
+  (``/debug/provenance`` with its recent and slowest records, the
+  ``/api/stats`` slow queries, ``/api/queries/popular``);
 - :mod:`repro.obs.exposition` — Prometheus and OpenMetrics text formats
   (the latter with trace-id exemplars on histogram buckets) and JSON
   snapshots (served by ``GET /metrics`` and ``/api/stats``);
@@ -88,7 +87,6 @@ from repro.obs.log import (
     level_number,
     set_event_log,
 )
-from repro.obs.profile import format_profile, profile_spans, profile_tracer
 from repro.obs.convergence import (
     ConvergenceRecorder,
     ConvergenceRun,
@@ -178,7 +176,6 @@ __all__ = [
     "current_trace_id",
     "default_slos",
     "estimate_quantile",
-    "format_profile",
     "get_convergence_recorder",
     "get_event_log",
     "get_provenance_recorder",
@@ -188,8 +185,6 @@ __all__ = [
     "level_number",
     "mint_trace_id",
     "process_metrics_probe",
-    "profile_spans",
-    "profile_tracer",
     "render_openmetrics",
     "render_prometheus",
     "set_convergence_recorder",

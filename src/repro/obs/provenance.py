@@ -19,10 +19,10 @@ The :class:`ProvenanceRecorder` ring is the only per-search store: the
 engine appends each finished record to it and observes two histograms,
 and nothing else keeps a copy. Every per-query view is computed from one
 locked snapshot of the ring when a reader asks for it: the recent
-records (``/debug/provenance``, filterable by trace id), the slowest
-records (``/debug/slow``, :data:`SLOW_VIEW_SIZE` of them) and distinct
-queries (``/api/stats``), and query popularity with the zero-result
-queries (``/api/queries/popular``). So each view covers the last
+records (filterable by trace id) and the slowest records
+(:data:`SLOW_VIEW_SIZE` of them), which ``/debug/provenance`` serves
+side by side, the slowest distinct queries (``/api/stats``), and query
+popularity with the zero-result queries (``/api/queries/popular``). So each view covers the last
 ``capacity`` searches (1,000 by default) of the whole process. The ring
 stamps ``timestamp`` and ``seq`` as it admits a record. From there on
 the record is never mutated once published, which is what lets the ring
@@ -44,7 +44,7 @@ from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro.errors import ObservabilityError
 
-#: How many of the slowest retained records ``/debug/slow`` shows.
+#: How many of the slowest retained records ``/debug/provenance`` shows.
 SLOW_VIEW_SIZE = 32
 
 
@@ -220,8 +220,9 @@ class ProvenanceRecorder:
         ]
 
     def slowest(self, k: int = SLOW_VIEW_SIZE) -> List[Dict[str, Any]]:
-        """The ``k`` slowest retained records as fresh ``/debug/slow``
-        entries, slowest first, ties by ``seq``.
+        """The ``k`` slowest retained records as fresh entries (the
+        ``slowest`` list of ``/debug/provenance``), slowest first, ties
+        by ``seq``.
 
         Each entry holds the query, wall time, trace id, cache verdict,
         result count, the constraint-waterfall plan (None for a cache
@@ -290,7 +291,7 @@ def _normalized(query: str) -> str:
 
 
 def _slow_entry(provenance: QueryProvenance) -> Dict[str, Any]:
-    """One record as a fresh ``/debug/slow`` entry dict."""
+    """One record as a fresh :meth:`ProvenanceRecorder.slowest` entry dict."""
     plan = None
     if provenance.stages:
         plan = {

@@ -7,8 +7,8 @@ call sites. Finished **root** spans (whole trees) land in a bounded
 in-memory ring buffer the ``/debug/trace`` endpoint reads from.
 
 Every trace carries a **trace id**: the root span mints one (or adopts
-the id bound by :func:`bind_trace_id` — the web middleware binds one per
-HTTP request) and children inherit it, so a span tree, the log records
+the id bound by :func:`bind_trace_id` — the web app binds one per HTTP
+request) and children inherit it, so a span tree, the log records
 emitted under it (:mod:`repro.obs.log`) and the ``X-Trace-Id`` response
 header all join on one key. Error spans propagate ``error=True`` to
 their root and count into the ``errors_total{component}`` family, so
@@ -37,7 +37,7 @@ def mint_trace_id() -> str:
     return uuid.uuid4().hex[:16]
 
 
-# Thread-local request context: the web middleware binds a trace id for
+# Thread-local request context: the web app binds a trace id for
 # the duration of one request so that logs and payloads stay correlated
 # even when the tracer itself is disabled (no live span to ask).
 _context = threading.local()

@@ -40,6 +40,7 @@ Invariants:
 
 from __future__ import annotations
 
+import math
 import threading
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -179,10 +180,19 @@ class SensorMetadataRepository:
         description: str = "",
         author: str = "",
     ) -> None:
-        """Create or update one metadata page in every store."""
+        """Create or update one metadata page in every store.
+
+        A non-finite float value (``inf``, ``nan``) is refused with
+        :class:`~repro.errors.SmrError` naming its property, before any
+        store changes: JSON cannot carry one, and the wikitext typer
+        keeps such spellings as strings.
+        """
         kind = kind.lower()
         if kind not in self.mapping.kinds:
             raise SmrError(f"unknown kind {kind!r}; declared: {self.mapping.kinds}")
+        for prop, value in annotations:
+            if isinstance(value, float) and not math.isfinite(value):
+                raise SmrError(f"property {prop!r} holds the non-finite number {value!r}")
         text = render_annotations(list(annotations), list(links))
         if description:
             text = f"{description}\n{text}"

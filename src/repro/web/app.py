@@ -38,11 +38,10 @@ Observability (outside ``/api``):
     GET  /explore/contributions.svg?q=&title= score breakdown as SVG
     GET  /debug/trace?k=&trace_id=            recent span trees (JSON)
     GET  /debug/logs?level=&trace_id=&k=      structured event log (JSON)
-    GET  /debug/profile?k=                    span-path self/cum profile
     GET  /debug/convergence?solver=           solver residual histories
     GET  /debug/plan?sql=|q=                  cost-based plans + catalog
-    GET  /debug/slow                          slowest-query reservoir
-    GET  /debug/provenance?trace_id=&k=       recent provenance records
+    GET  /debug/provenance?trace_id=&k=       the provenance ring: recent
+         records plus the slowest ones it retains
     GET  /debug                               index of every operator
          surface with a one-line description
     GET  /debug/dashboard                     live operations dashboard
@@ -54,14 +53,18 @@ Observability (outside ``/api``):
          (including an ``slo`` probe: a firing fast-burn alert reports
           the service degraded even when every component passes)
 
-Every request passes through :class:`MetricsMiddleware`, which mints a
-request-scoped **trace id**, attaches it to the root span, every log
-record and an ``X-Trace-Id`` header on every response (error responses
-included), and records per-endpoint request counters and latency
-histograms at the WSGI level. A user-reported slow request is therefore
-fully reconstructable offline: its ``X-Trace-Id`` finds the span tree in
-``/debug/trace``, the correlated records in ``/debug/logs`` and — when a
-ranking solve ran — the residual series in ``/debug/convergence``.
+The WSGI callable that :func:`create_app` returns handles each request
+in one pass: it mints a request-scoped **trace id**, resolves the route
+once (the handler and the route-template ``endpoint`` label come from
+the same match), opens the one ``http.request`` span, and records one
+``http_requests_total`` count and one ``http_request_seconds``
+observation. The trace id lands on that span, on every log record and in
+an ``X-Trace-Id`` header on every response (error responses included).
+A user-reported slow request is therefore fully reconstructable offline:
+its ``X-Trace-Id`` finds the span tree in ``/debug/trace``, the search's
+record in ``/debug/provenance``, the correlated records in
+``/debug/logs`` and — when a ranking solve ran — the residual series in
+``/debug/convergence``.
 
 ``GET /api/stats`` additionally reports the engine's result-cache
 statistics (hits, misses, stale lookups, generation) next to the query
@@ -151,11 +154,9 @@ _INDEX_HTML = """<!doctype html>
       <a href="/debug/dashboard">/debug/dashboard</a> (live dashboard)</li>
   <li><a href="/debug/trace">/debug/trace</a> (recent spans) |
       <a href="/debug/logs">/debug/logs</a> (event log) |
-      <a href="/debug/profile">/debug/profile</a> (span profile) |
       <a href="/debug/convergence">/debug/convergence</a> (solver residuals) |
       <a href="/debug/plan?q=kind%3Dstation">/debug/plan?sql=|q=</a> (query plans) |
-      <a href="/debug/slow">/debug/slow</a> (slowest queries) |
-      <a href="/debug/provenance">/debug/provenance</a> (provenance ring)</li>
+      <a href="/debug/provenance">/debug/provenance</a> (recent and slowest searches)</li>
 </ul>
 <p>Query syntax: <code>keyword=wind kind=sensor elevation_m&gt;=2000 sort=pagerank
 order=desc limit=20 offset=20 relaxed=true bbox=46,6.8,47,10.5</code></p>
@@ -178,12 +179,12 @@ _DEBUG_SURFACES = [
      "Slow-query explorer: constraint waterfall + score provenance (HTML)."),
     ("/debug/trace", "Recent span trees, filterable by trace_id (JSON)."),
     ("/debug/logs", "Structured event log: level=, trace_id=, component=, k= (JSON)."),
-    ("/debug/profile", "Span-path self/cumulative time profile (JSON)."),
     ("/debug/convergence", "PageRank solver residual histories (JSON)."),
     ("/debug/plan?q=kind%3Dstation",
      "Cost-based query plans and catalog statistics: sql= or q= (JSON)."),
-    ("/debug/slow", "Slowest-query reservoir with trace ids and plan snapshots (JSON)."),
-    ("/debug/provenance", "Recent query-provenance records (JSON)."),
+    ("/debug/provenance",
+     "The provenance ring: recent records by trace_id= and k=, and the slowest "
+     "retained searches with their plans (JSON)."),
     ("/metrics", "Prometheus/OpenMetrics exposition (text)."),
     ("/healthz", "Component + SLO health probes (JSON; open, ungated)."),
     ("/api/stats", "Corpus, cache and latency statistics snapshot (JSON)."),
@@ -228,11 +229,14 @@ def _dashboard_panels(sampler, window: float, now=None) -> list:
     # sampler intervals keeps them responsive without being jittery.
     quantile_window = max(30.0, sampler.interval * 6)
 
-    def quantile_points(name: str, q: float) -> list:
-        series = store.get(name)
-        if not isinstance(series, obs.HistogramSeries):
+    # The search-latency panels plot what the search_latency SLO judges:
+    # the /api/search child of the request histogram.
+    search_latency = store.get("http_request_seconds", {"endpoint": "/api/search"})
+
+    def quantile_points(q: float) -> list:
+        if not isinstance(search_latency, obs.HistogramSeries):
             return []
-        return series.quantile_series(q, quantile_window, window, now)
+        return search_latency.quantile_series(q, quantile_window, window, now)
 
     panels = [
         SparklinePanel(
@@ -241,19 +245,15 @@ def _dashboard_panels(sampler, window: float, now=None) -> list:
             unit="/s",
             alerting="availability" in firing,
         ),
+        SparklinePanel("search latency p50", quantile_points(0.5), unit="s"),
         SparklinePanel(
-            "query latency p50", quantile_points("engine_query_seconds", 0.5), unit="s"
-        ),
-        SparklinePanel(
-            "query latency p95",
-            quantile_points("engine_query_seconds", 0.95),
+            "search latency p95",
+            quantile_points(0.95),
             unit="s",
-            threshold=0.25,
+            threshold=obs.SEARCH_SLO_SECONDS,
             alerting="search_latency" in firing,
         ),
-        SparklinePanel(
-            "query latency p99", quantile_points("engine_query_seconds", 0.99), unit="s"
-        ),
+        SparklinePanel("search latency p99", quantile_points(0.99), unit="s"),
     ]
 
     # Cache hit ratio: per-tick hit rate over per-tick lookup rate. The
@@ -361,9 +361,9 @@ def create_app(
     an optional :class:`~repro.observations.store.ObservationStore` —
     when given, the ``/api/observations/...`` endpoints serve live data.
     ``debug=False`` answers ``/debug`` and every path under ``/debug/``
-    (logs, traces, profile, plans, dashboard, routed or not) with a 403
-    before routing, for deployments where that detail must not be
-    public; ``/metrics`` and ``/healthz`` stay open as they carry only
+    (logs, traces, provenance, plans, dashboard, routed or not) with a 403
+    before any handler runs, for deployments where that detail must not
+    be public; ``/metrics`` and ``/healthz`` stay open as they carry only
     aggregates and statuses.
 
     ``sampler`` is the :class:`~repro.obs.timeseries.MetricsSampler`
@@ -371,9 +371,9 @@ def create_app(
     (default: the process-wide :func:`repro.obs.get_sampler`). Its
     background thread is **not** started unless ``start_sampler=True`` —
     tests build apps constantly and must not leak threads; production
-    entrypoints (:func:`serve`) opt in. The app exposes the sampler as
-    ``app.sampler`` and an ``app.close()`` that stops the thread only if
-    this call started it.
+    entrypoints (:func:`serve`) opt in. The app exposes its route table
+    as ``app.router``, the sampler as ``app.sampler`` and an
+    ``app.close()`` that stops the thread only if this call started it.
     """
     tagging = tagging or TaggingSystem()
     router = Router()
@@ -704,12 +704,6 @@ def create_app(
         )
         return JsonResponse({"count": len(records), "records": records})
 
-    @router.get("/debug/profile")
-    def debug_profile(request: Request) -> Response:
-        k = _count(request, "k", 256)
-        rows = obs.profile_tracer(obs.get_tracer(), k=k)
-        return JsonResponse({"traces_considered": k, "rows": rows})
-
     @router.get("/debug/convergence")
     def debug_convergence(request: Request) -> Response:
         recorder = obs.get_convergence_recorder()
@@ -747,40 +741,30 @@ def create_app(
         payload["catalog"] = engine.smr.db.catalog_stats()
         return JsonResponse(payload)
 
-    @router.get("/debug/slow")
-    def debug_slow(request: Request) -> Response:
-        """The slowest searches the provenance ring retains (the last 1,000).
-
-        Each entry carries the query, its wall time, the trace id to
-        pivot into ``/debug/trace`` / ``/debug/provenance``, the cache
-        verdict and the constraint-waterfall plan from the query's record
-        — enough to diagnose a past slow query without reproducing it.
-        ``recorded`` counts every record the ring has admitted.
-        """
-        recorder = obs.get_provenance_recorder()
-        entries = recorder.slowest()
-        return JsonResponse(
-            {
-                "enabled": recorder.enabled,
-                "capacity": obs.SLOW_VIEW_SIZE,
-                # Selection is by rank alone; the key keeps the payload's shape.
-                "threshold_seconds": 0.0,
-                "recorded": recorder.recorded,
-                "count": len(entries),
-                "entries": entries,
-            }
-        )
-
     @router.get("/debug/provenance")
     def debug_provenance(request: Request) -> Response:
-        """Recent query-provenance records, filterable by trace id."""
+        """The provenance ring's one page: recent records and the slowest.
+
+        ``records`` are the last ``k`` records, most recent first, after
+        the ``trace_id`` filter; ``slowest`` are the slowest of the
+        retained searches (the last 1,000), each with its query, wall
+        time, trace id, cache verdict and constraint-waterfall plan —
+        enough to diagnose a past slow query without reproducing it.
+        ``recorded`` counts every record the ring has admitted.
+        """
         recorder = obs.get_provenance_recorder()
         records = recorder.records(
             trace_id=request.params.get("trace_id") or None,
             k=_count(request, "k", 20),
         )
         return JsonResponse(
-            {"enabled": recorder.enabled, "count": len(records), "records": records}
+            {
+                "enabled": recorder.enabled,
+                "recorded": recorder.recorded,
+                "count": len(records),
+                "records": records,
+                "slowest": recorder.slowest(),
+            }
         )
 
     @router.get("/api/timeseries")
@@ -1261,34 +1245,33 @@ def create_app(
             return SvgResponse(PieChart(pairs, title=f"{prop} facets").to_svg())
         return SvgResponse(BarChart(pairs, title=f"{prop} facets").to_svg())
 
-    def application(environ, start_response):
-        request = Request(environ)
+    def respond(request: Request, handler, params: Dict[str, str]) -> Response:
+        """The handler's response, or the 403, 400 or 500 envelope."""
         try:
             if not debug and (request.path + "/").startswith("/debug/"):
-                response = JsonResponse(
+                return JsonResponse(
                     {"error": "debug endpoints are disabled on this deployment"},
                     status="403 Forbidden",
                 )
-            else:
-                response = router.dispatch(request)
+            return handler(request, **params)
         except ReproError as exc:
-            response = JsonResponse(
+            return JsonResponse(
                 {"error": str(exc), "type": type(exc).__name__}, status="400 Bad Request"
             )
         except (ValueError, KeyError) as exc:
-            response = JsonResponse({"error": str(exc)}, status="400 Bad Request")
+            return JsonResponse({"error": str(exc)}, status="400 Bad Request")
         except Exception as exc:  # noqa: BLE001 — uniform 500 envelope
             # Without this, an unexpected bug would propagate to the WSGI
-            # server's own 500 page — which bypasses the middleware's
-            # X-Trace-Id stamping. Every response, crashes included, must
-            # carry the trace id; it is the handle users quote back.
+            # server's own 500 page, which carries no X-Trace-Id. Every
+            # response, crashes included, must carry the trace id; it is
+            # the handle users quote back.
             obs.count_error("http.unhandled_error")
             obs.get_event_log().error(
                 "http.unhandled_error",
                 path=request.path,
                 error=f"{type(exc).__name__}: {exc}",
             )
-            response = JsonResponse(
+            return JsonResponse(
                 {
                     "error": "internal server error",
                     "type": type(exc).__name__,
@@ -1296,11 +1279,59 @@ def create_app(
                 },
                 status="500 Internal Server Error",
             )
-        start_response(response.status, response.headers)
+
+    def application(environ, start_response):
+        """One pass per request: route once, one span, one observation.
+
+        The route's template (``(unmatched)`` for a 404 or 405) labels the
+        span and both metric families, a 403 under ``debug=False``
+        included. The trace id is bound for the request's thread, so the
+        span, every log record and every convergence run the request
+        triggers carry it, and it goes out as ``X-Trace-Id`` on every
+        response: error responses and the path with every recorder
+        disabled included, because the header is the handle users quote
+        back when reporting a problem.
+        """
+        start = time.perf_counter()
+        trace_id = obs.mint_trace_id()
+        request = Request(environ)
+        endpoint, handler, params = router.resolve(request.method, request.path)
+        registry = obs.get_registry()
+        tracer = obs.get_tracer()
+        if registry.enabled or tracer.enabled or obs.get_event_log().enabled:
+            obs.bind_trace_id(trace_id)
+            try:
+                with tracer.span(
+                    "http.request", method=request.method, path=request.path, endpoint=endpoint
+                ) as span:
+                    response = respond(request, handler, params)
+                    status = response.status.split(" ", 1)[0]
+                    span.set_attribute("status", status)
+                # Observed while the trace id is still bound: the
+                # histogram's exemplar reads the *current* trace id, and an
+                # exemplar without one cannot link a percentile to its trace.
+                if registry.enabled:
+                    registry.counter(
+                        "http_requests_total",
+                        "HTTP requests served per endpoint, method and status.",
+                        labels=("endpoint", "method", "status"),
+                    ).labels(endpoint, request.method, status).inc()
+                    registry.histogram(
+                        "http_request_seconds",
+                        "HTTP request latency per endpoint.",
+                        labels=("endpoint",),
+                    ).labels(endpoint).observe(time.perf_counter() - start)
+            finally:
+                obs.unbind_trace_id()
+        else:
+            # Everything is off: no span, metric or bound id (the disabled
+            # overhead budget), but the header still goes out.
+            response = respond(request, handler, params)
+        start_response(response.status, [*response.headers, ("X-Trace-Id", trace_id)])
         return [response.body]
 
-    app = MetricsMiddleware(application, router)
-    app.sampler = sampler
+    application.router = router
+    application.sampler = sampler
     owns_thread = bool(start_sampler) and sampler.start()
 
     def close() -> None:
@@ -1310,81 +1341,8 @@ def create_app(
             sampler.stop()
             owns_thread = False
 
-    app.close = close
-    return app
-
-
-class MetricsMiddleware:
-    """WSGI middleware recording per-endpoint request counts and latency.
-
-    Endpoints are labelled by the router's route *template* (e.g.
-    ``/api/page/{title}``), never the raw path, so label cardinality is
-    bounded by the route table. Each request also opens an ``http.request``
-    span, making the engine/tagging spans it triggers children of the
-    HTTP request in ``/debug/trace``. The span holds the method, the raw
-    path, the endpoint, the status and the duration, so the middleware
-    writes no event line of its own.
-
-    The middleware is where request-scoped **trace correlation** starts:
-    it mints one trace id per request, binds it for the request's thread
-    (so the root span, every :class:`~repro.obs.log.EventLog` record and
-    every convergence run the request triggers carry it), and stamps it
-    onto the response as ``X-Trace-Id`` — on *every* response, error
-    responses and the observability-disabled fast path included, because
-    the header is the handle users quote back when reporting a problem.
-    """
-
-    def __init__(self, app, router: Router):
-        self.app = app
-        self.router = router
-
-    def __call__(self, environ, start_response):
-        registry = obs.get_registry()
-        tracer = obs.get_tracer()
-        event_log = obs.get_event_log()
-        trace_id = obs.mint_trace_id()
-        captured: Dict[str, str] = {"status": "500"}
-
-        def stamping_start_response(status, headers, exc_info=None):
-            captured["status"] = status.split(" ", 1)[0]
-            headers = list(headers) + [("X-Trace-Id", trace_id)]
-            if exc_info:
-                return start_response(status, headers, exc_info)
-            return start_response(status, headers)
-
-        if not registry.enabled and not tracer.enabled and not event_log.enabled:
-            # Everything is off: skip spans/metrics/logs entirely (the
-            # <1 %-disabled overhead gate) but still stamp the header.
-            return self.app(environ, stamping_start_response)
-        method = environ.get("REQUEST_METHOD", "GET").upper()
-        path = environ.get("PATH_INFO", "/")
-        endpoint = self.router.endpoint_of(method, path)
-        start = time.perf_counter()
-        obs.bind_trace_id(trace_id)
-        try:
-            with tracer.span(
-                "http.request", method=method, path=path, endpoint=endpoint
-            ) as span:
-                body = self.app(environ, stamping_start_response)
-                span.set_attribute("status", captured["status"])
-            elapsed = time.perf_counter() - start
-            # Record latency while the trace id is still bound: the
-            # histogram's exemplar reads the *current* trace id, and an
-            # exemplar without one cannot link a percentile to its trace.
-            if registry.enabled:
-                registry.counter(
-                    "http_requests_total",
-                    "HTTP requests served per endpoint, method and status.",
-                    labels=("endpoint", "method", "status"),
-                ).labels(endpoint, method, captured["status"]).inc()
-                registry.histogram(
-                    "http_request_seconds",
-                    "HTTP request latency per endpoint.",
-                    labels=("endpoint",),
-                ).labels(endpoint).observe(elapsed)
-        finally:
-            obs.unbind_trace_id()
-        return body
+    application.close = close
+    return application
 
 
 def serve(app, host: str = "127.0.0.1", port: int = 8000) -> None:

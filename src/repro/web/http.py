@@ -19,6 +19,9 @@ Handler = Callable[..., "Response"]
 
 JSON_CONTENT_TYPE = "application/json; charset=utf-8"
 
+#: The endpoint label of every request no route answers.
+UNMATCHED = "(unmatched)"
+
 # One encoder for the process: it holds no per-call state, and reusing it
 # skips building one per call, as ``json.dumps`` with keywords does.
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=str)
@@ -102,6 +105,14 @@ class Request:
             return None
 
 
+def _not_found(request: Request) -> Response:
+    return JsonResponse({"error": f"no route for {request.path}"}, status="404 Not Found")
+
+
+def _method_not_allowed(request: Request) -> Response:
+    return JsonResponse({"error": "method not allowed"}, status="405 Method Not Allowed")
+
+
 class Router:
     """Maps ``METHOD /path/{param}`` patterns to handlers."""
 
@@ -112,19 +123,6 @@ class Router:
         """Register ``handler`` for ``METHOD pattern``."""
         regex = re.sub(r"\{(\w+)\}", r"(?P<\1>[^/]+)", pattern)
         self._routes.append((method.upper(), re.compile(f"^{regex}$"), handler, pattern))
-
-    def endpoint_of(self, method: str, path: str) -> str:
-        """The route pattern ``path`` would dispatch to, for metric labels.
-
-        Returns the template string (e.g. ``/api/page/{title}``) rather
-        than the raw path so per-endpoint metrics stay low-cardinality.
-        Unrouted paths collapse into the single label ``(unmatched)``.
-        """
-        method = method.upper()
-        for route_method, regex, _, pattern in self._routes:
-            if route_method == method and regex.match(path):
-                return pattern
-        return "(unmatched)"
 
     def get(self, pattern: str):
         """Decorator registering a GET handler for ``pattern``."""
@@ -142,17 +140,21 @@ class Router:
 
         return decorator
 
-    def dispatch(self, request: Request) -> Response:
-        """Route ``request`` to its handler (404/405 JSON otherwise)."""
+    def resolve(self, method: str, path: str) -> Tuple[str, Handler, Dict[str, str]]:
+        """The route ``METHOD path`` dispatches to: ``(endpoint, handler, params)``.
+
+        ``endpoint`` is the route's template (e.g. ``/api/page/{title}``),
+        never the raw path, so per-endpoint metric labels stay bounded by
+        the route table. An unrouted request resolves to ``(unmatched)``
+        and a handler answering 405 when another method routes the path,
+        404 otherwise.
+        """
         path_matched = False
-        for method, regex, handler, _ in self._routes:
-            match = regex.match(request.path)
+        for route_method, regex, handler, pattern in self._routes:
+            match = regex.match(path)
             if match is None:
                 continue
+            if route_method == method:
+                return pattern, handler, match.groupdict()
             path_matched = True
-            if method != request.method:
-                continue
-            return handler(request, **match.groupdict())
-        if path_matched:
-            return JsonResponse({"error": "method not allowed"}, status="405 Method Not Allowed")
-        return JsonResponse({"error": f"no route for {request.path}"}, status="404 Not Found")
+        return UNMATCHED, _method_not_allowed if path_matched else _not_found, {}

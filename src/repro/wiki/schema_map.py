@@ -10,6 +10,7 @@ directions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -141,9 +142,11 @@ def _coerce(value: Any, dtype: DataType, column: str) -> Any:
             return coerce_value(value, dtype, column)
         if isinstance(value, str):
             try:
-                return float(value)
+                number = float(value)
             except ValueError:
                 return None
+            # "inf", "NaN", "1e400": no column holds a non-finite float.
+            return number if math.isfinite(number) else None
         return None
     if dtype is DataType.BOOLEAN:
         if isinstance(value, bool):

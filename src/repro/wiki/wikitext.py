@@ -9,12 +9,14 @@ Three constructs matter to the search system:
 - ``[[Category:Name]]`` — category membership.
 
 Everything else is treated as plain text (with the markup stripped for
-indexing). Values are typed heuristically: integers and decimals become
-numbers, ``true``/``false`` booleans, everything else stays a string.
+indexing). Values are typed heuristically: integers and finite decimals
+become numbers, ``true``/``false`` booleans, everything else stays a
+string.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Any, List, Tuple
@@ -52,7 +54,15 @@ class ParsedWikitext:
 
 
 def coerce_annotation_value(raw: str) -> Any:
-    """Type a raw annotation value: int, float, bool, or stripped string."""
+    """Type a raw annotation value: int, float, bool, or stripped string.
+
+    A spelling ``float()`` reads as infinite or NaN (``inf``, ``NaN``,
+    ``Infinity``, ``1e400``) stays the string it was, so no store holds a
+    non-finite float and every JSON body can carry the value.
+
+    >>> [coerce_annotation_value(raw) for raw in (" 42 ", "2.5", "True", "NaN", "1e400")]
+    [42, 2.5, True, 'NaN', '1e400']
+    """
     text = raw.strip()
     lowered = text.lower()
     if lowered == "true":
@@ -64,10 +74,10 @@ def coerce_annotation_value(raw: str) -> Any:
     except ValueError:
         pass
     try:
-        return float(text)
+        number = float(text)
     except ValueError:
-        pass
-    return text
+        return text
+    return number if math.isfinite(number) else text
 
 
 def parse_wikitext(text: str) -> ParsedWikitext:

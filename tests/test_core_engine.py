@@ -122,6 +122,12 @@ class TestQueryParsing:
         query = parse_query("name~wan")
         assert query.filters[0].op == "~"
 
+    @pytest.mark.parametrize("spelling", ["NaN", "nan", "Infinity", "-inf", "1e400", "-1E999"])
+    def test_non_finite_spellings_stay_strings(self, spelling):
+        [flt] = parse_query(f"serial={spelling}").filters
+        assert flt.value == spelling
+        assert parse_query(f"elevation_m>={spelling}").filters[0].value == spelling
+
     def test_bbox(self):
         query = parse_query("kind=station bbox=46.0,9.0,47.0,10.0")
         assert query.bbox == BoundingBox(46.0, 9.0, 47.0, 10.0)
@@ -408,6 +414,21 @@ class TestRanker:
 
     def test_unknown_title_scores_zero(self, engine):
         assert engine.ranker.score("Nope:Nothing") == 0.0
+
+    def test_top_k_equals_the_sorted_reference(self):
+        from repro.core.ranking import _top_k
+
+        # Tied scores, titles out of order, and a negative and a zero score.
+        pairs = [
+            ("c", 0.5), ("a", 0.5), ("e", 0.25), ("b", 1.0), ("d", 0.5),
+            ("g", 0.0), ("f", 0.25), ("h", -1.0), ("Z", 0.5),
+        ]
+        reference = sorted(pairs, key=lambda item: (-item[1], item[0]))
+        n = len(pairs)
+        for k in (0, 1, 3, n, n + 2):
+            assert _top_k(iter(pairs), k) == reference[:k], k
+        with pytest.raises(QueryError):
+            _top_k(pairs, -1)
 
 
 class TestRecommendAndFacets:

@@ -133,6 +133,17 @@ DELETED_QUERY_SINKS = re.compile(
     r"|http\.request\.(?:start|end)|engine_queries_total|engine_zero_result_queries_total"
 )
 
+#: The deleted request middleware, second route scan, span profile, slow
+#: page and duplicate error counter: the WSGI callable routes and times
+#: each request once, a search opens no span of its own, and
+#: ``/debug/provenance`` is the provenance ring's one page, so no document
+#: may still describe them.
+DELETED_REQUEST_SINKS = re.compile(
+    r"MetricsMiddleware|endpoint_of|/debug/(?:profile|slow)\b"
+    r"|profile_spans|profile_tracer|format_profile|engine_query_errors_total"
+    r"|http\.request\s*(?:→|->|/)\s*engine\.search"
+)
+
 #: Claims that once were true and must never reappear: (file, regex,
 #: what replaced them). Docs drift is a build failure, not a shrug.
 STALE_CLAIMS = [
@@ -212,6 +223,16 @@ STALE_CLAIMS = [
         "/api/stats slow queries and /api/queries/popular read it, the histograms' "
         "counts replace the two counters, and the http.request span replaces the "
         "request lines",
+    )
+    for path in _markdown_files()
+] + [
+    (
+        os.path.relpath(path, REPO_ROOT),
+        DELETED_REQUEST_SINKS,
+        "the WSGI callable create_app returns routes and times each request once "
+        "(Router.resolve), a search opens no span and counts a failure in "
+        "errors_total, and /debug/provenance serves the ring's records and its "
+        "slowest searches",
     )
     for path in _markdown_files()
 ]

@@ -1,5 +1,5 @@
-"""Tests for the deep-observability layer: event log, span profiler,
-convergence recorder, trace correlation and error propagation."""
+"""Tests for the deep-observability layer: event log, convergence
+recorder, trace correlation and error propagation."""
 
 import json
 import threading
@@ -187,53 +187,6 @@ class TestErrorPropagation:
         counter = registry.get("errors_total")
         assert counter.labels("engine").value == 1
         assert counter.labels("http").value == 0
-
-
-class TestProfile:
-    def test_self_and_cumulative_time(self):
-        traces = [
-            {
-                "name": "http.request",
-                "duration": 1.0,
-                "children": [
-                    {"name": "engine.search", "duration": 0.7, "children": []},
-                ],
-            },
-            {
-                "name": "http.request",
-                "duration": 0.5,
-                "children": [
-                    {"name": "engine.search", "duration": 0.2, "children": []},
-                ],
-            },
-        ]
-        rows = {row["path"]: row for row in obs.profile_spans(traces)}
-        root = rows["http.request"]
-        child = rows["http.request/engine.search"]
-        assert root["count"] == 2
-        assert root["cum_seconds"] == pytest.approx(1.5)
-        assert root["self_seconds"] == pytest.approx(0.6)  # 0.3 + 0.3
-        assert root["max_seconds"] == pytest.approx(1.0)
-        assert child["cum_seconds"] == child["self_seconds"] == pytest.approx(0.9)
-        assert child["avg_seconds"] == pytest.approx(0.45)
-
-    def test_rows_sorted_by_cumulative(self):
-        traces = [
-            {"name": "b", "duration": 2.0, "children": []},
-            {"name": "a", "duration": 1.0, "children": []},
-        ]
-        assert [r["path"] for r in obs.profile_spans(traces)] == ["b", "a"]
-
-    def test_profile_tracer_and_format(self, fresh_obs):
-        _, tracer, _, _ = fresh_obs
-        with tracer.span("http.request"):
-            with tracer.span("engine.search"):
-                pass
-        rows = obs.profile_tracer(tracer)
-        assert [r["path"] for r in rows][0] == "http.request"
-        text = obs.format_profile(rows)
-        assert "http.request/engine.search" in text
-        assert "self_s" in text
 
 
 class TestConvergenceRecorder:

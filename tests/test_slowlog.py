@@ -1,4 +1,5 @@
-"""Tests for the slow-query view (``/debug/slow``) of the provenance ring.
+"""Tests for the slow-query view of the provenance ring (the ``slowest``
+list of ``/debug/provenance``).
 
 The ring is the only per-search store: ``ProvenanceRecorder.slowest(k)``
 renders fresh entry dicts for the ``k`` slowest retained records,

@@ -482,6 +482,57 @@ class TestBulkLoader:
             assert state() == before
         assert set(graph.triples()) == set(smr.wiki.export_rdf().triples())
 
+    @pytest.mark.parametrize(
+        "kind, title, prop, value",
+        [
+            ("station", "Station:NEW", "latitude", float("inf")),  # mapped REAL, a creation
+            ("sensor", "Sensor:S1", "last_value", float("nan")),  # unmapped, an edit
+            ("sensor", "Sensor:NEW", "accuracy", float("-inf")),
+        ],
+    )
+    def test_refused_non_finite_float_changes_no_store(self, smr, kind, title, prop, value):
+        graph = smr.rdf_graph()
+
+        def state():
+            return (
+                smr.mutation_count,
+                {t: smr.wiki.get(t).revision_count for t in smr.titles()},
+                {k: smr.sql(f"SELECT * FROM {k}").rows for k in smr.mapping.kinds},
+                smr.text_index.document_count,
+                smr.locations(),
+                smr.spatial_index_statistics(),
+                set(graph.triples()),
+            )
+
+        before = state()
+        with pytest.raises(SmrError, match=f"{prop!r}"):
+            smr.register(kind, title, [("name", "x"), (prop, value), ("longitude", 9.0)])
+        assert state() == before
+
+    def test_json_infinity_fails_its_row_only(self):
+        text = (
+            '[{"title": "Sensor:INF", "accuracy": Infinity}, '
+            '{"title": "Sensor:NAN", "accuracy": NaN}, '
+            '{"title": "Sensor:OK", "accuracy": 0.5}]'
+        )
+        smr = SensorMetadataRepository()
+        report = BulkLoader(smr).load_json("sensor", text)
+        assert report.loaded == 1
+        assert [row for row, _ in report.errors] == [1, 2]
+        assert all("'accuracy'" in message for _, message in report.errors)
+        assert smr.titles() == ["Sensor:OK"]
+
+    def test_csv_non_finite_spellings_stay_strings(self):
+        csv_text = "title,name,serial,manufacturer\nSensor:C1,Infinity,NaN,1e400\n"
+        smr = SensorMetadataRepository()
+        assert BulkLoader(smr).load_csv("sensor", csv_text).loaded == 1
+        assert smr.sql("SELECT name, serial, manufacturer FROM sensor").rows == [
+            ("Infinity", "NaN", "1e400")
+        ]
+        assert dict(smr.annotations("Sensor:C1")) == {
+            "name": "Infinity", "serial": "NaN", "manufacturer": "1e400",
+        }
+
     def test_strict_mode_raises_at_first_failing_row(self):
         records = [
             {"title": "Station:OK-1", "name": "OK-1"},

@@ -322,7 +322,7 @@ class TestCountParameters:
         [
             ("/debug/trace", "k", ("traces",)),
             ("/debug/provenance", "k", ("records",)),
-            ("/debug/profile", "k", ("rows",)),
+            ("/api/pagerank/top", "k", ("pages",)),
             ("/debug/logs", "k", ("records",)),
             ("/api/queries/popular", "k", ("popular", "zero_results")),
             ("/api/tags/cloud", "top", ("tags",)),
@@ -358,7 +358,7 @@ class TestObservabilityEndpoints:
     def test_metrics_prometheus_exposition(self, app, fresh_obs):
         # Drive the stack so every required family exists: a search
         # (engine latency), a PageRank refresh (solver metrics), a tag
-        # cloud (cache), then scrape. The middleware itself records the
+        # cloud (cache), then scrape. The WSGI edge itself records the
         # per-endpoint counts.
         app.engine.ranker.refresh()  # force a solve under the fresh registry
         call(app, "GET", "/api/search", "q=kind%3Dstation")
@@ -392,6 +392,7 @@ class TestObservabilityEndpoints:
         assert "WAN-001" not in body
 
     def test_debug_trace_endpoint(self, app, fresh_obs):
+        app.engine.ranker.scores()  # a solve would be the request's one child span
         call(app, "GET", "/api/search", "q=kind%3Dstation")
         status, _, body = call(app, "GET", "/debug/trace", "k=5")
         assert status == "200 OK"
@@ -401,8 +402,7 @@ class TestObservabilityEndpoints:
         assert search_traces, "expected an http.request trace for the search"
         trace = search_traces[0]
         assert trace["name"] == "http.request"
-        assert [c["name"] for c in trace["children"]] == ["engine.search"]
-        assert trace["duration"] >= trace["children"][0]["duration"]
+        assert trace["children"] == []  # the search opens no span of its own
 
     def test_stats_includes_latency_percentiles(self, app, fresh_obs):
         call(app, "GET", "/api/search", "q=kind%3Dstation")
@@ -519,17 +519,6 @@ class TestDeepObservability:
         assert status == "400 Bad Request"
         assert "unknown log level" in body["error"]
 
-    def test_debug_profile_aggregates_span_paths(self, app, fresh_obs):
-        call(app, "GET", "/api/search", "q=kind%3Dstation")
-        call(app, "GET", "/api/search", "q=kind%3Dsensor")
-        status, _, body = call(app, "GET", "/debug/profile")
-        assert status == "200 OK"
-        rows = {row["path"]: row for row in body["rows"]}
-        assert rows["http.request"]["count"] == 2
-        child = rows["http.request/engine.search"]
-        assert child["count"] == 2
-        assert 0.0 <= child["cum_seconds"] <= rows["http.request"]["cum_seconds"]
-
     def test_debug_convergence_serves_solver_runs(self, app, fresh_obs):
         app.engine.ranker.refresh()  # force a full re-solve...
         app.engine.ranker.scores()  # ...and run it under the fresh recorder
@@ -609,7 +598,7 @@ class TestDeepObservability:
         from repro.web import create_app
 
         locked = create_app(app.engine, debug=False)
-        for path in ("/debug/trace", "/debug/logs", "/debug/profile", "/debug/convergence"):
+        for path in ("/debug/trace", "/debug/logs", "/debug/provenance", "/debug/convergence"):
             status, headers, body = call(locked, "GET", path)
             assert status == "403 Forbidden"
             assert "X-Trace-Id" in headers
@@ -748,13 +737,14 @@ class TestProvenanceExplorer:
         assert "no results" in body["error"]
 
     def test_debug_slow_serves_recorded_queries_with_plans(self, app, fresh_obs):
+        """The slow view is the ``slowest`` list of ``/debug/provenance``."""
         # A unique query so the module-scoped engine's result cache
         # cannot serve it: a hit would record a plan-less entry.
         _, headers, _ = call(app, "GET", "/api/search", "q=elevation_m%3C2500")
-        status, _, body = call(app, "GET", "/debug/slow")
+        status, _, body = call(app, "GET", "/debug/provenance")
         assert status == "200 OK"
-        assert body["enabled"] is True and body["count"] >= 1
-        entry = body["entries"][0]
+        assert body["enabled"] is True and body["recorded"] >= 1
+        entry = body["slowest"][0]
         assert entry["trace_id"] == headers["X-Trace-Id"]
         assert entry["plan"]["waterfall"], "the plan must carry the waterfall"
 
@@ -836,10 +826,9 @@ class TestProvenanceExplorer:
 
     def test_new_debug_surfaces_locked_without_debug_flag(self, app, fresh_obs):
         locked = create_app(app.engine, debug=False)
-        for path in ("/debug/slow", "/debug/provenance"):
-            status, headers, _ = call(locked, "GET", path)
-            assert status == "403 Forbidden"
-            assert len(headers["X-Trace-Id"]) == 16
+        status, headers, _ = call(locked, "GET", "/debug/provenance")
+        assert status == "403 Forbidden"
+        assert len(headers["X-Trace-Id"]) == 16
         # /explore is an operator UI but not a debug dump: stays open.
         status, _, _ = call(locked, "GET", "/explore")
         assert status == "200 OK"
@@ -919,7 +908,7 @@ class TestOneRecordPerSearch:
                 searched.append((normalized, body["total_candidates"]))
             _, _, popular = call(app, "GET", "/api/queries/popular", "k=1000")
             _, _, top = call(app, "GET", "/api/queries/popular")
-            _, _, slow = call(app, "GET", "/debug/slow")
+            _, _, ring = call(app, "GET", "/debug/provenance")
             records = recorder.snapshot()
 
         retained = searched[-40:]  # the ring's window
@@ -934,10 +923,111 @@ class TestOneRecordPerSearch:
 
         assert [" ".join(p.query.lower().split()) for p in records] == [q for q, _ in retained]
         expected = sorted(records, key=lambda p: (-p.seconds, p.seq))[:32]
-        assert [(e["seq"], e["seconds"], e["query"]) for e in slow["entries"]] == [
+        assert [(e["seq"], e["seconds"], e["query"]) for e in ring["slowest"]] == [
             (p.seq, p.seconds, p.query) for p in expected
         ]
-        assert (slow["count"], slow["capacity"], slow["recorded"]) == (32, 32, len(texts))
+        assert (len(ring["slowest"]), ring["recorded"]) == (32, len(texts))
+
+
+class TestOnePassPerRequest:
+    """The WSGI callable routes each request once, opens one span and
+    observes once; the search adds no span and no error counter."""
+
+    def test_a_miss_and_a_hit_each_leave_one_root_span_without_children(self):
+        app = _station_app()
+        with _fresh_ring_stack() as (_, tracer, _, recorder):
+            for cache in ("miss", "hit"):
+                status, headers, _ = call(app, "GET", "/api/search", "q=kind%3Dstation")
+                assert status == "200 OK"
+                trace_id = headers["X-Trace-Id"]
+                [trace] = tracer.recent(trace_id=trace_id)
+                assert (trace["name"], trace["children"]) == ("http.request", [])
+                assert [r["cache"] for r in recorder.records(trace_id=trace_id)] == [cache]
+            assert len(tracer.recent()) == 2
+
+    def test_request_metrics_keep_their_labels_and_every_response_a_trace_id(
+        self, monkeypatch
+    ):
+        import repro.web.app as web_app
+        from repro.web.http import Router
+
+        app = _station_app()
+        locked = create_app(app.engine, debug=False)
+
+        def boom(query):
+            raise RuntimeError("simulated crash")
+
+        monkeypatch.setattr(app.engine, "search_explained", boom)
+        requests = [
+            (app, "GET", "/api/search", "q=kind%3Dstation", "200 OK"),
+            (app, "GET", "/api/search", "q=", "400 Bad Request"),
+            (locked, "GET", "/debug/plan", "", "403 Forbidden"),
+            (locked, "GET", "/debug/nosuch", "", "403 Forbidden"),
+            (app, "GET", "/api/nothing", "", "404 Not Found"),
+            (app, "POST", "/api/search", "", "405 Method Not Allowed"),
+            (app, "GET", "/api/search", "q=kind%3Dstation&explain=full",
+             "500 Internal Server Error"),
+        ]
+        with _fresh_ring_stack() as (registry, _, _, _):
+            for target, method, path, query, expected in requests:
+                status, headers, _ = call(target, method, path, query)
+                assert status == expected, path
+                assert len(headers["X-Trace-Id"]) == 16
+            counts = {
+                labels: child.value
+                for labels, child in registry.get("http_requests_total").samples()
+            }
+            observed = {
+                labels: child.count
+                for labels, child in registry.get("http_request_seconds").samples()
+            }
+        assert counts == {
+            ("/api/search", "GET", "200"): 1,
+            ("/api/search", "GET", "400"): 1,
+            ("/debug/plan", "GET", "403"): 1,
+            ("(unmatched)", "GET", "403"): 1,
+            ("(unmatched)", "GET", "404"): 1,
+            ("(unmatched)", "POST", "405"): 1,
+            ("/api/search", "GET", "500"): 1,
+        }
+        assert observed == {("/api/search",): 3, ("/debug/plan",): 1, ("(unmatched)",): 3}
+        assert not hasattr(web_app, "MetricsMiddleware")
+        assert not hasattr(Router, "endpoint_of")
+
+    def test_a_failed_search_is_counted_once(self):
+        app = _station_app()
+        with _fresh_ring_stack() as (registry, _, event_log, recorder):
+            query = urlencode({"q": "kind=station sort=flux_capacitance"})
+            status, _, body = call(app, "GET", "/api/search", query)
+            assert (status, body["type"]) == ("400 Bad Request", "QueryError")
+            errors = {
+                labels: child.value for labels, child in registry.get("errors_total").samples()
+            }
+            assert errors == {("engine",): 1}
+            failures = [r for r in event_log.records() if r["event"] == "engine.search_error"]
+            assert len(failures) == 1
+            assert registry.get("engine_query_errors_total") is None
+            assert len(recorder) == 0  # a failed search leaves no record
+
+    def test_debug_provenance_is_the_rings_one_page(self):
+        import importlib.util
+
+        app = _station_app()
+        with _fresh_ring_stack() as (_, _, _, recorder):
+            for text in ("kind=station", "kind=sensor", "kind=station", "elevation_m>=2200"):
+                call(app, "GET", "/api/search", urlencode({"q": text}))
+            status, _, body = call(app, "GET", "/debug/provenance", "k=2")
+            assert status == "200 OK"
+            assert body["records"] == recorder.records(k=2)
+            assert body["slowest"] == recorder.slowest()
+            assert len(body["slowest"]) == 4
+            assert (body["enabled"], body["recorded"], body["count"]) == (True, 4, 2)
+            assert not {"capacity", "threshold_seconds", "entries"} & set(body)
+        for path in ("/debug/slow", "/debug/profile"):
+            status, headers, _ = call(app, "GET", path)
+            assert status == "404 Not Found", path
+            assert len(headers["X-Trace-Id"]) == 16
+        assert importlib.util.find_spec("repro.obs.profile") is None
 
 
 class TestPropertySortBeyondFloat:
@@ -962,6 +1052,35 @@ class TestPropertySortBeyondFloat:
             assert [r["title"] for r in body["results"]] == expected
             values = [r["annotations"]["last_value"] for r in body["results"]]
             assert values == sorted(values, reverse=order == "desc")
+
+
+class TestNonFiniteSpellings:
+    """A spelling float() reads as infinite or NaN stays a string in every
+    store and every body, and a filter on it finds its page."""
+
+    def test_strings_survive_into_every_store_and_body(self):
+        app = _station_app()
+        smr = app.engine.smr
+        spellings = [("name", "Infinity"), ("serial", "NaN"), ("last_value", "1e400"),
+                     ("accuracy", "-inf")]
+        smr.register("sensor", "Sensor:ODD", spellings)
+        assert dict(smr.annotations("Sensor:ODD")) == dict(spellings)
+        assert smr.sql("SELECT name, serial, accuracy FROM sensor").rows == [
+            ("Infinity", "NaN", None)  # a REAL column holds no non-finite float
+        ]
+
+        def finite_only(constant):
+            raise AssertionError(f"non-finite number {constant} in the body")
+
+        for text in ("kind=sensor", "serial=NaN", "name=Infinity", "last_value=1e400"):
+            status, _, raw = call_raw(app, "GET", "/api/search", urlencode({"q": text}))
+            assert status == "200 OK", (text, raw[:300])
+            body = json.loads(raw, parse_constant=finite_only)
+            [result] = body["results"]
+            assert result["title"] == "Sensor:ODD", text
+            assert result["annotations"] == dict(spellings)
+        _, _, raw = call_raw(app, "GET", "/api/page/Sensor:ODD")
+        assert json.loads(raw, parse_constant=finite_only)["annotations"] == dict(spellings)
 
 
 class TestTelemetryEndpoints:
@@ -1057,11 +1176,11 @@ class TestTelemetryEndpoints:
         assert status == "200 OK"
         for path in (
             "/debug/dashboard", "/debug/trace", "/debug/logs",
-            "/debug/profile", "/debug/convergence", "/debug/plan",
-            "/debug/slow", "/debug/provenance", "/explore",
+            "/debug/convergence", "/debug/plan", "/debug/provenance", "/explore",
             "/api/alerts", "/api/timeseries", "/metrics", "/healthz",
         ):
             assert path in page
+        assert "/debug/slow" not in page and "/debug/profile" not in page
 
     def test_dashboard_html_embeds_svg(self, app, fresh_sampler):
         registry, sampler = fresh_sampler
@@ -1072,6 +1191,26 @@ class TestTelemetryEndpoints:
         assert "/debug/dashboard.svg" in page
         assert "Service level objectives" in page
         assert "No firing alerts" in page
+
+    def test_search_latency_panels_plot_the_slo_histogram(self, fresh_sampler):
+        """The p50/p95/p99 panels read what the search_latency SLO judges."""
+        from repro.web.app import _dashboard_panels
+
+        registry, sampler = fresh_sampler
+        search = registry.histogram(
+            "http_request_seconds", "HTTP request latency per endpoint.", labels=("endpoint",)
+        ).labels("/api/search")
+        search.observe(0.03)
+        sampler.tick(now=0.0)
+        for _ in range(10):
+            search.observe(0.03)
+        sampler.tick(now=10.0)
+        latency = [
+            panel for panel in _dashboard_panels(sampler, 600.0, now=10.0)
+            if "latency" in panel.title
+        ]
+        assert len(latency) == 3
+        assert all(panel.points for panel in latency), [p.title for p in latency]
 
     def test_dashboard_svg_renders_without_data(self, app, fresh_sampler):
         import xml.etree.ElementTree as ET
